@@ -13,7 +13,6 @@ from .matfun import (
     apply_matrix_function,
     divided_diff_1,
     divided_diff_2,
-    kron,
     neg_power,
     schur_product,
     spectral_decompose,
@@ -53,7 +52,6 @@ __all__ = [
     "identity_map",
     "iteration_bound",
     "kkt",
-    "kron",
     "linmap",
     "load",
     "matfun",

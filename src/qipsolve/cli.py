@@ -103,6 +103,9 @@ def cmd_solve(args) -> int:
                        include_barrier=not args.no_barrier)
     except QipError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        report = getattr(exc, "report", None)
+        if report is not None:
+            _write_solve_outputs(report, records, args, phase=exc.phase)
         return 4
     if report.termination != "Converged":
         print(f"solver did not converge: {report.termination}", file=sys.stderr)
@@ -117,10 +120,13 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _write_solve_outputs(report, records, args):
+def _write_solve_outputs(report, records, args, phase=None):
     if args.out:
+        doc = report.to_dict()
+        if phase is not None:
+            doc["phase"] = phase
         with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
+            json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
         print(f"report -> {args.out}")
     if args.trace:

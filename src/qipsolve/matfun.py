@@ -8,7 +8,7 @@ utilities that tie matrix equations to their vectorized form.
 
 Conventions used throughout the package:
 
-* ``vec`` stacks columns, so ``vec(A X B) == kron(B, A) @ vec(X)`` for
+* ``vec`` stacks columns, so ``vec(A X B) == np.kron(B, A) @ vec(X)`` for
   symmetric ``B``.
 * Eigenvalues are returned in descending order.
 * Eigenvalue pairs closer than ``CONFLUENCE_RTOL`` (relative) take the
@@ -37,24 +37,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return the exactly symmetric part 0.5*(A + A.T)."""
     a = np.asarray(a, dtype=float)
     return 0.5 * (a + a.T)
-
-
-def sym_matrix(entries, tol: float = 1e-8) -> np.ndarray:
-    """Validate and symmetrize a dense square matrix.
-
-    Raises InvalidMatrix on non-finite entries, non-square shape, or
-    asymmetry beyond ``tol`` relative to the matrix scale.
-    """
-    a = np.asarray(entries, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidMatrix("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(a).max()))
-    asym = float(np.abs(a - a.T).max())
-    if asym > tol * scale:
-        raise InvalidMatrix(f"matrix asymmetry {asym:.3e} exceeds tolerance")
-    return symmetrize(a)
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -298,7 +280,3 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
         raise ShapeError(f"cannot unvec length {v.size} into {rows}x{cols}")
     return v.reshape((rows, cols), order="F")
 
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (thin wrapper kept for a uniform namespace)."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))

@@ -58,6 +58,9 @@ class TraceObjective:
     def input_order(self) -> int:
         return self.C.shape[0] if self.map is None else self.map.in_order
 
+    def evaluate(self, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
+        return phi_eval(self, x, want_hessian=want_hessian)
+
 
 @dataclass
 class DerivativeBundle:
@@ -199,6 +202,64 @@ def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True) -> Derivati
 # composite barrier family F_beta
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class LogDetBarrier:
+    """-ln det L(X) for a linear map L; ``map=None`` stands for -ln det X."""
+
+    map: object | None = None
+
+    def evaluate(self, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
+        if self.map is None:
+            return barrier_eval(x, want_hessian=want_hessian)
+        return map_barrier_eval(self.map, x, want_hessian=want_hessian)
+
+
+def evaluate_terms(terms, n_scaled: int, x: np.ndarray,
+                   want_hessian: bool = True) -> list[DerivativeBundle]:
+    """Unscaled bundle of every term of F_beta at X, in term order.
+
+    The first ``n_scaled`` terms are the objective's, the rest barriers;
+    each term has ``evaluate(x, want_hessian)``. A DomainViolation names
+    the term that raised it.
+    """
+    x = np.asarray(x, dtype=float)
+    parts = []
+    for i, term in enumerate(terms):
+        try:
+            parts.append(term.evaluate(x, want_hessian=want_hessian))
+        except DomainViolation as exc:
+            what = f"objective term {i}" if i < n_scaled else f"barrier term {i - n_scaled}"
+            raise DomainViolation(f"{what}: {exc}") from exc
+    return parts
+
+
+def combine_terms(beta: float, parts, n_scaled: int,
+                  want_hessian: bool = True) -> DerivativeBundle:
+    """beta * (the first ``n_scaled`` parts) + the remaining parts.
+
+    Sums start from zero and add the parts one by one in term order, so
+    the same parts and beta always give bit-identical results, whether
+    the parts were just evaluated or kept from an earlier beta.
+    """
+    if beta < 0.0:
+        raise DomainViolation("beta must be nonnegative")
+    size = parts[0].gradient.size
+    value = 0.0
+    grad = np.zeros(size)
+    hess = np.zeros((size, size)) if want_hessian else None
+    for part in parts[:n_scaled]:
+        value += beta * part.value
+        grad += beta * part.gradient
+        if want_hessian:
+            hess += beta * part.hessian
+    for part in parts[n_scaled:]:
+        value += part.value
+        grad += part.gradient
+        if want_hessian:
+            hess += part.hessian
+    return DerivativeBundle(value=value, gradient=grad, hessian=hess)
+
+
 def composite_eval(
     beta: float,
     terms,
@@ -211,43 +272,6 @@ def composite_eval(
     ``barrier_maps`` lists the maps whose outputs receive a -ln det
     barrier; ``None`` stands for the identity (a barrier on X itself).
     """
-    if beta < 0.0:
-        raise DomainViolation("beta must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    value = 0.0
-    grad = np.zeros(n * n)
-    hess = np.zeros((n * n, n * n)) if want_hessian else None
-
-    for i, term in enumerate(terms):
-        try:
-            part = phi_eval(term, x, want_hessian=want_hessian)
-        except DomainViolation as exc:
-            raise DomainViolation(f"objective term {i}: {exc}") from exc
-        value += beta * part.value
-        grad += beta * part.gradient
-        if want_hessian:
-            hess += beta * part.hessian
-
-    for i, lmap in enumerate(barrier_maps):
-        try:
-            if lmap is None:
-                part = barrier_eval(x, want_hessian=want_hessian)
-            else:
-                part = map_barrier_eval(lmap, x, want_hessian=want_hessian)
-        except DomainViolation as exc:
-            raise DomainViolation(f"barrier term {i}: {exc}") from exc
-        value += part.value
-        grad += part.gradient
-        if want_hessian:
-            hess += part.hessian
-
-    return DerivativeBundle(value=value, gradient=grad, hessian=hess)
-
-
-def composite_value(beta: float, terms, barrier_maps, x: np.ndarray) -> float:
-    """F_beta value only; returns +inf outside the domain (for line searches)."""
-    try:
-        return composite_eval(beta, terms, barrier_maps, x, want_hessian=False).value
-    except DomainViolation:
-        return np.inf
+    all_terms = [*terms, *(LogDetBarrier(lmap) for lmap in barrier_maps)]
+    parts = evaluate_terms(all_terms, len(terms), x, want_hessian)
+    return combine_terms(beta, parts, len(terms), want_hessian)

@@ -10,6 +10,15 @@ boundaries) and accepts on simple decrease. An initial damped-Newton
 phase at beta0 supplies the centered starting point the outer loop
 presumes.
 
+F_beta is evaluated from one ordered term list: the objective's terms
+(trace objectives, or the relative entropy), each scaled by beta, then
+the log-det barriers. The unscaled per-term derivatives of the last
+Hessian evaluation are kept with their iterate, and since
+H_beta = beta H_f + H_B, a centering that starts where the previous one
+stopped recombines them at the new beta instead of evaluating anew. A
+solve thus makes one Hessian evaluation per Newton step plus one at the
+start.
+
 Complexity caps from the underlying theory are evaluated alongside every
 run: per outer iteration at most 22/3 + 22 theta (5/2 kappa sqrt(r) +
 theta kappa^2 r / (theta+1)) Newton steps, and that times
@@ -31,13 +40,13 @@ from .errors import (
     InfeasibleStart,
     IterCap,
     LineSearchFailure,
+    QipError,
     SingularKKT,
 )
 from .kkt import NewtonStep, newton_step_type1, newton_step_type2
 from .matfun import symmetrize, vec
-from .objectives import DerivativeBundle, barrier_eval, composite_eval
+from .objectives import DerivativeBundle, LogDetBarrier, combine_terms, evaluate_terms
 from .probio import ProblemSpec, barrier_parameter, feasibility_violations
-from .qre import qre_eval
 
 
 @dataclass(frozen=True)
@@ -116,38 +125,56 @@ class _State:
 
 
 class FBetaEvaluator:
-    """Value and derivative access to F_beta for one problem instance."""
+    """F_beta = beta f + B for one problem instance, as one ordered term list.
+
+    ``terms`` holds the objective's terms, each scaled by beta (the trace
+    objectives, or the relative entropy), then the barriers: -ln det X
+    when present and, for type2, -ln det L(X). Each term yields an
+    unscaled DerivativeBundle, and a bundle of F_beta is their sum in
+    that order (``combine_terms``).
+
+    The per-term bundles of the last Hessian evaluation are kept, keyed on
+    an owned copy of its X. Since H_beta = beta H_f + H_B,
+    ``hessian_bundle`` at the same X and another beta recombines them
+    instead of evaluating anew: every centering starts where the previous
+    one stopped, so its first Newton system needs no new derivatives.
+    Value-only evaluations neither use nor replace the kept bundles.
+    """
 
     def __init__(self, problem: ProblemSpec, include_barrier: bool = True):
         self.problem = problem
         self.kind = problem.kind
-        self.include_barrier = include_barrier if problem.kind == "qkd" else True
+        objective = [problem.qre] if self.kind == "qkd" else list(problem.terms)
+        barriers = [LogDetBarrier()] if include_barrier or self.kind != "qkd" else []
         if self.kind == "type2":
-            self.barrier_maps = [None, problem.constraint_map]
-        elif self.kind == "type1" or self.include_barrier:
-            self.barrier_maps = [None]
-        else:
-            self.barrier_maps = []
+            barriers.append(LogDetBarrier(problem.constraint_map))
+        self.terms = (*objective, *barriers)
+        self.n_scaled = len(objective)
+        self._kept_x = None
+        self._kept_parts = None
 
     def objective(self, x) -> float:
         return self.problem.objective_value(x)
 
     def x_bundle(self, x, beta, want_hessian=True) -> DerivativeBundle:
-        """Gradient/Hessian of the X-block of F_beta (slack block excluded)."""
-        if self.kind == "qkd":
-            core = qre_eval(self.problem.qre, x, want_hessian=want_hessian)
-            value = beta * core.value
-            grad = beta * core.gradient
-            hess = beta * core.hessian if want_hessian else None
-            if self.include_barrier:
-                bar = barrier_eval(x, want_hessian=want_hessian)
-                value += bar.value
-                grad = grad + bar.gradient
-                if want_hessian:
-                    hess = hess + bar.hessian
-            return DerivativeBundle(value=value, gradient=grad, hessian=hess)
-        return composite_eval(beta, self.problem.terms, self.barrier_maps, x,
-                              want_hessian=want_hessian)
+        """Evaluate the X-block of F_beta at X (slack block excluded).
+
+        A Hessian evaluation replaces the kept per-term bundles; the old
+        ones are dropped first, so at most one set is alive.
+        """
+        if want_hessian:
+            self._kept_x = self._kept_parts = None
+        parts = evaluate_terms(self.terms, self.n_scaled, x, want_hessian)
+        if want_hessian:
+            self._kept_x = np.array(x, dtype=float)
+            self._kept_parts = parts
+        return combine_terms(beta, parts, self.n_scaled, want_hessian)
+
+    def hessian_bundle(self, x, beta) -> DerivativeBundle:
+        """X-block of F_beta with its Hessian; recombined when X is the kept iterate."""
+        if self._kept_x is not None and np.array_equal(x, self._kept_x):
+            return combine_terms(beta, self._kept_parts, self.n_scaled)
+        return self.x_bundle(x, beta, want_hessian=True)
 
     def value(self, x, slacks, beta) -> float:
         """Full F_beta including slack logs; +inf outside the open domain."""
@@ -269,38 +296,44 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
     (beta, delta) pair per computed decrement, gate value included.
     ``callback`` receives one dict per step taken: beta, delta, alpha,
     and f, feas_residual and x at the new iterate. A step that is not a
-    descent direction raises SingularKKT before the line search.
+    descent direction raises SingularKKT before the line search. Any
+    QipError raised here carries the iterate it was raised at as
+    ``state``.
     """
     target = config.delta_star if target is None else target
     records = []
     steps = 0
     max_cond = 1.0
-    for _ in range(config.max_inner):
-        bundle = evaluator.x_bundle(state.x, beta, want_hessian=True)
-        step = evaluator.newton_step(bundle, state)
-        max_cond = max(max_cond, step.schur_condition)
-        records.append((beta, step.decrement))
-        if step.decrement <= target:
-            return state, steps, records, max_cond
-        slope = directional_derivative(bundle.gradient, state.slacks, step)
-        if slope >= 0.0:
-            raise SingularKKT(f"Newton direction is not a descent direction: "
-                              f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
-        alpha = line_search(state, step, beta, evaluator, config)
-        new_x = symmetrize(state.x + alpha * step.direction_X)
-        state = _State(x=new_x, slacks=_refresh_slacks(evaluator.problem, new_x))
-        steps += 1
-        if callback is not None:
-            callback({
-                "beta": beta,
-                "delta": step.decrement,
-                "alpha": alpha,
-                "f": evaluator.objective(state.x),
-                "feas_residual": _feas_residual(evaluator.problem, state),
-                "x": state.x,
-            })
-    raise IterCap(f"centering at beta={beta:.3e} exceeded {config.max_inner} inner steps",
-                  trace=records)
+    try:
+        for _ in range(config.max_inner):
+            bundle = evaluator.hessian_bundle(state.x, beta)
+            step = evaluator.newton_step(bundle, state)
+            max_cond = max(max_cond, step.schur_condition)
+            records.append((beta, step.decrement))
+            if step.decrement <= target:
+                return state, steps, records, max_cond
+            slope = directional_derivative(bundle.gradient, state.slacks, step)
+            if slope >= 0.0:
+                raise SingularKKT(f"Newton direction is not a descent direction: "
+                                  f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
+            alpha = line_search(state, step, beta, evaluator, config)
+            new_x = symmetrize(state.x + alpha * step.direction_X)
+            state = _State(x=new_x, slacks=_refresh_slacks(evaluator.problem, new_x))
+            steps += 1
+            if callback is not None:
+                callback({
+                    "beta": beta,
+                    "delta": step.decrement,
+                    "alpha": alpha,
+                    "f": evaluator.objective(state.x),
+                    "feas_residual": _feas_residual(evaluator.problem, state),
+                    "x": state.x,
+                })
+        raise IterCap(f"centering at beta={beta:.3e} exceeded {config.max_inner} inner steps",
+                      trace=records)
+    except QipError as exc:
+        exc.state = state
+        raise
 
 
 def _feas_residual(problem: ProblemSpec, state: _State) -> float:
@@ -336,7 +369,9 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
 
     The start (given or taken from the problem) must be strictly
     feasible; a damped-Newton phase at beta0 performs the initial
-    centering. Numerical failures re-raise with phase context attached.
+    centering. Numerical failures re-raise with the phase and a report
+    attached; like an IterCap report, it is built at the iterate where
+    centering stopped, not at the last centered point.
     """
     config = config or SolverConfig()
     x0 = problem.start if start is None else np.asarray(start, dtype=float)
@@ -378,9 +413,11 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
             trace.extend(rec)
             max_cond = max(max_cond, cond)
             gap_bounds.append(proximity_gap_bound(rec[-1][1], beta, r, config.kappa))
-    except IterCap:
+    except IterCap as exc:
         termination = "IterCap"
+        state = exc.state
     except (SingularKKT, LineSearchFailure, DomainViolation) as exc:
+        state = exc.state
         exc.phase = f"outer {i}, beta={beta:.6e}"
         exc.report = _build_report(problem, evaluator, state, config, inner_counts, trace,
                                    gap_bounds, beta, r, f_start, max_cond,

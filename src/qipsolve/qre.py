@@ -65,6 +65,9 @@ class QreObjective:
     def out_order(self) -> int:
         return self.l1.out_order
 
+    def evaluate(self, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
+        return qre_eval(self, x, want_hessian=want_hessian)
+
 
 def _perturbed_decomp(lmap, x, eps, label):
     y = lmap.apply(x) + eps * np.eye(lmap.out_order)
@@ -133,14 +136,6 @@ def _eval(obj, x, want_hessian, symmetrize_hessian):
         hess = symmetrize(h) if symmetrize_hessian else h
 
     return DerivativeBundle(value=value, gradient=gradient, hessian=hess), asym
-
-
-def qre_value(obj: QreObjective, x: np.ndarray) -> float:
-    """Objective value only; +inf outside the domain (for line searches)."""
-    try:
-        return qre_eval(obj, x, want_hessian=False).value
-    except DomainViolation:
-        return np.inf
 
 
 def qre_nonnegativity_check(obj: QreObjective, x: np.ndarray) -> float:

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from qipsolve import pathfollow
 from qipsolve.cli import main
+from qipsolve.errors import LineSearchFailure
 
 
 def run(capsys, *argv):
@@ -102,6 +104,35 @@ class TestSolve:
         bad.write_text('{"kind": "type1"}')
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 3
+
+    def test_failure_writes_report_and_trace(self, tmp_path, capsys, monkeypatch):
+        # a line search that fails on its third call: two steps are taken
+        calls = []
+        real_search = pathfollow.line_search
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise LineSearchFailure("forced failure")
+            return real_search(*args)
+
+        problem = tmp_path / "p.json"
+        run(capsys, "gen", "--kind", "qkd", "--n", "3", "--seed", "2",
+            "--out", str(problem))
+        monkeypatch.setattr(pathfollow, "line_search", failing)
+        rep = tmp_path / "rep.json"
+        trace = tmp_path / "trace.csv"
+        code, _, err = run(capsys, "solve", str(problem), "--out", str(rep),
+                           "--trace", str(trace))
+        assert code == 4
+        assert "forced failure" in err
+        doc = json.loads(rep.read_text())
+        assert doc["termination"] == "NumericalFailure"
+        assert doc["phase"].startswith("outer ")
+        with open(trace) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["step", "beta", "delta", "alpha", "f", "feas_residual"]
+        assert len(rows) == 1 + 2
 
     def test_iteration_cap_exits_4(self, capsys):
         # theta so small that the outer cap is hit long before 4r/eps

@@ -12,7 +12,6 @@ from qipsolve.matfun import (
     apply_matrix_function,
     divided_diff_1,
     divided_diff_2,
-    kron,
     neg_power,
     schur_product,
     second_divided_diff_tensor,
@@ -175,7 +174,7 @@ class TestVecSchurKron:
     def test_kron_vec_identity(self, rng):
         a, x, b = (rng.standard_normal((3, 3)) for _ in range(3))
         lhs = vec(a @ x @ b.T)
-        rhs = kron(b, a) @ vec(x)
+        rhs = np.kron(b, a) @ vec(x)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
 
 

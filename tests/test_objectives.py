@@ -9,7 +9,6 @@ from qipsolve.objectives import (
     TraceObjective,
     barrier_eval,
     composite_eval,
-    composite_value,
     map_barrier_eval,
     phi_eval,
 )
@@ -183,7 +182,7 @@ class TestComposite:
         terms = [TraceObjective(c, NEG_LOG)]
         beta = 3.0
         b = composite_eval(beta, terms, [None, pt], x)
-        g_fd = fd_gradient(lambda y: composite_value(beta, terms, [None, pt], y), x)
+        g_fd = fd_gradient(lambda y: composite_eval(beta, terms, [None, pt], y, False).value, x)
         assert rel_err(b.gradient, g_fd) <= 1e-6
         xi = rand_sym(rng, 4) * 0.01
         act_fd = fd_hessian_action(

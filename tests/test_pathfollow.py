@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qipsolve import pathfollow, probio
+from qipsolve import pathfollow, probio, qre
 from qipsolve.errors import InfeasibleStart, LineSearchFailure, SingularKKT
 from qipsolve.kkt import NewtonStep
 from qipsolve.matfun import symmetrize, vec
@@ -145,6 +145,103 @@ class TestCenter:
         assert len(in_regime) >= 5
         good = sum(1 for a, b in in_regime if b <= 8.0 * a * a)
         assert good / len(in_regime) >= 0.95
+
+
+# (kind, dims, include_barrier): QKD with and without -ln det X, type1
+# with slacks, and type2 with two barriers (on X and on L(X))
+CACHE_CASES = {
+    "qkd": ("qkd", {"n": 3, "m": 1}, True),
+    "qkd-no-barrier": ("qkd", {"n": 3, "m": 1}, False),
+    "type1": ("type1", {"n": 4, "m": 2, "N": 4}, True),
+    "type2": ("type2", {"n": 4, "m": 1}, True),
+}
+
+
+def cache_case(case, rng):
+    kind, dims, include_barrier = CACHE_CASES[case]
+    problem = probio.generate_random(kind, dims, seed=5)
+    x = probio.random_feasible_point(problem, rng)
+    return problem, include_barrier, x
+
+
+def count_fresh_hessians(monkeypatch, ev):
+    """Record the X of every fresh Hessian evaluation ``ev`` makes."""
+    fresh = []
+    real = ev.x_bundle
+
+    def counted(x, beta, want_hessian=True):
+        if want_hessian:
+            fresh.append(np.array(x))
+        return real(x, beta, want_hessian)
+
+    monkeypatch.setattr(ev, "x_bundle", counted)
+    return fresh
+
+
+def assert_bitwise_equal(a, b):
+    assert a.value == b.value
+    assert np.array_equal(a.gradient, b.gradient)
+    assert np.array_equal(a.hessian, b.hessian)
+
+
+class TestHessianCache:
+    @pytest.mark.parametrize("case", sorted(CACHE_CASES))
+    def test_recombination_is_exact(self, case, rng, monkeypatch):
+        problem, include_barrier, x = cache_case(case, rng)
+        ev = FBetaEvaluator(problem, include_barrier=include_barrier)
+        fresh = count_fresh_hessians(monkeypatch, ev)
+        ev.hessian_bundle(x, 3.0)
+        recombined = ev.hessian_bundle(x.copy(), 7.5)  # same X by value
+        assert len(fresh) == 1
+        reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(x, 7.5)
+        assert_bitwise_equal(recombined, reference)
+
+    @pytest.mark.parametrize("case", ["qkd", "type2"])
+    def test_value_only_evaluation_keeps_the_cache(self, case, rng, monkeypatch):
+        problem, include_barrier, x = cache_case(case, rng)
+        other = probio.random_feasible_point(problem, rng)
+        assert not np.array_equal(other, x)
+        ev = FBetaEvaluator(problem, include_barrier=include_barrier)
+        fresh = count_fresh_hessians(monkeypatch, ev)
+        ev.hessian_bundle(x, 3.0)
+        ev.value(other, np.zeros(0), 5.0)
+        ev.x_bundle(other, 5.0, want_hessian=False)
+        recombined = ev.hessian_bundle(x, 7.5)
+        assert len(fresh) == 1
+        reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(x, 7.5)
+        assert_bitwise_equal(recombined, reference)
+
+    def test_new_iterate_is_evaluated_afresh(self, rng, monkeypatch):
+        # the cache holds its own copy of X: changing the caller's array in
+        # place makes it a new iterate
+        problem, include_barrier, x = cache_case("type2", rng)
+        ev = FBetaEvaluator(problem, include_barrier=include_barrier)
+        fresh = count_fresh_hessians(monkeypatch, ev)
+        ev.hessian_bundle(x, 3.0)
+        x[:] = probio.random_feasible_point(problem, rng)
+        bundle = ev.hessian_bundle(x, 3.0)
+        assert len(fresh) == 2
+        assert np.array_equal(fresh[1], x)
+        reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(x, 3.0)
+        assert_bitwise_equal(bundle, reference)
+
+    def test_one_fresh_hessian_per_newton_step_plus_one(self, monkeypatch):
+        # each centering starts at the iterate where the previous one
+        # evaluated its gate, so only the start and each step cost a
+        # relative-entropy Hessian
+        problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
+        real = qre.qre_eval
+        hessians = []
+
+        def counted(obj, x, want_hessian=True):
+            hessians.append(want_hessian)
+            return real(obj, x, want_hessian=want_hessian)
+
+        monkeypatch.setattr(qre, "qre_eval", counted)
+        report = solve(problem)
+        assert report.termination == "Converged"
+        assert report.outer_iters > 1
+        assert sum(hessians) == report.total_newton + 1
 
 
 class TestIterationBound:
@@ -291,6 +388,36 @@ class TestSolve:
                             lambda *a, **k: pytest.fail("line search ran"))
         with pytest.raises(SingularKKT, match=r"not a descent direction.*phase: outer 0"):
             solve(problem)
+
+    def test_failure_report_carries_the_failing_iterate(self, monkeypatch):
+        # fail the first line search that follows a step at the same beta,
+        # past the initial centering: the iterate is then not centered, and
+        # the report must hold it rather than the last centered point
+        problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=6)
+        config = SolverConfig()
+        records = []
+        real_search = pathfollow.line_search
+
+        def failing(state, step, beta, evaluator, cfg):
+            if beta > config.beta0 and any(rec["beta"] == beta for rec in records):
+                raise LineSearchFailure("forced failure")
+            return real_search(state, step, beta, evaluator, cfg)
+
+        monkeypatch.setattr(pathfollow, "line_search", failing)
+        with pytest.raises(LineSearchFailure, match="phase: outer") as caught:
+            solve(problem, config=config, callback=records.append)
+        report = caught.value.report
+        assert report.termination == "NumericalFailure"
+        assert records[-1]["beta"] == report.beta_final > config.beta0
+        assert np.array_equal(report.X_star, records[-1]["x"])
+        assert report.f_min == problem.objective_value(records[-1]["x"])
+
+    def test_iteration_cap_report_carries_the_failing_iterate(self):
+        problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
+        records = []
+        report = solve(problem, config=SolverConfig(max_inner=1), callback=records.append)
+        assert report.termination == "IterCap"
+        assert np.array_equal(report.X_star, records[-1]["x"])
 
     def test_gap_bound_formula(self):
         # printed proximity bound at delta = 0 collapses to 0
