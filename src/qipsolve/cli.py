@@ -101,6 +101,9 @@ def cmd_solve(args) -> int:
     try:
         report = solve(spec, config=_solver_config(args), callback=hook,
                        include_barrier=not args.no_barrier)
+    except ValueError as exc:
+        print(f"solve: {exc}", file=sys.stderr)
+        return 2
     except QipError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         report = getattr(exc, "report", None)
@@ -227,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--theta", type=float, default=1.0)
     s.add_argument("--eps", type=float, default=1e-8)
     s.add_argument("--no-barrier", action="store_true",
-                   help="drop the -ln det X term (qkd experimentation only)")
+                   help="drop the -ln det X term (qkd problems only; an error on others)")
     s.add_argument("--trace", help="write a per-step CSV trace here")
     s.add_argument("--out", help="write the solve report JSON here")
     s.set_defaults(func=cmd_solve)

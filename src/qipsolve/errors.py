@@ -67,7 +67,3 @@ class SizeGuard(QipError):
 
 class IterCap(QipError):
     """Iteration budget exhausted."""
-
-    def __init__(self, msg, trace=None):
-        super().__init__(msg)
-        self.trace = trace or []

@@ -237,22 +237,26 @@ def combine_terms(beta: float, parts, n_scaled: int,
                   want_hessian: bool = True) -> DerivativeBundle:
     """beta * (the first ``n_scaled`` parts) + the remaining parts.
 
-    Sums start from zero and add the parts one by one in term order, so
-    the same parts and beta always give bit-identical results, whether
-    the parts were just evaluated or kept from an earlier beta.
+    Each sum starts from the first part (times beta when it is scaled)
+    and adds the others in place, in term order, so the same parts and
+    beta always give bit-identical results, whether the parts were just
+    evaluated or kept from an earlier beta. The parts are not modified.
     """
     if beta < 0.0:
         raise DomainViolation("beta must be nonnegative")
-    size = parts[0].gradient.size
-    value = 0.0
-    grad = np.zeros(size)
-    hess = np.zeros((size, size)) if want_hessian else None
-    for part in parts[:n_scaled]:
+    head = parts[0]
+    if n_scaled:
+        value, grad = beta * head.value, beta * head.gradient
+        hess = beta * head.hessian if want_hessian else None
+    else:
+        value, grad = head.value, head.gradient.copy()
+        hess = head.hessian.copy() if want_hessian else None
+    for part in parts[1:n_scaled]:
         value += beta * part.value
         grad += beta * part.gradient
         if want_hessian:
             hess += beta * part.hessian
-    for part in parts[n_scaled:]:
+    for part in parts[max(n_scaled, 1):]:
         value += part.value
         grad += part.gradient
         if want_hessian:

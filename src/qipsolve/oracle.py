@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import DomainViolation, OracleInconclusive, SizeGuard, ValidationError
 from .matfun import divided_diff_2, spectral_decompose, symmetrize, vec
-from .objectives import DerivativeBundle, TraceObjective, phi_eval
+from .objectives import DerivativeBundle, TraceObjective
 from .probio import ProblemSpec, random_feasible_point
-from .qre import qre_eval, qre_hessian_asymmetry
+from .qre import qre_hessian_asymmetry
 
 
 def _sym_basis(n):
@@ -157,14 +157,11 @@ class CheckResult:
 def problem_bundle(problem: ProblemSpec, x: np.ndarray,
                    want_hessian: bool = True) -> DerivativeBundle:
     """Objective-only bundle (no barriers) for an instance, offset included."""
-    if problem.kind == "qkd":
-        b = qre_eval(problem.qre, x, want_hessian=want_hessian)
-        return DerivativeBundle(b.value + problem.offset, b.gradient, b.hessian)
     value = problem.offset
     grad = np.zeros(problem.n * problem.n)
     hess = np.zeros((problem.n**2, problem.n**2)) if want_hessian else None
     for t in problem.terms:
-        b = phi_eval(t, x, want_hessian=want_hessian)
+        b = t.evaluate(x, want_hessian=want_hessian)
         value += b.value
         grad += b.gradient
         if want_hessian:
@@ -223,7 +220,7 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
 
         if problem.kind == "qkd":
             worst["qre-presym-asymmetry"] = max(
-                worst["qre-presym-asymmetry"], qre_hessian_asymmetry(problem.qre, x))
+                worst["qre-presym-asymmetry"], qre_hessian_asymmetry(problem.terms[0], x))
 
     tolerances = {
         "gradient-vs-fd": 1e-6,
@@ -248,25 +245,9 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
 # reference optimizer
 # ---------------------------------------------------------------------------
 
-def _problem_obj_grad(problem: ProblemSpec):
-    if problem.kind == "qkd":
-        def fn(x):
-            b = qre_eval(problem.qre, x, want_hessian=False)
-            return b.value + problem.offset, b.gradient
-    else:
-        def fn(x):
-            val, grad = problem.offset, 0.0
-            for t in problem.terms:
-                b = phi_eval(t, x, want_hessian=False)
-                val += b.value
-                grad = grad + b.gradient
-            return val, grad
-    return fn
-
-
 def _cone_margin(problem: ProblemSpec, x: np.ndarray) -> float:
     margin = float(np.linalg.eigvalsh(x).min())
-    if problem.kind == "type2":
+    if problem.constraint_map is not None:
         margin = min(margin, float(np.linalg.eigvalsh(problem.constraint_map.apply(x)).min()))
     return margin
 
@@ -292,7 +273,10 @@ def reference_minimize(problem: ProblemSpec, x0: np.ndarray | None = None,
         raise ValidationError("reference optimizer needs a starting point")
     x = symmetrize(x)
 
-    fn = _problem_obj_grad(problem)
+    def fn(x):
+        b = problem_bundle(problem, x, False)
+        return b.value, b.gradient
+
     veq = problem.constraints.vec_stack
     gram_inv = np.linalg.inv(veq @ veq.T)
 

@@ -10,14 +10,15 @@ boundaries) and accepts on simple decrease. An initial damped-Newton
 phase at beta0 supplies the centered starting point the outer loop
 presumes.
 
-F_beta is evaluated from one ordered term list: the objective's terms
-(trace objectives, or the relative entropy), each scaled by beta, then
-the log-det barriers. The unscaled per-term derivatives of the last
-Hessian evaluation are kept with their iterate, and since
-H_beta = beta H_f + H_B, a centering that starts where the previous one
-stopped recombines them at the new beta instead of evaluating anew. A
-solve thus makes one Hessian evaluation per Newton step plus one at the
-start.
+F_beta is evaluated from one ordered term list: the problem's objective
+terms (trace objectives, or the relative entropy), each scaled by beta,
+then the log-det barriers on X and, when the problem has a constraint
+map, on L(X); inequality rows add one log per slack. The unscaled
+per-term derivatives of the last Hessian evaluation are kept with their
+iterate, and since H_beta = beta H_f + H_B, a centering that starts
+where the previous one stopped recombines them at the new beta instead
+of evaluating anew. A solve thus makes one Hessian evaluation per Newton
+step plus one at the start.
 
 Complexity caps from the underlying theory are evaluated alongside every
 run: per outer iteration at most 22/3 + 22 theta (5/2 kappa sqrt(r) +
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -43,10 +44,17 @@ from .errors import (
     QipError,
     SingularKKT,
 )
-from .kkt import NewtonStep, newton_step_type1, newton_step_type2
+from .kkt import NewtonStep, newton_step_type1
 from .matfun import symmetrize, vec
 from .objectives import DerivativeBundle, LogDetBarrier, combine_terms, evaluate_terms
 from .probio import ProblemSpec, barrier_parameter, feasibility_violations
+
+
+# line search: first trial step as a fraction of the distance to the
+# boundary, shrink factor per backtrack, and the backtrack budget
+LS_BOUNDARY_FRACTION = 0.99
+LS_SHRINK = 0.5
+LS_MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -55,16 +63,10 @@ class SolverConfig:
     theta: float = 1.0
     epsilon: float = 1e-8
     kappa: float = 2.0
-    barrier_param_r: float | None = None  # filled per problem when None
     max_outer: int = 200
     max_inner: int = 500
-    ls_shrink: float = 0.5
-    ls_boundary_fraction: float = 0.99
-    ls_max_backtracks: int = 60
 
     def __post_init__(self):
-        if not 0.0 < self.ls_boundary_fraction < 1.0:
-            raise ValueError("boundary fraction must lie in (0, 1)")
         if self.beta0 <= 0 or self.theta <= 0 or self.epsilon <= 0:
             raise ValueError("beta0, theta and epsilon must be positive")
 
@@ -127,11 +129,12 @@ class _State:
 class FBetaEvaluator:
     """F_beta = beta f + B for one problem instance, as one ordered term list.
 
-    ``terms`` holds the objective's terms, each scaled by beta (the trace
-    objectives, or the relative entropy), then the barriers: -ln det X
-    when present and, for type2, -ln det L(X). Each term yields an
-    unscaled DerivativeBundle, and a bundle of F_beta is their sum in
-    that order (``combine_terms``).
+    ``terms`` holds the problem's objective terms, each scaled by beta,
+    then the barriers: -ln det X (unless ``include_barrier`` is false)
+    and -ln det L(X) when the problem has a constraint map. Each term
+    yields an unscaled DerivativeBundle, and a bundle of F_beta is their
+    sum in that order (``combine_terms``). The inequality slacks' logs
+    are added to values only; their derivatives enter the Newton step.
 
     The per-term bundles of the last Hessian evaluation are kept, keyed on
     an owned copy of its X. Since H_beta = beta H_f + H_B,
@@ -143,13 +146,11 @@ class FBetaEvaluator:
 
     def __init__(self, problem: ProblemSpec, include_barrier: bool = True):
         self.problem = problem
-        self.kind = problem.kind
-        objective = [problem.qre] if self.kind == "qkd" else list(problem.terms)
-        barriers = [LogDetBarrier()] if include_barrier or self.kind != "qkd" else []
-        if self.kind == "type2":
+        barriers = [LogDetBarrier()] if include_barrier else []
+        if problem.constraint_map is not None:
             barriers.append(LogDetBarrier(problem.constraint_map))
-        self.terms = (*objective, *barriers)
-        self.n_scaled = len(objective)
+        self.terms = (*problem.terms, *barriers)
+        self.n_scaled = len(problem.terms)
         self._kept_x = None
         self._kept_parts = None
 
@@ -193,19 +194,19 @@ class FBetaEvaluator:
         except DomainViolation:
             return math.inf, None
         v = bundle.value
-        if self.kind == "type1" and slacks.size:
+        if slacks.size:
             if slacks.min() <= 0.0:
                 return math.inf, None
             v -= float(np.sum(np.log(slacks)))
         return v, bundle.gradient
 
     def feasibility_maps(self):
-        return [self.problem.constraint_map] if self.kind == "type2" else []
+        lmap = self.problem.constraint_map
+        return [] if lmap is None else [lmap]
 
     def newton_step(self, bundle, state) -> NewtonStep:
-        if self.kind == "type1":
-            return newton_step_type1(bundle, state.slacks, self.problem.constraints)
-        return newton_step_type2(bundle, self.problem.constraints)
+        # with no inequality rows there are no slacks: the structure-II step
+        return newton_step_type1(bundle, state.slacks, self.problem.constraints)
 
 
 def _refresh_slacks(problem: ProblemSpec, x) -> np.ndarray:
@@ -255,7 +256,7 @@ def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator
 
 
 def line_search(state: _State, step: NewtonStep, beta: float,
-                evaluator: FBetaEvaluator, config: SolverConfig) -> float:
+                evaluator: FBetaEvaluator) -> float:
     """Backtrack from min(1, fraction * alpha_max) until F_beta decreases.
 
     At large beta the rounding noise of F_beta = beta f + B can exceed the
@@ -270,9 +271,9 @@ def line_search(state: _State, step: NewtonStep, beta: float,
     if not math.isfinite(f0):
         raise DomainViolation("line search started outside the domain")
     amax = max_feasible_step(state, step, evaluator)
-    alpha = min(1.0, config.ls_boundary_fraction * amax)
+    alpha = min(1.0, LS_BOUNDARY_FRACTION * amax)
     descending = None
-    for _ in range(config.ls_max_backtracks):
+    for _ in range(LS_MAX_BACKTRACKS):
         cand_x = symmetrize(state.x + alpha * step.direction_X)
         cand_s = state.slacks + alpha * step.direction_slack
         value, slope = evaluator.value_and_slope(cand_x, cand_s, beta, step)
@@ -280,11 +281,11 @@ def line_search(state: _State, step: NewtonStep, beta: float,
             return alpha
         if descending is None and slope < 0.0:
             descending = alpha
-        alpha *= config.ls_shrink
+        alpha *= LS_SHRINK
     if descending is not None:
         return descending
     raise LineSearchFailure(
-        f"no decrease after {config.ls_max_backtracks} backtracks (delta={step.decrement:.3e})"
+        f"no decrease after {LS_MAX_BACKTRACKS} backtracks (delta={step.decrement:.3e})"
     )
 
 
@@ -298,7 +299,8 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
     and f, feas_residual and x at the new iterate. A step that is not a
     descent direction raises SingularKKT before the line search. Any
     QipError raised here carries the iterate it was raised at as
-    ``state``.
+    ``state``, and the steps taken and records made so far as ``steps``
+    and ``records``.
     """
     target = config.delta_star if target is None else target
     records = []
@@ -316,7 +318,7 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
             if slope >= 0.0:
                 raise SingularKKT(f"Newton direction is not a descent direction: "
                                   f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
-            alpha = line_search(state, step, beta, evaluator, config)
+            alpha = line_search(state, step, beta, evaluator)
             new_x = symmetrize(state.x + alpha * step.direction_X)
             state = _State(x=new_x, slacks=_refresh_slacks(evaluator.problem, new_x))
             steps += 1
@@ -329,10 +331,9 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
                     "feas_residual": _feas_residual(evaluator.problem, state),
                     "x": state.x,
                 })
-        raise IterCap(f"centering at beta={beta:.3e} exceeded {config.max_inner} inner steps",
-                      trace=records)
+        raise IterCap(f"centering at beta={beta:.3e} exceeded {config.max_inner} inner steps")
     except QipError as exc:
-        exc.state = state
+        exc.state, exc.steps, exc.records = state, steps, records
         raise
 
 
@@ -350,11 +351,8 @@ def proximity_gap_bound(delta: float, beta: float, r: float, kappa: float) -> fl
     return (delta / d1) * ((1.0 + kappa * delta**2) / d2) * math.sqrt(r) / beta
 
 
-def iteration_bound(config: SolverConfig, r: float | None = None):
-    """(per-outer cap, total cap) on Newton steps from the complexity theory."""
-    r = config.barrier_param_r if r is None else r
-    if r is None:
-        raise ValueError("barrier parameter r is required for the iteration bound")
+def iteration_bound(config: SolverConfig, r: float):
+    """(per-outer cap, total cap) on Newton steps for barrier parameter r."""
     th, kp = config.theta, config.kappa
     per_outer = 22.0 / 3.0 + 22.0 * th * (2.5 * kp * math.sqrt(r) + th * kp**2 * r / (th + 1.0))
     n_outer = math.log(4.0 * r / (config.epsilon * config.beta0)) / math.log1p(th)
@@ -371,8 +369,14 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
     feasible; a damped-Newton phase at beta0 performs the initial
     centering. Numerical failures re-raise with the phase and a report
     attached; like an IterCap report, it is built at the iterate where
-    centering stopped, not at the last centered point.
+    centering stopped, not at the last centered point, and counts the
+    steps of that centering. ``include_barrier=False`` drops -ln det X,
+    a heuristic admitted for qkd problems only; on other problems it
+    raises ValueError.
     """
+    if not include_barrier and problem.kind != "qkd":
+        raise ValueError("include_barrier=False is only supported on qkd problems; "
+                         f"{problem.kind} problems need the -ln det X barrier")
     config = config or SolverConfig()
     x0 = problem.start if start is None else np.asarray(start, dtype=float)
     if x0 is None:
@@ -382,8 +386,7 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
     if bad:
         raise InfeasibleStart("start is not strictly feasible: " + bad[0][0])
 
-    r = barrier_parameter(problem) if config.barrier_param_r is None else config.barrier_param_r
-    config = replace(config, barrier_param_r=r)
+    r = barrier_parameter(problem)
     evaluator = FBetaEvaluator(problem, include_barrier=include_barrier)
     state = _State(x=x0, slacks=_refresh_slacks(problem, x0))
 
@@ -393,42 +396,40 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
     beta_stop = 4.0 * r / config.epsilon
     max_cond = 1.0
     termination = "Converged"
+    failure = None
     beta = config.beta0
     i = 0
 
     try:
-        state, k0, rec, cond = center(state, beta, evaluator, config, callback=callback)
-        inner_counts.append(k0)
-        trace.extend(rec)
-        max_cond = max(max_cond, cond)
-        gap_bounds.append(proximity_gap_bound(rec[-1][1], beta, r, config.kappa))
-        while beta < beta_stop:
-            if i >= config.max_outer:
-                termination = "IterCap"
-                break
-            i += 1
-            beta = config.beta0 * (1.0 + config.theta) ** i
+        while True:
             state, k, rec, cond = center(state, beta, evaluator, config, callback=callback)
             inner_counts.append(k)
             trace.extend(rec)
             max_cond = max(max_cond, cond)
             gap_bounds.append(proximity_gap_bound(rec[-1][1], beta, r, config.kappa))
-    except IterCap as exc:
-        termination = "IterCap"
+            if beta >= beta_stop:
+                break
+            if i >= config.max_outer:
+                termination = "IterCap"
+                break
+            i += 1
+            beta = config.beta0 * (1.0 + config.theta) ** i
+    except (IterCap, SingularKKT, LineSearchFailure, DomainViolation) as exc:
         state = exc.state
-    except (SingularKKT, LineSearchFailure, DomainViolation) as exc:
-        state = exc.state
-        exc.phase = f"outer {i}, beta={beta:.6e}"
-        exc.report = _build_report(problem, evaluator, state, config, inner_counts, trace,
-                                   gap_bounds, beta, r, f_start, max_cond,
-                                   time.perf_counter() - t_start, "NumericalFailure",
-                                   include_barrier)
-        exc.args = (f"{exc.args[0]} [phase: {exc.phase}]",) + exc.args[1:]
-        raise
+        inner_counts.append(exc.steps)
+        trace.extend(exc.records)
+        failure = None if isinstance(exc, IterCap) else exc
+        termination = "IterCap" if failure is None else "NumericalFailure"
 
-    return _build_report(problem, evaluator, state, config, inner_counts, trace,
-                         gap_bounds, beta, r, f_start, max_cond,
-                         time.perf_counter() - t_start, termination, include_barrier)
+    report = _build_report(problem, evaluator, state, config, inner_counts, trace,
+                           gap_bounds, beta, r, f_start, max_cond,
+                           time.perf_counter() - t_start, termination, include_barrier)
+    if failure is not None:
+        failure.phase = f"outer {i}, beta={beta:.6e}"
+        failure.report = report
+        failure.args = (f"{failure.args[0]} [phase: {failure.phase}]",) + failure.args[1:]
+        raise failure
+    return report
 
 
 def _build_report(problem, evaluator, state, config, inner_counts, trace, gap_bounds,
@@ -469,7 +470,7 @@ def _build_report(problem, evaluator, state, config, inner_counts, trace, gap_bo
         f_start=f_start,
         feas_residual=_feas_residual(problem, state),
         schur_condition_max=max_cond,
-        heuristic_no_barrier=not include_barrier and problem.kind == "qkd",
+        heuristic_no_barrier=not include_barrier,
         name=problem.name,
         config=cfg,
     )

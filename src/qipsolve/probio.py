@@ -1,13 +1,16 @@
 """Problem definitions, random instance generation and (de)serialization.
 
-A problem is one of three structures:
+A problem is an objective term list, affine trace rows (inequalities
+first) and an optional constraint map L whose output must stay PSD and
+receives its own log-det barrier. The solver reads its structure from
+these data alone; the ``kind`` label names one of three families for
+the file format, generation and validation:
 
 * ``type1``  - trace objective, mixed inequality/equality trace constraints,
   PSD cone on X (slack reformulation handled by the solver),
-* ``type2``  - trace objective(s) plus a linear constraint map L whose
-  output must stay PSD and receives its own log-det barrier,
-* ``qkd``    - quantum relative entropy of two Kraus maps under equality
-  constraints.
+* ``type2``  - trace objective(s) plus the constraint map,
+* ``qkd``    - quantum relative entropy of two Kraus maps (one
+  ``QreObjective`` term) under equality constraints.
 
 Problems round-trip through a single JSON document (row-major matrices,
 decimal floats); generation is a pure function of (kind, dims, seed) and
@@ -40,8 +43,8 @@ from .matfun import (
     symmetrize,
     vec,
 )
-from .objectives import TraceObjective, phi_eval
-from .qre import QreObjective, qre_eval
+from .objectives import TraceObjective
+from .qre import QreObjective
 
 FEAS_MARGIN = 1e-8
 
@@ -55,7 +58,6 @@ class ProblemSpec:
     terms: list = field(default_factory=list)
     offset: float = 0.0
     constraint_map: object | None = None
-    qre: QreObjective | None = None
     start: np.ndarray | None = None
     name: str = ""
     seed: int | None = None
@@ -67,23 +69,19 @@ class ProblemSpec:
 
     def objective_value(self, x: np.ndarray) -> float:
         """The reported objective f(X), including any constant offset."""
-        if self.kind == "qkd":
-            return qre_eval(self.qre, x, want_hessian=False).value + self.offset
-        return sum(phi_eval(t, x, want_hessian=False).value for t in self.terms) + self.offset
+        return sum(t.evaluate(x, want_hessian=False).value for t in self.terms) + self.offset
 
 
 def barrier_parameter(problem: ProblemSpec) -> float:
     """Barrier parameter r of the employed barrier.
 
-    type1: n + m (log-det plus one log per inequality slack);
-    type2: n + k (two log-dets); qkd: n (single log-det).
+    -ln det X contributes n, each inequality slack's log 1, and
+    -ln det L(X) the output order k of the constraint map: n + m for
+    type1, n + k for type2 and n for qkd.
     """
-    n = problem.n
-    if problem.kind == "type1":
-        return float(n + problem.constraints.n_ineq)
-    if problem.kind == "type2":
-        return float(n + problem.constraint_map.out_order)
-    return float(n)
+    lmap = problem.constraint_map
+    k = lmap.out_order if lmap is not None else 0
+    return float(problem.n + problem.constraints.n_ineq + k)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +107,7 @@ def feasibility_violations(problem: ProblemSpec, x: np.ndarray, margin: float = 
             res = abs(vals[i] - cons.rhs[i])
             if res > margin * scale:
                 bad.append((f"equality constraint {i}: residual {res:.3e}", res))
-    if problem.kind == "type2":
+    if problem.constraint_map is not None:
         lam_map = float(np.linalg.eigvalsh(problem.constraint_map.apply(x)).min())
         if lam_map < margin:
             bad.append((f"map-cone margin: min eigenvalue of L(X) is {lam_map:.3e}", lam_map))
@@ -125,11 +123,12 @@ def validate_problem(problem: ProblemSpec) -> None:
     if problem.kind not in ("type1", "type2", "qkd"):
         raise ValidationError(f"unknown problem kind {problem.kind!r}")
     if problem.kind == "qkd":
-        if problem.qre is None:
-            raise ValidationError("qkd problem is missing its objective")
+        if len(problem.terms) != 1 or not isinstance(problem.terms[0], QreObjective):
+            raise ValidationError("qkd problem takes exactly one relative-entropy term")
         if problem.constraints.n_ineq != 0:
             raise ValidationError("qkd problems take equality constraints only")
-        for label, lm in (("L1", problem.qre.l1), ("L2", problem.qre.l2)):
+        qre = problem.terms[0]
+        for label, lm in (("L1", qre.l1), ("L2", qre.l2)):
             defect = lm.trace_contraction_defect()
             if defect > 1e-10:
                 raise ValidationError(
@@ -314,7 +313,7 @@ def generate_random(kind: str, dims: dict, seed: int) -> ProblemSpec:
         spec = ProblemSpec(
             kind="qkd",
             constraints=cons,
-            qre=QreObjective(l1, l2),
+            terms=[QreObjective(l1, l2)],
             start=x0,
             seed=seed,
             name=f"random-qkd-n{n}-seed{seed}",
@@ -411,7 +410,7 @@ def build_named(name: str) -> ProblemSpec:
         return ProblemSpec(
             kind="qkd",
             constraints=cons,
-            qre=QreObjective(identity_map(n), pinching_map([np.eye(n)])),
+            terms=[QreObjective(identity_map(n), pinching_map([np.eye(n)]))],
             start=np.eye(n) / n,
             name=name,
             seed=0,
@@ -430,7 +429,7 @@ def build_named(name: str) -> ProblemSpec:
         spec = ProblemSpec(
             kind="qkd",
             constraints=cons,
-            qre=QreObjective(l1, l2),
+            terms=[QreObjective(l1, l2)],
             start=x0,
             name=name,
             seed=0,
@@ -480,10 +479,11 @@ def to_dict(spec: ProblemSpec) -> dict:
         "start": None if spec.start is None else spec.start.tolist(),
     }
     if spec.kind == "qkd":
-        doc["objective"] = {"epsilon_perturb": spec.qre.eps_pert, "offset": spec.offset}
+        qre = spec.terms[0]
+        doc["objective"] = {"epsilon_perturb": qre.eps_pert, "offset": spec.offset}
         doc["kraus"] = {
-            "L1": [k.tolist() for k in spec.qre.l1.factors],
-            "L2": [k.tolist() for k in spec.qre.l2.factors],
+            "L1": [k.tolist() for k in qre.l1.factors],
+            "L2": [k.tolist() for k in qre.l2.factors],
         }
         doc["C"] = None
     else:
@@ -540,7 +540,7 @@ def from_dict(doc: dict) -> ProblemSpec:
         spec = ProblemSpec(
             kind="qkd",
             constraints=cons,
-            qre=QreObjective(l1, l2, eps_pert=float(obj.get("epsilon_perturb", 1e-12))),
+            terms=[QreObjective(l1, l2, eps_pert=float(obj.get("epsilon_perturb", 1e-12)))],
             offset=float(obj.get("offset", 0.0)),
             start=start_mat,
             name=doc.get("name", ""),

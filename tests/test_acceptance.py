@@ -228,7 +228,7 @@ def test_criterion_11_roundtrip_and_determinism(tmp_path):
         and all(np.array_equal(a, b) for a, b in
                 zip(loaded.constraints.mats, problem.constraints.mats))
         and all(np.array_equal(a, b) for a, b in
-                zip(loaded.qre.l1.factors, problem.qre.l1.factors))
+                zip(loaded.terms[0].l1.factors, problem.terms[0].l1.factors))
     )
     r1 = _record(solve(problem)).to_dict()
     r2 = solve(loaded).to_dict()

@@ -134,6 +134,12 @@ class TestSolve:
         assert rows[0] == ["step", "beta", "delta", "alpha", "f", "feas_residual"]
         assert len(rows) == 1 + 2
 
+    def test_no_barrier_on_trace_objective_exits_2(self, capsys):
+        code, out, err = run(capsys, "solve", "trace-inverse-n4", "--no-barrier")
+        assert code == 2
+        assert "only supported on qkd" in err
+        assert "f_min" not in out
+
     def test_iteration_cap_exits_4(self, capsys):
         # theta so small that the outer cap is hit long before 4r/eps
         code, _, err = run(capsys, "solve", "trace-inverse-n2",

@@ -36,8 +36,8 @@ class TestFiniteDifferences:
     def test_qre_gradient_is_validated(self, rng):
         problem = probio.generate_random("qkd", {"n": 4, "m": 1}, seed=3)
         x = rand_density(rng, 4)
-        b = qre_eval(problem.qre, x, want_hessian=False)
-        g_fd = fd_gradient(lambda y: qre_eval(problem.qre, y, False).value, x)
+        b = qre_eval(problem.terms[0], x, want_hessian=False)
+        g_fd = fd_gradient(lambda y: qre_eval(problem.terms[0], y, False).value, x)
         assert rel_err(b.gradient, g_fd) <= 1e-5
 
     def test_hessian_action_from_bare_scalar(self, rng):

@@ -7,6 +7,8 @@ from qipsolve import pathfollow, probio, qre
 from qipsolve.errors import InfeasibleStart, LineSearchFailure, SingularKKT
 from qipsolve.kkt import NewtonStep
 from qipsolve.matfun import symmetrize, vec
+from qipsolve.objectives import LogDetBarrier
+from qipsolve.oracle import derivative_audit, reference_minimize
 from qipsolve.pathfollow import (
     FBetaEvaluator,
     SolverConfig,
@@ -77,8 +79,7 @@ class TestLineSearch:
         beta = 2.0
         bundle = ev.x_bundle(x, beta)
         step = ev.newton_step(bundle, state)
-        config = SolverConfig()
-        alpha = line_search(state, step, beta, ev, config)
+        alpha = line_search(state, step, beta, ev)
         assert 0.0 < alpha <= 1.0
         f0 = ev.value(state.x, state.slacks, beta)
         f1 = ev.value(symmetrize(x + alpha * step.direction_X),
@@ -102,12 +103,11 @@ class TestLineSearch:
             return max(value, f0), slope
 
         monkeypatch.setattr(ev, "value_and_slope", noisy)
-        config = SolverConfig()
-        alpha = line_search(state, step, beta, ev, config)
-        assert len(slopes) == config.ls_max_backtracks
+        alpha = line_search(state, step, beta, ev)
+        assert len(slopes) == pathfollow.LS_MAX_BACKTRACKS
         first = next(i for i, slope in enumerate(slopes) if slope < 0.0)
-        alpha0 = min(1.0, config.ls_boundary_fraction * max_feasible_step(state, step, ev))
-        assert alpha == alpha0 * config.ls_shrink**first
+        alpha0 = min(1.0, pathfollow.LS_BOUNDARY_FRACTION * max_feasible_step(state, step, ev))
+        assert alpha == alpha0 * pathfollow.LS_SHRINK**first
         f1 = ev.value(symmetrize(state.x + alpha * step.direction_X),
                       state.slacks + alpha * step.direction_slack, beta)
         assert f1 < f0
@@ -116,7 +116,7 @@ class TestLineSearch:
         step.direction_X = -step.direction_X
         step.direction_slack = -step.direction_slack
         with pytest.raises(LineSearchFailure):
-            line_search(state, step, beta, ev, config)
+            line_search(state, step, beta, ev)
 
 
 class TestCenter:
@@ -398,10 +398,10 @@ class TestSolve:
         records = []
         real_search = pathfollow.line_search
 
-        def failing(state, step, beta, evaluator, cfg):
+        def failing(state, step, beta, evaluator):
             if beta > config.beta0 and any(rec["beta"] == beta for rec in records):
                 raise LineSearchFailure("forced failure")
-            return real_search(state, step, beta, evaluator, cfg)
+            return real_search(state, step, beta, evaluator)
 
         monkeypatch.setattr(pathfollow, "line_search", failing)
         with pytest.raises(LineSearchFailure, match="phase: outer") as caught:
@@ -411,6 +411,7 @@ class TestSolve:
         assert records[-1]["beta"] == report.beta_final > config.beta0
         assert np.array_equal(report.X_star, records[-1]["x"])
         assert report.f_min == problem.objective_value(records[-1]["x"])
+        assert report.total_newton == len(records)
 
     def test_iteration_cap_report_carries_the_failing_iterate(self):
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
@@ -419,7 +420,58 @@ class TestSolve:
         assert report.termination == "IterCap"
         assert np.array_equal(report.X_star, records[-1]["x"])
 
+    def test_iteration_cap_report_counts_the_failed_centering(self):
+        # the initial centering runs out of inner steps after three steps:
+        # the report counts them, as the callback saw them
+        problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=6)
+        records = []
+        report = solve(problem, config=SolverConfig(max_inner=3), callback=records.append)
+        assert report.termination == "IterCap"
+        assert report.total_newton == 3 == len(records)
+        assert report.inner_iters_per_outer == [3]
+        assert len(report.decrement_trace) == 3
+
+    def test_no_barrier_rejected_on_trace_objectives(self, monkeypatch):
+        monkeypatch.setattr(pathfollow, "center", lambda *a, **k: pytest.fail("solve ran"))
+        for name in ("trace-inverse-n4", "ree-2x2"):
+            with pytest.raises(ValueError, match="only supported on qkd"):
+                solve(probio.build_named(name), include_barrier=False)
+
     def test_gap_bound_formula(self):
         # printed proximity bound at delta = 0 collapses to 0
         assert proximity_gap_bound(0.0, 10.0, 4.0, 2.0) == 0.0
         assert proximity_gap_bound(1.0 / 6.0, 1e9, 4.0, 2.0) < 1e-8
+
+
+# (kind, dims, barrier parameter n+m / n+k / n, reference optimizer admitted)
+MODEL_CASES = {
+    "type1": ("type1", {"n": 3, "m": 1, "N": 2}, 4.0, False),  # inequality row
+    "type2": ("type2", {"n": 4, "m": 1}, 8.0, True),
+    "qkd": ("qkd", {"n": 3, "m": 1}, 3.0, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CASES))
+def test_structure_comes_from_the_data(case, rng):
+    kind, dims, r, reference = MODEL_CASES[case]
+    problem = probio.generate_random(kind, dims, seed=1)
+    assert probio.barrier_parameter(problem) == r
+
+    # objective terms, then -ln det X, then -ln det L(X) for type2 only
+    ev = FBetaEvaluator(problem)
+    maps = [None, problem.constraint_map] if kind == "type2" else [None]
+    assert ev.n_scaled == len(problem.terms)
+    assert all(a is b for a, b in zip(ev.terms, problem.terms))
+    assert ev.terms[ev.n_scaled:] == tuple(LogDetBarrier(m) for m in maps)
+
+    x = probio.random_feasible_point(problem, rng)
+    values = [t.evaluate(x, want_hessian=False).value for t in problem.terms]
+    assert problem.objective_value(x) == sum(values) + problem.offset
+
+    assert all(res.passed for res in derivative_audit(problem, rng, points=2))
+    report = solve(problem)
+    assert report.termination == "Converged"
+    assert report.barrier_param_r == r
+    if reference:
+        f_ref, _ = reference_minimize(problem)
+        assert abs(f_ref - report.f_min) <= 1e-4 * (1 + abs(f_ref))

@@ -38,12 +38,12 @@ class TestGeneration:
 
     def test_qkd_maps_trace_contractive(self):
         spec = generate_random("qkd", {"n": 4, "m": 2}, seed=5)
-        assert spec.qre.l1.trace_contraction_defect() <= 1e-10
-        assert spec.qre.l2.trace_contraction_defect() <= 1e-10
+        assert spec.terms[0].l1.trace_contraction_defect() <= 1e-10
+        assert spec.terms[0].l2.trace_contraction_defect() <= 1e-10
 
     def test_qkd_default_output_order(self):
         spec = generate_random("qkd", {"n": 5}, seed=1)
-        assert spec.qre.out_order == 10  # k defaults to 2n
+        assert spec.terms[0].out_order == 10  # k defaults to 2n
 
     def test_bad_dims(self):
         with pytest.raises(ShapeError):
@@ -73,7 +73,7 @@ class TestRoundTrip:
                 assert np.array_equal(a, b)
             assert np.array_equal(loaded.constraints.rhs, spec.constraints.rhs)
             if kind == "qkd":
-                for a, b in zip(loaded.qre.l1.factors, spec.qre.l1.factors):
+                for a, b in zip(loaded.terms[0].l1.factors, spec.terms[0].l1.factors):
                     assert np.array_equal(a, b)
             else:
                 assert np.array_equal(loaded.terms[0].C, spec.terms[0].C)
@@ -124,7 +124,7 @@ class TestNamedInstances:
     def test_qkd_toy(self):
         spec = build_named("qkd-toy")
         assert spec.kind == "qkd"
-        assert spec.qre.l1.out_order == 2
+        assert spec.terms[0].l1.out_order == 2
 
     def test_qkd_named_pinches_output(self):
         spec = build_named("qkd-n4")
