@@ -1,23 +1,23 @@
 """Newton direction and decrement under affine trace constraints.
 
 The Newton system is solved on the tangent space of the equality rows,
-in symmetric coordinates: ``svec`` keeps the n(n+1)/2 upper-triangle
-entries of a symmetric matrix, off-diagonal ones scaled by sqrt(2), so
-that <A, X> = svec(A) . svec(X). Each AffineConstraints factors its
-equality rows once, on the first step: svec(A_eq)^T = Q R, and the
-trailing columns N of Q span the tangent space
+in symmetric coordinates: ``svec`` (``matfun``) keeps the n(n+1)/2
+upper-triangle entries of a symmetric matrix, off-diagonal ones scaled
+by sqrt(2), so that <A, X> = svec(A) . svec(X). Each AffineConstraints
+factors its equality rows once, on the first step: svec(A_eq)^T = Q R,
+and the trailing columns N of Q span the tangent space
 {svec(P) : <A_i, P> = 0 on equality rows}.
 
-A step gathers the svec Hessian from the full-vec one by index, applies
-Q on both sides in the compact WY form of its Householder reflectors,
+The bundle's Hessian is already on svec coordinates. A step applies Q
+on both sides in the compact WY form of its Householder reflectors,
 Q = I - V T V^T, by rank-N_eq products (no dense basis is formed), and
 adds the slack block: the inequality slack direction is
 q = -A_ineq p, which contributes (A_ineq N)^T diag(1/s^2) (A_ineq N).
 The reduced system is solved by Cholesky and mapped back, p = N y, so
 the direction is tangent by construction. Only the Hessian restricted to
 the tangent space must be positive definite, so the relative-entropy
-Hessian, which annihilates vec(X), is fine wherever vec(X) is not
-tangent (Tr X = 1). Structure II is structure I without inequality rows.
+Hessian, which annihilates svec(X), is fine wherever X is not tangent
+(Tr X = 1). Structure II is structure I without inequality rows.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConstraintError, DomainViolation, SingularKKT
-from .matfun import symmetrize, unvec, vec
+from .matfun import svec, svec_layout, symmetrize, unsvec, unvec, vec
 
 
 @dataclass
@@ -92,27 +92,22 @@ class AffineConstraints:
 
 
 class TangentBasis:
-    """svec layout of the matrix order and the QR of the equality rows.
+    """svec rows of the constraints and the QR of the equality rows.
 
-    svec coordinate a is entry (i, j), i <= j; ``upper``/``lower`` are the
-    full-vec (column-major) indices of (i, j) and (j, i), and ``weight``
-    is 1 on the diagonal and sqrt(2) off it. With svec(A_eq)^T = Q R and
-    Q = I - V T V^T (Householder QR in compact WY form; Q is never
-    formed), Q^T maps svec coordinates to [normal (n_eq); tangent] ones.
+    With svec(A_eq)^T = Q R and Q = I - V T V^T (Householder QR in
+    compact WY form; Q is never formed), Q^T maps svec coordinates to
+    [normal (n_eq); tangent] ones.
     """
 
     def __init__(self, cons: AffineConstraints):
-        n, m = cons.order, cons.n_ineq
-        self.order = n
-        iu, ju = np.triu_indices(n)
-        self.upper = iu + ju * n
-        self.lower = ju + iu * n
-        self.weight = np.where(iu == ju, 1.0, np.sqrt(2.0))
-        rows = cons.vec_stack[:, self.upper] * self.weight
+        m = cons.n_ineq
+        lay = svec_layout(cons.order)
+        self.dim = lay.weight.size
+        rows = cons.vec_stack[:, lay.upper] * lay.weight
         self.ineq_rows = rows[:m]
         # Q = H_1 ... H_k = I - V T V^T; keep V, Y = V T and R
         k = cons.n_eq
-        self.v = self.y = np.zeros((self.weight.size, 0))
+        self.v = self.y = np.zeros((self.dim, 0))
         self.r = np.zeros((0, 0))
         if k:
             qr, tau, _, info = scipy.linalg.lapack.dgeqrf(rows[m:].T)
@@ -126,31 +121,6 @@ class TangentBasis:
                 t[i, i] = tau[i]
                 t[:i, i] = -tau[i] * (t[:i, :i] @ (v[:, :i].T @ v[:, i]))
             self.v, self.y = v, v @ t
-
-    def svec(self, v: np.ndarray) -> np.ndarray:
-        """svec coordinates of a full-vec symmetric matrix."""
-        return v[self.upper] * self.weight
-
-    def unsvec(self, p: np.ndarray) -> np.ndarray:
-        """Full-vec symmetric matrix of svec coordinates."""
-        out = np.empty(self.order**2)
-        out[self.upper] = p / self.weight
-        out[self.lower] = out[self.upper]
-        return out
-
-    def svec_hessian(self, hessian: np.ndarray) -> np.ndarray:
-        """P^T H P for a full-vec Hessian H, P the isometry svec -> vec."""
-        u, l = self.upper, self.lower
-        # column a of P is (e_u + e_l) * weight / 2: e_ii, or the two
-        # mirrored entries at 1/sqrt(2)
-        c = 0.5 * self.weight
-        hp = hessian.take(u, axis=1)
-        hp += hessian.take(l, axis=1)
-        hp *= c
-        out = hp.take(u, axis=0)
-        out += hp.take(l, axis=0)
-        out *= c[:, None]
-        return out
 
     def rotate(self, h: np.ndarray) -> np.ndarray:
         """Q^T H Q of a symmetric H, as H - Z V^T - V Z^T.
@@ -222,12 +192,12 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     m, k = cons.n_ineq, cons.n_eq
     basis = cons.tangent_basis
     a_in = basis.ineq_rows
-    d = basis.weight.size
+    d = basis.dim
     grad = bundle.gradient
     inv_s = 1.0 / slacks
 
-    h_q = basis.rotate(basis.svec_hessian(bundle.hessian))
-    g_q = basis.q_t(basis.svec(grad))
+    h_q = basis.rotate(bundle.hessian)
+    g_q = basis.q_t(svec(unvec(grad, cons.order)))
     a_q = basis.q_t(a_in.T).T
 
     b = a_q[:, k:]
@@ -255,7 +225,8 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     p_q = np.concatenate([np.zeros(k), y])
     p_s = basis.q(p_q)
     p2 = -(a_in @ p_s)
-    p1 = basis.unsvec(p_s)
+    p_x = unsvec(p_s)
+    p1 = vec(p_x)
 
     # lambda_ineq from slack stationarity; lambda_eq from the normal rows
     # of the X-equation, R lambda_eq = (Q^T (H_s p + g_s - A_ineq^T lam_ineq))_n
@@ -275,7 +246,7 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     tang[:m] += p2
 
     return NewtonStep(
-        direction_X=unvec(p1, cons.order),
+        direction_X=p_x,
         direction_slack=p2,
         multipliers=lam,
         decrement=delta,

@@ -3,13 +3,18 @@
 Everything downstream (trace objectives, relative-entropy derivatives,
 barrier Hessians) is built from the pieces in this module: spectral
 decompositions, scalar generators with analytic first/second derivatives,
-first and second divided differences, and the Schur/vec/Kronecker
-utilities that tie matrix equations to their vectorized form.
+first and second divided differences, the Schur/vec utilities that tie
+matrix equations to their vectorized form, and the svec layout in which
+every Hessian is assembled.
 
 Conventions used throughout the package:
 
 * ``vec`` stacks columns, so ``vec(A X B) == np.kron(B, A) @ vec(X)`` for
   symmetric ``B``.
+* ``svec`` keeps the n(n+1)/2 upper-triangle entries of a symmetric
+  matrix, row by row, off-diagonal ones scaled by sqrt(2), so that
+  <A, B> = svec(A) . svec(B). Gradients are vec; Hessians are d x d
+  matrices on svec coordinates, H @ svec(xi) == svec(D^2 f[xi]).
 * Eigenvalues are returned in descending order.
 * Eigenvalue pairs closer than ``CONFLUENCE_RTOL`` (relative) take the
   derivative/limit branch of the divided differences.
@@ -17,6 +22,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -255,7 +262,7 @@ def apply_matrix_function(gen: ScalarGenerator, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Schur product, vectorization, Kronecker
+# Schur product, vectorization, symmetric coordinates
 # ---------------------------------------------------------------------------
 
 def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,3 +287,59 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
         raise ShapeError(f"cannot unvec length {v.size} into {rows}x{cols}")
     return v.reshape((rows, cols), order="F")
 
+
+@dataclass(frozen=True)
+class SvecLayout:
+    """Index tables of svec for one matrix order n.
+
+    svec coordinate a is entry (rows[a], cols[a]) with rows <= cols, in
+    row-major upper-triangle order; ``upper``/``lower`` are the vec
+    (column-major) indices of that entry and of its mirror, and
+    ``weight`` is 1 on the diagonal and sqrt(2) off it. Column a of the
+    isometry P : svec -> vec is (e_upper + e_lower) * weight / 2.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    weight: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def svec_layout(n: int) -> SvecLayout:
+    """The svec index tables of order n, built once per order."""
+    rows, cols = np.triu_indices(n)
+    tables = (rows, cols, rows + cols * n, cols + rows * n,
+              np.where(rows == cols, 1.0, math.sqrt(2.0)))
+    for t in tables:
+        t.flags.writeable = False
+    return SvecLayout(*tables)
+
+
+def svec(a: np.ndarray) -> np.ndarray:
+    """svec coordinates of a symmetric matrix."""
+    a = np.asarray(a, dtype=float)
+    lay = svec_layout(a.shape[0])
+    return a[lay.rows, lay.cols] * lay.weight
+
+
+def unsvec(p: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of svec coordinates."""
+    p = np.asarray(p, dtype=float)
+    n = (math.isqrt(8 * p.size + 1) - 1) // 2
+    if n * (n + 1) // 2 != p.size:
+        raise ShapeError(f"length {p.size} is not n(n+1)/2 for any order n")
+    lay = svec_layout(n)
+    out = np.empty((n, n))
+    out[lay.rows, lay.cols] = out[lay.cols, lay.rows] = p / lay.weight
+    return out
+
+
+def svec_columns(m: np.ndarray) -> np.ndarray:
+    """M P: a matrix acting on vec, restricted to symmetric inputs in svec coordinates."""
+    lay = svec_layout(math.isqrt(m.shape[1]))
+    out = m.take(lay.upper, axis=1)
+    out += m.take(lay.lower, axis=1)
+    out *= 0.5 * lay.weight
+    return out

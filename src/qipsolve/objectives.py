@@ -11,13 +11,18 @@ divided differences in the eigenbasis:
   of second divided differences; off-diagonal blocks of S are diagonal.
 
 When a map is present, gradients push through the adjoint and Hessians
-are conjugated by the map's vectorized matrix. Everything is delivered
-vectorized (column-stacking vec) because the KKT layer solves against
-many right-hand sides at once.
+are conjugated by the map's matrix restricted to symmetric inputs. A
+gradient is delivered as a vec (column stacking), a Hessian as the
+d x d matrix on svec coordinates, d = n(n+1)/2 (see ``matfun``): the
+KKT layer solves in those coordinates, and a symmetric matrix needs no
+more. Every map output is symmetric, so the congruence-batched k x k
+matrices are too, and the sandwiches contract over their k(k+1)/2
+svec entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,8 @@ from .matfun import (
     divided_diff_1,
     second_divided_diff_tensor,
     spectral_decompose,
+    svec_columns,
+    svec_layout,
     symmetrize,
     vec,
 )
@@ -64,7 +71,11 @@ class TraceObjective:
 
 @dataclass
 class DerivativeBundle:
-    """Scalar value, vec gradient and (optionally) a dense Hessian."""
+    """Scalar value, vec gradient and (optionally) a dense Hessian.
+
+    The Hessian is d x d on svec coordinates, d = n(n+1)/2:
+    ``hessian @ svec(xi) == svec(D^2 f(X)[xi])`` for symmetric xi.
+    """
 
     value: float
     gradient: np.ndarray
@@ -80,47 +91,76 @@ def congruence_batch(m: np.ndarray, o: np.ndarray) -> np.ndarray:
 
     Returns V with V[c] = O.T unvec(M[:, c]) O, shaped (ncols, k, k).
     This realizes (O (x) O).T M without forming the k^2 x k^2 factor.
+    M is a map matrix restricted to symmetric inputs (``svec_columns``),
+    so each column is a symmetric matrix and its row-major reshape is
+    unvec itself.
     """
     k = o.shape[0]
-    cols = m.shape[1]
-    mt = m.reshape(k, k, cols, order="F")
-    return np.einsum("qi,qrc,rj->cij", o, mt, o, optimize=True)
+    return o.T @ m.T.reshape(m.shape[1], k, k) @ o
+
+
+def _triu_batch(v: np.ndarray) -> np.ndarray:
+    """Upper-triangle entries of each k x k matrix of a batch, (ncols, k(k+1)/2)."""
+    flat = v.reshape(v.shape[0], -1)
+    return flat.take(svec_layout(v.shape[1]).lower, axis=1)  # row-major index of (i, j)
 
 
 def sandwich_diag(v1: np.ndarray, v2: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """V1.T diag(vec(phi)) V2 for congruence-batched V1, V2."""
-    return np.einsum("bij,ij,cij->bc", v1, phi, v2, optimize=True)
+    """V1.T diag(vec(phi)) V2 for congruence-batched V1, V2 and symmetric phi.
 
-
-def sparse_core_apply(v: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Action of the sparse core S on a batch of basis matrices.
-
-    [S v]_ij = sum_l Ctil_jl Gamma_ijl v_il + sum_k Ctil_ik Gamma_ijk v_kj.
+    The batches are symmetric, so the sum over all k^2 entries is one over
+    the upper triangle with the off-diagonal terms counted twice.
     """
-    a1 = np.einsum("cil,jl,ijl->cij", v, ctil, gamma, optimize=True)
-    a2 = np.einsum("ip,ijp,cpj->cij", ctil, gamma, v, optimize=True)
-    return a1 + a2
+    lay = svec_layout(phi.shape[0])
+    s1 = _triu_batch(v1)
+    s2 = s1 if v2 is v1 else _triu_batch(v2)
+    return (s1 * (phi[lay.rows, lay.cols] * lay.weight**2)) @ s2.T
 
 
 def sandwich_core(v: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """V.T S V without materializing the k^2 x k^2 core."""
-    return np.einsum("bij,cij->bc", v, sparse_core_apply(v, ctil, gamma), optimize=True)
+    """V.T S V without materializing the k^2 x k^2 core.
+
+    [S v]_ij = sum_l Ctil_jl Gamma_ijl v_il + sum_k Ctil_ik Gamma_ijk v_kj.
+    V's batches are symmetric, so only the symmetric part of each S v
+    enters, and the contraction runs over the upper triangle.
+    """
+    lay = svec_layout(v.shape[1])
+    sv = np.einsum("cil,jl,ijl->cij", v, ctil, gamma, optimize=True)
+    sv += np.einsum("ip,ijp,cpj->cij", ctil, gamma, v, optimize=True)
+    flat = sv.reshape(sv.shape[0], -1)
+    sym = flat.take(lay.lower, axis=1)  # row-major index of (i, j)
+    sym += flat.take(lay.upper, axis=1)  # and of (j, i)
+    return (_triu_batch(v) * (0.5 * lay.weight**2)) @ sym.T
 
 
 def phi_hessian_in_basis(u: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """(U (x) U) S (U (x) U).T materialized as an n^2 x n^2 matrix.
+    """P.T (U (x) U) S (U (x) U).T P, the svec Hessian, as a d x d matrix.
 
-    Exploits the block-diagonal structure of S: both terms contract in
-    O(n^5) instead of the O(n^6) of dense conjugation.
+    S = S1 + S2 with [S1 v]_ij = sum_l Ctil_jl Gamma_ijl v_il and
+    [S2 v]_ij = sum_k Ctil_ik Gamma_ijk v_kj. Gamma is symmetric in its
+    three indices, so S1 is S2 conjugated by the transpose, and P.T
+    absorbs the transpose: the Hessian is 2 P.T (U (x) U) S2 (U (x) U).T P.
+    The full-vec entry ((a, b), (c, d)) of (U (x) U) S2 (U (x) U).T is
+    sum_j U_bj U_dj K_j[a, c], K_j = U (Ctil o Gamma[:, j, :]) U.T, and
+    svec entry (p, q) sums it over both orders of p's and q's index
+    pairs, times w_p w_q / 2. Only the d rows of p are formed: O(n^5)
+    work and no n^2 x n^2 array.
     """
     n = u.shape[0]
+    lay = svec_layout(n)
+    rows, cols = lay.rows, lay.cols
     cg = ctil[:, None, :] * gamma  # (i, j, k): Ctil_ik Gamma_ijk
-    kmats = np.einsum("ai,ijk,ck->jac", u, cg, u, optimize=True)
-    h2 = np.einsum("bj,dj,jac->abcd", u, u, kmats, optimize=True)
-    tmats = np.einsum("ai,ijl,ci->jlac", u, gamma, u, optimize=True)
-    h1 = np.einsum("bj,jl,dl,jlac->abcd", u, ctil, u, tmats, optimize=True)
-    h4 = h1 + h2
-    return h4.transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    kmats = np.einsum("ai,ijk,ck->acj", u, cg, u, optimize=True)  # K_j[a, c]
+    # f[p, c, j] = U_j1j K_j[i1, c] + U_i1j K_j[j1, c] for p = (i1, j1)
+    f = u[cols][:, None, :] * kmats[rows]
+    f += u[rows][:, None, :] * kmats[cols]
+    # e[p, c, d]: both orders of p, one order (c, d) of q
+    e = (f.reshape(-1, n) @ u.T).reshape(-1, n * n)
+    out = e.take(lay.lower, axis=1)  # row-major index of (i2, j2)
+    out += e.take(lay.upper, axis=1)  # and of (j2, i2)
+    half = lay.weight / math.sqrt(2.0)
+    out *= np.outer(half, half)
+    return out
 
 
 def _pd_decompose(x: np.ndarray, what: str) -> SpectralDecomp:
@@ -163,7 +203,7 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True) -> D
         hess = None
         if want_hessian:
             gamma = second_divided_diff_tensor(obj.gen, lam)
-            v = congruence_batch(obj.map.vectorized_matrix(), u)
+            v = congruence_batch(svec_columns(obj.map.vectorized_matrix()), u)
             hess = symmetrize(sandwich_core(v, ctil, gamma))
     return DerivativeBundle(value=value, gradient=grad, hessian=hess)
 
@@ -173,12 +213,28 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True) -> D
 # ---------------------------------------------------------------------------
 
 def barrier_eval(x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
-    """-ln det X with gradient vec(-X^-1) and Hessian X^-1 (x) X^-1."""
+    """-ln det X with gradient vec(-X^-1) and Hessian X^-1 (x) X^-1.
+
+    On svec coordinates p = (i, j), q = (k, l), with A = X^-1, the Hessian
+    is (w_p w_q / 2)(A_ik A_jl + A_il A_jk), exactly symmetric.
+    """
     dec = _pd_decompose(np.asarray(x, dtype=float), "barrier argument")
     u, lam = dec.U, dec.lam
     xinv = symmetrize((u / lam) @ u.T)
     value = -float(np.sum(np.log(lam)))
-    hess = np.kron(xinv, xinv) if want_hessian else None
+    hess = None
+    if want_hessian:
+        # a_r[:, q] = A[:, k], a_c[:, q] = A[:, l]; rows are gathered whole
+        lay = svec_layout(xinv.shape[0])
+        a_r = xinv[:, lay.rows]
+        a_c = xinv[:, lay.cols]
+        hess = a_r.take(lay.rows, axis=0)
+        hess *= a_c.take(lay.cols, axis=0)
+        cross = a_c.take(lay.rows, axis=0)
+        cross *= a_r.take(lay.cols, axis=0)
+        hess += cross
+        half = lay.weight / math.sqrt(2.0)
+        hess *= np.outer(half, half)
     return DerivativeBundle(value=value, gradient=vec(-xinv), hessian=hess)
 
 
@@ -193,7 +249,7 @@ def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True) -> Derivati
     hess = None
     if want_hessian:
         d = 1.0 / lam
-        v = congruence_batch(lmap.vectorized_matrix(), o)
+        v = congruence_batch(svec_columns(lmap.vectorized_matrix()), o)
         hess = symmetrize(sandwich_diag(v, v, np.outer(d, d)))
     return DerivativeBundle(value=value, gradient=grad, hessian=hess)
 

@@ -6,8 +6,11 @@ n(n+1)/2 independent symmetric coordinates, the dense Hessian reference
 materializes the sparse core entry by entry from scalar second divided
 differences and conjugates it with explicit Kronecker factors, and the
 reference optimizer is a first-order projected-gradient method with
-boundary backoff. Any disagreement with the production path is a test
-failure, not a warning.
+boundary backoff. Production Hessians are d x d on svec coordinates;
+the oracles reach those coordinates through their own dense isometry
+``sym_isometry`` (vec <- svec), built from the symmetric unit basis, not
+from the production index tables. Any disagreement with the production
+path is a test failure, not a warning.
 """
 
 from __future__ import annotations
@@ -30,6 +33,16 @@ def _sym_basis(n):
             e = np.zeros((n, n))
             e[i, j] = e[j, i] = 1.0
             yield i, j, e
+
+
+def sym_isometry(n: int) -> np.ndarray:
+    """Dense n^2 x n(n+1)/2 isometry P with vec(xi) = P svec(xi).
+
+    Column a is vec(E_a) / ||E_a|| for the a-th symmetric unit matrix E_a
+    (upper triangle, row by row), so P.T vec(xi) = svec(xi) and
+    P.T H P is a full-vec Hessian H on svec coordinates.
+    """
+    return np.stack([vec(e) / np.linalg.norm(e) for _, _, e in _sym_basis(n)], axis=1)
 
 
 def fd_gradient(f, x: np.ndarray, h: float | None = None) -> np.ndarray:
@@ -77,7 +90,7 @@ def fd_hessian_action(grad_fn, x: np.ndarray, direction: np.ndarray,
 
 def fd_cubic_form(hessian_fn, x: np.ndarray, xi: np.ndarray,
                   h: float | None = None) -> float:
-    """FD estimate of D^3 f(X)(xi, xi, xi) from the analytic Hessian.
+    """FD estimate of D^3 f(X)(xi, xi, xi) from the analytic svec Hessian.
 
     Differentiates t -> <xi, H(X + t xi) xi> centrally; step defaults to
     the coarser third-derivative scaling.
@@ -86,7 +99,7 @@ def fd_cubic_form(hessian_fn, x: np.ndarray, xi: np.ndarray,
     xi = symmetrize(xi)
     if h is None:
         h = 1e-4 * (1.0 + float(np.linalg.norm(x)))
-    v = vec(xi)
+    v = sym_isometry(x.shape[0]).T @ vec(xi)
     hp = hessian_fn(x + h * xi)
     hm = hessian_fn(x - h * xi)
     return float((v @ (hp @ v) - v @ (hm @ v)) / (2.0 * h))
@@ -123,7 +136,11 @@ def dense_sparse_core(gen, lam: np.ndarray, ctil: np.ndarray) -> np.ndarray:
 
 
 def dense_hessian_reference(obj: TraceObjective, x: np.ndarray) -> np.ndarray:
-    """Brute-force Hessian of a trace objective via explicit Kronecker factors."""
+    """Brute-force svec Hessian P.T H P of a trace objective.
+
+    H is the full-vec Hessian from explicit Kronecker factors and P the
+    oracle's own isometry (``sym_isometry``).
+    """
     x = np.asarray(x, dtype=float)
     y = x if obj.map is None else obj.map.apply(x)
     if max(x.shape[0], y.shape[0]) > 8:
@@ -139,7 +156,8 @@ def dense_hessian_reference(obj: TraceObjective, x: np.ndarray) -> np.ndarray:
     if obj.map is not None:
         m = obj.map.vectorized_matrix()
         h = m.T @ h @ m
-    return symmetrize(h)
+    p = sym_isometry(x.shape[0])
+    return symmetrize(p.T @ h @ p)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +174,14 @@ class CheckResult:
 
 def problem_bundle(problem: ProblemSpec, x: np.ndarray,
                    want_hessian: bool = True) -> DerivativeBundle:
-    """Objective-only bundle (no barriers) for an instance, offset included."""
+    """Objective-only bundle (no barriers) for an instance, offset included.
+
+    The Hessian is the terms' svec Hessians summed, d x d.
+    """
     value = problem.offset
     grad = np.zeros(problem.n * problem.n)
-    hess = np.zeros((problem.n**2, problem.n**2)) if want_hessian else None
+    d = problem.n * (problem.n + 1) // 2
+    hess = np.zeros((d, d)) if want_hessian else None
     for t in problem.terms:
         b = t.evaluate(x, want_hessian=want_hessian)
         value += b.value
@@ -185,6 +207,7 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
     }
     if problem.kind == "qkd":
         worst["qre-presym-asymmetry"] = 0.0
+    p = sym_isometry(problem.n)
     for _ in range(points):
         # probe well inside the cone: central differences degrade as
         # 1/lambda_min powers near the boundary
@@ -199,8 +222,8 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
         )
 
         xi = symmetrize(rng.standard_normal(x.shape))
-        act = hess @ vec(xi)
-        act_fd = fd_hessian_action(
+        act = hess @ (p.T @ vec(xi))
+        act_fd = p.T @ fd_hessian_action(
             lambda y: problem_bundle(problem, y, False).gradient, x, xi)
         worst["hessian-action-vs-fd"] = max(
             worst["hessian-action-vs-fd"],

@@ -299,8 +299,8 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
     and f, feas_residual and x at the new iterate. A step that is not a
     descent direction raises SingularKKT before the line search. Any
     QipError raised here carries the iterate it was raised at as
-    ``state``, and the steps taken and records made so far as ``steps``
-    and ``records``.
+    ``state``, the steps taken and records made so far as ``steps`` and
+    ``records``, and the largest Schur condition so far as ``max_cond``.
     """
     target = config.delta_star if target is None else target
     records = []
@@ -333,7 +333,7 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
                 })
         raise IterCap(f"centering at beta={beta:.3e} exceeded {config.max_inner} inner steps")
     except QipError as exc:
-        exc.state, exc.steps, exc.records = state, steps, records
+        exc.state, exc.steps, exc.records, exc.max_cond = state, steps, records, max_cond
         raise
 
 
@@ -418,6 +418,7 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
         state = exc.state
         inner_counts.append(exc.steps)
         trace.extend(exc.records)
+        max_cond = max(max_cond, exc.max_cond)
         failure = None if isinstance(exc, IterCap) else exc
         termination = "IterCap" if failure is None else "NumericalFailure"
 

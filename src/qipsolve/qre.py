@@ -10,13 +10,16 @@ formulas by O(e)).
 Gradient:
     grad f1 = L1.T (I + ln Y1)
     grad f2 = -L1.T ln Y2 - L2.T O2 (Ctil o ln^[1](Lam2)) O2.T,
-with Ctil = O2.T Y1 O2. Hessian (vectorized, M_i the map matrices):
+with Ctil = O2.T Y1 O2. Hessian on svec coordinates (M_i the map
+matrices restricted to symmetric inputs, M_i P; see ``matfun``):
     H_f1  =  M1.T Dln(Y1) M1
     H_f2  = -M1.T Dln(Y2) M2 - M2.T Dln(Y2) M1 + M2.T (O2 (x) O2) S (O2 (x) O2).T M2,
 where Dln(Y) = (O (x) O) diag(vec(ln^[1](Lam))) (O (x) O).T and S carries
-Gamma_ijk = -ln^[2](lam_i, lam_j, lam_k) with weight Ctil. The cross block
-is assembled symmetrically (the two mixed terms are transposes of each
-other), and the total is symmetrized after an asymmetry measurement.
+Gamma_ijk = -ln^[2](lam_i, lam_j, lam_k) with weight Ctil. Each product
+is formed from the symmetric k x k matrices O.T unvec(M P e_a) O, over
+their k(k+1)/2 upper-triangle entries. The cross block is assembled
+symmetrically (the two mixed terms are transposes of each other), and
+the total is symmetrized after an asymmetry measurement.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .matfun import (
     inner,
     second_divided_diff_tensor,
     spectral_decompose,
+    svec_columns,
     symmetrize,
     vec,
 )
@@ -119,8 +123,8 @@ def _eval(obj, x, want_hessian, symmetrize_hessian):
     hess = None
     asym = 0.0
     if want_hessian:
-        m1 = obj.l1.vectorized_matrix()
-        m2 = obj.l2.vectorized_matrix()
+        m1 = svec_columns(obj.l1.vectorized_matrix())
+        m2 = svec_columns(obj.l2.vectorized_matrix())
         phi1 = divided_diff_1(LOG, lam1)
         v11 = congruence_batch(m1, o1)
         h = sandwich_diag(v11, v11, phi1)

@@ -18,6 +18,7 @@ from qipsolve.oracle import (
     derivative_audit,
     fd_cubic_form,
     reference_minimize,
+    sym_isometry,
 )
 from qipsolve.pathfollow import SolverConfig, solve
 
@@ -128,8 +129,9 @@ def test_criterion_06_compatibility_inequality():
             c = symmetrize(g @ g.T)
             xi = symmetrize(rng.standard_normal((n, n)))
             obj = TraceObjective(c, gen)
-            d2phi = float(vec(xi) @ (phi_eval(obj, x).hessian @ vec(xi)))
-            d2b = float(vec(xi) @ (barrier_eval(x).hessian @ vec(xi)))
+            s = sym_isometry(n).T @ vec(xi)
+            d2phi = float(s @ (phi_eval(obj, x).hessian @ s))
+            d2b = float(s @ (barrier_eval(x).hessian @ s))
             d3 = fd_cubic_form(lambda y: phi_eval(obj, y).hessian, x, xi)
             bound = 3.0 * d2phi * np.sqrt(d2b)
             total += 1

@@ -7,6 +7,7 @@ from qipsolve.errors import ConstraintError, DomainViolation, SingularKKT
 from qipsolve.kkt import AffineConstraints, newton_step_type1, newton_step_type2
 from qipsolve.matfun import INVERSE, vec
 from qipsolve.objectives import DerivativeBundle, TraceObjective, composite_eval
+from qipsolve.oracle import sym_isometry
 from qipsolve.pathfollow import FBetaEvaluator
 
 
@@ -81,7 +82,8 @@ class TestType1:
         cons = problem.constraints
         bundle = composite_eval(2.0, problem.terms, [None], x)
         step = newton_step_type1(bundle, slacks, cons)
-        resid = bundle.hessian @ vec(step.direction_X) + bundle.gradient
+        p = sym_isometry(cons.order)
+        resid = p @ (bundle.hessian @ (p.T @ vec(step.direction_X))) + bundle.gradient
         resid -= cons.vec_stack.T @ step.multipliers
         v = cons.vec_stack
         proj = resid - v.T @ np.linalg.solve(v @ v.T, v @ resid)
@@ -132,7 +134,7 @@ class TestType2:
         ev = FBetaEvaluator(problem)
         bundle = ev.x_bundle(x, beta=2.0)
         step = newton_step_type2(bundle, problem.constraints)
-        p = vec(step.direction_X)
+        p = sym_isometry(problem.n).T @ vec(step.direction_X)
         quad = float(np.sqrt(max(p @ (bundle.hessian @ p), 0.0)))
         assert step.decrement == pytest.approx(quad, rel=1e-8)
         if step.decrement > 1e-6:
@@ -158,7 +160,8 @@ class TestType2:
         assert np.linalg.norm(hess @ ident) <= 1e-12 * np.linalg.norm(hess)
         grad = vec(rand_sym(rng, n))
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
-        step = newton_step_type2(DerivativeBundle(0.0, grad, hess), cons)
+        p = sym_isometry(n)
+        step = newton_step_type2(DerivativeBundle(0.0, grad, p.T @ hess @ p), cons)
         assert grad @ vec(step.direction_X) < 0.0
         assert abs(np.trace(step.direction_X)) <= 1e-12 * np.linalg.norm(step.direction_X)
         assert step.decrement > 1e-3
@@ -175,11 +178,12 @@ class TestType2:
         hess[pair, :] *= np.sqrt(curvature)
         hess[:, pair] *= np.sqrt(curvature)
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
+        p = sym_isometry(n)
         with pytest.raises(SingularKKT):
-            newton_step_type2(DerivativeBundle(0.0, vec(rand_sym(rng, n)), hess), cons)
+            newton_step_type2(DerivativeBundle(0.0, vec(rand_sym(rng, n)), p.T @ hess @ p), cons)
 
     def test_singular_hessian_rejected(self):
         cons = AffineConstraints([np.eye(2)], np.array([1.0]), n_ineq=0)
-        bad = DerivativeBundle(0.0, np.ones(4), np.zeros((4, 4)))
+        bad = DerivativeBundle(0.0, np.ones(4), np.zeros((3, 3)))
         with pytest.raises(SingularKKT):
             newton_step_type2(bad, cons)

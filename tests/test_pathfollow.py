@@ -431,6 +431,24 @@ class TestSolve:
         assert report.inner_iters_per_outer == [3]
         assert len(report.decrement_trace) == 3
 
+    def test_iteration_cap_report_keeps_the_failed_centering_schur_conditions(
+            self, monkeypatch):
+        problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=6)
+        conditions = []
+        real = pathfollow.FBetaEvaluator.newton_step
+
+        def recorded(self, bundle, state):
+            step = real(self, bundle, state)
+            conditions.append(step.schur_condition)
+            return step
+
+        monkeypatch.setattr(pathfollow.FBetaEvaluator, "newton_step", recorded)
+        report = solve(problem, config=SolverConfig(max_inner=3))
+        assert report.termination == "IterCap"
+        assert len(conditions) == 3
+        assert max(conditions) > 1.0
+        assert report.schur_condition_max == max(conditions)
+
     def test_no_barrier_rejected_on_trace_objectives(self, monkeypatch):
         monkeypatch.setattr(pathfollow, "center", lambda *a, **k: pytest.fail("solve ran"))
         for name in ("trace-inverse-n4", "ree-2x2"):
