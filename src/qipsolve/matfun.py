@@ -334,12 +334,3 @@ def unsvec(p: np.ndarray) -> np.ndarray:
     out = np.empty((n, n))
     out[lay.rows, lay.cols] = out[lay.cols, lay.rows] = p / lay.weight
     return out
-
-
-def svec_columns(m: np.ndarray) -> np.ndarray:
-    """M P: a matrix acting on vec, restricted to symmetric inputs in svec coordinates."""
-    lay = svec_layout(math.isqrt(m.shape[1]))
-    out = m.take(lay.upper, axis=1)
-    out += m.take(lay.lower, axis=1)
-    out *= 0.5 * lay.weight
-    return out

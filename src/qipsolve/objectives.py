@@ -10,14 +10,16 @@ divided differences in the eigenbasis:
   diagonal-selected first term with a second term built from the tensor
   of second divided differences; off-diagonal blocks of S are diagonal.
 
-When a map is present, gradients push through the adjoint and Hessians
-are conjugated by the map's matrix restricted to symmetric inputs. A
-gradient is delivered as a vec (column stacking), a Hessian as the
+A gradient is delivered as a vec (column stacking), a Hessian as the
 d x d matrix on svec coordinates, d = n(n+1)/2 (see ``matfun``): the
 KKT layer solves in those coordinates, and a symmetric matrix needs no
-more. Every map output is symmetric, so the congruence-batched k x k
-matrices are too, and the sandwiches contract over their k(k+1)/2
-svec entries.
+more. When a map L is present, gradients push through the adjoint, and
+Hessians are assembled from the congruence batch V[c] = O.T L(E_c) O of
+the svec basis matrices E_c in the eigenbasis O of the map output,
+which the map builds from its own structure (Kraus factors
+Ktil_t = O.T K_t, or the svec permutation of the partial transpose; see
+``linmap``). Each V[c] is symmetric, so the sandwiches contract over
+the k(k+1)/2 upper-triangle entries of each batch, gathered once.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .matfun import (
     divided_diff_1,
     second_divided_diff_tensor,
     spectral_decompose,
-    svec_columns,
     svec_layout,
     symmetrize,
     vec,
@@ -86,39 +87,36 @@ class DerivativeBundle:
 # Hessian assembly primitives (shared with the relative-entropy module)
 # ---------------------------------------------------------------------------
 
-def congruence_batch(m: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Columns of M viewed as k x k matrices, congruence-transformed by O.T.
+def congruence_batch(lmap, o: np.ndarray) -> np.ndarray:
+    """V[c] = O.T L(E_c) O for every svec basis matrix E_c, shaped (d, k, k).
 
-    Returns V with V[c] = O.T unvec(M[:, c]) O, shaped (ncols, k, k).
-    This realizes (O (x) O).T M without forming the k^2 x k^2 factor.
-    M is a map matrix restricted to symmetric inputs (``svec_columns``),
-    so each column is a symmetric matrix and its row-major reshape is
-    unvec itself.
+    This realizes (O (x) O).T M P for the map matrix M without forming
+    it: the map supplies the batch from its Kraus factors or its svec
+    permutation (``congruence_batch`` of ``linmap``'s classes).
     """
-    k = o.shape[0]
-    return o.T @ m.T.reshape(m.shape[1], k, k) @ o
+    return lmap.congruence_batch(o)
 
 
-def _triu_batch(v: np.ndarray) -> np.ndarray:
+def triu_rows(v: np.ndarray) -> np.ndarray:
     """Upper-triangle entries of each k x k matrix of a batch, (ncols, k(k+1)/2)."""
     flat = v.reshape(v.shape[0], -1)
     return flat.take(svec_layout(v.shape[1]).lower, axis=1)  # row-major index of (i, j)
 
 
-def sandwich_diag(v1: np.ndarray, v2: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """V1.T diag(vec(phi)) V2 for congruence-batched V1, V2 and symmetric phi.
+def sandwich_diag(s1: np.ndarray, s2: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """V1.T diag(vec(phi)) V2 for congruence batches V1, V2 and symmetric phi.
 
-    The batches are symmetric, so the sum over all k^2 entries is one over
-    the upper triangle with the off-diagonal terms counted twice.
+    ``s1``, ``s2`` are the batches' ``triu_rows``. The batches are
+    symmetric, so the sum over all k^2 entries is one over the upper
+    triangle with the off-diagonal terms counted twice.
     """
     lay = svec_layout(phi.shape[0])
-    s1 = _triu_batch(v1)
-    s2 = s1 if v2 is v1 else _triu_batch(v2)
     return (s1 * (phi[lay.rows, lay.cols] * lay.weight**2)) @ s2.T
 
 
-def sandwich_core(v: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """V.T S V without materializing the k^2 x k^2 core.
+def sandwich_core(v: np.ndarray, s: np.ndarray, ctil: np.ndarray,
+                  gamma: np.ndarray) -> np.ndarray:
+    """V.T S V without materializing the k^2 x k^2 core; ``s`` is ``triu_rows(v)``.
 
     [S v]_ij = sum_l Ctil_jl Gamma_ijl v_il + sum_k Ctil_ik Gamma_ijk v_kj.
     V's batches are symmetric, so only the symmetric part of each S v
@@ -130,7 +128,7 @@ def sandwich_core(v: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> np.ndar
     flat = sv.reshape(sv.shape[0], -1)
     sym = flat.take(lay.lower, axis=1)  # row-major index of (i, j)
     sym += flat.take(lay.upper, axis=1)  # and of (j, i)
-    return (_triu_batch(v) * (0.5 * lay.weight**2)) @ sym.T
+    return (s * (0.5 * lay.weight**2)) @ sym.T
 
 
 def phi_hessian_in_basis(u: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -203,8 +201,8 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True) -> D
         hess = None
         if want_hessian:
             gamma = second_divided_diff_tensor(obj.gen, lam)
-            v = congruence_batch(svec_columns(obj.map.vectorized_matrix()), u)
-            hess = symmetrize(sandwich_core(v, ctil, gamma))
+            v = congruence_batch(obj.map, u)
+            hess = symmetrize(sandwich_core(v, triu_rows(v), ctil, gamma))
     return DerivativeBundle(value=value, gradient=grad, hessian=hess)
 
 
@@ -249,8 +247,8 @@ def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True) -> Derivati
     hess = None
     if want_hessian:
         d = 1.0 / lam
-        v = congruence_batch(svec_columns(lmap.vectorized_matrix()), o)
-        hess = symmetrize(sandwich_diag(v, v, np.outer(d, d)))
+        s = triu_rows(congruence_batch(lmap, o))
+        hess = symmetrize(sandwich_diag(s, s, np.outer(d, d)))
     return DerivativeBundle(value=value, gradient=grad, hessian=hess)
 
 

@@ -4,7 +4,8 @@ Nothing here shares code with the production derivative assembly: the
 finite-difference operators probe objective values directly over the
 n(n+1)/2 independent symmetric coordinates, the dense Hessian reference
 materializes the sparse core entry by entry from scalar second divided
-differences and conjugates it with explicit Kronecker factors, and the
+differences and conjugates it with explicit Kronecker factors and a
+dense map matrix built from the map's ``apply``, and the
 reference optimizer is a first-order projected-gradient method with
 boundary backoff. Production Hessians are d x d on svec coordinates;
 the oracles reach those coordinates through their own dense isometry
@@ -43,6 +44,16 @@ def sym_isometry(n: int) -> np.ndarray:
     P.T H P is a full-vec Hessian H on svec coordinates.
     """
     return np.stack([vec(e) / np.linalg.norm(e) for _, _, e in _sym_basis(n)], axis=1)
+
+
+def sym_map_matrix(lmap) -> np.ndarray:
+    """Dense k^2 x n(n+1)/2 matrix M P of a linear map on svec inputs.
+
+    Column a is vec(L(E_a)) / ||E_a|| from the map's ``apply`` on the
+    a-th symmetric unit matrix, so M P svec(xi) = vec(L(xi)).
+    """
+    return np.stack([vec(lmap.apply(e)) / np.linalg.norm(e)
+                     for _, _, e in _sym_basis(lmap.in_order)], axis=1)
 
 
 def fd_gradient(f, x: np.ndarray, h: float | None = None) -> np.ndarray:
@@ -139,7 +150,8 @@ def dense_hessian_reference(obj: TraceObjective, x: np.ndarray) -> np.ndarray:
     """Brute-force svec Hessian P.T H P of a trace objective.
 
     H is the full-vec Hessian from explicit Kronecker factors and P the
-    oracle's own isometry (``sym_isometry``).
+    oracle's own isometry (``sym_isometry``), or with a map L, M P from
+    ``sym_map_matrix``.
     """
     x = np.asarray(x, dtype=float)
     y = x if obj.map is None else obj.map.apply(x)
@@ -153,10 +165,7 @@ def dense_hessian_reference(obj: TraceObjective, x: np.ndarray) -> np.ndarray:
     s = dense_sparse_core(obj.gen, lam, ctil)
     uu = np.kron(u, u)
     h = uu @ s @ uu.T
-    if obj.map is not None:
-        m = obj.map.vectorized_matrix()
-        h = m.T @ h @ m
-    p = sym_isometry(x.shape[0])
+    p = sym_isometry(x.shape[0]) if obj.map is None else sym_map_matrix(obj.map)
     return symmetrize(p.T @ h @ p)
 
 

@@ -15,11 +15,17 @@ matrices restricted to symmetric inputs, M_i P; see ``matfun``):
     H_f1  =  M1.T Dln(Y1) M1
     H_f2  = -M1.T Dln(Y2) M2 - M2.T Dln(Y2) M1 + M2.T (O2 (x) O2) S (O2 (x) O2).T M2,
 where Dln(Y) = (O (x) O) diag(vec(ln^[1](Lam))) (O (x) O).T and S carries
-Gamma_ijk = -ln^[2](lam_i, lam_j, lam_k) with weight Ctil. Each product
-is formed from the symmetric k x k matrices O.T unvec(M P e_a) O, over
-their k(k+1)/2 upper-triangle entries. The cross block is assembled
-symmetrically (the two mixed terms are transposes of each other), and
-the total is symmetrized after an asymmetry measurement.
+Gamma_ijk = -ln^[2](lam_i, lam_j, lam_k) with weight Ctil. No M_i is
+formed: each product is built from the congruence batches
+V[c] = O.T L_i(E_c) O of the svec basis matrices E_c, which the Kraus
+maps supply from their factors Ktil_t = O.T K_t (see ``linmap``):
+    V[c] = (w_c/2) sum_t (ktil_{t,a} ktil_{t,b}.T + ktil_{t,b} ktil_{t,a}.T)
+for c = (a, b), ktil_{t,a} the column a of Ktil_t. The sandwiches
+contract over the k(k+1)/2 upper-triangle entries of each batch,
+gathered once per batch. The cross block is assembled symmetrically
+(the two mixed terms are transposes of each other), and the total is
+symmetrized; ``qre_hessian_asymmetry`` measures the asymmetry before
+that.
 """
 
 from __future__ import annotations
@@ -36,11 +42,16 @@ from .matfun import (
     inner,
     second_divided_diff_tensor,
     spectral_decompose,
-    svec_columns,
     symmetrize,
     vec,
 )
-from .objectives import DerivativeBundle, congruence_batch, sandwich_core, sandwich_diag
+from .objectives import (
+    DerivativeBundle,
+    congruence_batch,
+    sandwich_core,
+    sandwich_diag,
+    triu_rows,
+)
 
 DEFAULT_PERTURBATION = 1e-12
 
@@ -86,7 +97,10 @@ def _perturbed_decomp(lmap, x, eps, label):
 
 def qre_eval(obj: QreObjective, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
     """Value, gradient and (optionally) Hessian of the relative entropy."""
-    return _eval(obj, x, want_hessian, symmetrize_hessian=True)[0]
+    bundle = _eval(obj, x, want_hessian)
+    if want_hessian:
+        bundle.hessian = symmetrize(bundle.hessian)
+    return bundle
 
 
 def qre_hessian_asymmetry(obj: QreObjective, x: np.ndarray) -> float:
@@ -94,10 +108,14 @@ def qre_hessian_asymmetry(obj: QreObjective, x: np.ndarray) -> float:
 
     A large value flags a sign or transpose mistake in the mixed block.
     """
-    return _eval(obj, x, want_hessian=True, symmetrize_hessian=False)[1]
+    h = _eval(obj, x, want_hessian=True).hessian
+    # unit floor: identical maps cancel the Hessian to rounding noise
+    norm = max(np.linalg.norm(h), 1.0)
+    return float(np.linalg.norm(h - h.T) / norm)
 
 
-def _eval(obj, x, want_hessian, symmetrize_hessian):
+def _eval(obj, x, want_hessian):
+    """The bundle with the Hessian as assembled, before symmetrization."""
     x = np.asarray(x, dtype=float)
     if np.linalg.eigvalsh(symmetrize(x)).min() <= 0.0:
         raise DomainViolation("relative entropy needs a positive definite argument")
@@ -121,25 +139,19 @@ def _eval(obj, x, want_hessian, symmetrize_hessian):
     gradient = vec(grad_f1 + grad_f2)
 
     hess = None
-    asym = 0.0
     if want_hessian:
-        m1 = svec_columns(obj.l1.vectorized_matrix())
-        m2 = svec_columns(obj.l2.vectorized_matrix())
         phi1 = divided_diff_1(LOG, lam1)
-        v11 = congruence_batch(m1, o1)
-        h = sandwich_diag(v11, v11, phi1)
-        v12 = congruence_batch(m1, o2)
-        v22 = congruence_batch(m2, o2)
-        cross = sandwich_diag(v12, v22, phi2)
-        h -= cross + cross.T
+        s11 = triu_rows(congruence_batch(obj.l1, o1))
+        hess = sandwich_diag(s11, s11, phi1)
+        s12 = triu_rows(congruence_batch(obj.l1, o2))
+        v22 = congruence_batch(obj.l2, o2)
+        s22 = triu_rows(v22)
+        cross = sandwich_diag(s12, s22, phi2)
+        hess -= cross + cross.T
         gamma = -second_divided_diff_tensor(LOG, lam2)
-        h += sandwich_core(v22, ctil, gamma)
-        # unit floor: identical maps cancel the Hessian to rounding noise
-        norm = max(np.linalg.norm(h), 1.0)
-        asym = float(np.linalg.norm(h - h.T) / norm)
-        hess = symmetrize(h) if symmetrize_hessian else h
+        hess += sandwich_core(v22, s22, ctil, gamma)
 
-    return DerivativeBundle(value=value, gradient=gradient, hessian=hess), asym
+    return DerivativeBundle(value=value, gradient=gradient, hessian=hess)
 
 
 def qre_nonnegativity_check(obj: QreObjective, x: np.ndarray) -> float:

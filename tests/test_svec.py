@@ -11,10 +11,15 @@ import pytest
 
 from conftest import rand_density, rand_spd, rand_sym, rel_err
 from qipsolve import probio
-from qipsolve.linmap import KrausMap, partial_transpose_map
-from qipsolve.matfun import NEG_LOG, NEG_SQRT, svec, svec_columns, svec_layout, unsvec, vec
-from qipsolve.objectives import TraceObjective, barrier_eval, map_barrier_eval
-from qipsolve.oracle import dense_hessian_reference, fd_hessian_action, sym_isometry
+from qipsolve.linmap import KrausMap, compose, identity_map, partial_transpose_map, pinching_map
+from qipsolve.matfun import NEG_LOG, NEG_SQRT, svec, svec_layout, unsvec, vec
+from qipsolve.objectives import TraceObjective, barrier_eval, congruence_batch, map_barrier_eval
+from qipsolve.oracle import (
+    dense_hessian_reference,
+    fd_hessian_action,
+    sym_isometry,
+    sym_map_matrix,
+)
 from qipsolve.pathfollow import FBetaEvaluator, _refresh_slacks, _State
 from qipsolve.qre import QreObjective, qre_eval
 
@@ -38,12 +43,37 @@ class TestLayout:
         with pytest.raises(Exception, match="n\\(n\\+1\\)/2"):
             unsvec(np.ones(4))
 
-    def test_map_columns_on_symmetric_inputs(self, rng):
-        lmap = KrausMap([rng.standard_normal((5, 3)) for _ in range(2)])
-        x = rand_sym(rng, 3)
-        mp = svec_columns(lmap.vectorized_matrix())
-        assert mp.shape == (25, 6)
-        assert np.allclose(mp @ svec(x), vec(lmap.apply(x)), atol=1e-12)
+
+def _pinched_kraus(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    pinch = pinching_map([q[:, :2] @ q[:, :2].T, q[:, 2:] @ q[:, 2:].T])
+    return compose(pinch, KrausMap([rng.standard_normal((5, 3)) for _ in range(2)]))
+
+
+# map name -> rng -> map
+MAP_CASES = {
+    "kraus-r1": lambda rng: KrausMap([rng.standard_normal((5, 3))]),
+    "kraus-r3": lambda rng: KrausMap([rng.standard_normal((4, 3)) for _ in range(3)]),
+    "pinching-after-kraus": _pinched_kraus,
+    "identity": lambda rng: identity_map(4),
+    "partial-transpose-2x2": lambda rng: partial_transpose_map(2, 2),
+    "partial-transpose-2x3": lambda rng: partial_transpose_map(2, 3),
+    "partial-transpose-3x2": lambda rng: partial_transpose_map(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_CASES))
+def test_congruence_batch_is_the_congruence_of_the_mapped_basis(name, rng):
+    # V[c] = O.T L(E_c) O with E_c the c-th column of the oracle's isometry
+    lmap = MAP_CASES[name](rng)
+    n, k = lmap.in_order, lmap.out_order
+    o, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    p = sym_isometry(n)
+    expected = np.stack([o.T @ lmap.apply(p[:, c].reshape((n, n), order="F")) @ o
+                         for c in range(p.shape[1])])
+    v = congruence_batch(lmap, o)
+    assert v.shape == (n * (n + 1) // 2, k, k)
+    assert np.abs(v - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
 
 
 def fd_svec_hessian(grad_fn, x, h=None):
@@ -97,9 +127,9 @@ def _logdet(rng):
 def _logdet_map(rng):
     pt = partial_transpose_map(2, 2)
     x = separable_ppt_state(rng, 2, 2)
-    p, m, yinv = sym_isometry(4), pt.vectorized_matrix(), np.linalg.inv(pt.apply(x))
+    mp, yinv = sym_map_matrix(pt), np.linalg.inv(pt.apply(x))
     return ((lambda y, want_hessian=True: map_barrier_eval(pt, y, want_hessian)), x,
-            p.T @ m.T @ np.kron(yinv, yinv) @ m @ p)
+            mp.T @ np.kron(yinv, yinv) @ mp)
 
 
 # term kind -> rng -> (evaluate(x, want_hessian), x, dense reference or None)
