@@ -14,14 +14,13 @@ from .matfun import (
     divided_diff_1,
     divided_diff_2,
     neg_power,
-    schur_product,
     spectral_decompose,
     vec,
 )
 from .objectives import DerivativeBundle, TraceObjective, barrier_eval, composite_eval, phi_eval
 from .pathfollow import SolveReport, SolverConfig, iteration_bound, solve
 from .probio import ProblemSpec, build_named, generate_random, load, save
-from .qre import QreObjective, qre_eval, qre_nonnegativity_check
+from .qre import QreObjective, qre_eval
 
 __version__ = "0.1.0"
 
@@ -67,9 +66,7 @@ __all__ = [
     "probio",
     "qre",
     "qre_eval",
-    "qre_nonnegativity_check",
     "save",
-    "schur_product",
     "solve",
     "spectral_decompose",
     "vec",

@@ -1,8 +1,9 @@
 """Command-line front end: gen, solve, check and bench.
 
 Exit codes: 0 success, 1 failed checks, 2 argument errors, 3 problem
-validation/parse failures, 4 solver failures. The environment variable
-QIPSOLVE_THREADS caps the internal BLAS parallelism.
+validation/parse failures, 4 solver failures. To cap the BLAS threads,
+set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS / MKL_NUM_THREADS, by BLAS)
+before launch: numpy reads it when it loads.
 
 Benchmark CSV schemas (also the column order of the text tables):
   table1: n,m,N,f_min,nNewton,time_s
@@ -31,23 +32,6 @@ TABLE2_ROWS = [
     (16, 32, 10, 2, 2),
     (32, 64, 20, 2, 2),
 ]
-
-
-def _limit_threads():
-    cap = os.environ.get("QIPSOLVE_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(n))
 
 
 def _resolve_problem(token: str):
@@ -251,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

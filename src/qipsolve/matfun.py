@@ -3,7 +3,7 @@
 Everything downstream (trace objectives, relative-entropy derivatives,
 barrier Hessians) is built from the pieces in this module: spectral
 decompositions, scalar generators with analytic first/second derivatives,
-first and second divided differences, the Schur/vec utilities that tie
+first and second divided differences, the vec utilities that tie
 matrix equations to their vectorized form, and the svec layout in which
 every Hessian is assembled.
 
@@ -262,17 +262,8 @@ def apply_matrix_function(gen: ScalarGenerator, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Schur product, vectorization, symmetric coordinates
+# vectorization, symmetric coordinates
 # ---------------------------------------------------------------------------
-
-def schur_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise (Hadamard) product; shapes must match exactly."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ShapeError(f"Schur product shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
 
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: vec(A) = [a11 .. an1 a12 ..]."""

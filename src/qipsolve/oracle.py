@@ -25,7 +25,7 @@ from .errors import DomainViolation, OracleInconclusive, SizeGuard, ValidationEr
 from .matfun import divided_diff_2, spectral_decompose, symmetrize, vec
 from .objectives import DerivativeBundle, TraceObjective
 from .probio import ProblemSpec, random_feasible_point
-from .qre import qre_hessian_asymmetry
+from .qre import QreObjective, qre_hessian_asymmetry
 
 
 def _sym_basis(n):
@@ -214,7 +214,8 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
         "hessian-symmetry": 0.0,
         "hessian-psd": -math.inf,
     }
-    if problem.kind == "qkd":
+    qre_terms = [t for t in problem.terms if isinstance(t, QreObjective)]
+    if qre_terms:
         worst["qre-presym-asymmetry"] = 0.0
     p = sym_isometry(problem.n)
     for _ in range(points):
@@ -250,9 +251,9 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
         lam_min = float(np.linalg.eigvalsh(symmetrize(hess)).min())
         worst["hessian-psd"] = max(worst["hessian-psd"], -lam_min / hnorm)
 
-        if problem.kind == "qkd":
+        for term in qre_terms:
             worst["qre-presym-asymmetry"] = max(
-                worst["qre-presym-asymmetry"], qre_hessian_asymmetry(problem.terms[0], x))
+                worst["qre-presym-asymmetry"], qre_hessian_asymmetry(term, x))
 
     tolerances = {
         "gradient-vs-fd": 1e-6,

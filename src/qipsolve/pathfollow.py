@@ -3,12 +3,33 @@
 Outer iterations grow beta geometrically, beta_i = (1+theta)^i * beta0;
 each outer iteration re-centers F_beta = beta f + B by damped Newton
 steps until the Newton decrement passes the gate delta <= 1/(3 kappa),
-and the run stops once beta >= 4 r / epsilon. The line search backtracks
-from the feasibility boundary (most negative generalized eigenvalue of
-the step against the current point, slack ratios, and map-cone
-boundaries) and accepts on simple decrease. An initial damped-Newton
+and the run stops once beta >= 4 r / epsilon. An initial damped-Newton
 phase at beta0 supplies the centered starting point the outer loop
 presumes.
+
+Step lengths come from self-concordance where it applies. Every objective
+term f is 1-compatible with the barrier B: |D^3 f[h,h,h]| <= 3 D^2 f[h,h]
+sqrt(D^2 B[h,h]), the constant 3 that acceptance criterion 6 checks for
+the trace objectives (Faybusovich and Tsuchiya 2017 give it for matrix
+monotone objectives and the relative entropy).
+B = -ln det X, plus -ln det L(X) with a constraint map and -ln s_i per
+inequality slack, is a self-concordant barrier, and its extra terms only
+enlarge D^2 B, so the bound holds against the whole of B. Both sides scale
+alike with beta, so by Nesterov and Nemirovski's compatibility proposition
+(1994, with compatibility constant 1) F_beta is self-concordant with
+M = 2 (1 + 1) = 4 for every beta > 0; M/2 is the default kappa = 2. For
+such an F and lambda = (M/2) delta < 1, the full Newton step x + p stays
+in the domain and
+    F(x + p) - F(x) <= -(4/M^2) (lambda^2 + lambda + ln(1 - lambda)),
+which is a strict decrease while lambda is below 0.6838. So ``center``
+takes alpha = 1 with no value test whenever (M/2) delta <= 0.68
+(delta <= 0.34) and -ln det X is one of the terms; without it F_beta is
+not self-concordant and every step is line-searched. Outside the band the
+line search backtracks from the feasibility boundary (most negative
+generalized eigenvalue of the step against the current point, slack
+ratios, and map-cone boundaries) and accepts on a value decrease only;
+the slope fallback it once had for F_beta's value noise at large beta is
+gone, since the steps that needed it lie inside the band.
 
 F_beta is evaluated from one ordered term list: the problem's objective
 terms (trace objectives, or the relative entropy), each scaled by beta,
@@ -48,6 +69,7 @@ from .kkt import NewtonStep, newton_step_type1
 from .matfun import symmetrize, vec
 from .objectives import DerivativeBundle, LogDetBarrier, combine_terms, evaluate_terms
 from .probio import ProblemSpec, barrier_parameter, feasibility_violations
+from .qre import QreObjective
 
 
 # line search: first trial step as a fraction of the distance to the
@@ -55,6 +77,13 @@ from .probio import ProblemSpec, barrier_parameter, feasibility_violations
 LS_BOUNDARY_FRACTION = 0.99
 LS_SHRINK = 0.5
 LS_MAX_BACKTRACKS = 60
+
+# self-concordance constant M = 2 (1 + beta_c) of F_beta, beta_c = 1 the
+# compatibility constant (module docstring), and the largest (M/2) delta
+# at which the full Newton step is taken without a line search: just
+# below 0.6838, the root of lambda^2 + lambda + ln(1 - lambda) = 0
+SELF_CONCORDANCE_M = 4.0
+FULL_STEP_RADIUS = 0.68
 
 
 @dataclass(frozen=True)
@@ -151,6 +180,9 @@ class FBetaEvaluator:
             barriers.append(LogDetBarrier(problem.constraint_map))
         self.terms = (*problem.terms, *barriers)
         self.n_scaled = len(problem.terms)
+        # F_beta is self-concordant only when -ln det X is one of its terms
+        self.self_concordant = any(isinstance(t, LogDetBarrier) and t.map is None
+                                   for t in self.terms)
         self._kept_x = None
         self._kept_parts = None
 
@@ -179,26 +211,15 @@ class FBetaEvaluator:
 
     def value(self, x, slacks, beta) -> float:
         """Full F_beta including slack logs; +inf outside the open domain."""
-        return self._value_and_gradient(x, slacks, beta)[0]
-
-    def value_and_slope(self, x, slacks, beta, step: NewtonStep) -> tuple[float, float]:
-        """F_beta and its slope along ``step``; (+inf, nan) outside the open domain."""
-        v, grad = self._value_and_gradient(x, slacks, beta)
-        if grad is None:
-            return v, math.nan
-        return v, directional_derivative(grad, slacks, step)
-
-    def _value_and_gradient(self, x, slacks, beta):
         try:
-            bundle = self.x_bundle(x, beta, want_hessian=False)
+            v = self.x_bundle(x, beta, want_hessian=False).value
         except DomainViolation:
-            return math.inf, None
-        v = bundle.value
+            return math.inf
         if slacks.size:
             if slacks.min() <= 0.0:
-                return math.inf, None
+                return math.inf
             v -= float(np.sum(np.log(slacks)))
-        return v, bundle.gradient
+        return v
 
     def feasibility_maps(self):
         lmap = self.problem.constraint_map
@@ -259,34 +280,32 @@ def line_search(state: _State, step: NewtonStep, beta: float,
                 evaluator: FBetaEvaluator) -> float:
     """Backtrack from min(1, fraction * alpha_max) until F_beta decreases.
 
-    At large beta the rounding noise of F_beta = beta f + B can exceed the
-    decrease a Newton step makes (QKD n=3 at beta ~ 2e9: noise ~ 0.05 in
-    F_beta, decrease ~ 0.03). If no trial step passes the value test, the
-    largest one at which the slope of F_beta along the step is still
-    negative is taken: F_beta is convex, so that slope certifies the
-    decrease the values cannot resolve. Where a trial step passes the
-    value test the slope is not consulted.
+    The only acceptance rule is a value decrease: the first trial step at
+    which F_beta is below its value at alpha = 0 is taken, and if none of
+    LS_MAX_BACKTRACKS trials is, LineSearchFailure is raised. There is no
+    slope fallback. ``center`` calls this only outside the band in which
+    self-concordance certifies the full step (module docstring), which is
+    where the value noise of F_beta at large beta used to defeat the test.
     """
     f0 = evaluator.value(state.x, state.slacks, beta)
     if not math.isfinite(f0):
         raise DomainViolation("line search started outside the domain")
     amax = max_feasible_step(state, step, evaluator)
     alpha = min(1.0, LS_BOUNDARY_FRACTION * amax)
-    descending = None
     for _ in range(LS_MAX_BACKTRACKS):
         cand_x = symmetrize(state.x + alpha * step.direction_X)
         cand_s = state.slacks + alpha * step.direction_slack
-        value, slope = evaluator.value_and_slope(cand_x, cand_s, beta, step)
-        if value < f0:
+        if evaluator.value(cand_x, cand_s, beta) < f0:
             return alpha
-        if descending is None and slope < 0.0:
-            descending = alpha
         alpha *= LS_SHRINK
-    if descending is not None:
-        return descending
     raise LineSearchFailure(
         f"no decrease after {LS_MAX_BACKTRACKS} backtracks (delta={step.decrement:.3e})"
     )
+
+
+def certified_full_step(evaluator: FBetaEvaluator, delta: float) -> bool:
+    """Whether self-concordance certifies the full Newton step at decrement delta."""
+    return evaluator.self_concordant and 0.5 * SELF_CONCORDANCE_M * delta <= FULL_STEP_RADIUS
 
 
 def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: SolverConfig,
@@ -297,7 +316,9 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
     (beta, delta) pair per computed decrement, gate value included.
     ``callback`` receives one dict per step taken: beta, delta, alpha,
     and f, feas_residual and x at the new iterate. A step that is not a
-    descent direction raises SingularKKT before the line search. Any
+    descent direction raises SingularKKT before the line search. A step
+    inside the self-concordance band (``certified_full_step``) is taken
+    whole, with no line search; every other one is line-searched. Any
     QipError raised here carries the iterate it was raised at as
     ``state``, the steps taken and records made so far as ``steps`` and
     ``records``, and the largest Schur condition so far as ``max_cond``.
@@ -318,7 +339,8 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
             if slope >= 0.0:
                 raise SingularKKT(f"Newton direction is not a descent direction: "
                                   f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
-            alpha = line_search(state, step, beta, evaluator)
+            alpha = (1.0 if certified_full_step(evaluator, step.decrement)
+                     else line_search(state, step, beta, evaluator))
             new_x = symmetrize(state.x + alpha * step.direction_X)
             state = _State(x=new_x, slacks=_refresh_slacks(evaluator.problem, new_x))
             steps += 1
@@ -371,12 +393,13 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
     attached; like an IterCap report, it is built at the iterate where
     centering stopped, not at the last centered point, and counts the
     steps of that centering. ``include_barrier=False`` drops -ln det X,
-    a heuristic admitted for qkd problems only; on other problems it
-    raises ValueError.
+    a heuristic admitted only when every objective term is a relative
+    entropy (qkd problems); otherwise it raises ValueError.
     """
-    if not include_barrier and problem.kind != "qkd":
-        raise ValueError("include_barrier=False is only supported on qkd problems; "
-                         f"{problem.kind} problems need the -ln det X barrier")
+    if not include_barrier and not all(isinstance(t, QreObjective) for t in problem.terms):
+        raise ValueError("include_barrier=False is only supported on qkd problems "
+                         "(relative-entropy objectives); trace objectives need the "
+                         "-ln det X barrier")
     config = config or SolverConfig()
     x0 = problem.start if start is None else np.asarray(start, dtype=float)
     if x0 is None:

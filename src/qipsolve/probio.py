@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConstraintError,
     NotFound,
     ParseError,
     ShapeError,
@@ -524,11 +523,8 @@ def from_dict(doc: dict) -> ProblemSpec:
     kind = _require(doc, "kind", "top level")
     cd = _require(doc, "constraints", "top level")
     mats = [_load_sym(a, f"constraint matrix {i}") for i, a in enumerate(_require(cd, "A", "constraints"))]
-    try:
-        cons = AffineConstraints(mats, np.asarray(_require(cd, "b", "constraints"), dtype=float),
-                                 n_ineq=int(cd.get("n_ineq", 0)))
-    except ConstraintError:
-        raise
+    cons = AffineConstraints(mats, np.asarray(_require(cd, "b", "constraints"), dtype=float),
+                             n_ineq=int(cd.get("n_ineq", 0)))
     obj = _require(doc, "objective", "top level")
     start = doc.get("start")
     start_mat = None if start is None else _load_sym(start, "start")
@@ -551,14 +547,10 @@ def from_dict(doc: dict) -> ProblemSpec:
         c = _load_sym(_require(doc, "C", "top level"), "weight C")
         gen = generator_from_name(_require(obj, "generator", "objective"), obj.get("alpha"))
         term_map = _map_from_dict(obj.get("term_map"), "objective.term_map")
-        try:
-            term = TraceObjective(c, gen, map=term_map)
-        except ValidationError:
-            raise
         spec = ProblemSpec(
             kind=kind,
             constraints=cons,
-            terms=[term],
+            terms=[TraceObjective(c, gen, map=term_map)],
             offset=float(obj.get("offset", 0.0)),
             constraint_map=_map_from_dict(obj.get("barrier_map"), "objective.barrier_map"),
             start=start_mat,

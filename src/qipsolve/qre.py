@@ -153,12 +153,3 @@ def _eval(obj, x, want_hessian):
 
     return DerivativeBundle(value=value, gradient=gradient, hessian=hess)
 
-
-def qre_nonnegativity_check(obj: QreObjective, x: np.ndarray) -> float:
-    """Value diagnostic for instances whose L2 pinches the L1 output.
-
-    When L2 = P o L1 for a pinching P, data processing makes the relative
-    entropy nonnegative, so callers assert the returned value >= -1e-8.
-    The structural precondition is the caller's responsibility.
-    """
-    return qre_eval(obj, x, want_hessian=False).value

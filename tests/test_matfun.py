@@ -3,7 +3,7 @@ import pytest
 
 from conftest import rand_spd, rand_sym
 from qipsolve import matfun
-from qipsolve.errors import DomainViolation, InvalidMatrix, ShapeError
+from qipsolve.errors import DomainViolation, InvalidMatrix
 from qipsolve.matfun import (
     CONFLUENCE_RTOL,
     INVERSE,
@@ -13,7 +13,6 @@ from qipsolve.matfun import (
     divided_diff_1,
     divided_diff_2,
     neg_power,
-    schur_product,
     second_divided_diff_tensor,
     spectral_decompose,
     symmetrize,
@@ -157,15 +156,6 @@ class TestMatrixFunction:
 
 
 class TestVecSchurKron:
-    def test_schur_with_identity(self, rng):
-        a = rand_sym(rng, 4)
-        out = schur_product(a, np.eye(4))
-        assert np.allclose(out, np.diag(np.diag(a)))
-
-    def test_schur_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            schur_product(np.eye(2), np.eye(3))
-
     def test_vec_column_stacking(self):
         a = np.array([[1.0, 3.0], [2.0, 4.0]])
         assert np.array_equal(vec(a), [1.0, 2.0, 3.0, 4.0])

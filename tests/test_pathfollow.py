@@ -86,37 +86,92 @@ class TestLineSearch:
                       slacks + alpha * step.direction_slack, beta)
         assert f1 < f0
 
-    def test_noisy_values_fall_back_to_the_slope(self, rng, monkeypatch):
-        # values that never show a decrease (standing in for rounding noise
-        # at large beta): the largest trial step along which F_beta still
-        # descends is taken, and it really lowers F_beta
+    def test_ascent_direction_fails(self, rng, monkeypatch):
+        # a value decrease is the only acceptance rule, so an ascent
+        # direction exhausts the backtrack budget. Values are clamped at
+        # F_beta(x): at alpha ~ 1e-14 the rounding of real ones can show a
+        # spurious decrease of about 1e-14 relative
         ev, state = type1_point(rng)
         beta = 2.0
         step = ev.newton_step(ev.x_bundle(state.x, beta), state)
-        f0 = ev.value(state.x, state.slacks, beta)
-        true_value_and_slope = ev.value_and_slope
-        slopes = []
-
-        def noisy(x, slacks, b, st):
-            value, slope = true_value_and_slope(x, slacks, b, st)
-            slopes.append(slope)
-            return max(value, f0), slope
-
-        monkeypatch.setattr(ev, "value_and_slope", noisy)
-        alpha = line_search(state, step, beta, ev)
-        assert len(slopes) == pathfollow.LS_MAX_BACKTRACKS
-        first = next(i for i, slope in enumerate(slopes) if slope < 0.0)
-        alpha0 = min(1.0, pathfollow.LS_BOUNDARY_FRACTION * max_feasible_step(state, step, ev))
-        assert alpha == alpha0 * pathfollow.LS_SHRINK**first
-        f1 = ev.value(symmetrize(state.x + alpha * step.direction_X),
-                      state.slacks + alpha * step.direction_slack, beta)
-        assert f1 < f0
-
-        # an ascent direction has no descending trial step to fall back to
         step.direction_X = -step.direction_X
         step.direction_slack = -step.direction_slack
+        f0 = ev.value(state.x, state.slacks, beta)
+        true_value = ev.value
+        values = []
+
+        def clamped(x, slacks, b):
+            values.append(true_value(x, slacks, b))
+            return max(values[-1], f0)
+
+        monkeypatch.setattr(ev, "value", clamped)
         with pytest.raises(LineSearchFailure):
             line_search(state, step, beta, ev)
+        assert len(values) == 1 + pathfollow.LS_MAX_BACKTRACKS
+        assert all(v > f0 for v in values[1:10])
+
+
+class TestCertifiedStep:
+    # instances whose value noise at beta ~ 1e9 once defeated the value test
+    # inside the band (a step of alpha ~ 1e-9 at n=4 seed 85)
+    @pytest.mark.parametrize("n, m, seed", [(3, 1, 102), (4, 2, 85)])
+    def test_value_noise_instances_take_long_steps(self, n, m, seed):
+        steps = []
+        report = solve(probio.generate_random("qkd", {"n": n, "m": m}, seed=seed),
+                       callback=steps.append)
+        assert report.termination == "Converged"
+        assert report.bound_check["within_caps"]
+        assert min(s["alpha"] for s in steps) >= 1e-6
+
+    @pytest.mark.parametrize("include_barrier", [True, False])
+    def test_line_search_skipped_only_with_the_barrier(self, include_barrier, monkeypatch):
+        searched = []
+        real_search = pathfollow.line_search
+
+        def recording(state, step, beta, evaluator):
+            searched.append((beta, step.decrement))
+            return real_search(state, step, beta, evaluator)
+
+        monkeypatch.setattr(pathfollow, "line_search", recording)
+        problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
+        steps = []
+        solve(problem, include_barrier=include_barrier, callback=steps.append)
+        ev = FBetaEvaluator(problem, include_barrier=include_barrier)
+        certified = [pathfollow.certified_full_step(ev, s["delta"]) for s in steps]
+        if include_barrier:
+            assert any(certified)
+            assert searched == [(s["beta"], s["delta"])
+                                for s, c in zip(steps, certified) if not c]
+            assert all(s["alpha"] == 1.0 for s, c in zip(steps, certified) if c)
+        else:
+            assert not any(certified)
+            assert searched == [(s["beta"], s["delta"]) for s in steps]
+
+    @pytest.mark.parametrize("kind, dims, seed", [
+        ("qkd", {"n": 3, "m": 1}, 0),
+        ("qkd", {"n": 4, "m": 2}, 3),
+        ("type1", {"n": 4, "m": 2, "N": 4}, 6),
+        ("type2", {"n": 4, "n1": 2, "n2": 2}, 1),
+    ])
+    def test_certified_step_decrease_meets_the_bound(self, kind, dims, seed):
+        # F(x + p) - F(x) <= -(4/M^2)(lam^2 + lam + ln(1 - lam)), lam = (M/2) delta;
+        # at beta <= 1e4 the value noise of F_beta is far below the margin
+        problem = probio.generate_random(kind, dims, seed=seed)
+        steps = []
+        solve(problem, callback=steps.append)
+        ev = FBetaEvaluator(problem)
+        m = pathfollow.SELF_CONCORDANCE_M
+        checked = 0
+        for start, s in zip([problem.start] + [s["x"] for s in steps], steps):
+            if s["beta"] > 1e4 or not pathfollow.certified_full_step(ev, s["delta"]):
+                continue
+            lam = 0.5 * m * s["delta"]
+            bound = (4.0 / m**2) * (lam**2 + lam + math.log1p(-lam))
+            f0 = ev.value(start, pathfollow._refresh_slacks(problem, start), s["beta"])
+            f1 = ev.value(s["x"], pathfollow._refresh_slacks(problem, s["x"]), s["beta"])
+            assert f1 - f0 <= -bound + 1e-12 * abs(f0)
+            checked += 1
+        assert checked >= 3
 
 
 class TestCenter:

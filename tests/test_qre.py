@@ -6,12 +6,7 @@ from qipsolve.errors import DomainViolation, ShapeError, ValidationError
 from qipsolve.linmap import KrausMap, compose, identity_map, pinching_map
 from qipsolve.matfun import vec
 from qipsolve.oracle import fd_gradient, fd_hessian_action, sym_isometry
-from qipsolve.qre import (
-    QreObjective,
-    qre_eval,
-    qre_hessian_asymmetry,
-    qre_nonnegativity_check,
-)
+from qipsolve.qre import QreObjective, qre_eval, qre_hessian_asymmetry
 
 
 def random_contraction(rng, k, n, r):
@@ -98,7 +93,7 @@ class TestHessianStructure:
 class TestNonnegativity:
     def test_trivial_pinching(self, rng):
         obj = QreObjective(identity_map(3), pinching_map([np.eye(3)]))
-        assert abs(qre_nonnegativity_check(obj, rand_spd(rng, 3))) <= 1e-10
+        assert abs(qre_eval(obj, rand_spd(rng, 3), want_hessian=False).value) <= 1e-10
 
     def test_random_pinching_of_output(self, rng):
         l1 = random_contraction(rng, 8, 4, 2)
@@ -106,9 +101,9 @@ class TestNonnegativity:
         pinch = pinching_map([q[:, :3] @ q[:, :3].T, q[:, 3:] @ q[:, 3:].T])
         obj = QreObjective(l1, compose(pinch, l1))
         for _ in range(5):
-            assert qre_nonnegativity_check(obj, rand_density(rng, 4)) >= -1e-8
+            assert qre_eval(obj, rand_density(rng, 4), want_hessian=False).value >= -1e-8
 
     def test_diagonal_state_coordinate_pinching(self, rng):
         obj = QreObjective(identity_map(3), coordinate_pinching(3))
         d = np.diag(rng.uniform(0.1, 1.0, size=3))
-        assert abs(qre_nonnegativity_check(obj, d)) <= 1e-10
+        assert abs(qre_eval(obj, d, want_hessian=False).value) <= 1e-10
