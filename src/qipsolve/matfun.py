@@ -213,39 +213,40 @@ def divided_diff_2(gen: ScalarGenerator, li: float, lj: float, lk: float) -> flo
     return float((_dd1_scalar(gen, a, b) - _dd1_scalar(gen, b, c)) / (a - c))
 
 
-def second_divided_diff_tensor(gen: ScalarGenerator, lam) -> np.ndarray:
+def second_divided_diff_tensor(gen: ScalarGenerator, lam, *,
+                               f1: np.ndarray | None = None) -> np.ndarray:
     """Dense tensor G[i, j, k] = g^[2](lam_i, lam_j, lam_k), vectorized.
 
     Used by the Hessian assembly; exactly symmetric in the last two
     indices by construction. The recurrence differences the first
-    divided-difference matrix over the (j, k) pair and falls back to the
-    limit branches when that pair (or the whole triple) is confluent.
+    divided-difference matrix ``f1`` over the (j, k) pair; a caller that
+    already holds ``divided_diff_1(gen, lam)`` passes it, otherwise it is
+    computed here. The limit branches, for a confluent (j, k) pair or a
+    confluent triple, are evaluated on the confluent pairs only, entry
+    by entry as the dense formulas would.
     """
     lam = _check_positive(lam)
-    n = lam.size
-    f1 = divided_diff_1(gen, lam)
+    if f1 is None:
+        f1 = divided_diff_1(gen, lam)
 
-    lj = lam[None, :, None]
-    lk = lam[None, None, :]
-    li = lam[:, None, None]
+    lj = lam[:, None]
+    lk = lam[None, :]
     djk = lj - lk
     sep_jk = np.abs(djk) > CONFLUENCE_RTOL * _conf_scale(lj, lk)
     safe_jk = np.where(sep_jk, djk, 1.0)
-    main = (f1[:, :, None] - f1[:, None, :]) / safe_jk
+    out = (f1[:, :, None] - f1[:, None, :]) / safe_jk
 
     # confluent (j, k) pair: d/dmu g^[1](lam_i, mu) at mu = (lam_j+lam_k)/2
-    mu = 0.5 * (lam[:, None] + lam[None, :])  # (j, k)
-    g_mu = gen.g(mu)[None, :, :]
-    dg_mu = gen.dg(mu)[None, :, :]
-    dimu = li - mu[None, :, :]
-    sep_imu = np.abs(dimu) > CONFLUENCE_RTOL * _conf_scale(li, mu[None, :, :])
+    j, k = np.nonzero(~sep_jk)
+    li = lam[:, None]
+    mu = 0.5 * (lam[j] + lam[k])[None, :]
+    dimu = li - mu
+    sep_imu = np.abs(dimu) > CONFLUENCE_RTOL * _conf_scale(li, mu)
     safe_imu = np.where(sep_imu, dimu, 1.0)
-    h1_imu = (gen.g(lam)[:, None, None] - g_mu) / safe_imu
-    pairwise = (h1_imu - dg_mu) / safe_imu
-    triple = 0.5 * gen.d2g((li + lj + lk) / 3.0)
-
-    out = np.where(sep_jk, main, np.where(sep_imu, pairwise, triple))
-    assert out.shape == (n, n, n)
+    h1_imu = (gen.g(lam)[:, None] - gen.g(mu)) / safe_imu
+    pairwise = (h1_imu - gen.dg(mu)) / safe_imu
+    triple = 0.5 * gen.d2g((li + lam[j] + lam[k]) / 3.0)
+    out[:, j, k] = np.where(sep_imu, pairwise, triple)
     return out
 
 

@@ -20,6 +20,14 @@ which the map builds from its own structure (Kraus factors
 Ktil_t = O.T K_t, or the svec permutation of the partial transpose; see
 ``linmap``). Each V[c] is symmetric, so the sandwiches contract over
 the k(k+1)/2 upper-triangle entries of each batch, gathered once.
+
+Every evaluation reads its spectral decompositions from an ``EvalPoint``:
+an owned copy of X that decomposes X, and each map image, on first use.
+All terms of one evaluation share it, so X and each image are decomposed
+once, however many terms read them. With ``value_only`` an evaluation
+returns the value alone: no divided differences, gradient, inverse or
+adjoint. The value is one expression in both modes, so it is the same
+bits whether or not the derivatives are computed.
 """
 
 from __future__ import annotations
@@ -66,8 +74,9 @@ class TraceObjective:
     def input_order(self) -> int:
         return self.C.shape[0] if self.map is None else self.map.in_order
 
-    def evaluate(self, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
-        return phi_eval(self, x, want_hessian=want_hessian)
+    def evaluate(self, x: np.ndarray, want_hessian: bool = True, *,
+                 point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
+        return phi_eval(self, x, want_hessian=want_hessian, point=point, value_only=value_only)
 
 
 @dataclass
@@ -76,11 +85,39 @@ class DerivativeBundle:
 
     The Hessian is d x d on svec coordinates, d = n(n+1)/2:
     ``hessian @ svec(xi) == svec(D^2 f(X)[xi])`` for symmetric xi.
+    A value-only evaluation leaves the gradient None.
     """
 
     value: float
-    gradient: np.ndarray
+    gradient: np.ndarray | None
     hessian: np.ndarray | None = None
+
+
+class EvalPoint:
+    """One X and the spectral decompositions that F_beta's terms read there.
+
+    ``x`` is an owned, read-only copy of X. ``image(lmap, shift)`` returns
+    Y = L(X) + shift * I (Y = X for ``lmap=None``) and its decomposition,
+    computed on first use and kept per (map, shift), the map keyed by
+    identity. So terms that read the same image share one decomposition:
+    a trace objective on X and -ln det X, or a trace objective through the
+    constraint map and the barrier on that map.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.x = np.array(x, dtype=float)
+        self.x.flags.writeable = False
+        self._images = {}
+
+    def image(self, lmap=None, shift: float = 0.0) -> tuple[np.ndarray, SpectralDecomp]:
+        key = (lmap, shift)
+        hit = self._images.get(key)
+        if hit is None:
+            y = self.x if lmap is None else lmap.apply(self.x)
+            if shift:
+                y = y + shift * np.eye(y.shape[0])
+            hit = self._images[key] = (y, spectral_decompose(y))
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +185,12 @@ def phi_hessian_in_basis(u: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> 
     lay = svec_layout(n)
     rows, cols = lay.rows, lay.cols
     cg = ctil[:, None, :] * gamma  # (i, j, k): Ctil_ik Gamma_ijk
-    kmats = np.einsum("ai,ijk,ck->acj", u, cg, u, optimize=True)  # K_j[a, c]
+    # K_j[a, c] as kmats[a, c, j]: the contraction ai,ijk,ck -> acj as two
+    # GEMMs, over i and then over k, with the operand layouts of einsum's
+    # optimized path (and so its rounding), without its per-call path search
+    t = (cg.transpose(1, 2, 0).reshape(n * n, n) @ u.T).reshape(n, n, n)  # (j, k, a)
+    t = t.transpose(2, 0, 1).reshape(n * n, n) @ u.T  # (a j, c)
+    kmats = t.reshape(n, n, n).transpose(0, 2, 1)
     # f[p, c, j] = U_j1j K_j[i1, c] + U_i1j K_j[j1, c] for p = (i1, j1)
     f = u[cols][:, None, :] * kmats[rows]
     f += u[rows][:, None, :] * kmats[cols]
@@ -161,8 +203,9 @@ def phi_hessian_in_basis(u: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> 
     return out
 
 
-def _pd_decompose(x: np.ndarray, what: str) -> SpectralDecomp:
-    dec = spectral_decompose(x)
+def _pd_image(point: EvalPoint, lmap, what: str) -> SpectralDecomp:
+    """Decomposition of X (or of L(X)) at ``point``, which must be positive definite."""
+    dec = point.image(lmap)[1]
     if dec.lam[-1] <= 0.0:
         raise DomainViolation(
             f"{what} must be positive definite (min eigenvalue {dec.lam[-1]:.3e})"
@@ -174,33 +217,34 @@ def _pd_decompose(x: np.ndarray, what: str) -> SpectralDecomp:
 # trace objectives
 # ---------------------------------------------------------------------------
 
-def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
-    """Evaluate Tr(C g(.)) and its derivatives at X (optionally through a map)."""
-    x = np.asarray(x, dtype=float)
-    if obj.map is None:
-        y = x
-        what = "argument"
-    else:
-        y = obj.map.apply(x)
-        what = "map output"
-    dec = _pd_decompose(y, what)
+def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True, *,
+             point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
+    """Evaluate Tr(C g(.)) and its derivatives at X (optionally through a map).
+
+    As in every evaluation here, ``point``, when given, is the EvalPoint
+    of X, whose decompositions are read instead of computed; with
+    ``value_only`` the value alone is returned (gradient None), the same
+    bits as a full evaluation's.
+    """
+    point = EvalPoint(x) if point is None else point
+    dec = _pd_image(point, obj.map, "argument" if obj.map is None else "map output")
     u, lam = dec.U, dec.lam
     ctil = u.T @ obj.C @ u
     value = float(np.diag(ctil) @ obj.gen.g(lam))
+    if value_only:
+        return DerivativeBundle(value=value, gradient=None)
     f1 = divided_diff_1(obj.gen, lam)
     grad_y = symmetrize(u @ (ctil * f1) @ u.T)
+    gamma = second_divided_diff_tensor(obj.gen, lam, f1=f1) if want_hessian else None
 
+    hess = None
     if obj.map is None:
         grad = vec(grad_y)
-        hess = None
         if want_hessian:
-            gamma = second_divided_diff_tensor(obj.gen, lam)
             hess = symmetrize(phi_hessian_in_basis(u, ctil, gamma))
     else:
         grad = vec(obj.map.adjoint_apply(grad_y))
-        hess = None
         if want_hessian:
-            gamma = second_divided_diff_tensor(obj.gen, lam)
             v = congruence_batch(obj.map, u)
             hess = symmetrize(sandwich_core(v, triu_rows(v), ctil, gamma))
     return DerivativeBundle(value=value, gradient=grad, hessian=hess)
@@ -210,16 +254,20 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True) -> D
 # log-det barriers
 # ---------------------------------------------------------------------------
 
-def barrier_eval(x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
+def barrier_eval(x: np.ndarray, want_hessian: bool = True, *,
+                 point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
     """-ln det X with gradient vec(-X^-1) and Hessian X^-1 (x) X^-1.
 
     On svec coordinates p = (i, j), q = (k, l), with A = X^-1, the Hessian
     is (w_p w_q / 2)(A_ik A_jl + A_il A_jk), exactly symmetric.
     """
-    dec = _pd_decompose(np.asarray(x, dtype=float), "barrier argument")
+    point = EvalPoint(x) if point is None else point
+    dec = _pd_image(point, None, "barrier argument")
     u, lam = dec.U, dec.lam
-    xinv = symmetrize((u / lam) @ u.T)
     value = -float(np.sum(np.log(lam)))
+    if value_only:
+        return DerivativeBundle(value=value, gradient=None)
+    xinv = symmetrize((u / lam) @ u.T)
     hess = None
     if want_hessian:
         # a_r[:, q] = A[:, k], a_c[:, q] = A[:, l]; rows are gathered whole
@@ -236,13 +284,17 @@ def barrier_eval(x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
     return DerivativeBundle(value=value, gradient=vec(-xinv), hessian=hess)
 
 
-def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
+def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True, *,
+                     point: EvalPoint | None = None,
+                     value_only: bool = False) -> DerivativeBundle:
     """-ln det L(X): gradient -L.T(Y^-1), Hessian L.T P(Y^-1) L, Y = L(X)."""
-    y = lmap.apply(np.asarray(x, dtype=float))
-    dec = _pd_decompose(y, "mapped barrier argument")
+    point = EvalPoint(x) if point is None else point
+    dec = _pd_image(point, lmap, "mapped barrier argument")
     o, lam = dec.U, dec.lam
-    yinv = symmetrize((o / lam) @ o.T)
     value = -float(np.sum(np.log(lam)))
+    if value_only:
+        return DerivativeBundle(value=value, gradient=None)
+    yinv = symmetrize((o / lam) @ o.T)
     grad = vec(-lmap.adjoint_apply(yinv))
     hess = None
     if want_hessian:
@@ -262,25 +314,31 @@ class LogDetBarrier:
 
     map: object | None = None
 
-    def evaluate(self, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
+    def evaluate(self, x: np.ndarray, want_hessian: bool = True, *,
+                 point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
         if self.map is None:
-            return barrier_eval(x, want_hessian=want_hessian)
-        return map_barrier_eval(self.map, x, want_hessian=want_hessian)
+            return barrier_eval(x, want_hessian=want_hessian, point=point,
+                                value_only=value_only)
+        return map_barrier_eval(self.map, x, want_hessian=want_hessian, point=point,
+                                value_only=value_only)
 
 
-def evaluate_terms(terms, n_scaled: int, x: np.ndarray,
-                   want_hessian: bool = True) -> list[DerivativeBundle]:
+def evaluate_terms(terms, n_scaled: int, x: np.ndarray, want_hessian: bool = True, *,
+                   point: EvalPoint | None = None,
+                   value_only: bool = False) -> list[DerivativeBundle]:
     """Unscaled bundle of every term of F_beta at X, in term order.
 
     The first ``n_scaled`` terms are the objective's, the rest barriers;
-    each term has ``evaluate(x, want_hessian)``. A DomainViolation names
-    the term that raised it.
+    each term has ``evaluate(x, want_hessian, point=, value_only=)``. All
+    terms read one EvalPoint of X (``point``, or a new one). A
+    DomainViolation names the term that raised it.
     """
-    x = np.asarray(x, dtype=float)
+    point = EvalPoint(x) if point is None else point
     parts = []
     for i, term in enumerate(terms):
         try:
-            parts.append(term.evaluate(x, want_hessian=want_hessian))
+            parts.append(term.evaluate(point.x, want_hessian=want_hessian, point=point,
+                                       value_only=value_only))
         except DomainViolation as exc:
             what = f"objective term {i}" if i < n_scaled else f"barrier term {i - n_scaled}"
             raise DomainViolation(f"{what}: {exc}") from exc
@@ -294,24 +352,32 @@ def combine_terms(beta: float, parts, n_scaled: int,
     Each sum starts from the first part (times beta when it is scaled)
     and adds the others in place, in term order, so the same parts and
     beta always give bit-identical results, whether the parts were just
-    evaluated or kept from an earlier beta. The parts are not modified.
+    evaluated or kept from an earlier beta, and the value is the same
+    whether the parts are full or value-only. Value-only parts (gradient
+    None) give a value-only bundle. The parts are not modified.
     """
     if beta < 0.0:
         raise DomainViolation("beta must be nonnegative")
     head = parts[0]
-    if n_scaled:
-        value, grad = beta * head.value, beta * head.gradient
-        hess = beta * head.hessian if want_hessian else None
-    else:
-        value, grad = head.value, head.gradient.copy()
-        hess = head.hessian.copy() if want_hessian else None
+    value = beta * head.value if n_scaled else head.value
     for part in parts[1:n_scaled]:
         value += beta * part.value
+    for part in parts[max(n_scaled, 1):]:
+        value += part.value
+    if head.gradient is None:
+        return DerivativeBundle(value=value, gradient=None)
+
+    if n_scaled:
+        grad = beta * head.gradient
+        hess = beta * head.hessian if want_hessian else None
+    else:
+        grad = head.gradient.copy()
+        hess = head.hessian.copy() if want_hessian else None
+    for part in parts[1:n_scaled]:
         grad += beta * part.gradient
         if want_hessian:
             hess += beta * part.hessian
     for part in parts[max(n_scaled, 1):]:
-        value += part.value
         grad += part.gradient
         if want_hessian:
             hess += part.hessian

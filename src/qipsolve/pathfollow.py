@@ -39,7 +39,12 @@ per-term derivatives of the last Hessian evaluation are kept with their
 iterate, and since H_beta = beta H_f + H_B, a centering that starts
 where the previous one stopped recombines them at the new beta instead
 of evaluating anew. A solve thus makes one Hessian evaluation per Newton
-step plus one at the start.
+step plus one at the start. Each evaluation reads one evaluation point
+(``objectives.EvalPoint``) that decomposes X and each map image once,
+and the point of the last evaluation is kept: the line search's value at
+alpha = 0 reads the Hessian evaluation's decompositions, and the Hessian
+evaluation at an accepted trial reads the trial's. Line-search trials
+compute values only.
 
 Complexity caps from the underlying theory are evaluated alongside every
 run: per outer iteration at most 22/3 + 22 theta (5/2 kappa sqrt(r) +
@@ -67,7 +72,13 @@ from .errors import (
 )
 from .kkt import NewtonStep, newton_step_type1
 from .matfun import symmetrize, vec
-from .objectives import DerivativeBundle, LogDetBarrier, combine_terms, evaluate_terms
+from .objectives import (
+    DerivativeBundle,
+    EvalPoint,
+    LogDetBarrier,
+    combine_terms,
+    evaluate_terms,
+)
 from .probio import ProblemSpec, barrier_parameter, feasibility_violations
 from .qre import QreObjective
 
@@ -165,12 +176,20 @@ class FBetaEvaluator:
     sum in that order (``combine_terms``). The inequality slacks' logs
     are added to values only; their derivatives enter the Newton step.
 
-    The per-term bundles of the last Hessian evaluation are kept, keyed on
-    an owned copy of its X. Since H_beta = beta H_f + H_B,
+    Every evaluation reads one ``EvalPoint`` of its X, shared by all terms,
+    so X and each map image are decomposed once. The point of the last
+    evaluation is kept: the line search's value at alpha = 0 reads the
+    decompositions of the Hessian evaluation at the same X, and the Hessian
+    evaluation at an accepted trial reads those of the trial, which is the
+    same ``symmetrize(x + alpha p)`` array bit for bit. A value-only
+    evaluation computes the terms' values alone, with no gradient.
+
+    The per-term bundles of the last Hessian evaluation are kept too,
+    keyed on its point's owned copy of X. Since H_beta = beta H_f + H_B,
     ``hessian_bundle`` at the same X and another beta recombines them
     instead of evaluating anew: every centering starts where the previous
     one stopped, so its first Newton system needs no new derivatives.
-    Value-only evaluations neither use nor replace the kept bundles.
+    Value-only evaluations do not replace the kept bundles.
     """
 
     def __init__(self, problem: ProblemSpec, include_barrier: bool = True):
@@ -183,25 +202,35 @@ class FBetaEvaluator:
         # F_beta is self-concordant only when -ln det X is one of its terms
         self.self_concordant = any(isinstance(t, LogDetBarrier) and t.map is None
                                    for t in self.terms)
+        self._point = None
         self._kept_x = None
         self._kept_parts = None
 
     def objective(self, x) -> float:
         return self.problem.objective_value(x)
 
+    def _point_at(self, x) -> EvalPoint:
+        """The kept point when it is at X, else a new point at X, which is kept."""
+        if self._point is None or not np.array_equal(x, self._point.x):
+            self._point = EvalPoint(x)
+        return self._point
+
     def x_bundle(self, x, beta, want_hessian=True) -> DerivativeBundle:
         """Evaluate the X-block of F_beta at X (slack block excluded).
 
-        A Hessian evaluation replaces the kept per-term bundles; the old
-        ones are dropped first, so at most one set is alive.
+        Without ``want_hessian`` only the value is computed (gradient
+        None). A Hessian evaluation replaces the kept per-term bundles;
+        the old ones are dropped first, so at most one set is alive.
         """
-        if want_hessian:
-            self._kept_x = self._kept_parts = None
-        parts = evaluate_terms(self.terms, self.n_scaled, x, want_hessian)
-        if want_hessian:
-            self._kept_x = np.array(x, dtype=float)
-            self._kept_parts = parts
-        return combine_terms(beta, parts, self.n_scaled, want_hessian)
+        point = self._point_at(x)
+        if not want_hessian:
+            parts = evaluate_terms(self.terms, self.n_scaled, point.x, False,
+                                   point=point, value_only=True)
+            return combine_terms(beta, parts, self.n_scaled, want_hessian=False)
+        self._kept_x = self._kept_parts = None
+        parts = evaluate_terms(self.terms, self.n_scaled, point.x, point=point)
+        self._kept_x, self._kept_parts = point.x, parts
+        return combine_terms(beta, parts, self.n_scaled)
 
     def hessian_bundle(self, x, beta) -> DerivativeBundle:
         """X-block of F_beta with its Hessian; recombined when X is the kept iterate."""
@@ -389,10 +418,11 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
 
     The start (given or taken from the problem) must be strictly
     feasible; a damped-Newton phase at beta0 performs the initial
-    centering. Numerical failures re-raise with the phase and a report
-    attached; like an IterCap report, it is built at the iterate where
-    centering stopped, not at the last centered point, and counts the
-    steps of that centering. ``include_barrier=False`` drops -ln det X,
+    centering. Any QipError other than IterCap raised while centering
+    re-raises with the phase and a NumericalFailure report attached; like
+    an IterCap report, it is built at the iterate where centering
+    stopped, not at the last centered point, and counts the steps of
+    that centering. ``include_barrier=False`` drops -ln det X,
     a heuristic admitted only when every objective term is a relative
     entropy (qkd problems); otherwise it raises ValueError.
     """
@@ -437,7 +467,7 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
                 break
             i += 1
             beta = config.beta0 * (1.0 + config.theta) ** i
-    except (IterCap, SingularKKT, LineSearchFailure, DomainViolation) as exc:
+    except QipError as exc:  # raised by center, with the iterate it stopped at
         state = exc.state
         inner_counts.append(exc.steps)
         trace.extend(exc.records)

@@ -42,7 +42,7 @@ from .matfun import (
     symmetrize,
     vec,
 )
-from .objectives import TraceObjective
+from .objectives import EvalPoint, TraceObjective
 from .qre import QreObjective
 
 FEAS_MARGIN = 1e-8
@@ -68,7 +68,9 @@ class ProblemSpec:
 
     def objective_value(self, x: np.ndarray) -> float:
         """The reported objective f(X), including any constant offset."""
-        return sum(t.evaluate(x, want_hessian=False).value for t in self.terms) + self.offset
+        point = EvalPoint(x)
+        return sum(t.evaluate(point.x, want_hessian=False, point=point, value_only=True).value
+                   for t in self.terms) + self.offset
 
 
 def barrier_parameter(problem: ProblemSpec) -> float:

@@ -41,12 +41,12 @@ from .matfun import (
     divided_diff_1,
     inner,
     second_divided_diff_tensor,
-    spectral_decompose,
     symmetrize,
     vec,
 )
 from .objectives import (
     DerivativeBundle,
+    EvalPoint,
     congruence_batch,
     sandwich_core,
     sandwich_diag,
@@ -80,13 +80,13 @@ class QreObjective:
     def out_order(self) -> int:
         return self.l1.out_order
 
-    def evaluate(self, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
-        return qre_eval(self, x, want_hessian=want_hessian)
+    def evaluate(self, x: np.ndarray, want_hessian: bool = True, *,
+                 point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
+        return qre_eval(self, x, want_hessian=want_hessian, point=point, value_only=value_only)
 
 
-def _perturbed_decomp(lmap, x, eps, label):
-    y = lmap.apply(x) + eps * np.eye(lmap.out_order)
-    dec = spectral_decompose(y)
+def _perturbed_decomp(point, lmap, eps, label):
+    y, dec = point.image(lmap, eps)
     if dec.lam[-1] <= 0.0:
         raise DomainViolation(
             f"{label}(X) + eps*I is not positive definite "
@@ -95,10 +95,15 @@ def _perturbed_decomp(lmap, x, eps, label):
     return y, dec
 
 
-def qre_eval(obj: QreObjective, x: np.ndarray, want_hessian: bool = True) -> DerivativeBundle:
-    """Value, gradient and (optionally) Hessian of the relative entropy."""
-    bundle = _eval(obj, x, want_hessian)
-    if want_hessian:
+def qre_eval(obj: QreObjective, x: np.ndarray, want_hessian: bool = True, *,
+             point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
+    """Value, gradient and (optionally) Hessian of the relative entropy.
+
+    ``point`` and ``value_only`` act as in ``objectives.phi_eval``.
+    """
+    point = EvalPoint(x) if point is None else point
+    bundle = _eval(obj, point, want_hessian, value_only)
+    if bundle.hessian is not None:
         bundle.hessian = symmetrize(bundle.hessian)
     return bundle
 
@@ -108,26 +113,32 @@ def qre_hessian_asymmetry(obj: QreObjective, x: np.ndarray) -> float:
 
     A large value flags a sign or transpose mistake in the mixed block.
     """
-    h = _eval(obj, x, want_hessian=True).hessian
+    h = _eval(obj, EvalPoint(x), want_hessian=True).hessian
     # unit floor: identical maps cancel the Hessian to rounding noise
     norm = max(np.linalg.norm(h), 1.0)
     return float(np.linalg.norm(h - h.T) / norm)
 
 
-def _eval(obj, x, want_hessian):
-    """The bundle with the Hessian as assembled, before symmetrization."""
-    x = np.asarray(x, dtype=float)
-    if np.linalg.eigvalsh(symmetrize(x)).min() <= 0.0:
+def _eval(obj, point, want_hessian, value_only=False):
+    """The bundle with the Hessian as assembled, before symmetrization.
+
+    X's own decomposition serves as the domain check; with -ln det X among
+    F_beta's terms, the barrier reads the same one.
+    """
+    if point.image()[1].lam[-1] <= 0.0:
         raise DomainViolation("relative entropy needs a positive definite argument")
     eps = obj.eps_pert
-    y1, dec1 = _perturbed_decomp(obj.l1, x, eps, "L1")
-    _, dec2 = _perturbed_decomp(obj.l2, x, eps, "L2")
+    y1, dec1 = _perturbed_decomp(point, obj.l1, eps, "L1")
+    _, dec2 = _perturbed_decomp(point, obj.l2, eps, "L2")
     o1, lam1 = dec1.U, dec1.lam
     o2, lam2 = dec2.U, dec2.lam
 
-    ln_y1 = symmetrize((o1 * np.log(lam1)) @ o1.T)
     ln_y2 = symmetrize((o2 * np.log(lam2)) @ o2.T)
     value = float(lam1 @ np.log(lam1) - inner(y1, ln_y2))
+    if value_only:
+        return DerivativeBundle(value=value, gradient=None)
+
+    ln_y1 = symmetrize((o1 * np.log(lam1)) @ o1.T)
 
     k = obj.out_order
     grad_f1 = obj.l1.adjoint_apply(np.eye(k) + ln_y1)
@@ -148,7 +159,7 @@ def _eval(obj, x, want_hessian):
         s22 = triu_rows(v22)
         cross = sandwich_diag(s12, s22, phi2)
         hess -= cross + cross.T
-        gamma = -second_divided_diff_tensor(LOG, lam2)
+        gamma = -second_divided_diff_tensor(LOG, lam2, f1=phi2)
         hess += sandwich_core(v22, s22, ctil, gamma)
 
     return DerivativeBundle(value=value, gradient=gradient, hessian=hess)

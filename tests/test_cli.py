@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from qipsolve import pathfollow
+from qipsolve import objectives, pathfollow
 from qipsolve.cli import main
-from qipsolve.errors import LineSearchFailure
+from qipsolve.errors import DecompositionFailure, LineSearchFailure
 
 
 def run(capsys, *argv):
@@ -133,6 +133,29 @@ class TestSolve:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "beta", "delta", "alpha", "f", "feas_residual"]
         assert len(rows) == 1 + 2
+
+    def test_decomposition_failure_writes_report(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = objectives.spectral_decompose
+
+        def failing(y):
+            calls.append(None)
+            if len(calls) == 50:
+                raise DecompositionFailure("forced failure")
+            return real(y)
+
+        problem = tmp_path / "p.json"
+        run(capsys, "gen", "--kind", "type1", "--n", "4", "--seed", "3",
+            "--out", str(problem))
+        monkeypatch.setattr(objectives, "spectral_decompose", failing)
+        rep = tmp_path / "rep.json"
+        code, _, err = run(capsys, "solve", str(problem), "--out", str(rep))
+        assert code == 4
+        assert "forced failure" in err
+        doc = json.loads(rep.read_text())
+        assert doc["termination"] == "NumericalFailure"
+        assert doc["phase"].startswith("outer ")
+        assert doc["total_newton"] > 0
 
     def test_no_barrier_on_trace_objective_exits_2(self, capsys):
         code, out, err = run(capsys, "solve", "trace-inverse-n4", "--no-barrier")

@@ -7,6 +7,7 @@ from qipsolve.errors import DomainViolation, InvalidMatrix
 from qipsolve.matfun import (
     CONFLUENCE_RTOL,
     INVERSE,
+    LOG,
     NEG_LOG,
     NEG_SQRT,
     apply_matrix_function,
@@ -116,6 +117,27 @@ class TestDividedDiff2:
         with pytest.raises(DomainViolation):
             divided_diff_2(INVERSE, 1.0, 0.0, 2.0)
 
+    @pytest.mark.parametrize("lam", [
+        [3.0, 2.0, 2.0, 0.5, 0.5],  # exact repeats
+        [2.0 * (1 + 0.4 * CONFLUENCE_RTOL), 2.0, 1.0, 1.0 - 0.5 * CONFLUENCE_RTOL, 0.25],
+        [1.5, 1.5, 1.5, 0.7],  # triple coincidence
+        [1.5 * (1 + 0.3 * CONFLUENCE_RTOL), 1.5, 1.5 * (1 - 0.3 * CONFLUENCE_RTOL), 0.7],
+    ], ids=["repeats", "near-pairs", "triple", "near-triple"])
+    def test_tensor_matches_scalar_on_confluent_spectra(self, lam):
+        lam = np.array(lam)
+        n = lam.size
+        for gen in [*ALL_GENERATORS, LOG]:
+            f1 = divided_diff_1(gen, lam)
+            t = second_divided_diff_tensor(gen, lam, f1=f1)
+            assert np.array_equal(t, second_divided_diff_tensor(gen, lam)), gen.kind
+            assert np.array_equal(t, dense_second_divided_diff_tensor(gen, lam)), gen.kind
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        ref = divided_diff_2(gen, lam[i], lam[j], lam[k])
+                        assert t[i, j, k] == pytest.approx(ref, rel=1e-7, abs=1e-12), \
+                            (gen.kind, i, j, k)
+
     def test_tensor_matches_scalar(self, rng):
         lam = np.sort(rng.uniform(0.2, 4.0, size=5))[::-1]
         for gen in ALL_GENERATORS:
@@ -125,6 +147,22 @@ class TestDividedDiff2:
                     for k in range(5):
                         ref = divided_diff_2(gen, lam[i], lam[j], lam[k])
                         assert t[i, j, k] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def dense_second_divided_diff_tensor(gen, lam):
+    """Every branch of the tensor's recurrence on all n^3 entries, then selected."""
+    f1 = divided_diff_1(gen, lam)
+    li, lj, lk = lam[:, None, None], lam[None, :, None], lam[None, None, :]
+    djk = lj - lk
+    sep_jk = np.abs(djk) > CONFLUENCE_RTOL * matfun._conf_scale(lj, lk)
+    main = (f1[:, :, None] - f1[:, None, :]) / np.where(sep_jk, djk, 1.0)
+    mu = 0.5 * (lam[:, None] + lam[None, :])[None, :, :]
+    dimu = li - mu
+    sep_imu = np.abs(dimu) > CONFLUENCE_RTOL * matfun._conf_scale(li, mu)
+    safe_imu = np.where(sep_imu, dimu, 1.0)
+    pairwise = ((gen.g(lam)[:, None, None] - gen.g(mu)) / safe_imu - gen.dg(mu)) / safe_imu
+    triple = 0.5 * gen.d2g((li + lj + lk) / 3.0)
+    return np.where(sep_jk, main, np.where(sep_imu, pairwise, triple))
 
 
 class TestMatrixFunction:

@@ -2,17 +2,33 @@ import numpy as np
 import pytest
 
 from conftest import rand_spd, rand_sym, rel_err
+from qipsolve import objectives, probio
 from qipsolve.errors import DomainViolation, ValidationError
 from qipsolve.linmap import KrausMap, partial_transpose_map
-from qipsolve.matfun import INVERSE, NEG_LOG, NEG_SQRT, neg_power, symmetrize, vec
+from qipsolve.matfun import (
+    INVERSE,
+    NEG_LOG,
+    NEG_SQRT,
+    neg_power,
+    second_divided_diff_tensor,
+    spectral_decompose,
+    svec_layout,
+    symmetrize,
+    vec,
+)
 from qipsolve.objectives import (
+    EvalPoint,
+    LogDetBarrier,
     TraceObjective,
     barrier_eval,
     composite_eval,
     map_barrier_eval,
     phi_eval,
+    phi_hessian_in_basis,
 )
 from qipsolve.oracle import fd_gradient, fd_hessian_action, sym_isometry
+from qipsolve.pathfollow import FBetaEvaluator
+from qipsolve.qre import QreObjective
 
 ALL_GENERATORS = [INVERSE, NEG_LOG, NEG_SQRT, neg_power(0.37)]
 
@@ -222,3 +238,108 @@ class TestCompatibilityInequality:
                 d3 = fd_cubic_form(lambda y: phi_eval(obj, y).hessian, x, xi)
                 bound = 3.0 * d2phi * np.sqrt(d2b)
                 assert abs(d3) <= bound + 1e-4 * max(1.0, bound)
+
+
+def einsum_phi_hessian_in_basis(u, ctil, gamma):
+    """phi_hessian_in_basis with K_j from one optimized einsum, as a reference."""
+    n = u.shape[0]
+    lay = svec_layout(n)
+    cg = ctil[:, None, :] * gamma
+    kmats = np.einsum("ai,ijk,ck->acj", u, cg, u, optimize=True)
+    f = u[lay.cols][:, None, :] * kmats[lay.rows]
+    f += u[lay.rows][:, None, :] * kmats[lay.cols]
+    e = (f.reshape(-1, n) @ u.T).reshape(-1, n * n)
+    out = e.take(lay.lower, axis=1)
+    out += e.take(lay.upper, axis=1)
+    half = lay.weight / np.sqrt(2.0)
+    out *= np.outer(half, half)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 9, 16])
+def test_phi_hessian_in_basis_matches_einsum_bitwise(rng, n):
+    for gen in ALL_GENERATORS:
+        dec = spectral_decompose(rand_spd(rng, n))
+        ctil = dec.U.T @ rand_spd(rng, n, 0.1) @ dec.U
+        gamma = second_divided_diff_tensor(gen, dec.lam)
+        got = phi_hessian_in_basis(dec.U, ctil, gamma)
+        assert np.array_equal(got, einsum_phi_hessian_in_basis(dec.U, ctil, gamma)), gen.kind
+
+
+def count_decompositions(monkeypatch):
+    """Record the argument of every spectral decomposition an EvalPoint makes."""
+    seen = []
+    real = objectives.spectral_decompose
+
+    def counted(x):
+        seen.append(np.array(x))
+        return real(x)
+
+    monkeypatch.setattr(objectives, "spectral_decompose", counted)
+    return seen
+
+
+class TestEvalPoint:
+    # (problem, number of distinct images): X for type1; X and the
+    # partial transpose for type2; X and L(X) for fidelity-n4, whose
+    # objective reads L(X) through the constraint map itself
+    CASES = {
+        "type1": (lambda: probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=5), 1),
+        "type2": (lambda: probio.generate_random("type2", {"n": 4, "m": 1}, seed=5), 2),
+        "fidelity-n4": (lambda: probio.build_named("fidelity-n4"), 2),
+        "qkd": (lambda: probio.generate_random("qkd", {"n": 3, "m": 1}, seed=5), 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("want_hessian", [True, False])
+    def test_each_image_is_decomposed_once(self, case, want_hessian, rng, monkeypatch):
+        build, images = self.CASES[case]
+        problem = build()
+        if case == "fidelity-n4":
+            assert problem.terms[0].map is problem.constraint_map
+        x = probio.random_feasible_point(problem, rng)
+        seen = count_decompositions(monkeypatch)
+        FBetaEvaluator(problem).x_bundle(x, 2.0, want_hessian=want_hessian)
+        assert len(seen) == images
+        for i, a in enumerate(seen):
+            assert not any(np.array_equal(a, b) for b in seen[:i])
+
+    def test_point_owns_a_read_only_copy(self, rng):
+        x = rand_spd(rng, 3)
+        point = EvalPoint(x)
+        x[0, 0] += 1.0
+        assert point.x[0, 0] != x[0, 0]
+        with pytest.raises(ValueError):
+            point.x[0, 0] = 0.0
+
+
+def term_cases(rng):
+    """(label, term, X) for every term kind: trace on X or through a map,
+    both barriers and the relative entropy."""
+    pt = partial_transpose_map(2, 2)
+    x = separable_ppt_state(rng, 2, 2)
+    kraus = KrausMap([rng.standard_normal((6, 4)) * 0.4 for _ in range(2)])
+    qkd = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=5)
+    return [
+        *((f"trace-{gen.kind}", TraceObjective(rand_spd(rng, 4, 0.1), gen), x)
+          for gen in ALL_GENERATORS),
+        ("trace-kraus", TraceObjective(rand_spd(rng, 6, 0.1), NEG_SQRT, map=kraus), x),
+        ("trace-partial-transpose", TraceObjective(rand_spd(rng, 4, 0.1), NEG_LOG, map=pt), x),
+        ("barrier", LogDetBarrier(), x),
+        ("map-barrier", LogDetBarrier(pt), x),
+        ("qre", qkd.terms[0], probio.random_feasible_point(qkd, rng)),
+    ]
+
+
+def test_value_only_matches_the_full_evaluation_bitwise(rng):
+    kinds = set()
+    for label, term, x in term_cases(rng):
+        kinds.add(type(term))
+        full = term.evaluate(x, want_hessian=False)
+        assert full.gradient is not None, label
+        alone = term.evaluate(x, want_hessian=False, value_only=True)
+        assert alone.gradient is None and alone.hessian is None, label
+        assert alone.value == full.value, label
+        shared = term.evaluate(x, point=EvalPoint(x), value_only=True)
+        assert shared.value == full.value, label
+    assert kinds == {TraceObjective, LogDetBarrier, QreObjective}

@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from qipsolve import pathfollow, probio, qre
-from qipsolve.errors import InfeasibleStart, LineSearchFailure, SingularKKT
+from qipsolve import objectives, pathfollow, probio, qre
+from qipsolve.errors import (
+    DecompositionFailure,
+    InfeasibleStart,
+    LineSearchFailure,
+    SingularKKT,
+)
 from qipsolve.kkt import NewtonStep
 from qipsolve.matfun import symmetrize, vec
-from qipsolve.objectives import LogDetBarrier
+from qipsolve.objectives import LogDetBarrier, combine_terms, evaluate_terms
 from qipsolve.oracle import derivative_audit, reference_minimize
 from qipsolve.pathfollow import (
     FBetaEvaluator,
     SolverConfig,
+    _refresh_slacks,
     _State,
     center,
     iteration_bound,
@@ -288,15 +294,54 @@ class TestHessianCache:
         real = qre.qre_eval
         hessians = []
 
-        def counted(obj, x, want_hessian=True):
+        def counted(obj, x, want_hessian=True, **kwargs):
             hessians.append(want_hessian)
-            return real(obj, x, want_hessian=want_hessian)
+            return real(obj, x, want_hessian=want_hessian, **kwargs)
 
         monkeypatch.setattr(qre, "qre_eval", counted)
         report = solve(problem)
         assert report.termination == "Converged"
         assert report.outer_iters > 1
         assert sum(hessians) == report.total_newton + 1
+
+
+class TestSharedPoint:
+    @pytest.mark.parametrize("case", sorted(CACHE_CASES))
+    def test_value_is_the_combined_bundle_value(self, case, rng):
+        problem, include_barrier, x = cache_case(case, rng)
+        slacks = _refresh_slacks(problem, x)
+        ev = FBetaEvaluator(problem, include_barrier=include_barrier)
+        parts = evaluate_terms(ev.terms, ev.n_scaled, x)
+        expected = combine_terms(3.0, parts, ev.n_scaled).value
+        if slacks.size:
+            expected -= float(np.sum(np.log(slacks)))
+        assert ev.value(x, slacks, 3.0) == expected
+
+    @pytest.mark.parametrize("case", ["qkd", "type1", "type2"])
+    def test_accepted_trial_is_not_decomposed_again(self, case, rng, monkeypatch):
+        problem, include_barrier, x = cache_case(case, rng)
+        ev = FBetaEvaluator(problem, include_barrier=include_barrier)
+        state = _State(x, _refresh_slacks(problem, x))
+        beta = 2.0
+        step = ev.newton_step(ev.hessian_bundle(x, beta), state)
+        seen = []
+        real = objectives.spectral_decompose
+
+        def counted(y):
+            seen.append(np.array(y))
+            return real(y)
+
+        monkeypatch.setattr(objectives, "spectral_decompose", counted)
+        alpha = line_search(state, step, beta, ev)
+        # F at alpha = 0 reads the Hessian evaluation's decompositions
+        assert seen and not any(np.array_equal(y, x) for y in seen)
+        new_x = symmetrize(state.x + alpha * step.direction_X)
+        del seen[:]
+        bundle = ev.hessian_bundle(new_x, beta)
+        assert seen == []
+        monkeypatch.undo()
+        reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(new_x, beta)
+        assert_bitwise_equal(bundle, reference)
 
 
 class TestIterationBound:
@@ -467,6 +512,27 @@ class TestSolve:
         assert np.array_equal(report.X_star, records[-1]["x"])
         assert report.f_min == problem.objective_value(records[-1]["x"])
         assert report.total_newton == len(records)
+
+    def test_every_centering_failure_carries_a_report(self, monkeypatch):
+        # a failed decomposition mid-solve is a QipError like any other:
+        # it re-raises with the phase and a NumericalFailure report
+        problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=3)
+        calls = []
+        real = objectives.spectral_decompose
+
+        def failing(y):
+            calls.append(None)
+            if len(calls) == 50:
+                raise DecompositionFailure("forced failure")
+            return real(y)
+
+        monkeypatch.setattr(objectives, "spectral_decompose", failing)
+        with pytest.raises(DecompositionFailure, match="phase: outer") as caught:
+            solve(problem)
+        assert caught.value.phase.startswith("outer ")
+        report = caught.value.report
+        assert report.termination == "NumericalFailure"
+        assert report.total_newton > 0
 
     def test_iteration_cap_report_carries_the_failing_iterate(self):
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
