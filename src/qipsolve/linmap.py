@@ -68,9 +68,6 @@ class KrausMap:
         self.factors = mats
         self.out_order, self.in_order = shape
 
-    def __len__(self):
-        return len(self.factors)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.in_order, self.in_order):

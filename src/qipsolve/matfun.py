@@ -213,21 +213,17 @@ def divided_diff_2(gen: ScalarGenerator, li: float, lj: float, lk: float) -> flo
     return float((_dd1_scalar(gen, a, b) - _dd1_scalar(gen, b, c)) / (a - c))
 
 
-def second_divided_diff_tensor(gen: ScalarGenerator, lam, *,
-                               f1: np.ndarray | None = None) -> np.ndarray:
+def second_divided_diff_tensor(gen: ScalarGenerator, lam, *, f1: np.ndarray) -> np.ndarray:
     """Dense tensor G[i, j, k] = g^[2](lam_i, lam_j, lam_k), vectorized.
 
     Used by the Hessian assembly; exactly symmetric in the last two
     indices by construction. The recurrence differences the first
-    divided-difference matrix ``f1`` over the (j, k) pair; a caller that
-    already holds ``divided_diff_1(gen, lam)`` passes it, otherwise it is
-    computed here. The limit branches, for a confluent (j, k) pair or a
-    confluent triple, are evaluated on the confluent pairs only, entry
-    by entry as the dense formulas would.
+    divided-difference matrix ``f1 = divided_diff_1(gen, lam)``, which
+    every caller already holds, over the (j, k) pair. The limit branches,
+    for a confluent (j, k) pair or a confluent triple, are evaluated on
+    the confluent pairs only, entry by entry as the dense formulas would.
     """
     lam = _check_positive(lam)
-    if f1 is None:
-        f1 = divided_diff_1(gen, lam)
 
     lj = lam[:, None]
     lk = lam[None, :]

@@ -22,12 +22,13 @@ Ktil_t = O.T K_t, or the svec permutation of the partial transpose; see
 the k(k+1)/2 upper-triangle entries of each batch, gathered once.
 
 Every evaluation reads its spectral decompositions from an ``EvalPoint``:
-an owned copy of X that decomposes X, and each map image, on first use.
-All terms of one evaluation share it, so X and each image are decomposed
-once, however many terms read them. With ``value_only`` an evaluation
-returns the value alone: no divided differences, gradient, inverse or
-adjoint. The value is one expression in both modes, so it is the same
-bits whether or not the derivatives are computed.
+an owned copy of X that decomposes X, and each map image, on first use,
+and checks that the image is positive definite. All terms of one
+evaluation share it, so X and each image are decomposed once, however
+many terms read them. An evaluation has two modes: with ``want_hessian``
+it returns value, gradient and Hessian; without, the value alone (no
+divided differences, gradient, inverse or adjoint). The value is one
+expression in both modes, so it is the same bits either way.
 """
 
 from __future__ import annotations
@@ -75,17 +76,17 @@ class TraceObjective:
         return self.C.shape[0] if self.map is None else self.map.in_order
 
     def evaluate(self, x: np.ndarray, want_hessian: bool = True, *,
-                 point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
-        return phi_eval(self, x, want_hessian=want_hessian, point=point, value_only=value_only)
+                 point: EvalPoint | None = None) -> DerivativeBundle:
+        return phi_eval(self, x, want_hessian=want_hessian, point=point)
 
 
 @dataclass
 class DerivativeBundle:
-    """Scalar value, vec gradient and (optionally) a dense Hessian.
+    """Scalar value, vec gradient and dense Hessian, or the value alone.
 
     The Hessian is d x d on svec coordinates, d = n(n+1)/2:
     ``hessian @ svec(xi) == svec(D^2 f(X)[xi])`` for symmetric xi.
-    A value-only evaluation leaves the gradient None.
+    A value-only evaluation leaves gradient and Hessian None.
     """
 
     value: float
@@ -102,12 +103,16 @@ class EvalPoint:
     identity. So terms that read the same image share one decomposition:
     a trace objective on X and -ln det X, or a trace objective through the
     constraint map and the barrier on that map.
+
+    ``parts``, None until set, holds the per-term bundles of a Hessian
+    evaluation of F_beta at this point (``pathfollow.FBetaEvaluator``).
     """
 
     def __init__(self, x: np.ndarray):
         self.x = np.array(x, dtype=float)
         self.x.flags.writeable = False
         self._images = {}
+        self.parts = None
 
     def image(self, lmap=None, shift: float = 0.0) -> tuple[np.ndarray, SpectralDecomp]:
         key = (lmap, shift)
@@ -117,6 +122,16 @@ class EvalPoint:
             if shift:
                 y = y + shift * np.eye(y.shape[0])
             hit = self._images[key] = (y, spectral_decompose(y))
+        return hit
+
+    def pd_image(self, what: str, lmap=None,
+                 shift: float = 0.0) -> tuple[np.ndarray, SpectralDecomp]:
+        """``image(lmap, shift)``, which must be positive definite; ``what`` names it."""
+        hit = self.image(lmap, shift)
+        lam_min = hit[1].lam[-1]
+        if lam_min <= 0.0:
+            raise DomainViolation(
+                f"{what} must be positive definite (min eigenvalue {lam_min:.3e})")
         return hit
 
 
@@ -203,50 +218,36 @@ def phi_hessian_in_basis(u: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> 
     return out
 
 
-def _pd_image(point: EvalPoint, lmap, what: str) -> SpectralDecomp:
-    """Decomposition of X (or of L(X)) at ``point``, which must be positive definite."""
-    dec = point.image(lmap)[1]
-    if dec.lam[-1] <= 0.0:
-        raise DomainViolation(
-            f"{what} must be positive definite (min eigenvalue {dec.lam[-1]:.3e})"
-        )
-    return dec
-
-
 # ---------------------------------------------------------------------------
 # trace objectives
 # ---------------------------------------------------------------------------
 
 def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True, *,
-             point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
+             point: EvalPoint | None = None) -> DerivativeBundle:
     """Evaluate Tr(C g(.)) and its derivatives at X (optionally through a map).
 
     As in every evaluation here, ``point``, when given, is the EvalPoint
-    of X, whose decompositions are read instead of computed; with
-    ``value_only`` the value alone is returned (gradient None), the same
-    bits as a full evaluation's.
+    of X, whose decompositions are read instead of computed; without
+    ``want_hessian`` the value alone is returned (gradient None), the
+    same bits as a full evaluation's.
     """
     point = EvalPoint(x) if point is None else point
-    dec = _pd_image(point, obj.map, "argument" if obj.map is None else "map output")
+    _, dec = point.pd_image("argument" if obj.map is None else "map output", obj.map)
     u, lam = dec.U, dec.lam
     ctil = u.T @ obj.C @ u
     value = float(np.diag(ctil) @ obj.gen.g(lam))
-    if value_only:
+    if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     f1 = divided_diff_1(obj.gen, lam)
     grad_y = symmetrize(u @ (ctil * f1) @ u.T)
-    gamma = second_divided_diff_tensor(obj.gen, lam, f1=f1) if want_hessian else None
-
-    hess = None
+    gamma = second_divided_diff_tensor(obj.gen, lam, f1=f1)
     if obj.map is None:
         grad = vec(grad_y)
-        if want_hessian:
-            hess = symmetrize(phi_hessian_in_basis(u, ctil, gamma))
+        hess = symmetrize(phi_hessian_in_basis(u, ctil, gamma))
     else:
         grad = vec(obj.map.adjoint_apply(grad_y))
-        if want_hessian:
-            v = congruence_batch(obj.map, u)
-            hess = symmetrize(sandwich_core(v, triu_rows(v), ctil, gamma))
+        v = congruence_batch(obj.map, u)
+        hess = symmetrize(sandwich_core(v, triu_rows(v), ctil, gamma))
     return DerivativeBundle(value=value, gradient=grad, hessian=hess)
 
 
@@ -255,52 +256,47 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True, *,
 # ---------------------------------------------------------------------------
 
 def barrier_eval(x: np.ndarray, want_hessian: bool = True, *,
-                 point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
+                 point: EvalPoint | None = None) -> DerivativeBundle:
     """-ln det X with gradient vec(-X^-1) and Hessian X^-1 (x) X^-1.
 
     On svec coordinates p = (i, j), q = (k, l), with A = X^-1, the Hessian
     is (w_p w_q / 2)(A_ik A_jl + A_il A_jk), exactly symmetric.
     """
     point = EvalPoint(x) if point is None else point
-    dec = _pd_image(point, None, "barrier argument")
+    _, dec = point.pd_image("barrier argument")
     u, lam = dec.U, dec.lam
     value = -float(np.sum(np.log(lam)))
-    if value_only:
+    if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     xinv = symmetrize((u / lam) @ u.T)
-    hess = None
-    if want_hessian:
-        # a_r[:, q] = A[:, k], a_c[:, q] = A[:, l]; rows are gathered whole
-        lay = svec_layout(xinv.shape[0])
-        a_r = xinv[:, lay.rows]
-        a_c = xinv[:, lay.cols]
-        hess = a_r.take(lay.rows, axis=0)
-        hess *= a_c.take(lay.cols, axis=0)
-        cross = a_c.take(lay.rows, axis=0)
-        cross *= a_r.take(lay.cols, axis=0)
-        hess += cross
-        half = lay.weight / math.sqrt(2.0)
-        hess *= np.outer(half, half)
+    # a_r[:, q] = A[:, k], a_c[:, q] = A[:, l]; rows are gathered whole
+    lay = svec_layout(xinv.shape[0])
+    a_r = xinv[:, lay.rows]
+    a_c = xinv[:, lay.cols]
+    hess = a_r.take(lay.rows, axis=0)
+    hess *= a_c.take(lay.cols, axis=0)
+    cross = a_c.take(lay.rows, axis=0)
+    cross *= a_r.take(lay.cols, axis=0)
+    hess += cross
+    half = lay.weight / math.sqrt(2.0)
+    hess *= np.outer(half, half)
     return DerivativeBundle(value=value, gradient=vec(-xinv), hessian=hess)
 
 
 def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True, *,
-                     point: EvalPoint | None = None,
-                     value_only: bool = False) -> DerivativeBundle:
+                     point: EvalPoint | None = None) -> DerivativeBundle:
     """-ln det L(X): gradient -L.T(Y^-1), Hessian L.T P(Y^-1) L, Y = L(X)."""
     point = EvalPoint(x) if point is None else point
-    dec = _pd_image(point, lmap, "mapped barrier argument")
+    _, dec = point.pd_image("mapped barrier argument", lmap)
     o, lam = dec.U, dec.lam
     value = -float(np.sum(np.log(lam)))
-    if value_only:
+    if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     yinv = symmetrize((o / lam) @ o.T)
     grad = vec(-lmap.adjoint_apply(yinv))
-    hess = None
-    if want_hessian:
-        d = 1.0 / lam
-        s = triu_rows(congruence_batch(lmap, o))
-        hess = symmetrize(sandwich_diag(s, s, np.outer(d, d)))
+    d = 1.0 / lam
+    s = triu_rows(congruence_batch(lmap, o))
+    hess = symmetrize(sandwich_diag(s, s, np.outer(d, d)))
     return DerivativeBundle(value=value, gradient=grad, hessian=hess)
 
 
@@ -315,38 +311,33 @@ class LogDetBarrier:
     map: object | None = None
 
     def evaluate(self, x: np.ndarray, want_hessian: bool = True, *,
-                 point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
+                 point: EvalPoint | None = None) -> DerivativeBundle:
         if self.map is None:
-            return barrier_eval(x, want_hessian=want_hessian, point=point,
-                                value_only=value_only)
-        return map_barrier_eval(self.map, x, want_hessian=want_hessian, point=point,
-                                value_only=value_only)
+            return barrier_eval(x, want_hessian=want_hessian, point=point)
+        return map_barrier_eval(self.map, x, want_hessian=want_hessian, point=point)
 
 
 def evaluate_terms(terms, n_scaled: int, x: np.ndarray, want_hessian: bool = True, *,
-                   point: EvalPoint | None = None,
-                   value_only: bool = False) -> list[DerivativeBundle]:
+                   point: EvalPoint | None = None) -> list[DerivativeBundle]:
     """Unscaled bundle of every term of F_beta at X, in term order.
 
     The first ``n_scaled`` terms are the objective's, the rest barriers;
-    each term has ``evaluate(x, want_hessian, point=, value_only=)``. All
-    terms read one EvalPoint of X (``point``, or a new one). A
-    DomainViolation names the term that raised it.
+    each term has ``evaluate(x, want_hessian, point=)``. All terms read
+    one EvalPoint of X (``point``, or a new one). A DomainViolation names
+    the term that raised it.
     """
     point = EvalPoint(x) if point is None else point
     parts = []
     for i, term in enumerate(terms):
         try:
-            parts.append(term.evaluate(point.x, want_hessian=want_hessian, point=point,
-                                       value_only=value_only))
+            parts.append(term.evaluate(point.x, want_hessian=want_hessian, point=point))
         except DomainViolation as exc:
             what = f"objective term {i}" if i < n_scaled else f"barrier term {i - n_scaled}"
             raise DomainViolation(f"{what}: {exc}") from exc
     return parts
 
 
-def combine_terms(beta: float, parts, n_scaled: int,
-                  want_hessian: bool = True) -> DerivativeBundle:
+def combine_terms(beta: float, parts, n_scaled: int) -> DerivativeBundle:
     """beta * (the first ``n_scaled`` parts) + the remaining parts.
 
     Each sum starts from the first part (times beta when it is scaled)
@@ -369,18 +360,16 @@ def combine_terms(beta: float, parts, n_scaled: int,
 
     if n_scaled:
         grad = beta * head.gradient
-        hess = beta * head.hessian if want_hessian else None
+        hess = beta * head.hessian
     else:
         grad = head.gradient.copy()
-        hess = head.hessian.copy() if want_hessian else None
+        hess = head.hessian.copy()
     for part in parts[1:n_scaled]:
         grad += beta * part.gradient
-        if want_hessian:
-            hess += beta * part.hessian
+        hess += beta * part.hessian
     for part in parts[max(n_scaled, 1):]:
         grad += part.gradient
-        if want_hessian:
-            hess += part.hessian
+        hess += part.hessian
     return DerivativeBundle(value=value, gradient=grad, hessian=hess)
 
 
@@ -398,4 +387,4 @@ def composite_eval(
     """
     all_terms = [*terms, *(LogDetBarrier(lmap) for lmap in barrier_maps)]
     parts = evaluate_terms(all_terms, len(terms), x, want_hessian)
-    return combine_terms(beta, parts, len(terms), want_hessian)
+    return combine_terms(beta, parts, len(terms))

@@ -185,18 +185,22 @@ def problem_bundle(problem: ProblemSpec, x: np.ndarray,
                    want_hessian: bool = True) -> DerivativeBundle:
     """Objective-only bundle (no barriers) for an instance, offset included.
 
-    The Hessian is the terms' svec Hessians summed, d x d.
+    The Hessian is the terms' svec Hessians summed, d x d. Without
+    ``want_hessian`` the bundle holds the value alone, as a term's does.
     """
     value = problem.offset
+    if not want_hessian:
+        for t in problem.terms:
+            value += t.evaluate(x, want_hessian=False).value
+        return DerivativeBundle(value, None)
     grad = np.zeros(problem.n * problem.n)
     d = problem.n * (problem.n + 1) // 2
-    hess = np.zeros((d, d)) if want_hessian else None
+    hess = np.zeros((d, d))
     for t in problem.terms:
-        b = t.evaluate(x, want_hessian=want_hessian)
+        b = t.evaluate(x)
         value += b.value
         grad += b.gradient
-        if want_hessian:
-            hess += b.hessian
+        hess += b.hessian
     return DerivativeBundle(value, grad, hess)
 
 
@@ -222,7 +226,7 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
         # probe well inside the cone: central differences degrade as
         # 1/lambda_min powers near the boundary
         x = random_feasible_point(problem, rng, scale=0.2, margin=0.1 / problem.n)
-        b = problem_bundle(problem, x, want_hessian=True)
+        b = problem_bundle(problem, x)
         hess = b.hessian if corrupt_hessian is None else corrupt_hessian(b.hessian)
 
         g_fd = fd_gradient(lambda y: problem_bundle(problem, y, False).value, x)
@@ -234,7 +238,7 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
         xi = symmetrize(rng.standard_normal(x.shape))
         act = hess @ (p.T @ vec(xi))
         act_fd = p.T @ fd_hessian_action(
-            lambda y: problem_bundle(problem, y, False).gradient, x, xi)
+            lambda y: problem_bundle(problem, y).gradient, x, xi)
         worst["hessian-action-vs-fd"] = max(
             worst["hessian-action-vs-fd"],
             float(np.linalg.norm(act - act_fd) / (1 + np.linalg.norm(act_fd))),
@@ -307,7 +311,7 @@ def reference_minimize(problem: ProblemSpec, x0: np.ndarray | None = None,
     x = symmetrize(x)
 
     def fn(x):
-        b = problem_bundle(problem, x, False)
+        b = problem_bundle(problem, x)
         return b.value, b.gradient
 
     veq = problem.constraints.vec_stack

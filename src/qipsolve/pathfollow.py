@@ -2,7 +2,8 @@
 
 Outer iterations grow beta geometrically, beta_i = (1+theta)^i * beta0;
 each outer iteration re-centers F_beta = beta f + B by damped Newton
-steps until the Newton decrement passes the gate delta <= 1/(3 kappa),
+steps until the Newton decrement passes the gate delta <= 1/(3 kappa)
+(kappa = M/2 = 2, below),
 and the run stops once beta >= 4 r / epsilon. An initial damped-Newton
 phase at beta0 supplies the centered starting point the outer loop
 presumes.
@@ -17,7 +18,8 @@ inequality slack, is a self-concordant barrier, and its extra terms only
 enlarge D^2 B, so the bound holds against the whole of B. Both sides scale
 alike with beta, so by Nesterov and Nemirovski's compatibility proposition
 (1994, with compatibility constant 1) F_beta is self-concordant with
-M = 2 (1 + 1) = 4 for every beta > 0; M/2 is the default kappa = 2. For
+M = 2 (1 + 1) = 4 for every beta > 0, and kappa = M/2 = 2 is the one
+constant of the gate, the caps and the certificates. For
 such an F and lambda = (M/2) delta < 1, the full Newton step x + p stays
 in the domain and
     F(x + p) - F(x) <= -(4/M^2) (lambda^2 + lambda + ln(1 - lambda)),
@@ -34,17 +36,18 @@ gone, since the steps that needed it lie inside the band.
 F_beta is evaluated from one ordered term list: the problem's objective
 terms (trace objectives, or the relative entropy), each scaled by beta,
 then the log-det barriers on X and, when the problem has a constraint
-map, on L(X); inequality rows add one log per slack. The unscaled
-per-term derivatives of the last Hessian evaluation are kept with their
-iterate, and since H_beta = beta H_f + H_B, a centering that starts
-where the previous one stopped recombines them at the new beta instead
-of evaluating anew. A solve thus makes one Hessian evaluation per Newton
-step plus one at the start. Each evaluation reads one evaluation point
-(``objectives.EvalPoint``) that decomposes X and each map image once,
-and the point of the last evaluation is kept: the line search's value at
-alpha = 0 reads the Hessian evaluation's decompositions, and the Hessian
-evaluation at an accepted trial reads the trial's. Line-search trials
-compute values only.
+map, on L(X); inequality rows add one log per slack. F_beta is
+evaluated in two modes: the value alone at a line-search trial, and
+value, gradient and Hessian at a Newton iterate. Each evaluation reads
+one evaluation point (``objectives.EvalPoint``) that decomposes X and
+each map image once, and the point of the last evaluation is kept: the
+line search's value at alpha = 0 reads the Hessian evaluation's
+decompositions, and the Hessian evaluation at an accepted trial reads
+the trial's. A Hessian evaluation keeps its unscaled per-term
+derivatives on its point, and since H_beta = beta H_f + H_B, a
+centering that starts where the previous one stopped recombines them at
+the new beta instead of evaluating anew. A solve thus makes one Hessian
+evaluation per Newton step plus one at the start.
 
 Complexity caps from the underlying theory are evaluated alongside every
 run: per outer iteration at most 22/3 + 22 theta (5/2 kappa sqrt(r) +
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -96,24 +99,23 @@ LS_MAX_BACKTRACKS = 60
 SELF_CONCORDANCE_M = 4.0
 FULL_STEP_RADIUS = 0.68
 
+# kappa = M/2 of the decrement gate delta <= 1/(3 kappa), the complexity
+# caps and the proximity certificates (module docstring)
+KAPPA = SELF_CONCORDANCE_M / 2.0
+DELTA_STAR = 1.0 / (3.0 * KAPPA)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     beta0: float = 1.0
     theta: float = 1.0
     epsilon: float = 1e-8
-    kappa: float = 2.0
     max_outer: int = 200
     max_inner: int = 500
 
     def __post_init__(self):
         if self.beta0 <= 0 or self.theta <= 0 or self.epsilon <= 0:
             raise ValueError("beta0, theta and epsilon must be positive")
-
-    @property
-    def delta_star(self) -> float:
-        # Recomputed from kappa on every access; never stored.
-        return 1.0 / (3.0 * self.kappa)
 
 
 @dataclass
@@ -138,26 +140,8 @@ class SolveReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "f_min": self.f_min,
-            "X_star": self.X_star.tolist(),
-            "outer_iters": self.outer_iters,
-            "inner_iters_per_outer": self.inner_iters_per_outer,
-            "total_newton": self.total_newton,
-            "decrement_trace": [[b, d] for b, d in self.decrement_trace],
-            "wall_time": self.wall_time,
-            "termination": self.termination,
-            "bound_check": self.bound_check,
-            "beta_final": self.beta_final,
-            "barrier_param_r": self.barrier_param_r,
-            "gap_certificates": self.gap_certificates,
-            "f_start": self.f_start,
-            "feas_residual": self.feas_residual,
-            "schur_condition_max": self.schur_condition_max,
-            "heuristic_no_barrier": self.heuristic_no_barrier,
-            "config": self.config,
-        }
+        """Every field, JSON-ready: X_star as nested lists."""
+        return {**asdict(self), "X_star": self.X_star.tolist()}
 
 
 @dataclass
@@ -177,19 +161,19 @@ class FBetaEvaluator:
     are added to values only; their derivatives enter the Newton step.
 
     Every evaluation reads one ``EvalPoint`` of its X, shared by all terms,
-    so X and each map image are decomposed once. The point of the last
-    evaluation is kept: the line search's value at alpha = 0 reads the
-    decompositions of the Hessian evaluation at the same X, and the Hessian
-    evaluation at an accepted trial reads those of the trial, which is the
-    same ``symmetrize(x + alpha p)`` array bit for bit. A value-only
-    evaluation computes the terms' values alone, with no gradient.
+    so X and each map image are decomposed once, and the point of the last
+    evaluation is the one thing kept: the line search's value at alpha = 0
+    reads the decompositions of the Hessian evaluation at the same X, and
+    the Hessian evaluation at an accepted trial reads those of the trial,
+    which is the same ``symmetrize(x + alpha p)`` array bit for bit. A
+    value-only evaluation computes the terms' values alone, with no gradient.
 
-    The per-term bundles of the last Hessian evaluation are kept too,
-    keyed on its point's owned copy of X. Since H_beta = beta H_f + H_B,
-    ``hessian_bundle`` at the same X and another beta recombines them
-    instead of evaluating anew: every centering starts where the previous
-    one stopped, so its first Newton system needs no new derivatives.
-    Value-only evaluations do not replace the kept bundles.
+    A Hessian evaluation leaves its per-term bundles on its point
+    (``EvalPoint.parts``). Since H_beta = beta H_f + H_B, ``hessian_bundle``
+    at the kept point's X and another beta recombines them instead of
+    evaluating anew: every centering starts where the previous one
+    stopped, so its first Newton system needs no new derivatives. An
+    evaluation at another X replaces the point, and its bundles with it.
     """
 
     def __init__(self, problem: ProblemSpec, include_barrier: bool = True):
@@ -203,8 +187,6 @@ class FBetaEvaluator:
         self.self_concordant = any(isinstance(t, LogDetBarrier) and t.map is None
                                    for t in self.terms)
         self._point = None
-        self._kept_x = None
-        self._kept_parts = None
 
     def objective(self, x) -> float:
         return self.problem.objective_value(x)
@@ -219,23 +201,19 @@ class FBetaEvaluator:
         """Evaluate the X-block of F_beta at X (slack block excluded).
 
         Without ``want_hessian`` only the value is computed (gradient
-        None). A Hessian evaluation replaces the kept per-term bundles;
-        the old ones are dropped first, so at most one set is alive.
+        None). A Hessian evaluation keeps its per-term bundles on the point.
         """
         point = self._point_at(x)
-        if not want_hessian:
-            parts = evaluate_terms(self.terms, self.n_scaled, point.x, False,
-                                   point=point, value_only=True)
-            return combine_terms(beta, parts, self.n_scaled, want_hessian=False)
-        self._kept_x = self._kept_parts = None
-        parts = evaluate_terms(self.terms, self.n_scaled, point.x, point=point)
-        self._kept_x, self._kept_parts = point.x, parts
+        parts = evaluate_terms(self.terms, self.n_scaled, point.x, want_hessian, point=point)
+        if want_hessian:
+            point.parts = parts
         return combine_terms(beta, parts, self.n_scaled)
 
     def hessian_bundle(self, x, beta) -> DerivativeBundle:
         """X-block of F_beta with its Hessian; recombined when X is the kept iterate."""
-        if self._kept_x is not None and np.array_equal(x, self._kept_x):
-            return combine_terms(beta, self._kept_parts, self.n_scaled)
+        point = self._point
+        if point is not None and point.parts is not None and np.array_equal(x, point.x):
+            return combine_terms(beta, point.parts, self.n_scaled)
         return self.x_bundle(x, beta, want_hessian=True)
 
     def value(self, x, slacks, beta) -> float:
@@ -348,11 +326,12 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
     descent direction raises SingularKKT before the line search. A step
     inside the self-concordance band (``certified_full_step``) is taken
     whole, with no line search; every other one is line-searched. Any
-    QipError raised here carries the iterate it was raised at as
-    ``state``, the steps taken and records made so far as ``steps`` and
-    ``records``, and the largest Schur condition so far as ``max_cond``.
+    QipError raised here carries the last iterate reached as ``state``,
+    the steps taken (with a callback, exactly those it was given) and the
+    records made so far as ``steps`` and ``records``, and the largest
+    Schur condition so far as ``max_cond``.
     """
-    target = config.delta_star if target is None else target
+    target = DELTA_STAR if target is None else target
     records = []
     steps = 0
     max_cond = 1.0
@@ -371,17 +350,20 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
             alpha = (1.0 if certified_full_step(evaluator, step.decrement)
                      else line_search(state, step, beta, evaluator))
             new_x = symmetrize(state.x + alpha * step.direction_X)
-            state = _State(x=new_x, slacks=_refresh_slacks(evaluator.problem, new_x))
-            steps += 1
+            new_state = _State(x=new_x, slacks=_refresh_slacks(evaluator.problem, new_x))
             if callback is not None:
+                # before the step is committed: an error raised while the
+                # record is built leaves uncounted a step no callback saw
                 callback({
                     "beta": beta,
                     "delta": step.decrement,
                     "alpha": alpha,
-                    "f": evaluator.objective(state.x),
-                    "feas_residual": _feas_residual(evaluator.problem, state),
-                    "x": state.x,
+                    "f": evaluator.objective(new_x),
+                    "feas_residual": _feas_residual(evaluator.problem, new_state),
+                    "x": new_x,
                 })
+            state = new_state
+            steps += 1
         raise IterCap(f"centering at beta={beta:.3e} exceeded {config.max_inner} inner steps")
     except QipError as exc:
         exc.state, exc.steps, exc.records, exc.max_cond = state, steps, records, max_cond
@@ -404,7 +386,7 @@ def proximity_gap_bound(delta: float, beta: float, r: float, kappa: float) -> fl
 
 def iteration_bound(config: SolverConfig, r: float):
     """(per-outer cap, total cap) on Newton steps for barrier parameter r."""
-    th, kp = config.theta, config.kappa
+    th, kp = config.theta, KAPPA
     per_outer = 22.0 / 3.0 + 22.0 * th * (2.5 * kp * math.sqrt(r) + th * kp**2 * r / (th + 1.0))
     n_outer = math.log(4.0 * r / (config.epsilon * config.beta0)) / math.log1p(th)
     total = max(n_outer, 0.0) * per_outer
@@ -459,7 +441,7 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
             inner_counts.append(k)
             trace.extend(rec)
             max_cond = max(max_cond, cond)
-            gap_bounds.append(proximity_gap_bound(rec[-1][1], beta, r, config.kappa))
+            gap_bounds.append(proximity_gap_bound(rec[-1][1], beta, r, KAPPA))
             if beta >= beta_stop:
                 break
             if i >= config.max_outer:
@@ -504,7 +486,7 @@ def _build_report(problem, evaluator, state, config, inner_counts, trace, gap_bo
         "beta0": config.beta0,
         "theta": config.theta,
         "epsilon": config.epsilon,
-        "kappa": config.kappa,
+        "kappa": KAPPA,
         "barrier_param_r": r,
         "include_barrier": include_barrier,
     }

@@ -69,7 +69,7 @@ class ProblemSpec:
     def objective_value(self, x: np.ndarray) -> float:
         """The reported objective f(X), including any constant offset."""
         point = EvalPoint(x)
-        return sum(t.evaluate(point.x, want_hessian=False, point=point, value_only=True).value
+        return sum(t.evaluate(point.x, want_hessian=False, point=point).value
                    for t in self.terms) + self.offset
 
 

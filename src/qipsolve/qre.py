@@ -26,6 +26,11 @@ gathered once per batch. The cross block is assembled symmetrically
 (the two mixed terms are transposes of each other), and the total is
 symmetrized; ``qre_hessian_asymmetry`` measures the asymmetry before
 that.
+
+Like every term (``objectives``), ``qre_eval`` reads X, Y1 and Y2 and
+their decompositions from one ``EvalPoint``, which checks each of the
+three for positive definiteness and names the one that fails. Without
+``want_hessian`` it returns the value alone, with no gradient.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .linmap import KrausMap
 from .matfun import (
     LOG,
@@ -81,28 +86,18 @@ class QreObjective:
         return self.l1.out_order
 
     def evaluate(self, x: np.ndarray, want_hessian: bool = True, *,
-                 point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
-        return qre_eval(self, x, want_hessian=want_hessian, point=point, value_only=value_only)
-
-
-def _perturbed_decomp(point, lmap, eps, label):
-    y, dec = point.image(lmap, eps)
-    if dec.lam[-1] <= 0.0:
-        raise DomainViolation(
-            f"{label}(X) + eps*I is not positive definite "
-            f"(min eigenvalue {dec.lam[-1]:.3e})"
-        )
-    return y, dec
+                 point: EvalPoint | None = None) -> DerivativeBundle:
+        return qre_eval(self, x, want_hessian=want_hessian, point=point)
 
 
 def qre_eval(obj: QreObjective, x: np.ndarray, want_hessian: bool = True, *,
-             point: EvalPoint | None = None, value_only: bool = False) -> DerivativeBundle:
-    """Value, gradient and (optionally) Hessian of the relative entropy.
+             point: EvalPoint | None = None) -> DerivativeBundle:
+    """Value, gradient and Hessian of the relative entropy, or its value alone.
 
-    ``point`` and ``value_only`` act as in ``objectives.phi_eval``.
+    ``point`` and ``want_hessian`` act as in ``objectives.phi_eval``.
     """
     point = EvalPoint(x) if point is None else point
-    bundle = _eval(obj, point, want_hessian, value_only)
+    bundle = _eval(obj, point, want_hessian)
     if bundle.hessian is not None:
         bundle.hessian = symmetrize(bundle.hessian)
     return bundle
@@ -119,23 +114,22 @@ def qre_hessian_asymmetry(obj: QreObjective, x: np.ndarray) -> float:
     return float(np.linalg.norm(h - h.T) / norm)
 
 
-def _eval(obj, point, want_hessian, value_only=False):
+def _eval(obj, point, want_hessian):
     """The bundle with the Hessian as assembled, before symmetrization.
 
     X's own decomposition serves as the domain check; with -ln det X among
     F_beta's terms, the barrier reads the same one.
     """
-    if point.image()[1].lam[-1] <= 0.0:
-        raise DomainViolation("relative entropy needs a positive definite argument")
+    point.pd_image("relative entropy argument X")
     eps = obj.eps_pert
-    y1, dec1 = _perturbed_decomp(point, obj.l1, eps, "L1")
-    _, dec2 = _perturbed_decomp(point, obj.l2, eps, "L2")
+    y1, dec1 = point.pd_image("L1(X) + eps*I", obj.l1, eps)
+    _, dec2 = point.pd_image("L2(X) + eps*I", obj.l2, eps)
     o1, lam1 = dec1.U, dec1.lam
     o2, lam2 = dec2.U, dec2.lam
 
     ln_y2 = symmetrize((o2 * np.log(lam2)) @ o2.T)
     value = float(lam1 @ np.log(lam1) - inner(y1, ln_y2))
-    if value_only:
+    if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
 
     ln_y1 = symmetrize((o1 * np.log(lam1)) @ o1.T)
@@ -149,18 +143,15 @@ def _eval(obj, point, want_hessian, value_only=False):
     )
     gradient = vec(grad_f1 + grad_f2)
 
-    hess = None
-    if want_hessian:
-        phi1 = divided_diff_1(LOG, lam1)
-        s11 = triu_rows(congruence_batch(obj.l1, o1))
-        hess = sandwich_diag(s11, s11, phi1)
-        s12 = triu_rows(congruence_batch(obj.l1, o2))
-        v22 = congruence_batch(obj.l2, o2)
-        s22 = triu_rows(v22)
-        cross = sandwich_diag(s12, s22, phi2)
-        hess -= cross + cross.T
-        gamma = -second_divided_diff_tensor(LOG, lam2, f1=phi2)
-        hess += sandwich_core(v22, s22, ctil, gamma)
-
+    phi1 = divided_diff_1(LOG, lam1)
+    s11 = triu_rows(congruence_batch(obj.l1, o1))
+    hess = sandwich_diag(s11, s11, phi1)
+    s12 = triu_rows(congruence_batch(obj.l1, o2))
+    v22 = congruence_batch(obj.l2, o2)
+    s22 = triu_rows(v22)
+    cross = sandwich_diag(s12, s22, phi2)
+    hess -= cross + cross.T
+    gamma = -second_divided_diff_tensor(LOG, lam2, f1=phi2)
+    hess += sandwich_core(v22, s22, ctil, gamma)
     return DerivativeBundle(value=value, gradient=gradient, hessian=hess)
 

@@ -103,7 +103,7 @@ class TestKrausMap:
         comp = compose(outer, inner)
         x = rand_sym(rng, 3)
         assert np.allclose(comp.apply(x), outer.apply(inner.apply(x)), atol=1e-12)
-        assert len(comp) == 4
+        assert len(comp.factors) == 4
 
 
 class TestPinchingValidation:

@@ -127,9 +127,7 @@ class TestDividedDiff2:
         lam = np.array(lam)
         n = lam.size
         for gen in [*ALL_GENERATORS, LOG]:
-            f1 = divided_diff_1(gen, lam)
-            t = second_divided_diff_tensor(gen, lam, f1=f1)
-            assert np.array_equal(t, second_divided_diff_tensor(gen, lam)), gen.kind
+            t = second_divided_diff_tensor(gen, lam, f1=divided_diff_1(gen, lam))
             assert np.array_equal(t, dense_second_divided_diff_tensor(gen, lam)), gen.kind
             for i in range(n):
                 for j in range(n):
@@ -141,7 +139,7 @@ class TestDividedDiff2:
     def test_tensor_matches_scalar(self, rng):
         lam = np.sort(rng.uniform(0.2, 4.0, size=5))[::-1]
         for gen in ALL_GENERATORS:
-            t = second_divided_diff_tensor(gen, lam)
+            t = second_divided_diff_tensor(gen, lam, f1=divided_diff_1(gen, lam))
             for i in range(5):
                 for j in range(5):
                     for k in range(5):

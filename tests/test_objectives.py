@@ -9,6 +9,7 @@ from qipsolve.matfun import (
     INVERSE,
     NEG_LOG,
     NEG_SQRT,
+    divided_diff_1,
     neg_power,
     second_divided_diff_tensor,
     spectral_decompose,
@@ -78,7 +79,7 @@ class TestPhiEval:
     def test_neglog_weight_equal_to_point(self, rng):
         x = rand_spd(rng, 4)
         obj = TraceObjective(x, NEG_LOG)
-        b = phi_eval(obj, x, want_hessian=False)
+        b = phi_eval(obj, x)
         # <grad, I> = -Tr(C X^{-1}) = -n when C = X
         assert np.trace(b.gradient.reshape(4, 4, order="F")) == pytest.approx(-4.0, rel=1e-10)
         g_fd = fd_gradient(lambda y: phi_eval(obj, y, False).value, x)
@@ -95,7 +96,7 @@ class TestPhiEval:
             assert rel_err(b.gradient, g_fd) <= 1e-6, gen.kind
             xi = rand_sym(rng, n)
             act_fd = fd_hessian_action(
-                lambda y: phi_eval(obj, y, False).gradient, x, xi)
+                lambda y: phi_eval(obj, y).gradient, x, xi)
             p = sym_isometry(n)
             assert rel_err(b.hessian @ (p.T @ vec(xi)), p.T @ act_fd) <= 1e-5, gen.kind
 
@@ -134,7 +135,7 @@ class TestPhiEval:
         g_fd = fd_gradient(lambda y: phi_eval(obj, y, False).value, x)
         assert rel_err(b.gradient, g_fd) <= 1e-6
         xi = rand_sym(rng, 4)
-        act_fd = fd_hessian_action(lambda y: phi_eval(obj, y, False).gradient, x, xi)
+        act_fd = fd_hessian_action(lambda y: phi_eval(obj, y).gradient, x, xi)
         p = sym_isometry(4)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), p.T @ act_fd) <= 1e-5
 
@@ -147,7 +148,7 @@ class TestBarrier:
         assert np.allclose(b.hessian, np.eye(6), atol=1e-13)
 
     def test_diag_case(self):
-        b = barrier_eval(np.diag([2.0, 1.0]), want_hessian=False)
+        b = barrier_eval(np.diag([2.0, 1.0]))
         assert b.value == pytest.approx(-np.log(2.0))
         assert np.allclose(b.gradient, vec(np.diag([-0.5, -1.0])))
 
@@ -155,7 +156,7 @@ class TestBarrier:
         x = rand_spd(rng, 4)
         b = barrier_eval(x)
         xi = rand_sym(rng, 4)
-        act_fd = fd_hessian_action(lambda y: barrier_eval(y, False).gradient, x, xi)
+        act_fd = fd_hessian_action(lambda y: barrier_eval(y).gradient, x, xi)
         p = sym_isometry(4)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), p.T @ act_fd) <= 1e-6
 
@@ -170,7 +171,7 @@ class TestBarrier:
         g_fd = fd_gradient(lambda y: map_barrier_eval(pt, y, False).value, x)
         assert rel_err(b.gradient, g_fd) <= 1e-6
         xi = rand_sym(rng, 4) * 0.01
-        act_fd = fd_hessian_action(lambda y: map_barrier_eval(pt, y, False).gradient, x, xi)
+        act_fd = fd_hessian_action(lambda y: map_barrier_eval(pt, y).gradient, x, xi)
         p = sym_isometry(4)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), p.T @ act_fd) <= 1e-5
 
@@ -207,7 +208,7 @@ class TestComposite:
         assert rel_err(b.gradient, g_fd) <= 1e-6
         xi = rand_sym(rng, 4) * 0.01
         act_fd = fd_hessian_action(
-            lambda y: composite_eval(beta, terms, [None, pt], y, False).gradient, x, xi)
+            lambda y: composite_eval(beta, terms, [None, pt], y).gradient, x, xi)
         p = sym_isometry(4)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), p.T @ act_fd) <= 1e-5
 
@@ -261,7 +262,7 @@ def test_phi_hessian_in_basis_matches_einsum_bitwise(rng, n):
     for gen in ALL_GENERATORS:
         dec = spectral_decompose(rand_spd(rng, n))
         ctil = dec.U.T @ rand_spd(rng, n, 0.1) @ dec.U
-        gamma = second_divided_diff_tensor(gen, dec.lam)
+        gamma = second_divided_diff_tensor(gen, dec.lam, f1=divided_diff_1(gen, dec.lam))
         got = phi_hessian_in_basis(dec.U, ctil, gamma)
         assert np.array_equal(got, einsum_phi_hessian_in_basis(dec.U, ctil, gamma)), gen.kind
 
@@ -335,11 +336,11 @@ def test_value_only_matches_the_full_evaluation_bitwise(rng):
     kinds = set()
     for label, term, x in term_cases(rng):
         kinds.add(type(term))
-        full = term.evaluate(x, want_hessian=False)
-        assert full.gradient is not None, label
-        alone = term.evaluate(x, want_hessian=False, value_only=True)
+        full = term.evaluate(x)
+        assert full.gradient is not None and full.hessian is not None, label
+        alone = term.evaluate(x, want_hessian=False)
         assert alone.gradient is None and alone.hessian is None, label
         assert alone.value == full.value, label
-        shared = term.evaluate(x, point=EvalPoint(x), value_only=True)
-        assert shared.value == full.value, label
+        shared = term.evaluate(x, False, point=EvalPoint(x))
+        assert shared.gradient is None and shared.value == full.value, label
     assert kinds == {TraceObjective, LogDetBarrier, QreObjective}

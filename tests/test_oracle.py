@@ -37,7 +37,7 @@ class TestFiniteDifferences:
     def test_qre_gradient_is_validated(self, rng):
         problem = probio.generate_random("qkd", {"n": 4, "m": 1}, seed=3)
         x = rand_density(rng, 4)
-        b = qre_eval(problem.terms[0], x, want_hessian=False)
+        b = qre_eval(problem.terms[0], x)
         g_fd = fd_gradient(lambda y: qre_eval(problem.terms[0], y, False).value, x)
         assert rel_err(b.gradient, g_fd) <= 1e-5
 
@@ -166,4 +166,6 @@ class TestDerivativeAudit:
         problem = probio.build_named("ree-2x2")
         x = probio.random_feasible_point(problem, rng, scale=0.05)
         b = problem_bundle(problem, x, want_hessian=False)
+        assert b.gradient is None and b.hessian is None
+        assert b.value == problem_bundle(problem, x).value
         assert b.value == pytest.approx(problem.objective_value(x))

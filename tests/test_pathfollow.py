@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qipsolve import objectives, pathfollow, probio, qre
+from qipsolve import objectives, pathfollow, probio
 from qipsolve.errors import (
     DecompositionFailure,
     InfeasibleStart,
@@ -258,19 +258,27 @@ class TestHessianCache:
         assert_bitwise_equal(recombined, reference)
 
     @pytest.mark.parametrize("case", ["qkd", "type2"])
-    def test_value_only_evaluation_keeps_the_cache(self, case, rng, monkeypatch):
+    def test_kept_bundles_belong_to_the_kept_point(self, case, rng, monkeypatch):
         problem, include_barrier, x = cache_case(case, rng)
         other = probio.random_feasible_point(problem, rng)
         assert not np.array_equal(other, x)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
         fresh = count_fresh_hessians(monkeypatch, ev)
         ev.hessian_bundle(x, 3.0)
-        ev.value(other, np.zeros(0), 5.0)
-        ev.x_bundle(other, 5.0, want_hessian=False)
-        recombined = ev.hessian_bundle(x, 7.5)
-        assert len(fresh) == 1
+        point = ev._point
+        parts = point.parts
+        assert np.array_equal(point.x, x) and len(parts) == len(ev.terms)
+        # a value-only evaluation at the same X keeps the point and its bundles
+        ev.value(x.copy(), np.zeros(0), 5.0)
+        assert ev._point is point and point.parts is parts
         reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(x, 7.5)
-        assert_bitwise_equal(recombined, reference)
+        assert_bitwise_equal(ev.hessian_bundle(x, 7.5), reference)
+        assert len(fresh) == 1
+        # one at another X replaces the point, and the bundles go with it
+        ev.value(other, np.zeros(0), 5.0)
+        assert np.array_equal(ev._point.x, other) and ev._point.parts is None
+        assert_bitwise_equal(ev.hessian_bundle(x, 7.5), reference)
+        assert len(fresh) == 2
 
     def test_new_iterate_is_evaluated_afresh(self, rng, monkeypatch):
         # the cache holds its own copy of X: changing the caller's array in
@@ -286,23 +294,39 @@ class TestHessianCache:
         reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(x, 3.0)
         assert_bitwise_equal(bundle, reference)
 
-    def test_one_fresh_hessian_per_newton_step_plus_one(self, monkeypatch):
+    # the relative entropy; type1 with inequality rows (slacks, and steps
+    # outside the certified band, so line-searched); type2 (map barrier)
+    @pytest.mark.parametrize("kind, dims", [
+        ("qkd", {"n": 3, "m": 1}),
+        ("type1", {"n": 4, "m": 2, "N": 4}),
+        ("type2", {"n": 4, "m": 1}),
+    ], ids=["qkd", "type1", "type2"])
+    def test_one_fresh_hessian_per_newton_step_plus_one(self, kind, dims, monkeypatch):
         # each centering starts at the iterate where the previous one
         # evaluated its gate, so only the start and each step cost a
-        # relative-entropy Hessian
-        problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
-        real = qre.qre_eval
-        hessians = []
+        # Hessian of -ln det X, a term of every case
+        problem = probio.generate_random(kind, dims, seed=0)
+        real = objectives.barrier_eval
+        real_search = pathfollow.line_search
+        hessians, searches = [], []
 
-        def counted(obj, x, want_hessian=True, **kwargs):
+        def counted(x, want_hessian=True, **kwargs):
             hessians.append(want_hessian)
-            return real(obj, x, want_hessian=want_hessian, **kwargs)
+            return real(x, want_hessian=want_hessian, **kwargs)
 
-        monkeypatch.setattr(qre, "qre_eval", counted)
+        def counted_search(*args):
+            searches.append(None)
+            return real_search(*args)
+
+        monkeypatch.setattr(objectives, "barrier_eval", counted)
+        monkeypatch.setattr(pathfollow, "line_search", counted_search)
         report = solve(problem)
         assert report.termination == "Converged"
         assert report.outer_iters > 1
         assert sum(hessians) == report.total_newton + 1
+        assert len(hessians) > sum(hessians)  # value-only evaluations ran too
+        if kind == "type1":
+            assert searches
 
 
 class TestSharedPoint:
@@ -351,7 +375,7 @@ class TestIterationBound:
         assert per_outer == pytest.approx(22.0 / 3.0, abs=1e-6)
 
     def test_arithmetic_cross_check(self):
-        config = SolverConfig(beta0=1.0, theta=1.0, epsilon=1e-6, kappa=2.0)
+        config = SolverConfig(beta0=1.0, theta=1.0, epsilon=1e-6)
         per_outer, total = iteration_bound(config, r=4.0)
         # independent evaluation of the same closed forms
         kp, th, r = 2.0, 1.0, 4.0
@@ -403,7 +427,7 @@ class TestSolve:
         problem = probio.generate_random("type2", {"n": 4, "m": 1}, seed=4)
         config = SolverConfig()
         report = solve(problem, config=config)
-        gate = config.delta_star + 1e-10
+        gate = pathfollow.DELTA_STAR + 1e-10
         # last decrement recorded for each beta value is the handoff
         last = {}
         for b, d in report.decrement_trace:
@@ -533,6 +557,28 @@ class TestSolve:
         report = caught.value.report
         assert report.termination == "NumericalFailure"
         assert report.total_newton > 0
+
+    def test_failed_callback_record_leaves_the_step_uncounted(self, monkeypatch):
+        # the callback record evaluates f at the new iterate; a failure
+        # there must not count a step that the callback never received
+        problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=3)
+        real = objectives.spectral_decompose
+        for fail_at in range(40, 60):
+            calls, records = [], []
+
+            def failing(y):
+                calls.append(None)
+                if len(calls) == fail_at:
+                    raise DecompositionFailure("forced failure")
+                return real(y)
+
+            monkeypatch.setattr(objectives, "spectral_decompose", failing)
+            with pytest.raises(DecompositionFailure) as caught:
+                solve(problem, callback=records.append)
+            report = caught.value.report
+            assert report.total_newton == len(records), fail_at
+            if records:
+                assert np.array_equal(report.X_star, records[-1]["x"]), fail_at
 
     def test_iteration_cap_report_carries_the_failing_iterate(self):
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)

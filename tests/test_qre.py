@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import rand_density, rand_spd, rand_sym, rel_err
+from qipsolve import objectives
 from qipsolve.errors import DomainViolation, ShapeError, ValidationError
 from qipsolve.linmap import KrausMap, compose, identity_map, pinching_map
-from qipsolve.matfun import vec
+from qipsolve.matfun import SpectralDecomp, vec
 from qipsolve.oracle import fd_gradient, fd_hessian_action, sym_isometry
 from qipsolve.qre import QreObjective, qre_eval, qre_hessian_asymmetry
 
@@ -56,7 +59,7 @@ class TestQreEval:
         g_fd = fd_gradient(lambda y: qre_eval(obj, y, False).value, x)
         assert rel_err(b.gradient, g_fd) <= 1e-5
         xi = rand_sym(rng, 4) * 0.1
-        act_fd = fd_hessian_action(lambda y: qre_eval(obj, y, False).gradient, x, xi)
+        act_fd = fd_hessian_action(lambda y: qre_eval(obj, y).gradient, x, xi)
         p = sym_isometry(4)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), p.T @ act_fd) <= 1e-5
 
@@ -64,6 +67,27 @@ class TestQreEval:
         obj = random_instance(rng)
         with pytest.raises(DomainViolation):
             qre_eval(obj, -np.eye(4))
+
+    @pytest.mark.parametrize("want_hessian", [True, False])
+    def test_domain_violation_names_the_image(self, want_hessian, rng, monkeypatch):
+        # the maps keep PSD inputs PSD, so each image is made indefinite by
+        # negating the spectrum of its decomposition: X, Y1, Y2 in that order
+        obj = random_instance(rng)
+        x = rand_density(rng, 4)
+        real = objectives.spectral_decompose
+        for image, name in enumerate(["relative entropy argument X",
+                                      "L1(X) + eps*I", "L2(X) + eps*I"]):
+            calls = []
+
+            def negated(y):
+                dec = real(y)
+                calls.append(None)
+                return SpectralDecomp(dec.U, -dec.lam) if len(calls) == image + 1 else dec
+
+            monkeypatch.setattr(objectives, "spectral_decompose", negated)
+            with pytest.raises(DomainViolation,
+                               match=re.escape(name) + " must be positive definite"):
+                qre_eval(obj, x, want_hessian)
 
 
 class TestHessianStructure:

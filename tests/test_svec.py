@@ -153,7 +153,7 @@ def test_term_hessian_against_the_oracles(kind, rng):
     assert np.array_equal(h, h.T)
 
     def grad(y):
-        return evaluate(y, False).gradient
+        return evaluate(y, True).gradient
 
     # the whole matrix against central differences along every svec direction
     assert rel_err(h, fd_svec_hessian(grad, x)) <= 1e-5
