@@ -8,16 +8,25 @@ factors its equality rows once, on the first step: svec(A_eq)^T = Q R,
 and the trailing columns N of Q span the tangent space
 {svec(P) : <A_i, P> = 0 on equality rows}.
 
-The bundle's Hessian is already on svec coordinates. A step applies Q
-on both sides in the compact WY form of its Householder reflectors,
-Q = I - V T V^T, by rank-N_eq products (no dense basis is formed), and
-adds the slack block: the inequality slack direction is
-q = -A_ineq p, which contributes (A_ineq N)^T diag(1/s^2) (A_ineq N).
-The reduced system is solved by Cholesky and mapped back, p = N y, so
-the direction is tangent by construction. Only the Hessian restricted to
-the tangent space must be positive definite, so the relative-entropy
-Hessian, which annihilates svec(X), is fine wherever X is not tangent
-(Tr X = 1). Structure II is structure I without inequality rows.
+The bundle's Hessian is already on svec coordinates. A step copies it
+once into Fortran order and applies Q on both sides there, in the
+compact WY form of its Householder reflectors, Q = I - V T V^T: two
+rank-N_eq GEMMs accumulate into the copy (no dense basis is formed).
+The slack block, which the inequality slack direction q = -A_ineq p
+contributes as (A_ineq N)^T diag(1/s^2) (A_ineq N), is accumulated by
+one more GEMM onto a Fortran copy of the tangent block, which LAPACK's
+Cholesky (dpotrf) then factors in place; dpotrs solves the reduced
+system and dtrtrs the triangular system of the equality multipliers.
+Each GEMM takes the operands of the plain expressions H - Z V^T - V Z^T
+and M_tt + (B^T D) B and adds its product into the target, so the
+results are those of the expressions (the tests compare them bit for
+bit) without their d x d temporaries.
+The reduced solution is mapped back, p = N y, so the direction is
+tangent by construction. Only the Hessian restricted to the tangent
+space must be positive definite, so the relative-entropy Hessian, which
+annihilates svec(X), is fine wherever X is not tangent (Tr X = 1).
+Structure II is structure I without inequality rows. A non-finite
+Hessian or gradient raises SingularKKT before any factorization.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import blas, lapack
 
 from .errors import ConstraintError, DomainViolation, SingularKKT
 from .matfun import svec, svec_layout, symmetrize, unsvec, unvec, vec
@@ -110,7 +119,7 @@ class TangentBasis:
         self.v = self.y = np.zeros((self.dim, 0))
         self.r = np.zeros((0, 0))
         if k:
-            qr, tau, _, info = scipy.linalg.lapack.dgeqrf(rows[m:].T)
+            qr, tau, _, info = lapack.dgeqrf(rows[m:].T)
             if info != 0:
                 raise ConstraintError("QR of the equality rows failed")
             self.r = np.triu(qr[:k])
@@ -123,15 +132,19 @@ class TangentBasis:
             self.v, self.y = v, v @ t
 
     def rotate(self, h: np.ndarray) -> np.ndarray:
-        """Q^T H Q of a symmetric H, as H - Z V^T - V Z^T.
+        """Q^T H Q of a symmetric H, as H - Z V^T - V Z^T, in Fortran order.
 
         Expanding (I - V Y^T) H (I - Y V^T) with W = H Y and S = Y^T W
         gives H - W V^T - V W^T + V S V^T; Z = W - V S / 2 folds the
-        last term into the two rank-k products.
+        last term into the two rank-k products. They are accumulated
+        into one Fortran copy of H (H^T, a plain copy of a C-ordered H),
+        first -Z V^T and then -V Z^T, as in the expression.
         """
         w = h @ self.y
         z = w - 0.5 * self.v @ (self.y.T @ w)
-        return h - z @ self.v.T - self.v @ z.T
+        out = np.array(h.T, order="F")
+        out = blas.dgemm(-1.0, z.T, self.v.T, beta=1.0, c=out, trans_a=1, overwrite_c=1)
+        return blas.dgemm(-1.0, self.v.T, z.T, beta=1.0, c=out, trans_a=1, overwrite_c=1)
 
     def q_t(self, c: np.ndarray) -> np.ndarray:
         """Q^T c."""
@@ -195,21 +208,23 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     d = basis.dim
     grad = bundle.gradient
     inv_s = 1.0 / slacks
+    # LAPACK does not check its input for NaN or inf
+    if not (np.isfinite(grad).all() and np.isfinite(bundle.hessian).all()):
+        raise SingularKKT("Newton system has a non-finite Hessian or gradient entry")
 
     h_q = basis.rotate(bundle.hessian)
     g_q = basis.q_t(svec(unvec(grad, cons.order)))
     a_q = basis.q_t(a_in.T).T
 
     b = a_q[:, k:]
-    red = h_q[k:, k:] + (b.T * inv_s**2) @ b
+    red = np.array(h_q[k:, k:], order="F")
+    bd = b.T * inv_s**2
+    red = blas.dgemm(1.0, bd.T, b, beta=1.0, c=red, trans_a=1, overwrite_c=1)
     r = g_q[k:] + b.T @ inv_s
     if d > k:
-        try:
-            chol = scipy.linalg.cholesky(red, lower=True, overwrite_a=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularKKT(
-                "reduced Hessian is not positive definite on the tangent space"
-            ) from exc
+        chol, info = lapack.dpotrf(red, lower=1, clean=1, overwrite_a=1)
+        if info > 0:
+            raise SingularKKT("reduced Hessian is not positive definite on the tangent space")
         diag = np.abs(np.diag(chol))
         cond = float((diag.max() / diag.min()) ** 2)
         if cond * (d - k) * np.finfo(float).eps >= 1.0:
@@ -217,7 +232,8 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
             # the level of a matrix that is singular on the tangent space
             raise SingularKKT("reduced Hessian is numerically singular on the tangent space",
                               condition=cond)
-        y = -scipy.linalg.cho_solve((chol, True), r)
+        y, _ = lapack.dpotrs(chol, r, lower=1)
+        y = -y
         quad = float(np.sum((chol.T @ y) ** 2))
     else:
         y, cond, quad = np.zeros(0), 1.0, 0.0
@@ -233,8 +249,10 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     lam_in = p2 * inv_s**2 - inv_s
     lam = lam_in
     if k:
-        normal = h_q[:k, k:] @ y + g_q[:k] - a_q[:, :k].T @ lam_in
-        lam_eq = scipy.linalg.solve_triangular(basis.r, normal, lower=False)
+        # a C-ordered copy of the block: the row-wise products of a C-ordered H_q
+        normal = np.ascontiguousarray(h_q[:k, k:]) @ y + g_q[:k] - a_q[:, :k].T @ lam_in
+        # R is C-ordered, so LAPACK sees R^T and solves (R^T)^T lambda = normal
+        lam_eq, _ = lapack.dtrtrs(basis.r.T, normal, lower=1, trans=1)
         lam = np.concatenate([lam_in, lam_eq])
 
     grad_slack = -inv_s

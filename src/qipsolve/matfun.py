@@ -282,8 +282,9 @@ class SvecLayout:
 
     svec coordinate a is entry (rows[a], cols[a]) with rows <= cols, in
     row-major upper-triangle order; ``upper``/``lower`` are the vec
-    (column-major) indices of that entry and of its mirror, and
-    ``weight`` is 1 on the diagonal and sqrt(2) off it. Column a of the
+    (column-major) indices of that entry and of its mirror,
+    ``weight`` is 1 on the diagonal and sqrt(2) off it, and ``diag``
+    holds the n coordinates of the diagonal entries. Column a of the
     isometry P : svec -> vec is (e_upper + e_lower) * weight / 2.
     """
 
@@ -292,6 +293,7 @@ class SvecLayout:
     upper: np.ndarray
     lower: np.ndarray
     weight: np.ndarray
+    diag: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,7 +301,7 @@ def svec_layout(n: int) -> SvecLayout:
     """The svec index tables of order n, built once per order."""
     rows, cols = np.triu_indices(n)
     tables = (rows, cols, rows + cols * n, cols + rows * n,
-              np.where(rows == cols, 1.0, math.sqrt(2.0)))
+              np.where(rows == cols, 1.0, math.sqrt(2.0)), np.flatnonzero(rows == cols))
     for t in tables:
         t.flags.writeable = False
     return SvecLayout(*tables)

@@ -183,6 +183,23 @@ def sandwich_core(v: np.ndarray, s: np.ndarray, ctil: np.ndarray,
     return (s * (0.5 * lay.weight**2)) @ sym.T
 
 
+def scale_by_weight_pairs(h: np.ndarray, lay) -> np.ndarray:
+    """h[p, q] *= w_p w_q / 2 in place, for svec weights w of layout ``lay``.
+
+    This is h *= outer(half, half) with half = w / sqrt(2), which is
+    exactly 1 off the diagonal, so only the n diagonal rows and columns
+    change, each entry by the outer product's own factor half_p half_q,
+    and no d x d temporary is made.
+    """
+    half = lay.weight / math.sqrt(2.0)
+    dg = lay.diag
+    rows = h[dg]
+    rows *= np.outer(half[dg], half)
+    h[:, dg] *= half[dg]
+    h[dg] = rows
+    return h
+
+
 def phi_hessian_in_basis(u: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """P.T (U (x) U) S (U (x) U).T P, the svec Hessian, as a d x d matrix.
 
@@ -205,17 +222,18 @@ def phi_hessian_in_basis(u: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> 
     # optimized path (and so its rounding), without its per-call path search
     t = (cg.transpose(1, 2, 0).reshape(n * n, n) @ u.T).reshape(n, n, n)  # (j, k, a)
     t = t.transpose(2, 0, 1).reshape(n * n, n) @ u.T  # (a j, c)
-    kmats = t.reshape(n, n, n).transpose(0, 2, 1)
+    kmats = np.ascontiguousarray(t.reshape(n, n, n).transpose(0, 2, 1))
     # f[p, c, j] = U_j1j K_j[i1, c] + U_i1j K_j[j1, c] for p = (i1, j1)
-    f = u[cols][:, None, :] * kmats[rows]
-    f += u[rows][:, None, :] * kmats[cols]
+    f = kmats[rows]
+    f *= u[cols][:, None, :]
+    f2 = kmats[cols]
+    f2 *= u[rows][:, None, :]
+    f += f2
     # e[p, c, d]: both orders of p, one order (c, d) of q
     e = (f.reshape(-1, n) @ u.T).reshape(-1, n * n)
     out = e.take(lay.lower, axis=1)  # row-major index of (i2, j2)
     out += e.take(lay.upper, axis=1)  # and of (j2, i2)
-    half = lay.weight / math.sqrt(2.0)
-    out *= np.outer(half, half)
-    return out
+    return scale_by_weight_pairs(out, lay)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +296,7 @@ def barrier_eval(x: np.ndarray, want_hessian: bool = True, *,
     cross = a_c.take(lay.rows, axis=0)
     cross *= a_r.take(lay.cols, axis=0)
     hess += cross
-    half = lay.weight / math.sqrt(2.0)
-    hess *= np.outer(half, half)
+    scale_by_weight_pairs(hess, lay)
     return DerivativeBundle(value=value, gradient=vec(-xinv), hessian=hess)
 
 

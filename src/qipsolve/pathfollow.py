@@ -63,9 +63,10 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
+    DecompositionFailure,
     DomainViolation,
     InfeasibleStart,
     IterCap,
@@ -257,15 +258,27 @@ def directional_derivative(gradient: np.ndarray, slacks: np.ndarray, step: Newto
     return slope
 
 
+def _pencil_step_bound(p: np.ndarray, x: np.ndarray) -> float:
+    """Largest alpha with X + alpha P still positive definite, for X > 0.
+
+    -1 / lambda_min of the pencil (P, X) when lambda_min is negative
+    beyond roundoff, else inf; the eigenvalues come from LAPACK's dsygv.
+    """
+    w, _, info = lapack.dsygv(p, x, jobz="N")
+    if info != 0:
+        raise DecompositionFailure(f"generalized eigenproblem of the step failed (info {info})")
+    wmin = float(w.min())
+    if wmin < -1e-14 * max(1.0, float(np.abs(w).max())):
+        return -1.0 / wmin
+    return math.inf
+
+
 def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator) -> float:
     """Largest alpha keeping X (and slacks, and mapped cones) in the open cone."""
-    bounds = []
+    bounds = [math.inf]
     p = step.direction_X
     if np.linalg.norm(p) > 0:
-        w = scipy.linalg.eigh(p, state.x, eigvals_only=True)
-        wmin = float(w.min())
-        if wmin < -1e-14 * max(1.0, float(np.abs(w).max())):
-            bounds.append(-1.0 / wmin)
+        bounds.append(_pencil_step_bound(p, state.x))
     if state.slacks.size:
         q = step.direction_slack
         neg = q < 0
@@ -275,12 +288,8 @@ def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator
         yp = lmap.apply(p)
         if np.linalg.norm(yp) == 0:
             continue
-        y = lmap.apply(state.x)
-        w = scipy.linalg.eigh(yp, y, eigvals_only=True)
-        wmin = float(w.min())
-        if wmin < -1e-14 * max(1.0, float(np.abs(w).max())):
-            bounds.append(-1.0 / wmin)
-    return min(bounds) if bounds else math.inf
+        bounds.append(_pencil_step_bound(yp, lmap.apply(state.x)))
+    return min(bounds)
 
 
 def line_search(state: _State, step: NewtonStep, beta: float,

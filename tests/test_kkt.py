@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import rand_sym
+from conftest import rand_spd, rand_sym
 from qipsolve import probio
 from qipsolve.errors import ConstraintError, DomainViolation, SingularKKT
 from qipsolve.kkt import AffineConstraints, newton_step_type1, newton_step_type2
-from qipsolve.matfun import INVERSE, vec
+from qipsolve.matfun import INVERSE, svec, unsvec, unvec, vec
 from qipsolve.objectives import DerivativeBundle, TraceObjective, composite_eval
 from qipsolve.oracle import sym_isometry
 from qipsolve.pathfollow import FBetaEvaluator
@@ -187,3 +188,102 @@ class TestType2:
         bad = DerivativeBundle(0.0, np.ones(4), np.zeros((3, 3)))
         with pytest.raises(SingularKKT):
             newton_step_type2(bad, cons)
+
+
+def reference_newton_step(bundle, slacks, cons):
+    """The Newton step from plain expressions and scipy.linalg's wrappers.
+
+    The production step accumulates the same products in place on direct
+    LAPACK/BLAS calls; this is the expression it must reproduce bit for bit.
+    """
+    k = cons.n_eq
+    basis = cons.tangent_basis
+    a_in = basis.ineq_rows
+    grad = bundle.gradient
+    inv_s = 1.0 / slacks
+    h = bundle.hessian
+    w = h @ basis.y
+    z = w - 0.5 * basis.v @ (basis.y.T @ w)
+    h_q = h - z @ basis.v.T - basis.v @ z.T
+    g_q = basis.q_t(svec(unvec(grad, cons.order)))
+    a_q = basis.q_t(a_in.T).T
+    b = a_q[:, k:]
+    red = h_q[k:, k:] + (b.T * inv_s**2) @ b
+    r = g_q[k:] + b.T @ inv_s
+    chol = scipy.linalg.cholesky(red, lower=True)
+    diag = np.abs(np.diag(chol))
+    cond = float((diag.max() / diag.min()) ** 2)
+    y = -scipy.linalg.cho_solve((chol, True), r)
+    quad = float(np.sum((chol.T @ y) ** 2))
+    p_s = basis.q(np.concatenate([np.zeros(k), y]))
+    p2 = -(a_in @ p_s)
+    p_x = unsvec(p_s)
+    lam = p2 * inv_s**2 - inv_s
+    if k:
+        normal = h_q[:k, k:] @ y + g_q[:k] - a_q[:, :k].T @ lam
+        lam = np.concatenate([lam, scipy.linalg.solve_triangular(basis.r, normal, lower=False)])
+    grad_slack = -inv_s
+    rad = float(-(vec(p_x) @ grad + p2 @ grad_slack))
+    return {
+        "direction_X": p_x,
+        "direction_slack": p2,
+        "multipliers": lam,
+        "decrement": float(np.sqrt(max(quad, 0.0))),
+        "decrement_innerprod": float(np.sqrt(max(rad, 0.0))),
+        "schur_condition": cond,
+    }
+
+
+def inequality_only_setup(rng, n=6):
+    """Every row an inequality: the tangent space is all of svec."""
+    problem = probio.generate_random("type1", {"n": n, "m": 2, "N": 4}, seed=11)
+    cons = AffineConstraints(problem.constraints.mats, problem.constraints.rhs, n_ineq=4)
+    x = rand_spd(rng, n)
+    slacks = rng.uniform(0.5, 2.0, 4)
+    return composite_eval(2.0, problem.terms, [None], x), slacks, cons
+
+
+def mixed_setup(rng):
+    problem, x, slacks = type1_setup(rng, n=6)
+    return composite_eval(2.0, problem.terms, [None], x), slacks, problem.constraints
+
+
+def equality_only_setup(rng):
+    problem = probio.generate_random("type2", {"n": 4, "m": 1}, seed=5)
+    x = probio.random_feasible_point(problem, rng)
+    return FBetaEvaluator(problem).x_bundle(x, 3.0), np.zeros(0), problem.constraints
+
+
+class TestLapackPath:
+    @pytest.mark.parametrize("setup, rows", [(mixed_setup, (True, True)),
+                                             (equality_only_setup, (False, True)),
+                                             (inequality_only_setup, (True, False))],
+                             ids=["mixed", "equalities_only", "inequalities_only"])
+    def test_step_matches_the_plain_expressions_bitwise(self, rng, setup, rows):
+        bundle, slacks, cons = setup(rng)
+        assert (cons.n_ineq > 0, cons.n_eq > 0) == rows
+        hess = bundle.hessian.copy()
+        step = newton_step_type1(bundle, slacks, cons)
+        assert np.array_equal(bundle.hessian, hess)  # the caller's Hessian is untouched
+        for name, expected in reference_newton_step(bundle, slacks, cons).items():
+            assert np.array_equal(getattr(step, name), expected), name
+
+    def test_nan_hessian_entry_rejected(self, rng):
+        bundle, slacks, cons = mixed_setup(rng)
+        d = bundle.hessian.shape[0]
+        for entry in np.ndindex(d, d):
+            hess = bundle.hessian.copy()
+            hess[entry] = np.nan
+            with pytest.raises(SingularKKT):
+                newton_step_type1(DerivativeBundle(0.0, bundle.gradient, hess), slacks, cons)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_entry_rejected(self, rng, bad):
+        problem, x, slacks = type1_setup(rng, n=3, m=1, n_total=2)
+        bundle = composite_eval(2.0, problem.terms, [None], x)
+        for i in range(bundle.gradient.size):
+            grad = bundle.gradient.copy()
+            grad[i] = bad
+            with pytest.raises(SingularKKT):
+                newton_step_type1(DerivativeBundle(0.0, grad, bundle.hessian), slacks,
+                                  problem.constraints)

@@ -26,6 +26,7 @@ from qipsolve.objectives import (
     map_barrier_eval,
     phi_eval,
     phi_hessian_in_basis,
+    scale_by_weight_pairs,
 )
 from qipsolve.oracle import fd_gradient, fd_hessian_action, sym_isometry
 from qipsolve.pathfollow import FBetaEvaluator
@@ -265,6 +266,18 @@ def test_phi_hessian_in_basis_matches_einsum_bitwise(rng, n):
         gamma = second_divided_diff_tensor(gen, dec.lam, f1=divided_diff_1(gen, dec.lam))
         got = phi_hessian_in_basis(dec.U, ctil, gamma)
         assert np.array_equal(got, einsum_phi_hessian_in_basis(dec.U, ctil, gamma)), gen.kind
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 32])
+def test_scale_by_weight_pairs_matches_outer_product_bitwise(rng, n):
+    lay = svec_layout(n)
+    d = lay.weight.size
+    h = rng.standard_normal((d, d))  # not symmetric: every entry is its own
+    half = lay.weight / np.sqrt(2.0)
+    expected = h * np.outer(half, half)
+    got = h.copy()
+    assert scale_by_weight_pairs(got, lay) is got
+    assert np.array_equal(got, expected)
 
 
 def count_decompositions(monkeypatch):

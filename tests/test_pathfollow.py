@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qipsolve import objectives, pathfollow, probio
 from qipsolve.errors import (
@@ -17,6 +18,7 @@ from qipsolve.oracle import derivative_audit, reference_minimize
 from qipsolve.pathfollow import (
     FBetaEvaluator,
     SolverConfig,
+    _pencil_step_bound,
     _refresh_slacks,
     _State,
     center,
@@ -72,6 +74,42 @@ class TestMaxFeasibleStep:
         state = _State(np.eye(3) * 10, np.array([0.5, 2.0]))
         step = fake_step(np.zeros((3, 3)), slack=np.array([-1.0, -1.0]))
         assert max_feasible_step(state, step, ev) == pytest.approx(0.5)
+
+
+    def test_failed_generalized_eigenproblem_raises(self, rng):
+        # X not positive definite: LAPACK's Cholesky of X inside dsygv fails
+        problem = probio.build_named("trace-inverse-n4")
+        x = -np.eye(4)
+        with pytest.raises(DecompositionFailure):
+            max_feasible_step(_State(x, np.zeros(0)), fake_step(symmetrize(
+                rng.standard_normal((4, 4)))), FBetaEvaluator(problem))
+
+    @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
+                                            ("type2", {"n": 4, "m": 1})])
+    def test_bounds_match_scipy_eigh_bitwise(self, rng, kind, dims):
+        problem = probio.generate_random(kind, dims, seed=7)
+        ev = FBetaEvaluator(problem)
+        x = probio.random_feasible_point(problem, rng)
+        pencils = []
+        for _ in range(5):
+            p = symmetrize(rng.standard_normal(x.shape))
+            pencils.append((p, x))
+            pencils += [(lmap.apply(p), lmap.apply(x)) for lmap in ev.feasibility_maps()]
+        assert len(pencils) == (10 if kind == "type2" else 5)
+        for p, y in pencils:
+            w = scipy.linalg.eigh(p, y, eigvals_only=True)
+            wmin = float(w.min())
+            bounded = wmin < -1e-14 * max(1.0, float(np.abs(w).max()))
+            assert _pencil_step_bound(p, y) == (-1.0 / wmin if bounded else math.inf)
+        slacks = _refresh_slacks(problem, x)
+        step = ev.newton_step(ev.x_bundle(x, 2.0), _State(x, slacks))
+        bounds = [_pencil_step_bound(step.direction_X, x)]
+        bounds += [_pencil_step_bound(lmap.apply(step.direction_X), lmap.apply(x))
+                   for lmap in ev.feasibility_maps()]
+        neg = step.direction_slack < 0
+        if np.any(neg):
+            bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
+        assert max_feasible_step(_State(x, slacks), step, ev) == min(bounds)
 
 
 class TestLineSearch:
