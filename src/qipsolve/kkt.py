@@ -3,15 +3,16 @@
 The Newton system is solved on the tangent space of the equality rows,
 in symmetric coordinates: ``svec`` (``matfun``) keeps the n(n+1)/2
 upper-triangle entries of a symmetric matrix, off-diagonal ones scaled
-by sqrt(2), so that <A, X> = svec(A) . svec(X). Each AffineConstraints
-factors its equality rows once, on the first step: svec(A_eq)^T = Q R,
-and the trailing columns N of Q span the tangent space
-{svec(P) : <A_i, P> = 0 on equality rows}.
+by sqrt(2), so that <A, X> = svec(A) . svec(X). The constraint rows
+svec(A_i) and the bundle's gradient and Hessian are all on svec
+coordinates. Each AffineConstraints factors its equality rows once, on
+the first step: svec(A_eq)^T = Q R, and the trailing columns N of Q span
+the tangent space {svec(P) : <A_i, P> = 0 on equality rows}.
 
-The bundle's Hessian is already on svec coordinates. A step copies it
-once into Fortran order and applies Q on both sides there, in the
-compact WY form of its Householder reflectors, Q = I - V T V^T: two
-rank-N_eq GEMMs accumulate into the copy (no dense basis is formed).
+A step copies the Hessian once into Fortran order and applies Q on both
+sides there, in the compact WY form of its Householder reflectors,
+Q = I - V T V^T: two rank-N_eq GEMMs accumulate into the copy (no dense
+basis is formed).
 The slack block, which the inequality slack direction q = -A_ineq p
 contributes as (A_ineq N)^T diag(1/s^2) (A_ineq N), is accumulated by
 one more GEMM onto a Fortran copy of the tangent block, which LAPACK's
@@ -38,7 +39,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import ConstraintError, DomainViolation, SingularKKT
-from .matfun import svec, svec_layout, symmetrize, unsvec, unvec, vec
+from .matfun import svec, symmetrize, unsvec
 
 
 @dataclass
@@ -48,7 +49,7 @@ class AffineConstraints:
     mats: list
     rhs: np.ndarray
     n_ineq: int = 0
-    vec_stack: np.ndarray = field(init=False, repr=False)
+    svec_rows: np.ndarray = field(init=False, repr=False)  # svec(A_i), N x n(n+1)/2
     eq_gram_condition: float = field(init=False, default=1.0)
 
     def __post_init__(self):
@@ -65,9 +66,9 @@ class AffineConstraints:
         for a in self.mats:
             if a.shape != (n, n):
                 raise ConstraintError("constraint matrices must share one order")
-        self.vec_stack = np.stack([vec(a) for a in self.mats])
+        self.svec_rows = np.stack([svec(a) for a in self.mats])
 
-        eq = self.vec_stack[self.n_ineq:]
+        eq = self.svec_rows[self.n_ineq:]
         if eq.shape[0]:
             gram = eq @ eq.T
             w = np.linalg.eigvalsh(gram)
@@ -94,14 +95,14 @@ class AffineConstraints:
 
     def residuals(self, x: np.ndarray, slacks=None) -> np.ndarray:
         """<A_i, X> + s_i - b_i with s_i = 0 on equality rows."""
-        vals = self.vec_stack @ vec(x) - self.rhs
+        vals = self.svec_rows @ svec(x) - self.rhs
         if slacks is not None and self.n_ineq:
             vals[: self.n_ineq] += np.asarray(slacks, dtype=float)
         return vals
 
 
 class TangentBasis:
-    """svec rows of the constraints and the QR of the equality rows.
+    """The inequality rows and the QR of the equality rows, on svec coordinates.
 
     With svec(A_eq)^T = Q R and Q = I - V T V^T (Householder QR in
     compact WY form; Q is never formed), Q^T maps svec coordinates to
@@ -110,9 +111,8 @@ class TangentBasis:
 
     def __init__(self, cons: AffineConstraints):
         m = cons.n_ineq
-        lay = svec_layout(cons.order)
-        self.dim = lay.weight.size
-        rows = cons.vec_stack[:, lay.upper] * lay.weight
+        rows = cons.svec_rows
+        self.dim = rows.shape[1]
         self.ineq_rows = rows[:m]
         # Q = H_1 ... H_k = I - V T V^T; keep V, Y = V T and R
         k = cons.n_eq
@@ -213,7 +213,7 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
         raise SingularKKT("Newton system has a non-finite Hessian or gradient entry")
 
     h_q = basis.rotate(bundle.hessian)
-    g_q = basis.q_t(svec(unvec(grad, cons.order)))
+    g_q = basis.q_t(grad)
     a_q = basis.q_t(a_in.T).T
 
     b = a_q[:, k:]
@@ -242,7 +242,6 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     p_s = basis.q(p_q)
     p2 = -(a_in @ p_s)
     p_x = unsvec(p_s)
-    p1 = vec(p_x)
 
     # lambda_ineq from slack stationarity; lambda_eq from the normal rows
     # of the X-equation, R lambda_eq = (Q^T (H_s p + g_s - A_ineq^T lam_ineq))_n
@@ -256,11 +255,11 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
         lam = np.concatenate([lam_in, lam_eq])
 
     grad_slack = -inv_s
-    rad = float(-(p1 @ grad + p2 @ grad_slack))
-    scale = np.abs(p1) @ np.abs(grad) + np.abs(p2) @ np.abs(grad_slack) + 1.0
+    rad = float(-(p_s @ grad + p2 @ grad_slack))
+    scale = np.abs(p_s) @ np.abs(grad) + np.abs(p2) @ np.abs(grad_slack) + 1.0
     delta, delta_ip = _decrements(quad, rad, scale)
 
-    tang = cons.vec_stack @ p1
+    tang = cons.svec_rows @ p_s
     tang[:m] += p2
 
     return NewtonStep(

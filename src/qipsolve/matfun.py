@@ -3,18 +3,19 @@
 Everything downstream (trace objectives, relative-entropy derivatives,
 barrier Hessians) is built from the pieces in this module: spectral
 decompositions, scalar generators with analytic first/second derivatives,
-first and second divided differences, the vec utilities that tie
-matrix equations to their vectorized form, and the svec layout in which
-every Hessian is assembled.
+first and second divided differences, the column-stacking ``vec`` that
+ties matrix equations to their vectorized form, and the svec coordinates
+in which every gradient, constraint row and Hessian is expressed.
 
 Conventions used throughout the package:
 
 * ``vec`` stacks columns, so ``vec(A X B) == np.kron(B, A) @ vec(X)`` for
-  symmetric ``B``.
+  symmetric ``B``, and Diag(A) is the diagonal matrix of vec(A).
 * ``svec`` keeps the n(n+1)/2 upper-triangle entries of a symmetric
   matrix, row by row, off-diagonal ones scaled by sqrt(2), so that
-  <A, B> = svec(A) . svec(B). Gradients are vec; Hessians are d x d
-  matrices on svec coordinates, H @ svec(xi) == svec(D^2 f[xi]).
+  <A, B> = svec(A) . svec(B). Gradients and constraint rows are svec
+  vectors, Hessians d x d matrices on svec coordinates:
+  g @ svec(xi) == Df[xi] and H @ svec(xi) == svec(D^2 f[xi]).
 * Eigenvalues are returned in descending order.
 * Eigenvalue pairs closer than ``CONFLUENCE_RTOL`` (relative) take the
   derivative/limit branch of the divided differences.
@@ -265,15 +266,6 @@ def apply_matrix_function(gen: ScalarGenerator, x: np.ndarray) -> np.ndarray:
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization: vec(A) = [a11 .. an1 a12 ..]."""
     return np.asarray(a, dtype=float).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
-    """Inverse of vec; defaults to a square matrix."""
-    v = np.asarray(v, dtype=float)
-    cols = rows if cols is None else cols
-    if v.size != rows * cols:
-        raise ShapeError(f"cannot unvec length {v.size} into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,17 @@ divided differences in the eigenbasis:
   diagonal-selected first term with a second term built from the tensor
   of second divided differences; off-diagonal blocks of S are diagonal.
 
-A gradient is delivered as a vec (column stacking), a Hessian as the
-d x d matrix on svec coordinates, d = n(n+1)/2 (see ``matfun``): the
-KKT layer solves in those coordinates, and a symmetric matrix needs no
-more. When a map L is present, gradients push through the adjoint, and
-Hessians are assembled from the congruence batch V[c] = O.T L(E_c) O of
-the svec basis matrices E_c in the eigenbasis O of the map output,
-which the map builds from its own structure (Kraus factors
-Ktil_t = O.T K_t, or the svec permutation of the partial transpose; see
-``linmap``). Each V[c] is symmetric, so the sandwiches contract over
-the k(k+1)/2 upper-triangle entries of each batch, gathered once.
+A gradient is delivered as svec(G), the svec vector of the gradient
+matrix G, and a Hessian as the d x d matrix on svec coordinates,
+d = n(n+1)/2 (see ``matfun``): the KKT layer solves in those
+coordinates, and a symmetric matrix needs no more. When a map L is
+present, gradients push through the adjoint, and Hessians are
+assembled from the congruence batch V[c] = O.T L(E_c) O of the svec
+basis matrices E_c in the eigenbasis O of the map output, which the map
+builds from its own structure (Kraus factors Ktil_t = O.T K_t, or the
+svec permutation of the partial transpose; see ``linmap``). Each V[c]
+is symmetric, so the sandwiches contract over the k(k+1)/2
+upper-triangle entries of each batch, gathered once.
 
 Every evaluation reads its spectral decompositions from an ``EvalPoint``:
 an owned copy of X that decomposes X, and each map image, on first use,
@@ -45,9 +46,9 @@ from .matfun import (
     divided_diff_1,
     second_divided_diff_tensor,
     spectral_decompose,
+    svec,
     svec_layout,
     symmetrize,
-    vec,
 )
 
 
@@ -82,10 +83,11 @@ class TraceObjective:
 
 @dataclass
 class DerivativeBundle:
-    """Scalar value, vec gradient and dense Hessian, or the value alone.
+    """Scalar value, gradient and dense Hessian, or the value alone.
 
-    The Hessian is d x d on svec coordinates, d = n(n+1)/2:
-    ``hessian @ svec(xi) == svec(D^2 f(X)[xi])`` for symmetric xi.
+    Both are on svec coordinates, d = n(n+1)/2, for symmetric xi:
+    ``gradient @ svec(xi) == Df(X)[xi]`` (the gradient is svec(G) of the
+    gradient matrix G) and ``hessian @ svec(xi) == svec(D^2 f(X)[xi])``.
     A value-only evaluation leaves gradient and Hessian None.
     """
 
@@ -156,7 +158,7 @@ def triu_rows(v: np.ndarray) -> np.ndarray:
 
 
 def sandwich_diag(s1: np.ndarray, s2: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """V1.T diag(vec(phi)) V2 for congruence batches V1, V2 and symmetric phi.
+    """V1.T Diag(phi) V2 for congruence batches V1, V2 and symmetric k x k phi.
 
     ``s1``, ``s2`` are the batches' ``triu_rows``. The batches are
     symmetric, so the sum over all k^2 entries is one over the upper
@@ -260,10 +262,10 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True, *,
     grad_y = symmetrize(u @ (ctil * f1) @ u.T)
     gamma = second_divided_diff_tensor(obj.gen, lam, f1=f1)
     if obj.map is None:
-        grad = vec(grad_y)
+        grad = svec(grad_y)
         hess = symmetrize(phi_hessian_in_basis(u, ctil, gamma))
     else:
-        grad = vec(obj.map.adjoint_apply(grad_y))
+        grad = svec(obj.map.adjoint_apply(grad_y))
         v = congruence_batch(obj.map, u)
         hess = symmetrize(sandwich_core(v, triu_rows(v), ctil, gamma))
     return DerivativeBundle(value=value, gradient=grad, hessian=hess)
@@ -275,7 +277,7 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True, *,
 
 def barrier_eval(x: np.ndarray, want_hessian: bool = True, *,
                  point: EvalPoint | None = None) -> DerivativeBundle:
-    """-ln det X with gradient vec(-X^-1) and Hessian X^-1 (x) X^-1.
+    """-ln det X with gradient svec(-X^-1) and Hessian X^-1 (x) X^-1 on svec.
 
     On svec coordinates p = (i, j), q = (k, l), with A = X^-1, the Hessian
     is (w_p w_q / 2)(A_ik A_jl + A_il A_jk), exactly symmetric.
@@ -297,12 +299,12 @@ def barrier_eval(x: np.ndarray, want_hessian: bool = True, *,
     cross *= a_r.take(lay.cols, axis=0)
     hess += cross
     scale_by_weight_pairs(hess, lay)
-    return DerivativeBundle(value=value, gradient=vec(-xinv), hessian=hess)
+    return DerivativeBundle(value=value, gradient=svec(-xinv), hessian=hess)
 
 
 def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True, *,
                      point: EvalPoint | None = None) -> DerivativeBundle:
-    """-ln det L(X): gradient -L.T(Y^-1), Hessian L.T P(Y^-1) L, Y = L(X)."""
+    """-ln det L(X), Y = L(X): gradient svec(-L.T(Y^-1)), Hessian L.T P(Y^-1) L on svec."""
     point = EvalPoint(x) if point is None else point
     _, dec = point.pd_image("mapped barrier argument", lmap)
     o, lam = dec.U, dec.lam
@@ -310,7 +312,7 @@ def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True, *,
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     yinv = symmetrize((o / lam) @ o.T)
-    grad = vec(-lmap.adjoint_apply(yinv))
+    grad = svec(-lmap.adjoint_apply(yinv))
     d = 1.0 / lam
     s = triu_rows(congruence_batch(lmap, o))
     hess = symmetrize(sandwich_diag(s, s, np.outer(d, d)))

@@ -7,11 +7,12 @@ materializes the sparse core entry by entry from scalar second divided
 differences and conjugates it with explicit Kronecker factors and a
 dense map matrix built from the map's ``apply``, and the
 reference optimizer is a first-order projected-gradient method with
-boundary backoff. Production Hessians are d x d on svec coordinates;
-the oracles reach those coordinates through their own dense isometry
-``sym_isometry`` (vec <- svec), built from the symmetric unit basis, not
-from the production index tables. Any disagreement with the production
-path is a test failure, not a warning.
+boundary backoff on its own vec constraint stack. Production gradients
+and Hessians are on svec coordinates; the oracles reach those
+coordinates through their own dense isometry ``sym_isometry``
+(vec <- svec), built from the symmetric unit basis, not from the
+production index tables. Any disagreement with the production path is a
+test failure, not a warning.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ def fd_hessian_action(grad_fn, x: np.ndarray, direction: np.ndarray,
                       h: float | None = None) -> np.ndarray:
     """Central difference of a gradient along a symmetric direction.
 
-    ``grad_fn`` maps a matrix to a vec gradient; pass the analytic
-    gradient to validate a Hessian against it, or a closure over
-    fd_gradient for a derivative-free probe of a bare scalar function.
+    ``grad_fn`` maps a matrix to a gradient, svec for the analytic one
+    (to validate a Hessian against it), vec for a closure over
+    fd_gradient (a derivative-free probe of a bare scalar function).
     """
     x = np.asarray(x, dtype=float)
     direction = symmetrize(direction)
@@ -185,7 +186,7 @@ def problem_bundle(problem: ProblemSpec, x: np.ndarray,
                    want_hessian: bool = True) -> DerivativeBundle:
     """Objective-only bundle (no barriers) for an instance, offset included.
 
-    The Hessian is the terms' svec Hessians summed, d x d. Without
+    Gradient and Hessian are the terms' svec ones summed. Without
     ``want_hessian`` the bundle holds the value alone, as a term's does.
     """
     value = problem.offset
@@ -193,8 +194,8 @@ def problem_bundle(problem: ProblemSpec, x: np.ndarray,
         for t in problem.terms:
             value += t.evaluate(x, want_hessian=False).value
         return DerivativeBundle(value, None)
-    grad = np.zeros(problem.n * problem.n)
     d = problem.n * (problem.n + 1) // 2
+    grad = np.zeros(d)
     hess = np.zeros((d, d))
     for t in problem.terms:
         b = t.evaluate(x)
@@ -229,7 +230,7 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
         b = problem_bundle(problem, x)
         hess = b.hessian if corrupt_hessian is None else corrupt_hessian(b.hessian)
 
-        g_fd = fd_gradient(lambda y: problem_bundle(problem, y, False).value, x)
+        g_fd = p.T @ fd_gradient(lambda y: problem_bundle(problem, y, False).value, x)
         worst["gradient-vs-fd"] = max(
             worst["gradient-vs-fd"],
             float(np.linalg.norm(b.gradient - g_fd) / (1 + np.linalg.norm(g_fd))),
@@ -237,8 +238,7 @@ def derivative_audit(problem: ProblemSpec, rng, points: int = 3,
 
         xi = symmetrize(rng.standard_normal(x.shape))
         act = hess @ (p.T @ vec(xi))
-        act_fd = p.T @ fd_hessian_action(
-            lambda y: problem_bundle(problem, y).gradient, x, xi)
+        act_fd = fd_hessian_action(lambda y: problem_bundle(problem, y).gradient, x, xi)
         worst["hessian-action-vs-fd"] = max(
             worst["hessian-action-vs-fd"],
             float(np.linalg.norm(act - act_fd) / (1 + np.linalg.norm(act_fd))),
@@ -309,12 +309,13 @@ def reference_minimize(problem: ProblemSpec, x0: np.ndarray | None = None,
     if x is None:
         raise ValidationError("reference optimizer needs a starting point")
     x = symmetrize(x)
+    iso = sym_isometry(problem.n)
 
     def fn(x):
         b = problem_bundle(problem, x)
-        return b.value, b.gradient
+        return b.value, iso @ b.gradient
 
-    veq = problem.constraints.vec_stack
+    veq = np.stack([vec(a) for a in problem.constraints.mats])
     gram_inv = np.linalg.inv(veq @ veq.T)
 
     def project(gv):

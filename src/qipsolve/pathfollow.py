@@ -75,7 +75,7 @@ from .errors import (
     SingularKKT,
 )
 from .kkt import NewtonStep, newton_step_type1
-from .matfun import symmetrize, vec
+from .matfun import svec, symmetrize
 from .objectives import (
     DerivativeBundle,
     EvalPoint,
@@ -239,20 +239,20 @@ class FBetaEvaluator:
 
 
 def _refresh_slacks(problem: ProblemSpec, x) -> np.ndarray:
-    m = problem.constraints.n_ineq
-    if m == 0:
-        return np.zeros(0)
+    """b_i - <A_i, X> on the inequality rows."""
     cons = problem.constraints
-    vals = np.array([float(np.tensordot(a, x)) for a in cons.mats[:m]])
-    return cons.rhs[:m] - vals
+    m = cons.n_ineq
+    return cons.rhs[:m] - cons.svec_rows[:m] @ svec(x)
 
 
 def directional_derivative(gradient: np.ndarray, slacks: np.ndarray, step: NewtonStep) -> float:
     """<grad F_beta, p> + <grad_s F_beta, q>, the slope of F_beta along the step.
 
-    ``gradient`` is that of the X-block; the slack block's is -1/slacks.
+    ``gradient`` is that of the X-block, on svec coordinates; the slack
+    block's is -1/slacks. The slope is computed here from the direction
+    itself, the one ``center`` moves along, not taken from the KKT solve.
     """
-    slope = float(gradient @ vec(step.direction_X))
+    slope = float(gradient @ svec(step.direction_X))
     if slacks.size:
         slope -= float(step.direction_slack @ (1.0 / slacks))
     return slope

@@ -39,8 +39,9 @@ from .linmap import KrausMap, PartialTranspose, compose, identity_map, pinching_
 from .matfun import (
     generator_from_name,
     spectral_decompose,
+    svec,
     symmetrize,
-    vec,
+    unsvec,
 )
 from .objectives import EvalPoint, TraceObjective
 from .qre import QreObjective
@@ -97,7 +98,7 @@ def feasibility_violations(problem: ProblemSpec, x: np.ndarray, margin: float = 
     if lam_min < margin:
         bad.append((f"cone margin: min eigenvalue of X is {lam_min:.3e}", lam_min))
     cons = problem.constraints
-    vals = cons.vec_stack @ vec(x)
+    vals = cons.svec_rows @ svec(x)
     for i in range(cons.n_total):
         scale = 1.0 + abs(cons.rhs[i])
         if i < cons.n_ineq:
@@ -163,14 +164,12 @@ def random_feasible_point(problem: ProblemSpec, rng, scale: float = 0.3,
         raise ValidationError("problem carries no starting point")
     n = problem.n
     cons = problem.constraints
-    veq = cons.vec_stack[cons.n_ineq:]
-    gram_inv = np.linalg.inv(veq @ veq.T)
+    seq = cons.svec_rows[cons.n_ineq:]
+    gram_inv = np.linalg.inv(seq @ seq.T)
     x = problem.start.copy()
     for _ in range(steps):
-        d = symmetrize(rng.standard_normal((n, n)))
-        dv = vec(d)
-        dv = dv - veq.T @ (gram_inv @ (veq @ dv))
-        d = symmetrize(dv.reshape((n, n), order="F"))
+        ds = svec(symmetrize(rng.standard_normal((n, n))))
+        d = unsvec(ds - seq.T @ (gram_inv @ (seq @ ds)))
         t = scale
         for _ in range(40):
             cand = symmetrize(x + t * d)

@@ -7,14 +7,14 @@ The perturbed f is what gets differentiated, so gradient and Hessian are
 exact for the value actually returned (they differ from the unperturbed
 formulas by O(e)).
 
-Gradient:
+Gradient, returned as svec(grad f1 + grad f2):
     grad f1 = L1.T (I + ln Y1)
     grad f2 = -L1.T ln Y2 - L2.T O2 (Ctil o ln^[1](Lam2)) O2.T,
 with Ctil = O2.T Y1 O2. Hessian on svec coordinates (M_i the map
 matrices restricted to symmetric inputs, M_i P; see ``matfun``):
     H_f1  =  M1.T Dln(Y1) M1
     H_f2  = -M1.T Dln(Y2) M2 - M2.T Dln(Y2) M1 + M2.T (O2 (x) O2) S (O2 (x) O2).T M2,
-where Dln(Y) = (O (x) O) diag(vec(ln^[1](Lam))) (O (x) O).T and S carries
+where Dln(Y) = (O (x) O) Diag(ln^[1](Lam)) (O (x) O).T and S carries
 Gamma_ijk = -ln^[2](lam_i, lam_j, lam_k) with weight Ctil. No M_i is
 formed: each product is built from the congruence batches
 V[c] = O.T L_i(E_c) O of the svec basis matrices E_c, which the Kraus
@@ -46,8 +46,8 @@ from .matfun import (
     divided_diff_1,
     inner,
     second_divided_diff_tensor,
+    svec,
     symmetrize,
-    vec,
 )
 from .objectives import (
     DerivativeBundle,
@@ -141,7 +141,7 @@ def _eval(obj, point, want_hessian):
     grad_f2 = -obj.l1.adjoint_apply(ln_y2) - obj.l2.adjoint_apply(
         symmetrize(o2 @ (ctil * phi2) @ o2.T)
     )
-    gradient = vec(grad_f1 + grad_f2)
+    gradient = svec(grad_f1 + grad_f2)
 
     phi1 = divided_diff_1(LOG, lam1)
     s11 = triu_rows(congruence_batch(obj.l1, o1))

@@ -1,0 +1,133 @@
+"""Compare the solver's results on the benchmark's instances across two revisions.
+
+A refactor that is not bit for bit must keep every result within a
+drift budget. This script records the results of one checkout and
+compares two such records:
+
+    python tests/fmin_compare.py --dump OUT.json
+    python tests/fmin_compare.py --compare BEFORE.json AFTER.json
+
+``--dump`` solves the 140 instances of the benchmark's three workloads
+at seeds 1 and 2, as ``perfbench/workloads.py`` builds them, with one
+BLAS thread and the default ``SolverConfig``. For each it writes
+``f_min`` (as ``float.hex``), the termination (or the name of the
+QipError raised) and ``total_newton``. It solves with the checkout it
+lives in: to record another revision, run that revision's copy of this
+file (or a copy placed in that checkout). It takes about a minute.
+
+``--compare`` exits 1 when an instance's termination changed, or when
+|f_A - f_B| / (1 + |f_A|) exceeds 1e-10. It prints the worst drift per
+workload and every change in the Newton count; a changed count alone is
+reported, not failed. Plain relative error would mean nothing here,
+since the type2 optima are about 1e-16.
+
+This is a tool, not a test or a CI gate: other BLAS builds, or another
+BLAS thread count, move ``f_min`` by tens of 1e-12 on their own. The
+file name keeps it out of pytest's collection.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import bench_env  # noqa: E402
+
+bench_env.pin_blas_threads()
+bench_env.import_program()
+
+import workloads  # noqa: E402
+from qipsolve.errors import QipError  # noqa: E402
+from qipsolve.pathfollow import SolverConfig, solve  # noqa: E402
+
+SEEDS = (1, 2)
+MAX_DRIFT = 1e-10
+
+
+def record(workload: str, seed: int, label: str, spec, config) -> dict:
+    """One instance's result: f_min as hex (None without a report), termination, count."""
+    try:
+        report = solve(spec, config=config)
+        termination = report.termination
+    except QipError as exc:
+        report, termination = getattr(exc, "report", None), type(exc).__name__
+    return {
+        "workload": workload,
+        "seed": seed,
+        "label": label,
+        "f_min": None if report is None else report.f_min.hex(),
+        "termination": termination,
+        "total_newton": None if report is None else report.total_newton,
+    }
+
+
+def dump(out: Path) -> int:
+    config = SolverConfig()
+    rows = []
+    for name in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for label, spec in workloads.build(name, seed):
+                rows.append(record(name, seed, label, spec, config))
+            print(f"{name} seed {seed} solved ({len(rows)} instances)", file=sys.stderr)
+    doc = {"environment": bench_env.environment(), "instances": rows}
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"{len(rows)} instances written to {out}")
+    return 0
+
+
+def drift(a: str | None, b: str | None) -> float:
+    """|f_a - f_b| / (1 + |f_a|); 0 when neither has a value, inf when one lacks it."""
+    if a is None or b is None:
+        return 0.0 if a is b else float("inf")
+    fa, fb = float.fromhex(a), float.fromhex(b)
+    return abs(fa - fb) / (1.0 + abs(fa))
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    rows_a = {(r["workload"], r["label"]): r for r in json.loads(path_a.read_text())["instances"]}
+    rows_b = {(r["workload"], r["label"]): r for r in json.loads(path_b.read_text())["instances"]}
+    failures = [f"{key[1]}: only in {path_a}" for key in rows_a.keys() - rows_b.keys()]
+    failures += [f"{key[1]}: only in {path_b}" for key in rows_b.keys() - rows_a.keys()]
+    worst: dict[str, tuple[float, str]] = {}
+    newton = {}
+    for key in sorted(rows_a.keys() & rows_b.keys()):
+        a, b = rows_a[key], rows_b[key]
+        name, label = key
+        d = drift(a["f_min"], b["f_min"])
+        if d >= worst.get(name, (-1.0, ""))[0]:
+            worst[name] = (d, label)
+        if a["termination"] != b["termination"]:
+            failures.append(f"{label}: termination {a['termination']} -> {b['termination']}")
+        if not d <= MAX_DRIFT:
+            failures.append(f"{label}: f_min drift {d:.3e} > {MAX_DRIFT:g}")
+        if a["total_newton"] != b["total_newton"]:
+            print(f"{label}: Newton steps {a['total_newton']} -> {b['total_newton']}")
+        for side, row in (("a", a), ("b", b)):
+            newton[name, side] = newton.get((name, side), 0) + (row["total_newton"] or 0)
+    for name, (d, label) in worst.items():
+        print(f"{name}: worst drift {d:.2e} ({label}); Newton steps "
+              f"{newton[name, 'a']} -> {newton[name, 'b']}")
+    for line in failures:
+        print("FAIL", line)
+    print(f"{len(rows_a.keys() & rows_b.keys())} instances compared, {len(failures)} failures")
+    return 1 if failures else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--dump", type=Path, metavar="OUT")
+    mode.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.dump is not None:
+        return dump(args.dump)
+    return compare(*args.compare)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

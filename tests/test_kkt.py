@@ -6,10 +6,10 @@ from conftest import rand_spd, rand_sym
 from qipsolve import probio
 from qipsolve.errors import ConstraintError, DomainViolation, SingularKKT
 from qipsolve.kkt import AffineConstraints, newton_step_type1, newton_step_type2
-from qipsolve.matfun import INVERSE, svec, unsvec, unvec, vec
+from qipsolve.matfun import INVERSE, unsvec, vec
 from qipsolve.objectives import DerivativeBundle, TraceObjective, composite_eval
 from qipsolve.oracle import sym_isometry
-from qipsolve.pathfollow import FBetaEvaluator
+from qipsolve.pathfollow import FBetaEvaluator, _refresh_slacks
 
 
 def type1_setup(rng, n=5, m=2, n_total=4, seed=11):
@@ -35,6 +35,30 @@ class TestAffineConstraints:
         a = rand_sym(rng, 3)
         cons = AffineConstraints([a, a, np.eye(3)], np.array([1.0, 1.0, 1.0]), n_ineq=2)
         assert cons.n_ineq == 2
+
+    @pytest.mark.parametrize("kind, dims", [
+        ("type1", {"n": 3, "m": 1, "N": 3}),
+        ("type1", {"n": 6, "m": 3, "N": 6}),
+        ("type1", {"n": 9, "m": 4, "N": 8}),
+        ("type2", {"n": 4, "m": 2}),
+        ("type2", {"n": 9, "m": 3}),
+    ])
+    def test_residuals_and_slacks_match_tensordot(self, rng, kind, dims):
+        # every <A_i, X> read from the svec rows, against the plain trace
+        # inner product of the constraint matrices, row by row
+        for seed in range(4):
+            problem = probio.generate_random(kind, dims, seed=seed)
+            cons = problem.constraints
+            m = cons.n_ineq
+            x = rand_spd(rng, cons.order)
+            dots = np.array([np.tensordot(a, x) for a in cons.mats])
+            scale = np.array([np.tensordot(np.abs(a), np.abs(x)) for a in cons.mats])
+            scale += np.abs(cons.rhs)
+            resid = cons.residuals(x)
+            assert np.all(np.abs(resid - (dots - cons.rhs)) <= 1e-14 * scale)
+            slacks = _refresh_slacks(problem, x)
+            assert slacks.shape == (m,)
+            assert np.all(np.abs(slacks - (cons.rhs[:m] - dots[:m])) <= 1e-14 * scale[:m])
 
 
 class TestType1:
@@ -74,7 +98,7 @@ class TestType1:
         problem, x, slacks = type1_setup(rng)
         bundle = composite_eval(2.0, problem.terms, [None], x)
         step = newton_step_type1(bundle, slacks, problem.constraints)
-        inner = bundle.gradient @ vec(step.direction_X)
+        inner = bundle.gradient @ (sym_isometry(problem.n).T @ vec(step.direction_X))
         inner += np.sum(step.direction_slack * (-1.0 / slacks))
         assert inner <= 0.0
 
@@ -84,9 +108,9 @@ class TestType1:
         bundle = composite_eval(2.0, problem.terms, [None], x)
         step = newton_step_type1(bundle, slacks, cons)
         p = sym_isometry(cons.order)
-        resid = p @ (bundle.hessian @ (p.T @ vec(step.direction_X))) + bundle.gradient
-        resid -= cons.vec_stack.T @ step.multipliers
-        v = cons.vec_stack
+        v = np.stack([p.T @ vec(a) for a in cons.mats])
+        resid = bundle.hessian @ (p.T @ vec(step.direction_X)) + bundle.gradient
+        resid -= v.T @ step.multipliers
         proj = resid - v.T @ np.linalg.solve(v @ v.T, v @ resid)
         assert np.linalg.norm(proj) <= 1e-7 * (1 + np.linalg.norm(bundle.gradient))
 
@@ -144,7 +168,7 @@ class TestType2:
     def test_rejects_inequality_rows(self, rng):
         cons = AffineConstraints([rand_sym(rng, 3), np.eye(3)],
                                  np.array([0.5, 1.0]), n_ineq=1)
-        bundle = DerivativeBundle(0.0, np.zeros(9), np.eye(9))
+        bundle = DerivativeBundle(0.0, np.zeros(6), np.eye(6))
         with pytest.raises(ConstraintError):
             newton_step_type2(bundle, cons)
 
@@ -159,11 +183,11 @@ class TestType2:
         hess = proj @ (g @ g.T + np.eye(n * n)) @ proj
         assert np.linalg.eigvalsh(hess)[0] > -1e-12
         assert np.linalg.norm(hess @ ident) <= 1e-12 * np.linalg.norm(hess)
-        grad = vec(rand_sym(rng, n))
-        cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         p = sym_isometry(n)
+        grad = p.T @ vec(rand_sym(rng, n))
+        cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         step = newton_step_type2(DerivativeBundle(0.0, grad, p.T @ hess @ p), cons)
-        assert grad @ vec(step.direction_X) < 0.0
+        assert grad @ (p.T @ vec(step.direction_X)) < 0.0
         assert abs(np.trace(step.direction_X)) <= 1e-12 * np.linalg.norm(step.direction_X)
         assert step.decrement > 1e-3
         assert step.decrement_innerprod == pytest.approx(step.decrement, rel=1e-7)
@@ -181,11 +205,12 @@ class TestType2:
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         p = sym_isometry(n)
         with pytest.raises(SingularKKT):
-            newton_step_type2(DerivativeBundle(0.0, vec(rand_sym(rng, n)), p.T @ hess @ p), cons)
+            newton_step_type2(DerivativeBundle(0.0, p.T @ vec(rand_sym(rng, n)), p.T @ hess @ p),
+                              cons)
 
     def test_singular_hessian_rejected(self):
         cons = AffineConstraints([np.eye(2)], np.array([1.0]), n_ineq=0)
-        bad = DerivativeBundle(0.0, np.ones(4), np.zeros((3, 3)))
+        bad = DerivativeBundle(0.0, np.ones(3), np.zeros((3, 3)))
         with pytest.raises(SingularKKT):
             newton_step_type2(bad, cons)
 
@@ -205,7 +230,7 @@ def reference_newton_step(bundle, slacks, cons):
     w = h @ basis.y
     z = w - 0.5 * basis.v @ (basis.y.T @ w)
     h_q = h - z @ basis.v.T - basis.v @ z.T
-    g_q = basis.q_t(svec(unvec(grad, cons.order)))
+    g_q = basis.q_t(grad)
     a_q = basis.q_t(a_in.T).T
     b = a_q[:, k:]
     red = h_q[k:, k:] + (b.T * inv_s**2) @ b
@@ -223,7 +248,7 @@ def reference_newton_step(bundle, slacks, cons):
         normal = h_q[:k, k:] @ y + g_q[:k] - a_q[:, :k].T @ lam
         lam = np.concatenate([lam, scipy.linalg.solve_triangular(basis.r, normal, lower=False)])
     grad_slack = -inv_s
-    rad = float(-(vec(p_x) @ grad + p2 @ grad_slack))
+    rad = float(-(p_s @ grad + p2 @ grad_slack))
     return {
         "direction_X": p_x,
         "direction_slack": p2,

@@ -17,7 +17,6 @@ from qipsolve.matfun import (
     second_divided_diff_tensor,
     spectral_decompose,
     symmetrize,
-    unvec,
     vec,
 )
 
@@ -195,7 +194,6 @@ class TestVecSchurKron:
     def test_vec_column_stacking(self):
         a = np.array([[1.0, 3.0], [2.0, 4.0]])
         assert np.array_equal(vec(a), [1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(unvec(vec(a), 2), a)
 
     def test_kron_vec_identity(self, rng):
         a, x, b = (rng.standard_normal((3, 3)) for _ in range(3))

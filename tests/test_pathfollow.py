@@ -14,7 +14,7 @@ from qipsolve.errors import (
 from qipsolve.kkt import NewtonStep
 from qipsolve.matfun import symmetrize, vec
 from qipsolve.objectives import LogDetBarrier, combine_terms, evaluate_terms
-from qipsolve.oracle import derivative_audit, reference_minimize
+from qipsolve.oracle import derivative_audit, reference_minimize, sym_isometry
 from qipsolve.pathfollow import (
     FBetaEvaluator,
     SolverConfig,
@@ -509,7 +509,7 @@ class TestSolve:
         assert report.f_min == pytest.approx(with_barrier.f_min, abs=1e-6)
 
     def test_no_barrier_steps_are_descent_directions(self):
-        # without the barrier the QRE Hessian is singular along vec(X);
+        # without the barrier the QRE Hessian is singular along svec(X);
         # every step the solve takes must still decrease F_beta to first order
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
         records = []
@@ -520,7 +520,7 @@ class TestSolve:
         for x, rec in zip(starts, records):
             bundle = ev.x_bundle(x, rec["beta"])
             step = ev.newton_step(bundle, _State(x, np.zeros(0)))
-            assert bundle.gradient @ vec(step.direction_X) < 0.0
+            assert bundle.gradient @ (sym_isometry(3).T @ vec(step.direction_X)) < 0.0
             assert step.decrement_innerprod == pytest.approx(step.decrement, rel=1e-6)
 
     # QKD instances whose full-space Hessian solve used to end in

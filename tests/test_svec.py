@@ -80,7 +80,7 @@ def fd_svec_hessian(grad_fn, x, h=None):
     """d x d Hessian from central differences of the gradient along each svec direction."""
     n = x.shape[0]
     p = sym_isometry(n)
-    cols = [p.T @ fd_hessian_action(grad_fn, x, (p[:, a]).reshape((n, n), order="F"), h=h)
+    cols = [fd_hessian_action(grad_fn, x, (p[:, a]).reshape((n, n), order="F"), h=h)
             for a in range(p.shape[1])]
     return np.stack(cols, axis=1)
 
@@ -163,7 +163,7 @@ def test_term_hessian_against_the_oracles(kind, rng):
     p = sym_isometry(n)
     for _ in range(3):
         xi = rand_sym(rng, n) * 0.1
-        act_fd = p.T @ fd_hessian_action(grad, x, xi)
+        act_fd = fd_hessian_action(grad, x, xi)
         assert rel_err(h @ (p.T @ vec(xi)), act_fd) <= 1e-5
 
 
@@ -184,7 +184,7 @@ def dense_kkt_step(bundle, slacks, cons):
     """
     n, m = cons.order, cons.n_ineq
     p_iso = sym_isometry(n)
-    a = cons.vec_stack @ p_iso
+    a = np.stack([vec(a_i) for a_i in cons.mats]) @ p_iso
     d, n_rows = a.shape[1], a.shape[0]
     size = d + m + n_rows
     kkt = np.zeros((size, size))
@@ -194,7 +194,7 @@ def dense_kkt_step(bundle, slacks, cons):
     kkt[d:d + m, d + m:d + 2 * m] = -np.eye(m)
     kkt[d + m:, :d] = a
     kkt[d + m:d + 2 * m, d:d + m] = np.eye(m)
-    rhs = np.concatenate([-(p_iso.T @ bundle.gradient), 1.0 / slacks, np.zeros(n_rows)])
+    rhs = np.concatenate([-bundle.gradient, 1.0 / slacks, np.zeros(n_rows)])
     sol = np.linalg.solve(kkt, rhs)
     return p_iso @ sol[:d], sol[d:d + m], sol[d + m:]
 
