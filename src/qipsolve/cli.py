@@ -8,6 +8,11 @@ before launch: numpy reads it when it loads.
 Benchmark CSV schemas (also the column order of the text tables):
   table1: n,m,N,f_min,nNewton,time_s
   table2: n,k,m,r1,r2,time_s,f_min,nNewton
+``bench --json PATH`` writes the same runs as one JSON record: an
+``environment`` header (git SHA, numpy and scipy versions with their
+BLAS builds, the BLAS thread variables) and one row per size with the
+instance dimensions, seed, ``wall_s``, ``total_newton``, ``outer_iters``,
+``termination`` and ``f_min``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import argparse
 import csv
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -24,6 +30,8 @@ import numpy as np
 from . import oracle, probio
 from .errors import NotFound, QipError
 from .pathfollow import SolverConfig, solve
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 TABLE2_ROWS = [
     (4, 8, 2, 2, 2),
@@ -138,31 +146,63 @@ def cmd_check(args) -> int:
     return 1 if worst_fail else 0
 
 
+def _git_sha() -> str:
+    """HEAD of the git checkout holding this package, or "unknown"."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True,
+                             cwd=os.path.dirname(os.path.abspath(__file__)), timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def bench_environment() -> dict:
+    """What a benchmark number depends on besides the code: versions, BLAS, threads."""
+    import scipy
+
+    def blas(module):
+        try:
+            dep = module.__config__.CONFIG["Build Dependencies"]["blas"]
+            return f"{dep['name']} {dep['version']}"
+        except (AttributeError, KeyError, TypeError):
+            return "unknown"
+
+    return {
+        "git_sha": _git_sha(),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "numpy_blas": blas(np),
+        "scipy": scipy.__version__,
+        "scipy_blas": blas(scipy),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+    }
+
+
 def cmd_bench(args) -> int:
     sizes = set(args.sizes) if args.sizes else None
-    rows = []
+    runs = []  # (dimensions, seed, report, wall seconds)
     config = SolverConfig(epsilon=args.eps)
     if args.suite == "table1":
-        header = ["n", "m", "N", "f_min", "nNewton", "time_s"]
         ladder = [n for n in (4, 8, 16, 32, 64) if sizes is None or n in sizes]
-        for idx, n in enumerate(ladder):
-            spec = probio.generate_random(
-                "type1", {"n": n, "m": n // 2, "N": n}, seed=args.seed + idx)
-            t0 = time.perf_counter()
-            report = solve(spec, config=config)
-            dt = time.perf_counter() - t0
-            rows.append([n, n // 2, n, report.f_min, report.total_newton, dt])
+        shapes = [("type1", {"n": n, "m": n // 2, "N": n}) for n in ladder]
+    else:
+        ladder = [r for r in TABLE2_ROWS if sizes is None or r[0] in sizes]
+        shapes = [("qkd", dict(zip(("n", "k", "m", "r1", "r2"), row))) for row in ladder]
+    for idx, (kind, dims) in enumerate(shapes):
+        seed = args.seed + idx
+        spec = probio.generate_random(kind, dims, seed=seed)
+        t0 = time.perf_counter()
+        report = solve(spec, config=config)
+        runs.append((dims, seed, report, time.perf_counter() - t0))
+
+    if args.suite == "table1":
+        header = ["n", "m", "N", "f_min", "nNewton", "time_s"]
+        rows = [[d["n"], d["m"], d["N"], rep.f_min, rep.total_newton, dt]
+                for d, _, rep, dt in runs]
     else:
         header = ["n", "k", "m", "r1", "r2", "time_s", "f_min", "nNewton"]
-        ladder = [r for r in TABLE2_ROWS if sizes is None or r[0] in sizes]
-        for idx, (n, k, m, r1, r2) in enumerate(ladder):
-            spec = probio.generate_random(
-                "qkd", {"n": n, "k": k, "m": m, "r1": r1, "r2": r2},
-                seed=args.seed + idx)
-            t0 = time.perf_counter()
-            report = solve(spec, config=config)
-            dt = time.perf_counter() - t0
-            rows.append([n, k, m, r1, r2, dt, report.f_min, report.total_newton])
+        rows = [[d["n"], d["k"], d["m"], d["r1"], d["r2"], dt, rep.f_min, rep.total_newton]
+                for d, _, rep, dt in runs]
 
     widths = [max(len(h), 12) for h in header]
     print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
@@ -176,6 +216,20 @@ def cmd_bench(args) -> int:
             writer.writerow(header)
             writer.writerows(rows)
         print(f"csv -> {args.csv}")
+    if args.json:
+        doc = {
+            "suite": args.suite,
+            "epsilon": args.eps,
+            "environment": bench_environment(),
+            "rows": [{**dims, "seed": seed, "wall_s": dt, "total_newton": rep.total_newton,
+                      "outer_iters": rep.outer_iters, "termination": rep.termination,
+                      "f_min": rep.f_min}
+                     for dims, seed, rep, dt in runs],
+        }
+        with open(args.json, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        print(f"json -> {args.json}")
     return 0
 
 
@@ -230,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--eps", type=float, default=1e-8)
     b.add_argument("--csv")
+    b.add_argument("--json", help="write the rows and the run environment as JSON here")
     b.set_defaults(func=cmd_bench)
     return parser
 

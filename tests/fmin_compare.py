@@ -11,15 +11,21 @@ compares two such records:
 at seeds 1 and 2, as ``perfbench/workloads.py`` builds them, with one
 BLAS thread and the default ``SolverConfig``. For each it writes
 ``f_min`` (as ``float.hex``), the termination (or the name of the
-QipError raised) and ``total_newton``. It solves with the checkout it
-lives in: to record another revision, run that revision's copy of this
-file (or a copy placed in that checkout). It takes about a minute.
+QipError raised), ``total_newton`` and ``schur_condition_max``. It
+solves with the checkout it lives in: to record another revision, run
+that revision's copy of this file (or a copy placed in that checkout).
+It takes about a minute.
 
 ``--compare`` exits 1 when an instance's termination changed, or when
 |f_A - f_B| / (1 + |f_A|) exceeds 1e-10. It prints the worst drift per
 workload and every change in the Newton count; a changed count alone is
 reported, not failed. Plain relative error would mean nothing here,
-since the type2 optima are about 1e-16.
+since the type2 optima are about 1e-16. It also lists every instance
+whose ``schur_condition_max`` moved by more than a factor of 10, and
+the largest move per workload: the Cholesky pivot ratio depends on the
+coordinates of the Newton system, so it moves with them, and the list
+shows how close a move comes to the SingularKKT gate (about 1e13 at
+n = 32). A moved condition alone is reported, not failed.
 
 This is a tool, not a test or a CI gate: other BLAS builds, or another
 BLAS thread count, move ``f_min`` by tens of 1e-12 on their own. The
@@ -47,6 +53,7 @@ from qipsolve.pathfollow import SolverConfig, solve  # noqa: E402
 
 SEEDS = (1, 2)
 MAX_DRIFT = 1e-10
+CONDITION_MOVE = 10.0
 
 
 def record(workload: str, seed: int, label: str, spec, config) -> dict:
@@ -63,6 +70,7 @@ def record(workload: str, seed: int, label: str, spec, config) -> dict:
         "f_min": None if report is None else report.f_min.hex(),
         "termination": termination,
         "total_newton": None if report is None else report.total_newton,
+        "schur_condition_max": None if report is None else report.schur_condition_max,
     }
 
 
@@ -88,6 +96,11 @@ def drift(a: str | None, b: str | None) -> float:
     return abs(fa - fb) / (1.0 + abs(fa))
 
 
+def condition_move(a: float | None, b: float | None) -> float:
+    """b / a of two Schur conditions, 1 when either is missing."""
+    return 1.0 if a is None or b is None else b / a
+
+
 def compare(path_a: Path, path_b: Path) -> int:
     rows_a = {(r["workload"], r["label"]): r for r in json.loads(path_a.read_text())["instances"]}
     rows_b = {(r["workload"], r["label"]): r for r in json.loads(path_b.read_text())["instances"]}
@@ -95,6 +108,7 @@ def compare(path_a: Path, path_b: Path) -> int:
     failures += [f"{key[1]}: only in {path_b}" for key in rows_b.keys() - rows_a.keys()]
     worst: dict[str, tuple[float, str]] = {}
     newton = {}
+    moves: dict[str, tuple[float, str]] = {}
     for key in sorted(rows_a.keys() & rows_b.keys()):
         a, b = rows_a[key], rows_b[key]
         name, label = key
@@ -107,11 +121,20 @@ def compare(path_a: Path, path_b: Path) -> int:
             failures.append(f"{label}: f_min drift {d:.3e} > {MAX_DRIFT:g}")
         if a["total_newton"] != b["total_newton"]:
             print(f"{label}: Newton steps {a['total_newton']} -> {b['total_newton']}")
+        move = condition_move(a.get("schur_condition_max"), b.get("schur_condition_max"))
+        factor = max(move, 1.0 / move)
+        if factor > moves.get(name, (1.0, ""))[0]:
+            moves[name] = (factor, label)
+        if factor > CONDITION_MOVE:
+            print(f"{label}: schur_condition_max {a['schur_condition_max']:.3g} -> "
+                  f"{b['schur_condition_max']:.3g} ({move:.3g}x)")
         for side, row in (("a", a), ("b", b)):
             newton[name, side] = newton.get((name, side), 0) + (row["total_newton"] or 0)
     for name, (d, label) in worst.items():
+        factor, where = moves.get(name, (1.0, ""))
         print(f"{name}: worst drift {d:.2e} ({label}); Newton steps "
-              f"{newton[name, 'a']} -> {newton[name, 'b']}")
+              f"{newton[name, 'a']} -> {newton[name, 'b']}; largest Schur condition "
+              f"move {factor:.3g}x ({where or 'none'})")
     for line in failures:
         print("FAIL", line)
     print(f"{len(rows_a.keys() & rows_b.keys())} instances compared, {len(failures)} failures")

@@ -204,3 +204,22 @@ class TestBench:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "m", "N", "f_min", "nNewton", "time_s"]
         assert float(rows[1][3]) > 0.0  # Tr(C X^{-1}) with C PSD stays positive
+
+    def test_json_record_fields(self, tmp_path, capsys):
+        json_path = tmp_path / "b.json"
+        code, out, _ = run(capsys, "bench", "--suite", "table1", "--sizes", "4", "8",
+                           "--json", str(json_path))
+        assert code == 0
+        doc = json.loads(json_path.read_text())
+        assert doc["suite"] == "table1"
+        env = doc["environment"]
+        assert {"git_sha", "numpy", "numpy_blas", "scipy", "scipy_blas",
+                "blas_threads"} <= env.keys()
+        assert "OPENBLAS_NUM_THREADS" in env["blas_threads"]
+        assert [row["n"] for row in doc["rows"]] == [4, 8]
+        table = [line.split() for line in out.splitlines()[1:3]]
+        for row, cells in zip(doc["rows"], table):
+            assert row["termination"] == "Converged"
+            assert row["wall_s"] > 0.0 and row["outer_iters"] >= 1
+            assert row["total_newton"] == int(cells[4])  # the table's nNewton
+            assert row["f_min"] == pytest.approx(float(cells[3]), rel=1e-5)
