@@ -3,16 +3,19 @@
 The Newton system is solved on the tangent space of the equality rows,
 in symmetric coordinates: ``svec`` (``matfun``) keeps the n(n+1)/2
 upper-triangle entries of a symmetric matrix, off-diagonal ones scaled
-by sqrt(2), so that <A, X> = svec(A) . svec(X). The constraint rows
-svec(A_i) and the bundle's gradient and Hessian are all on svec
-coordinates. Each AffineConstraints factors its equality rows once, on
-the first step: svec(A_eq)^T = Q R, and the trailing columns N of Q span
-the tangent space {svec(P) : <A_i, P> = 0 on equality rows}.
+by sqrt(2), so that <A, X> = svec(A) . svec(X). The bundle's gradient
+and Hessian are on the svec coordinates of xi~ = U.T xi U, U the
+eigenbasis of X that the bundle carries (``objectives``), and so is the
+whole solve: each step rotates the constraint rows into that basis,
+svec(U.T A_i U) (2 N n^3 work), and factors the rotated equality rows
+by LAPACK's dgeqrt, svec(U.T A_eq U)^T = Q R with Q = I - V T V^T in
+compact WY form (Q is never formed). The trailing columns of Q span the
+tangent space {svec(P~) : <A_i, U P~ U.T> = 0 on equality rows}.
+Nothing is cached between steps, since the basis moves with X. The
+direction is rotated back once, P = U P~ U.T.
 
 A step copies the Hessian once into Fortran order and applies Q on both
-sides there, in the compact WY form of its Householder reflectors,
-Q = I - V T V^T: two rank-N_eq GEMMs accumulate into the copy (no dense
-basis is formed).
+sides there: two rank-N_eq GEMMs accumulate into the copy.
 The slack block, which the inequality slack direction q = -A_ineq p
 contributes as (A_ineq N)^T diag(1/s^2) (A_ineq N), is accumulated by
 one more GEMM onto a Fortran copy of the tangent block, which LAPACK's
@@ -22,7 +25,7 @@ Each GEMM takes the operands of the plain expressions H - Z V^T - V Z^T
 and M_tt + (B^T D) B and adds its product into the target, so the
 results are those of the expressions (the tests compare them bit for
 bit) without their d x d temporaries.
-The reduced solution is mapped back, p = N y, so the direction is
+The reduced solution is mapped back, p~ = N y, so the direction is
 tangent by construction. Only the Hessian restricted to the tangent
 space must be positive definite, so the relative-entropy Hessian, which
 annihilates svec(X), is fine wherever X is not tangent (Tr X = 1).
@@ -39,7 +42,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import ConstraintError, DomainViolation, SingularKKT
-from .matfun import svec, symmetrize, unsvec
+from .matfun import svec, svec_layout, symmetrize, unsvec
 
 
 @dataclass
@@ -88,11 +91,6 @@ class AffineConstraints:
     def n_eq(self) -> int:
         return self.n_total - self.n_ineq
 
-    @cached_property
-    def tangent_basis(self) -> "TangentBasis":
-        """Built on the first Newton step, so unsolved problems stay small."""
-        return TangentBasis(self)
-
     def residuals(self, x: np.ndarray, slacks=None) -> np.ndarray:
         """<A_i, X> + s_i - b_i with s_i = 0 on equality rows."""
         vals = self.svec_rows @ svec(x) - self.rhs
@@ -100,59 +98,54 @@ class AffineConstraints:
             vals[: self.n_ineq] += np.asarray(slacks, dtype=float)
         return vals
 
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        """The A_i as one N x n x n array, built on the first Newton step."""
+        return np.stack(self.mats)
 
-class TangentBasis:
-    """The inequality rows and the QR of the equality rows, on svec coordinates.
+    def rotated_rows(self, u: np.ndarray) -> np.ndarray:
+        """svec(U.T A_i U) of every row, N x n(n+1)/2: the rows in the coordinates of U."""
+        lay = svec_layout(self.order)
+        rot = u.T @ self._stack @ u
+        return rot.reshape(self.n_total, -1).take(lay.lower, axis=1) * lay.weight
 
-    With svec(A_eq)^T = Q R and Q = I - V T V^T (Householder QR in
-    compact WY form; Q is never formed), Q^T maps svec coordinates to
-    [normal (n_eq); tangent] ones.
+
+def equality_qr(eq_rows: np.ndarray):
+    """(V, Y, R) of the Householder QR eq_rows^T = Q R, Q = I - V Y^T, Y = V T.
+
+    LAPACK's dgeqrt returns the reflectors V (below R's diagonal, unit
+    diagonal implied) and the triangular factor T of the compact WY form
+    in one call; with no rows, V and Y are empty and Q = I. R is the
+    upper triangle of the returned k x k block, the only part that a
+    triangular solve reads; below its diagonal lie the reflectors.
     """
+    k, d = eq_rows.shape
+    if not k:
+        return np.zeros((d, 0)), np.zeros((d, 0)), np.zeros((0, 0))
+    qr, t, info = lapack.dgeqrt(k, eq_rows.T)
+    if info != 0:
+        raise ConstraintError(f"QR of the equality rows failed (info {info})")
+    r = qr[:k].copy()
+    lay = svec_layout(k)
+    qr[lay.rows, lay.cols] = 0.0  # R's triangle, then V's unit diagonal
+    np.fill_diagonal(qr, 1.0)
+    return qr, qr @ t, r
 
-    def __init__(self, cons: AffineConstraints):
-        m = cons.n_ineq
-        rows = cons.svec_rows
-        self.dim = rows.shape[1]
-        self.ineq_rows = rows[:m]
-        # Q = H_1 ... H_k = I - V T V^T; keep V, Y = V T and R
-        k = cons.n_eq
-        self.v = self.y = np.zeros((self.dim, 0))
-        self.r = np.zeros((0, 0))
-        if k:
-            qr, tau, _, info = lapack.dgeqrf(rows[m:].T)
-            if info != 0:
-                raise ConstraintError("QR of the equality rows failed")
-            self.r = np.triu(qr[:k])
-            v = np.tril(qr, -1)
-            v[np.arange(k), np.arange(k)] = 1.0
-            t = np.zeros((k, k))
-            for i in range(k):  # LAPACK's dlarft recurrence, forward columnwise
-                t[i, i] = tau[i]
-                t[:i, i] = -tau[i] * (t[:i, :i] @ (v[:, :i].T @ v[:, i]))
-            self.v, self.y = v, v @ t
 
-    def rotate(self, h: np.ndarray) -> np.ndarray:
-        """Q^T H Q of a symmetric H, as H - Z V^T - V Z^T, in Fortran order.
+def rotate(h: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Q^T H Q of a symmetric H, as H - Z V^T - V Z^T, in Fortran order.
 
-        Expanding (I - V Y^T) H (I - Y V^T) with W = H Y and S = Y^T W
-        gives H - W V^T - V W^T + V S V^T; Z = W - V S / 2 folds the
-        last term into the two rank-k products. They are accumulated
-        into one Fortran copy of H (H^T, a plain copy of a C-ordered H),
-        first -Z V^T and then -V Z^T, as in the expression.
-        """
-        w = h @ self.y
-        z = w - 0.5 * self.v @ (self.y.T @ w)
-        out = np.array(h.T, order="F")
-        out = blas.dgemm(-1.0, z.T, self.v.T, beta=1.0, c=out, trans_a=1, overwrite_c=1)
-        return blas.dgemm(-1.0, self.v.T, z.T, beta=1.0, c=out, trans_a=1, overwrite_c=1)
-
-    def q_t(self, c: np.ndarray) -> np.ndarray:
-        """Q^T c."""
-        return c - self.v @ (self.y.T @ c)
-
-    def q(self, c: np.ndarray) -> np.ndarray:
-        """Q c."""
-        return c - self.y @ (self.v.T @ c)
+    Expanding (I - V Y^T) H (I - Y V^T) with W = H Y and S = Y^T W
+    gives H - W V^T - V W^T + V S V^T; Z = W - V S / 2 folds the
+    last term into the two rank-k products. They are accumulated
+    into one Fortran copy of H (H^T, a plain copy of a C-ordered H),
+    first -Z V^T and then -V Z^T, as in the expression.
+    """
+    w = h @ y
+    z = w - 0.5 * v @ (y.T @ w)
+    out = np.array(h.T, order="F")
+    out = blas.dgemm(-1.0, z.T, v.T, beta=1.0, c=out, trans_a=1, overwrite_c=1)
+    return blas.dgemm(-1.0, v.T, z.T, beta=1.0, c=out, trans_a=1, overwrite_c=1)
 
 
 @dataclass
@@ -198,23 +191,26 @@ def _decrements(quad: float, innerprod: float, scale: float):
 def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) -> NewtonStep:
     """Newton step of bundle + slack logs, solved on the tangent space.
 
-    Coordinates after Q^T are [normal (k); tangent (dim)]: with
-    M = Q^T H_s Q, the tangent step y solves
+    Everything is on the bundle's coordinates, svec(U.T xi U), with the
+    rows rotated to match. Coordinates after Q^T are [normal (k);
+    tangent]: with M = Q^T H_s Q, the tangent step y solves
     (M_tt + B^T D B) y = -(Q^T (g_s + A_ineq^T / s))_t, B = (A_ineq Q)_t.
     """
     m, k = cons.n_ineq, cons.n_eq
-    basis = cons.tangent_basis
-    a_in = basis.ineq_rows
-    d = basis.dim
     grad = bundle.gradient
+    d = grad.size
     inv_s = 1.0 / slacks
     # LAPACK does not check its input for NaN or inf
     if not (np.isfinite(grad).all() and np.isfinite(bundle.hessian).all()):
         raise SingularKKT("Newton system has a non-finite Hessian or gradient entry")
 
-    h_q = basis.rotate(bundle.hessian)
-    g_q = basis.q_t(grad)
-    a_q = basis.q_t(a_in.T).T
+    u = bundle.basis
+    rows = cons.rotated_rows(u)
+    a_in = rows[:m]
+    v, vt, r_eq = equality_qr(rows[m:])
+    h_q = rotate(bundle.hessian, v, vt)
+    g_q = grad - v @ (vt.T @ grad)
+    a_q = a_in - (a_in @ vt) @ v.T
 
     b = a_q[:, k:]
     red = np.array(h_q[k:, k:], order="F")
@@ -239,9 +235,9 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
         y, cond, quad = np.zeros(0), 1.0, 0.0
 
     p_q = np.concatenate([np.zeros(k), y])
-    p_s = basis.q(p_q)
+    p_s = p_q - vt @ (v.T @ p_q)
     p2 = -(a_in @ p_s)
-    p_x = unsvec(p_s)
+    p_x = symmetrize(u @ unsvec(p_s) @ u.T)
 
     # lambda_ineq from slack stationarity; lambda_eq from the normal rows
     # of the X-equation, R lambda_eq = (Q^T (H_s p + g_s - A_ineq^T lam_ineq))_n
@@ -251,7 +247,7 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
         # a C-ordered copy of the block: the row-wise products of a C-ordered H_q
         normal = np.ascontiguousarray(h_q[:k, k:]) @ y + g_q[:k] - a_q[:, :k].T @ lam_in
         # R is C-ordered, so LAPACK sees R^T and solves (R^T)^T lambda = normal
-        lam_eq, _ = lapack.dtrtrs(basis.r.T, normal, lower=1, trans=1)
+        lam_eq, _ = lapack.dtrtrs(r_eq.T, normal, lower=1, trans=1)
         lam = np.concatenate([lam_in, lam_eq])
 
     grad_slack = -inv_s
@@ -259,7 +255,7 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     scale = np.abs(p_s) @ np.abs(grad) + np.abs(p2) @ np.abs(grad_slack) + 1.0
     delta, delta_ip = _decrements(quad, rad, scale)
 
-    tang = cons.svec_rows @ p_s
+    tang = rows @ p_s
     tang[:m] += p2
 
     return NewtonStep(

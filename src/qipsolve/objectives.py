@@ -3,37 +3,47 @@
 A trace objective is phi(X) = <C, g(X)> = Tr(C g(X)) for a PSD weight C
 and an anti-monotone scalar generator g, optionally pre-composed with a
 linear map L (phi(X) = <C, g(L(X))>). Derivatives are expressed through
-divided differences in the eigenbasis:
+divided differences in the eigenbasis of the generator's argument, with
+Ctil = U.T C U: the gradient matrix is U (Ctil o g1(lam)) U.T, and the
+Hessian's core S couples a diagonal-selected first term with a second
+term built from the tensor of second divided differences.
 
-* gradient: U (Ctil o g1(lam)) U.T with Ctil = U.T C U,
-* Hessian: (U (x) U) S (U (x) U).T, where the sparse core S couples a
-  diagonal-selected first term with a second term built from the tensor
-  of second divided differences; off-diagonal blocks of S are diagonal.
+Every gradient and Hessian is on the svec coordinates of
+xi~ = U.T xi U, where X = U Lam U.T is the eigendecomposition of X (see
+``matfun`` for svec; d = n(n+1)/2): ``gradient @ svec(U.T xi U) ==
+Df(X)[xi]`` and ``hessian @ svec(U.T xi U) == svec(U.T D^2 f(X)[xi] U)``,
+and the bundle carries U as ``basis``. The KKT layer solves in those
+coordinates. There, the structures are sparse, with no rotation:
 
-A gradient is delivered as svec(G), the svec vector of the gradient
-matrix G, and a Hessian as the d x d matrix on svec coordinates,
-d = n(n+1)/2 (see ``matfun``): the KKT layer solves in those
-coordinates, and a symmetric matrix needs no more. When a map L is
-present, gradients push through the adjoint, and Hessians are
-assembled from the congruence batch V[c] = O.T L(E_c) O of the svec
-basis matrices E_c in the eigenbasis O of the map output, which the map
-builds from its own structure (Kraus factors Ktil_t = O.T K_t, or the
-svec permutation of the partial transpose; see ``linmap``). Each V[c]
-is symmetric, so the sandwiches contract over the k(k+1)/2
+* -ln det X has gradient svec(-Lam^-1) and the diagonal Hessian
+  diag(1/(lam_a lam_b)) over the svec coordinates (a, b);
+* Tr(C g(X)) has gradient svec(Ctil o g1), and its Hessian couples
+  (a, b) only with the pairs that share an index: the n^3 entries of the
+  core, scattered into the d x d matrix (``phi_hessian_in_basis``).
+
+When a map L is present, gradients and Hessians are assembled from the
+congruence batch V[c] = O.T L(U E_c U.T) O of the svec basis matrices
+E_c, with O the eigenbasis of the map output, which the map builds from
+its own structure (see ``linmap``): the gradient entry c is
+<M, V[c]> for the gradient matrix M in O's basis, which is
+svec(U.T L.T(O M O.T) U) with no adjoint or rotation (``batch_inner``).
+Each V[c] is symmetric, so the contractions run over the k(k+1)/2
 upper-triangle entries of each batch, gathered once.
 
 Every evaluation reads its spectral decompositions from an ``EvalPoint``:
 an owned copy of X that decomposes X, and each map image, on first use,
 and checks that the image is positive definite. All terms of one
 evaluation share it, so X and each image are decomposed once, however
-many terms read them. An evaluation has two modes: with ``want_hessian``
-it returns value, gradient and Hessian; without, the value alone (no
-divided differences, gradient, inverse or adjoint). The value is one
-expression in both modes, so it is the same bits either way.
+many terms read them, and every term's bundle is in the one basis U of
+X. An evaluation has two modes: with ``want_hessian`` it returns value,
+gradient and Hessian; without, the value alone (no divided differences,
+gradient, inverse or adjoint). The value is one expression in both
+modes, so it is the same bits either way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,15 +95,19 @@ class TraceObjective:
 class DerivativeBundle:
     """Scalar value, gradient and dense Hessian, or the value alone.
 
-    Both are on svec coordinates, d = n(n+1)/2, for symmetric xi:
-    ``gradient @ svec(xi) == Df(X)[xi]`` (the gradient is svec(G) of the
-    gradient matrix G) and ``hessian @ svec(xi) == svec(D^2 f(X)[xi])``.
-    A value-only evaluation leaves gradient and Hessian None.
+    Both are on the svec coordinates of xi~ = U.T xi U, d = n(n+1)/2, for
+    symmetric xi and the orthogonal ``basis`` U:
+    ``gradient @ svec(xi~) == Df(X)[xi]`` (the gradient is svec(U.T G U)
+    of the gradient matrix G) and ``hessian @ svec(xi~) ==
+    svec(U.T D^2 f(X)[xi] U)``. A term's U is the eigenbasis of X
+    (``EvalPoint.basis``). A value-only evaluation leaves gradient,
+    Hessian and basis None.
     """
 
     value: float
     gradient: np.ndarray | None
     hessian: np.ndarray | None = None
+    basis: np.ndarray | None = None
 
 
 class EvalPoint:
@@ -126,6 +140,11 @@ class EvalPoint:
             hit = self._images[key] = (y, spectral_decompose(y))
         return hit
 
+    @property
+    def basis(self) -> np.ndarray:
+        """U of X = U Lam U.T, whose svec coordinates every term's derivatives use."""
+        return self.image()[1].U
+
     def pd_image(self, what: str, lmap=None,
                  shift: float = 0.0) -> tuple[np.ndarray, SpectralDecomp]:
         """``image(lmap, shift)``, which must be positive definite; ``what`` names it."""
@@ -141,20 +160,32 @@ class EvalPoint:
 # Hessian assembly primitives (shared with the relative-entropy module)
 # ---------------------------------------------------------------------------
 
-def congruence_batch(lmap, o: np.ndarray) -> np.ndarray:
-    """V[c] = O.T L(E_c) O for every svec basis matrix E_c, shaped (d, k, k).
+def congruence_batch(lmap, o: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """V[c] = O.T L(U E_c U.T) O for every svec basis matrix E_c, shaped (d, k, k).
 
-    This realizes (O (x) O).T M P for the map matrix M without forming
-    it: the map supplies the batch from its Kraus factors or its svec
-    permutation (``congruence_batch`` of ``linmap``'s classes).
+    This realizes (O (x) O).T M (U (x) U) P for the map matrix M without
+    forming it: the map supplies the batch from its Kraus factors or its
+    index structure (``congruence_batch`` of ``linmap``'s classes).
     """
-    return lmap.congruence_batch(o)
+    return lmap.congruence_batch(o, u)
 
 
 def triu_rows(v: np.ndarray) -> np.ndarray:
     """Upper-triangle entries of each k x k matrix of a batch, (ncols, k(k+1)/2)."""
     flat = v.reshape(v.shape[0], -1)
     return flat.take(svec_layout(v.shape[1]).lower, axis=1)  # row-major index of (i, j)
+
+
+def batch_inner(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<M, V[c]> for every matrix V[c] of a batch, from ``s = triu_rows(V)``.
+
+    M is symmetric k x k. For a map term, M is the gradient matrix in the
+    output eigenbasis O and V the batch O.T L(U E_c U.T) O, so this is
+    the gradient svec(U.T L.T(O M O.T) U) without the adjoint or a
+    rotation: <L.T(G), U E_c U.T> = <G, L(U E_c U.T)>.
+    """
+    lay = svec_layout(m.shape[0])
+    return s @ (m[lay.rows, lay.cols] * lay.weight**2)
 
 
 def sandwich_diag(s1: np.ndarray, s2: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -185,57 +216,47 @@ def sandwich_core(v: np.ndarray, s: np.ndarray, ctil: np.ndarray,
     return (s * (0.5 * lay.weight**2)) @ sym.T
 
 
-def scale_by_weight_pairs(h: np.ndarray, lay) -> np.ndarray:
-    """h[p, q] *= w_p w_q / 2 in place, for svec weights w of layout ``lay``.
+@functools.lru_cache(maxsize=None)
+def _shared_index_scatter(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat d x d index s(i,j) d + s(i,l) and weight 2 c_ij c_il of each triple (i, j, l).
 
-    This is h *= outer(half, half) with half = w / sqrt(2), which is
-    exactly 1 off the diagonal, so only the n diagonal rows and columns
-    change, each entry by the outer product's own factor half_p half_q,
-    and no d x d temporary is made.
+    s(i, j) is the svec coordinate of the pair {i, j}, and c is 1 on the
+    diagonal and 1/sqrt(2) off it (column s of the isometry P has
+    entries c at (i, j) and (j, i)). Both tables have n^3 entries.
     """
-    half = lay.weight / math.sqrt(2.0)
-    dg = lay.diag
-    rows = h[dg]
-    rows *= np.outer(half[dg], half)
-    h[:, dg] *= half[dg]
-    h[dg] = rows
-    return h
+    lay = svec_layout(n)
+    d = lay.rows.size
+    s = np.empty((n, n), dtype=np.intp)
+    s[lay.rows, lay.cols] = s[lay.cols, lay.rows] = np.arange(d)
+    c = np.full((n, n), 1.0 / math.sqrt(2.0))
+    np.fill_diagonal(c, 1.0)
+    index = (s[:, :, None] * d + s[:, None, :]).ravel()
+    coef = 2.0 * c[:, :, None] * c[:, None, :]
+    for t in (index, coef):
+        t.flags.writeable = False
+    return index, coef
 
 
-def phi_hessian_in_basis(u: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """P.T (U (x) U) S (U (x) U).T P, the svec Hessian, as a d x d matrix.
+def phi_hessian_in_basis(ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """P.T S P, the svec Hessian of Tr(C g(X)) in X's eigenbasis, as a d x d matrix.
 
     S = S1 + S2 with [S1 v]_ij = sum_l Ctil_jl Gamma_ijl v_il and
     [S2 v]_ij = sum_k Ctil_ik Gamma_ijk v_kj. Gamma is symmetric in its
-    three indices, so S1 is S2 conjugated by the transpose, and P.T
-    absorbs the transpose: the Hessian is 2 P.T (U (x) U) S2 (U (x) U).T P.
-    The full-vec entry ((a, b), (c, d)) of (U (x) U) S2 (U (x) U).T is
-    sum_j U_bj U_dj K_j[a, c], K_j = U (Ctil o Gamma[:, j, :]) U.T, and
-    svec entry (p, q) sums it over both orders of p's and q's index
-    pairs, times w_p w_q / 2. Only the d rows of p are formed: O(n^5)
-    work and no n^2 x n^2 array.
+    three indices, so S2 is S1 conjugated by the transpose, which P.T
+    absorbs: the Hessian is 2 P.T S1 P. S1 couples the vec index (i, j)
+    only with (i, l), so its n^3 entries Ctil_jl Gamma_ijl, times
+    2 c_ij c_il, are scattered into the svec pairs (s(i, j), s(i, l)):
+    O(n^3) work, with about 4/n of the d^2 entries nonzero. Gamma is exactly
+    symmetric in its last two indices, so for an exactly symmetric Ctil
+    the result is exactly symmetric: each off-diagonal entry receives one
+    term, the same as its mirror's.
     """
-    n = u.shape[0]
-    lay = svec_layout(n)
-    rows, cols = lay.rows, lay.cols
-    cg = ctil[:, None, :] * gamma  # (i, j, k): Ctil_ik Gamma_ijk
-    # K_j[a, c] as kmats[a, c, j]: the contraction ai,ijk,ck -> acj as two
-    # GEMMs, over i and then over k, with the operand layouts of einsum's
-    # optimized path (and so its rounding), without its per-call path search
-    t = (cg.transpose(1, 2, 0).reshape(n * n, n) @ u.T).reshape(n, n, n)  # (j, k, a)
-    t = t.transpose(2, 0, 1).reshape(n * n, n) @ u.T  # (a j, c)
-    kmats = np.ascontiguousarray(t.reshape(n, n, n).transpose(0, 2, 1))
-    # f[p, c, j] = U_j1j K_j[i1, c] + U_i1j K_j[j1, c] for p = (i1, j1)
-    f = kmats[rows]
-    f *= u[cols][:, None, :]
-    f2 = kmats[cols]
-    f2 *= u[rows][:, None, :]
-    f += f2
-    # e[p, c, d]: both orders of p, one order (c, d) of q
-    e = (f.reshape(-1, n) @ u.T).reshape(-1, n * n)
-    out = e.take(lay.lower, axis=1)  # row-major index of (i2, j2)
-    out += e.take(lay.upper, axis=1)  # and of (j2, i2)
-    return scale_by_weight_pairs(out, lay)
+    n = ctil.shape[0]
+    d = n * (n + 1) // 2
+    index, coef = _shared_index_scatter(n)
+    weights = ctil * gamma  # (i, j, l): Ctil_jl Gamma_ijl
+    weights *= coef
+    return np.bincount(index, weights=weights.ravel(), minlength=d * d).reshape(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +274,23 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True, *,
     """
     point = EvalPoint(x) if point is None else point
     _, dec = point.pd_image("argument" if obj.map is None else "map output", obj.map)
-    u, lam = dec.U, dec.lam
-    ctil = u.T @ obj.C @ u
+    o, lam = dec.U, dec.lam
+    ctil = symmetrize(o.T @ obj.C @ o)
     value = float(np.diag(ctil) @ obj.gen.g(lam))
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     f1 = divided_diff_1(obj.gen, lam)
-    grad_y = symmetrize(u @ (ctil * f1) @ u.T)
     gamma = second_divided_diff_tensor(obj.gen, lam, f1=f1)
+    u = point.basis
     if obj.map is None:
-        grad = svec(grad_y)
-        hess = symmetrize(phi_hessian_in_basis(u, ctil, gamma))
+        grad = svec(ctil * f1)
+        hess = phi_hessian_in_basis(ctil, gamma)
     else:
-        grad = svec(obj.map.adjoint_apply(grad_y))
-        v = congruence_batch(obj.map, u)
-        hess = symmetrize(sandwich_core(v, triu_rows(v), ctil, gamma))
-    return DerivativeBundle(value=value, gradient=grad, hessian=hess)
+        v = congruence_batch(obj.map, o, u)
+        s = triu_rows(v)
+        grad = batch_inner(s, ctil * f1)
+        hess = symmetrize(sandwich_core(v, s, ctil, gamma))
+    return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=u)
 
 
 # ---------------------------------------------------------------------------
@@ -277,46 +299,45 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True, *,
 
 def barrier_eval(x: np.ndarray, want_hessian: bool = True, *,
                  point: EvalPoint | None = None) -> DerivativeBundle:
-    """-ln det X with gradient svec(-X^-1) and Hessian X^-1 (x) X^-1 on svec.
+    """-ln det X, with gradient svec(-Lam^-1) and Hessian diag(1/(lam_a lam_b)).
 
-    On svec coordinates p = (i, j), q = (k, l), with A = X^-1, the Hessian
-    is (w_p w_q / 2)(A_ik A_jl + A_il A_jk), exactly symmetric.
+    In X's eigenbasis, D^2(-ln det X)[xi, xi] = sum_ab xi~_ab^2 / (lam_a lam_b),
+    so the svec Hessian is diagonal, with entry 1/(lam_a lam_b) at the
+    coordinate (a, b); nothing is rotated or gathered.
     """
     point = EvalPoint(x) if point is None else point
     _, dec = point.pd_image("barrier argument")
-    u, lam = dec.U, dec.lam
+    lam = dec.lam
     value = -float(np.sum(np.log(lam)))
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
-    xinv = symmetrize((u / lam) @ u.T)
-    # a_r[:, q] = A[:, k], a_c[:, q] = A[:, l]; rows are gathered whole
-    lay = svec_layout(xinv.shape[0])
-    a_r = xinv[:, lay.rows]
-    a_c = xinv[:, lay.cols]
-    hess = a_r.take(lay.rows, axis=0)
-    hess *= a_c.take(lay.cols, axis=0)
-    cross = a_c.take(lay.rows, axis=0)
-    cross *= a_r.take(lay.cols, axis=0)
-    hess += cross
-    scale_by_weight_pairs(hess, lay)
-    return DerivativeBundle(value=value, gradient=svec(-xinv), hessian=hess)
+    lay = svec_layout(lam.size)
+    inv = 1.0 / lam
+    grad = np.zeros(lay.rows.size)
+    grad[lay.diag] = -inv
+    hess = np.diag(inv[lay.rows] * inv[lay.cols])
+    return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=dec.U)
 
 
 def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True, *,
                      point: EvalPoint | None = None) -> DerivativeBundle:
-    """-ln det L(X), Y = L(X): gradient svec(-L.T(Y^-1)), Hessian L.T P(Y^-1) L on svec."""
+    """-ln det L(X), Y = L(X): gradient -L.T(Y^-1) and Hessian L.T P(Y^-1) L, in X's eigenbasis.
+
+    Both come from the batch V[c] = O.T L(U E_c U.T) O: the gradient entry
+    is -<Lam^-1, V[c]>, the Hessian entry sum_ij V[c]_ij V[c']_ij / (lam_i lam_j).
+    """
     point = EvalPoint(x) if point is None else point
     _, dec = point.pd_image("mapped barrier argument", lmap)
     o, lam = dec.U, dec.lam
     value = -float(np.sum(np.log(lam)))
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
-    yinv = symmetrize((o / lam) @ o.T)
-    grad = svec(-lmap.adjoint_apply(yinv))
+    u = point.basis
     d = 1.0 / lam
-    s = triu_rows(congruence_batch(lmap, o))
+    s = triu_rows(congruence_batch(lmap, o, u))
+    grad = batch_inner(s, np.diag(-d))
     hess = symmetrize(sandwich_diag(s, s, np.outer(d, d)))
-    return DerivativeBundle(value=value, gradient=grad, hessian=hess)
+    return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=u)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +385,9 @@ def combine_terms(beta: float, parts, n_scaled: int) -> DerivativeBundle:
     beta always give bit-identical results, whether the parts were just
     evaluated or kept from an earlier beta, and the value is the same
     whether the parts are full or value-only. Value-only parts (gradient
-    None) give a value-only bundle. The parts are not modified.
+    None) give a value-only bundle. Full parts share one basis, the
+    eigenbasis of their common X, which the sum keeps. The parts are not
+    modified.
     """
     if beta < 0.0:
         raise DomainViolation("beta must be nonnegative")
@@ -389,7 +412,7 @@ def combine_terms(beta: float, parts, n_scaled: int) -> DerivativeBundle:
     for part in parts[max(n_scaled, 1):]:
         grad += part.gradient
         hess += part.hessian
-    return DerivativeBundle(value=value, gradient=grad, hessian=hess)
+    return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=head.basis)
 
 
 def composite_eval(

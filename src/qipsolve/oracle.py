@@ -47,6 +47,19 @@ def sym_isometry(n: int) -> np.ndarray:
     return np.stack([vec(e) / np.linalg.norm(e) for _, _, e in _sym_basis(n)], axis=1)
 
 
+def eigen_rotation(u: np.ndarray) -> np.ndarray:
+    """K = P.T (U (x) U).T P, with svec(U.T xi U) = K svec(xi); K is orthogonal."""
+    p = sym_isometry(u.shape[0])
+    return p.T @ np.kron(u, u).T @ p
+
+
+def fixed_coordinates(bundle: DerivativeBundle) -> DerivativeBundle:
+    """A full bundle on the fixed coordinates svec(xi): gradient K.T g, Hessian K.T H K."""
+    k = eigen_rotation(bundle.basis)
+    return DerivativeBundle(bundle.value, k.T @ bundle.gradient, k.T @ bundle.hessian @ k,
+                            basis=np.eye(bundle.basis.shape[0]))
+
+
 def sym_map_matrix(lmap) -> np.ndarray:
     """Dense k^2 x n(n+1)/2 matrix M P of a linear map on svec inputs.
 
@@ -186,8 +199,10 @@ def problem_bundle(problem: ProblemSpec, x: np.ndarray,
                    want_hessian: bool = True) -> DerivativeBundle:
     """Objective-only bundle (no barriers) for an instance, offset included.
 
-    Gradient and Hessian are the terms' svec ones summed. Without
-    ``want_hessian`` the bundle holds the value alone, as a term's does.
+    Gradient and Hessian are the terms' summed on the fixed coordinates
+    svec(xi) (basis I), each term's rotated back from its own basis by
+    ``fixed_coordinates``. Without ``want_hessian`` the bundle holds the
+    value alone, as a term's does.
     """
     value = problem.offset
     if not want_hessian:
@@ -198,11 +213,11 @@ def problem_bundle(problem: ProblemSpec, x: np.ndarray,
     grad = np.zeros(d)
     hess = np.zeros((d, d))
     for t in problem.terms:
-        b = t.evaluate(x)
+        b = fixed_coordinates(t.evaluate(x))
         value += b.value
         grad += b.gradient
         hess += b.hessian
-    return DerivativeBundle(value, grad, hess)
+    return DerivativeBundle(value, grad, hess, basis=np.eye(problem.n))
 
 
 def derivative_audit(problem: ProblemSpec, rng, points: int = 3,

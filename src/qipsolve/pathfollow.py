@@ -27,9 +27,10 @@ which is a strict decrease while lambda is below 0.6838. So ``center``
 takes alpha = 1 with no value test whenever (M/2) delta <= 0.68
 (delta <= 0.34) and -ln det X is one of the terms; without it F_beta is
 not self-concordant and every step is line-searched. Outside the band the
-line search backtracks from the feasibility boundary (most negative
-generalized eigenvalue of the step against the current point, slack
-ratios, and map-cone boundaries) and accepts on a value decrease only;
+line search backtracks from the feasibility boundary (slack ratios and,
+for X and each map cone Y = O Lam O.T, the most negative eigenvalue of
+Lam^-1/2 O.T P O Lam^-1/2, read from the decompositions the current
+point already holds) and accepts on a value decrease only;
 the slope fallback it once had for F_beta's value noise at large beta is
 gone, since the steps that needed it lie inside the band.
 
@@ -47,7 +48,10 @@ the trial's. A Hessian evaluation keeps its unscaled per-term
 derivatives on its point, and since H_beta = beta H_f + H_B, a
 centering that starts where the previous one stopped recombines them at
 the new beta instead of evaluating anew. A solve thus makes one Hessian
-evaluation per Newton step plus one at the start.
+evaluation per Newton step plus one at the start. Every bundle is on the
+svec coordinates of X's eigenbasis U, which the point holds
+(``objectives``); the Newton system is solved in them (``kkt``), and the
+slope along a direction P is g~ . svec(U.T P U).
 
 Complexity caps from the underlying theory are evaluated alongside every
 run: per outer iteration at most 22/3 + 22 theta (5/2 kappa sqrt(r) +
@@ -192,7 +196,7 @@ class FBetaEvaluator:
     def objective(self, x) -> float:
         return self.problem.objective_value(x)
 
-    def _point_at(self, x) -> EvalPoint:
+    def point_at(self, x) -> EvalPoint:
         """The kept point when it is at X, else a new point at X, which is kept."""
         if self._point is None or not np.array_equal(x, self._point.x):
             self._point = EvalPoint(x)
@@ -204,7 +208,7 @@ class FBetaEvaluator:
         Without ``want_hessian`` only the value is computed (gradient
         None). A Hessian evaluation keeps its per-term bundles on the point.
         """
-        point = self._point_at(x)
+        point = self.point_at(x)
         parts = evaluate_terms(self.terms, self.n_scaled, point.x, want_hessian, point=point)
         if want_hessian:
             point.parts = parts
@@ -245,40 +249,55 @@ def _refresh_slacks(problem: ProblemSpec, x) -> np.ndarray:
     return cons.rhs[:m] - cons.svec_rows[:m] @ svec(x)
 
 
-def directional_derivative(gradient: np.ndarray, slacks: np.ndarray, step: NewtonStep) -> float:
+def directional_derivative(bundle: DerivativeBundle, slacks: np.ndarray,
+                           step: NewtonStep) -> float:
     """<grad F_beta, p> + <grad_s F_beta, q>, the slope of F_beta along the step.
 
-    ``gradient`` is that of the X-block, on svec coordinates; the slack
-    block's is -1/slacks. The slope is computed here from the direction
-    itself, the one ``center`` moves along, not taken from the KKT solve.
+    ``bundle`` is the X-block's, with its gradient on the svec
+    coordinates of its basis U; the slack block's gradient is -1/slacks.
+    The slope is computed here from the direction itself, the one
+    ``center`` moves along, as g~ . svec(U.T P U), not taken from the
+    KKT solve.
     """
-    slope = float(gradient @ svec(step.direction_X))
+    u = bundle.basis
+    slope = float(bundle.gradient @ svec(u.T @ step.direction_X @ u))
     if slacks.size:
         slope -= float(step.direction_slack @ (1.0 / slacks))
     return slope
 
 
-def _pencil_step_bound(p: np.ndarray, x: np.ndarray) -> float:
-    """Largest alpha with X + alpha P still positive definite, for X > 0.
+def cone_step_bound(p_tilde: np.ndarray, lam: np.ndarray) -> float:
+    """Largest alpha with Y + alpha P still positive definite, from Y's decomposition.
 
-    -1 / lambda_min of the pencil (P, X) when lambda_min is negative
-    beyond roundoff, else inf; the eigenvalues come from LAPACK's dsygv.
+    ``p_tilde`` is O.T P O and ``lam`` the eigenvalues of Y = O Lam O.T > 0.
+    Y + alpha P = O Lam^1/2 (I + alpha W) Lam^1/2 O.T with
+    W = Lam^-1/2 P~ Lam^-1/2, so the bound is -1 / lambda_min(W) when
+    lambda_min is negative beyond roundoff, else inf. W's eigenvalues are
+    those of the pencil (P, Y).
     """
-    w, _, info = lapack.dsygv(p, x, jobz="N")
+    s = 1.0 / np.sqrt(lam)
+    w, _, info = lapack.dsyevd(p_tilde * np.outer(s, s), compute_v=0)
     if info != 0:
-        raise DecompositionFailure(f"generalized eigenproblem of the step failed (info {info})")
-    wmin = float(w.min())
+        raise DecompositionFailure(f"eigenvalues of the scaled step failed (info {info})")
+    wmin = float(w[0])
     if wmin < -1e-14 * max(1.0, float(np.abs(w).max())):
         return -1.0 / wmin
     return math.inf
 
 
 def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator) -> float:
-    """Largest alpha keeping X (and slacks, and mapped cones) in the open cone."""
+    """Largest alpha keeping X (and slacks, and mapped cones) in the open cone.
+
+    Each cone's bound reads the decomposition of its image at X from the
+    evaluator's point there (the kept one, after a line search's value at
+    alpha = 0), so no decomposition is computed for it.
+    """
     bounds = [math.inf]
     p = step.direction_X
+    point = evaluator.point_at(state.x)
     if np.linalg.norm(p) > 0:
-        bounds.append(_pencil_step_bound(p, state.x))
+        _, dec = point.pd_image("iterate X")
+        bounds.append(cone_step_bound(dec.U.T @ p @ dec.U, dec.lam))
     if state.slacks.size:
         q = step.direction_slack
         neg = q < 0
@@ -288,7 +307,8 @@ def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator
         yp = lmap.apply(p)
         if np.linalg.norm(yp) == 0:
             continue
-        bounds.append(_pencil_step_bound(yp, lmap.apply(state.x)))
+        _, dec = point.pd_image("mapped iterate L(X)", lmap)
+        bounds.append(cone_step_bound(dec.U.T @ yp @ dec.U, dec.lam))
     return min(bounds)
 
 
@@ -352,7 +372,7 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
             records.append((beta, step.decrement))
             if step.decrement <= target:
                 return state, steps, records, max_cond
-            slope = directional_derivative(bundle.gradient, state.slacks, step)
+            slope = directional_derivative(bundle, state.slacks, step)
             if slope >= 0.0:
                 raise SingularKKT(f"Newton direction is not a descent direction: "
                                   f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")

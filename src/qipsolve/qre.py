@@ -7,18 +7,21 @@ The perturbed f is what gets differentiated, so gradient and Hessian are
 exact for the value actually returned (they differ from the unperturbed
 formulas by O(e)).
 
-Gradient, returned as svec(grad f1 + grad f2):
+Gradient matrix, returned as svec(U.T (grad f1 + grad f2) U) in the
+eigenbasis U of X (see ``objectives``):
     grad f1 = L1.T (I + ln Y1)
     grad f2 = -L1.T ln Y2 - L2.T O2 (Ctil o ln^[1](Lam2)) O2.T,
-with Ctil = O2.T Y1 O2. Hessian on svec coordinates (M_i the map
-matrices restricted to symmetric inputs, M_i P; see ``matfun``):
+with Ctil = O2.T Y1 O2. Its entries are read off the congruence batches
+below, <L.T(G), U E_c U.T> = <O.T G O, V[c]>, with no adjoint. Hessian
+on the svec coordinates of U.T xi U (M_i the map matrices restricted to
+symmetric inputs in that basis, M_i (U (x) U) P; see ``matfun``):
     H_f1  =  M1.T Dln(Y1) M1
     H_f2  = -M1.T Dln(Y2) M2 - M2.T Dln(Y2) M1 + M2.T (O2 (x) O2) S (O2 (x) O2).T M2,
 where Dln(Y) = (O (x) O) Diag(ln^[1](Lam)) (O (x) O).T and S carries
 Gamma_ijk = -ln^[2](lam_i, lam_j, lam_k) with weight Ctil. No M_i is
 formed: each product is built from the congruence batches
-V[c] = O.T L_i(E_c) O of the svec basis matrices E_c, which the Kraus
-maps supply from their factors Ktil_t = O.T K_t (see ``linmap``):
+V[c] = O.T L_i(U E_c U.T) O of the svec basis matrices E_c, which the
+Kraus maps supply from their factors Ktil_t = O.T K_t U (see ``linmap``):
     V[c] = (w_c/2) sum_t (ktil_{t,a} ktil_{t,b}.T + ktil_{t,b} ktil_{t,a}.T)
 for c = (a, b), ktil_{t,a} the column a of Ktil_t. The sandwiches
 contract over the k(k+1)/2 upper-triangle entries of each batch,
@@ -46,12 +49,12 @@ from .matfun import (
     divided_diff_1,
     inner,
     second_divided_diff_tensor,
-    svec,
     symmetrize,
 )
 from .objectives import (
     DerivativeBundle,
     EvalPoint,
+    batch_inner,
     congruence_batch,
     sandwich_core,
     sandwich_diag,
@@ -117,10 +120,10 @@ def qre_hessian_asymmetry(obj: QreObjective, x: np.ndarray) -> float:
 def _eval(obj, point, want_hessian):
     """The bundle with the Hessian as assembled, before symmetrization.
 
-    X's own decomposition serves as the domain check; with -ln det X among
-    F_beta's terms, the barrier reads the same one.
+    X's own decomposition serves as the domain check and gives the basis
+    U; with -ln det X among F_beta's terms, the barrier reads the same one.
     """
-    point.pd_image("relative entropy argument X")
+    _, dec_x = point.pd_image("relative entropy argument X")
     eps = obj.eps_pert
     y1, dec1 = point.pd_image("L1(X) + eps*I", obj.l1, eps)
     _, dec2 = point.pd_image("L2(X) + eps*I", obj.l2, eps)
@@ -132,26 +135,23 @@ def _eval(obj, point, want_hessian):
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
 
-    ln_y1 = symmetrize((o1 * np.log(lam1)) @ o1.T)
-
-    k = obj.out_order
-    grad_f1 = obj.l1.adjoint_apply(np.eye(k) + ln_y1)
+    u = dec_x.U
+    s11 = triu_rows(congruence_batch(obj.l1, o1, u))
+    s12 = triu_rows(congruence_batch(obj.l1, o2, u))
+    v22 = congruence_batch(obj.l2, o2, u)
+    s22 = triu_rows(v22)
     phi2 = divided_diff_1(LOG, lam2)
     ctil = o2.T @ y1 @ o2
-    grad_f2 = -obj.l1.adjoint_apply(ln_y2) - obj.l2.adjoint_apply(
-        symmetrize(o2 @ (ctil * phi2) @ o2.T)
-    )
-    gradient = svec(grad_f1 + grad_f2)
+    # <I + ln Y1, L1(W_c)> - <ln Y2, L1(W_c)> - <O2 (Ctil o phi2) O2.T, L2(W_c)>
+    # for W_c = U E_c U.T, each in the eigenbasis of its map output
+    gradient = (batch_inner(s11, np.diag(1.0 + np.log(lam1)))
+                - batch_inner(s12, np.diag(np.log(lam2))) - batch_inner(s22, ctil * phi2))
 
     phi1 = divided_diff_1(LOG, lam1)
-    s11 = triu_rows(congruence_batch(obj.l1, o1))
     hess = sandwich_diag(s11, s11, phi1)
-    s12 = triu_rows(congruence_batch(obj.l1, o2))
-    v22 = congruence_batch(obj.l2, o2)
-    s22 = triu_rows(v22)
     cross = sandwich_diag(s12, s22, phi2)
     hess -= cross + cross.T
     gamma = -second_divided_diff_tensor(LOG, lam2, f1=phi2)
     hess += sandwich_core(v22, s22, ctil, gamma)
-    return DerivativeBundle(value=value, gradient=gradient, hessian=hess)
+    return DerivativeBundle(value=value, gradient=gradient, hessian=hess, basis=u)
 

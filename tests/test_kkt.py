@@ -5,10 +5,15 @@ import scipy.linalg
 from conftest import rand_spd, rand_sym
 from qipsolve import probio
 from qipsolve.errors import ConstraintError, DomainViolation, SingularKKT
-from qipsolve.kkt import AffineConstraints, newton_step_type1, newton_step_type2
-from qipsolve.matfun import INVERSE, unsvec, vec
+from qipsolve.kkt import (
+    AffineConstraints,
+    equality_qr,
+    newton_step_type1,
+    newton_step_type2,
+)
+from qipsolve.matfun import INVERSE, symmetrize, unsvec, vec
 from qipsolve.objectives import DerivativeBundle, TraceObjective, composite_eval
-from qipsolve.oracle import sym_isometry
+from qipsolve.oracle import fixed_coordinates, sym_isometry
 from qipsolve.pathfollow import FBetaEvaluator, _refresh_slacks
 
 
@@ -98,7 +103,8 @@ class TestType1:
         problem, x, slacks = type1_setup(rng)
         bundle = composite_eval(2.0, problem.terms, [None], x)
         step = newton_step_type1(bundle, slacks, problem.constraints)
-        inner = bundle.gradient @ (sym_isometry(problem.n).T @ vec(step.direction_X))
+        grad = fixed_coordinates(bundle).gradient
+        inner = grad @ (sym_isometry(problem.n).T @ vec(step.direction_X))
         inner += np.sum(step.direction_slack * (-1.0 / slacks))
         assert inner <= 0.0
 
@@ -107,6 +113,7 @@ class TestType1:
         cons = problem.constraints
         bundle = composite_eval(2.0, problem.terms, [None], x)
         step = newton_step_type1(bundle, slacks, cons)
+        bundle = fixed_coordinates(bundle)
         p = sym_isometry(cons.order)
         v = np.stack([p.T @ vec(a) for a in cons.mats])
         resid = bundle.hessian @ (p.T @ vec(step.direction_X)) + bundle.gradient
@@ -160,7 +167,8 @@ class TestType2:
         bundle = ev.x_bundle(x, beta=2.0)
         step = newton_step_type2(bundle, problem.constraints)
         p = sym_isometry(problem.n).T @ vec(step.direction_X)
-        quad = float(np.sqrt(max(p @ (bundle.hessian @ p), 0.0)))
+        hess = fixed_coordinates(bundle).hessian
+        quad = float(np.sqrt(max(p @ (hess @ p), 0.0)))
         assert step.decrement == pytest.approx(quad, rel=1e-8)
         if step.decrement > 1e-6:
             assert step.decrement_innerprod == pytest.approx(step.decrement, rel=1e-7)
@@ -168,7 +176,7 @@ class TestType2:
     def test_rejects_inequality_rows(self, rng):
         cons = AffineConstraints([rand_sym(rng, 3), np.eye(3)],
                                  np.array([0.5, 1.0]), n_ineq=1)
-        bundle = DerivativeBundle(0.0, np.zeros(6), np.eye(6))
+        bundle = DerivativeBundle(0.0, np.zeros(6), np.eye(6), basis=np.eye(3))
         with pytest.raises(ConstraintError):
             newton_step_type2(bundle, cons)
 
@@ -186,7 +194,8 @@ class TestType2:
         p = sym_isometry(n)
         grad = p.T @ vec(rand_sym(rng, n))
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
-        step = newton_step_type2(DerivativeBundle(0.0, grad, p.T @ hess @ p), cons)
+        step = newton_step_type2(DerivativeBundle(0.0, grad, p.T @ hess @ p, basis=np.eye(n)),
+                                 cons)
         assert grad @ (p.T @ vec(step.direction_X)) < 0.0
         assert abs(np.trace(step.direction_X)) <= 1e-12 * np.linalg.norm(step.direction_X)
         assert step.decrement > 1e-3
@@ -205,12 +214,12 @@ class TestType2:
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         p = sym_isometry(n)
         with pytest.raises(SingularKKT):
-            newton_step_type2(DerivativeBundle(0.0, p.T @ vec(rand_sym(rng, n)), p.T @ hess @ p),
-                              cons)
+            newton_step_type2(DerivativeBundle(0.0, p.T @ vec(rand_sym(rng, n)), p.T @ hess @ p,
+                                               basis=np.eye(n)), cons)
 
     def test_singular_hessian_rejected(self):
         cons = AffineConstraints([np.eye(2)], np.array([1.0]), n_ineq=0)
-        bad = DerivativeBundle(0.0, np.ones(3), np.zeros((3, 3)))
+        bad = DerivativeBundle(0.0, np.ones(3), np.zeros((3, 3)), basis=np.eye(2))
         with pytest.raises(SingularKKT):
             newton_step_type2(bad, cons)
 
@@ -220,18 +229,21 @@ def reference_newton_step(bundle, slacks, cons):
 
     The production step accumulates the same products in place on direct
     LAPACK/BLAS calls; this is the expression it must reproduce bit for bit.
+    Both take the rotated rows and their QR from the production helpers.
     """
-    k = cons.n_eq
-    basis = cons.tangent_basis
-    a_in = basis.ineq_rows
+    m, k = cons.n_ineq, cons.n_eq
+    u = bundle.basis
+    rows = cons.rotated_rows(u)
+    a_in = rows[:m]
+    v, vt, r_eq = equality_qr(rows[m:])
     grad = bundle.gradient
     inv_s = 1.0 / slacks
     h = bundle.hessian
-    w = h @ basis.y
-    z = w - 0.5 * basis.v @ (basis.y.T @ w)
-    h_q = h - z @ basis.v.T - basis.v @ z.T
-    g_q = basis.q_t(grad)
-    a_q = basis.q_t(a_in.T).T
+    w = h @ vt
+    z = w - 0.5 * v @ (vt.T @ w)
+    h_q = h - z @ v.T - v @ z.T
+    g_q = grad - v @ (vt.T @ grad)
+    a_q = a_in - (a_in @ vt) @ v.T
     b = a_q[:, k:]
     red = h_q[k:, k:] + (b.T * inv_s**2) @ b
     r = g_q[k:] + b.T @ inv_s
@@ -240,13 +252,14 @@ def reference_newton_step(bundle, slacks, cons):
     cond = float((diag.max() / diag.min()) ** 2)
     y = -scipy.linalg.cho_solve((chol, True), r)
     quad = float(np.sum((chol.T @ y) ** 2))
-    p_s = basis.q(np.concatenate([np.zeros(k), y]))
+    p_q = np.concatenate([np.zeros(k), y])
+    p_s = p_q - vt @ (v.T @ p_q)
     p2 = -(a_in @ p_s)
-    p_x = unsvec(p_s)
+    p_x = symmetrize(u @ unsvec(p_s) @ u.T)
     lam = p2 * inv_s**2 - inv_s
     if k:
         normal = h_q[:k, k:] @ y + g_q[:k] - a_q[:, :k].T @ lam
-        lam = np.concatenate([lam, scipy.linalg.solve_triangular(basis.r, normal, lower=False)])
+        lam = np.concatenate([lam, scipy.linalg.solve_triangular(r_eq, normal, lower=False)])
     grad_slack = -inv_s
     rad = float(-(p_s @ grad + p2 @ grad_slack))
     return {
@@ -277,6 +290,29 @@ def equality_only_setup(rng):
     problem = probio.generate_random("type2", {"n": 4, "m": 1}, seed=5)
     x = probio.random_feasible_point(problem, rng)
     return FBetaEvaluator(problem).x_bundle(x, 3.0), np.zeros(0), problem.constraints
+
+
+class TestRotatedRows:
+    @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
+                                            ("type2", {"n": 4, "m": 2})])
+    def test_rows_in_a_basis_against_the_oracle_rotation(self, rng, kind, dims):
+        # svec(U.T A_i U) = K svec(A_i), K = P.T (U (x) U).T P from P and np.kron
+        cons = probio.generate_random(kind, dims, seed=2).constraints
+        u, _ = np.linalg.qr(rng.standard_normal((cons.order, cons.order)))
+        p = sym_isometry(cons.order)
+        k = p.T @ np.kron(u, u).T @ p
+        expected = cons.svec_rows @ k.T
+        assert np.abs(cons.rotated_rows(u) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_equality_qr_factors_the_rows(self, rng):
+        cons = probio.generate_random("type1", {"n": 5, "m": 1, "N": 4}, seed=2).constraints
+        eq = cons.svec_rows[cons.n_ineq:]
+        v, vt, r = equality_qr(eq)
+        q = np.eye(eq.shape[1]) - vt @ v.T  # Q = I - V T V^T
+        assert np.allclose(q.T @ q, np.eye(q.shape[0]), rtol=0, atol=1e-14)
+        # R is the upper triangle of r; the reflectors lie below it
+        assert np.allclose(q[:, :r.shape[0]] @ np.triu(r), eq.T, rtol=0, atol=1e-13)
+        assert np.array_equal(np.tril(r, -1), np.tril(v[:r.shape[0]], -1))
 
 
 class TestLapackPath:

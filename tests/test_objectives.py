@@ -13,7 +13,6 @@ from qipsolve.matfun import (
     neg_power,
     second_divided_diff_tensor,
     spectral_decompose,
-    svec_layout,
     symmetrize,
     vec,
 )
@@ -26,9 +25,8 @@ from qipsolve.objectives import (
     map_barrier_eval,
     phi_eval,
     phi_hessian_in_basis,
-    scale_by_weight_pairs,
 )
-from qipsolve.oracle import fd_gradient, fd_hessian_action, sym_isometry
+from qipsolve.oracle import fd_gradient, fd_hessian_action, fixed_coordinates, sym_isometry
 from qipsolve.pathfollow import FBetaEvaluator
 from qipsolve.qre import QreObjective
 
@@ -60,7 +58,7 @@ class TestTraceObjective:
 class TestPhiEval:
     def test_inverse_identity_case(self):
         obj = TraceObjective(np.eye(2), INVERSE)
-        b = phi_eval(obj, np.eye(2))
+        b = fixed_coordinates(phi_eval(obj, np.eye(2)))
         assert b.value == pytest.approx(2.0)
         assert np.allclose(b.gradient, sym_isometry(2).T @ vec(-np.eye(2)))
         # d^2/dt^2 Tr((I + t xi)^{-1}) = 2 Tr(xi^2) at t=0, so H == 2 I
@@ -68,7 +66,7 @@ class TestPhiEval:
 
     def test_inverse_identity_fd_quadratic_form(self, rng):
         obj = TraceObjective(np.eye(2), INVERSE)
-        b = phi_eval(obj, np.eye(2))
+        b = fixed_coordinates(phi_eval(obj, np.eye(2)))
         xi = rand_sym(rng, 2)
         h = 1e-4
         vals = [np.trace(np.linalg.inv(np.eye(2) + t * xi)) for t in (-h, 0.0, h)]
@@ -80,7 +78,7 @@ class TestPhiEval:
     def test_neglog_weight_equal_to_point(self, rng):
         x = rand_spd(rng, 4)
         obj = TraceObjective(x, NEG_LOG)
-        b = phi_eval(obj, x)
+        b = fixed_coordinates(phi_eval(obj, x))
         # <grad, I> = -Tr(C X^{-1}) = -n when C = X
         p = sym_isometry(4)
         assert b.gradient @ (p.T @ vec(np.eye(4))) == pytest.approx(-4.0, rel=1e-10)
@@ -93,13 +91,13 @@ class TestPhiEval:
             c = rand_spd(rng, n, 0.1)
             obj = TraceObjective(c, gen)
             x = rand_spd(rng, n)
-            b = phi_eval(obj, x)
+            b = fixed_coordinates(phi_eval(obj, x))
             p = sym_isometry(n)
             g_fd = fd_gradient(lambda y: phi_eval(obj, y, False).value, x)
             assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6, gen.kind
             xi = rand_sym(rng, n)
             act_fd = fd_hessian_action(
-                lambda y: phi_eval(obj, y).gradient, x, xi)
+                lambda y: fixed_coordinates(phi_eval(obj, y)).gradient, x, xi)
             assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5, gen.kind
 
     def test_hessian_symmetric_psd(self, rng):
@@ -133,32 +131,32 @@ class TestPhiEval:
         lmap = KrausMap(k_factors)
         obj = TraceObjective(rand_spd(rng, 6, 0.1), NEG_SQRT, map=lmap)
         x = rand_spd(rng, 4)
-        b = phi_eval(obj, x)
+        b = fixed_coordinates(phi_eval(obj, x))
         p = sym_isometry(4)
         g_fd = fd_gradient(lambda y: phi_eval(obj, y, False).value, x)
         assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6
         xi = rand_sym(rng, 4)
-        act_fd = fd_hessian_action(lambda y: phi_eval(obj, y).gradient, x, xi)
+        act_fd = fd_hessian_action(lambda y: fixed_coordinates(phi_eval(obj, y)).gradient, x, xi)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5
 
 
 class TestBarrier:
     def test_identity(self):
-        b = barrier_eval(np.eye(3))
+        b = fixed_coordinates(barrier_eval(np.eye(3)))
         assert b.value == pytest.approx(0.0)
         assert np.allclose(b.gradient, sym_isometry(3).T @ vec(-np.eye(3)))
         assert np.allclose(b.hessian, np.eye(6), atol=1e-13)
 
     def test_diag_case(self):
-        b = barrier_eval(np.diag([2.0, 1.0]))
+        b = fixed_coordinates(barrier_eval(np.diag([2.0, 1.0])))
         assert b.value == pytest.approx(-np.log(2.0))
         assert np.allclose(b.gradient, sym_isometry(2).T @ vec(np.diag([-0.5, -1.0])))
 
     def test_hessian_action_vs_fd(self, rng):
         x = rand_spd(rng, 4)
-        b = barrier_eval(x)
+        b = fixed_coordinates(barrier_eval(x))
         xi = rand_sym(rng, 4)
-        act_fd = fd_hessian_action(lambda y: barrier_eval(y).gradient, x, xi)
+        act_fd = fd_hessian_action(lambda y: fixed_coordinates(barrier_eval(y)).gradient, x, xi)
         p = sym_isometry(4)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-6
 
@@ -169,12 +167,13 @@ class TestBarrier:
     def test_map_barrier_vs_fd(self, rng):
         pt = partial_transpose_map(2, 2)
         x = separable_ppt_state(rng, 2, 2)
-        b = map_barrier_eval(pt, x)
+        b = fixed_coordinates(map_barrier_eval(pt, x))
         p = sym_isometry(4)
         g_fd = fd_gradient(lambda y: map_barrier_eval(pt, y, False).value, x)
         assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6
         xi = rand_sym(rng, 4) * 0.01
-        act_fd = fd_hessian_action(lambda y: map_barrier_eval(pt, y).gradient, x, xi)
+        act_fd = fd_hessian_action(
+            lambda y: fixed_coordinates(map_barrier_eval(pt, y)).gradient, x, xi)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5
 
 
@@ -205,13 +204,14 @@ class TestComposite:
         pt = partial_transpose_map(2, 2)
         terms = [TraceObjective(c, NEG_LOG)]
         beta = 3.0
-        b = composite_eval(beta, terms, [None, pt], x)
+        b = fixed_coordinates(composite_eval(beta, terms, [None, pt], x))
         p = sym_isometry(4)
         g_fd = fd_gradient(lambda y: composite_eval(beta, terms, [None, pt], y, False).value, x)
         assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6
         xi = rand_sym(rng, 4) * 0.01
         act_fd = fd_hessian_action(
-            lambda y: composite_eval(beta, terms, [None, pt], y).gradient, x, xi)
+            lambda y: fixed_coordinates(composite_eval(beta, terms, [None, pt], y)).gradient,
+            x, xi)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5
 
     def test_error_names_offending_term(self, rng):
@@ -236,49 +236,43 @@ class TestCompatibilityInequality:
                 x = rand_spd(rng, n)
                 xi = rand_sym(rng, n)
                 s = sym_isometry(n).T @ vec(xi)
-                d2phi = float(s @ (phi_eval(obj, x).hessian @ s))
-                d2b = float(s @ (barrier_eval(x).hessian @ s))
-                d3 = fd_cubic_form(lambda y: phi_eval(obj, y).hessian, x, xi)
+                d2phi = float(s @ (fixed_coordinates(phi_eval(obj, x)).hessian @ s))
+                d2b = float(s @ (fixed_coordinates(barrier_eval(x)).hessian @ s))
+                d3 = fd_cubic_form(lambda y: fixed_coordinates(phi_eval(obj, y)).hessian, x, xi)
                 bound = 3.0 * d2phi * np.sqrt(d2b)
                 assert abs(d3) <= bound + 1e-4 * max(1.0, bound)
 
 
-def einsum_phi_hessian_in_basis(u, ctil, gamma):
-    """phi_hessian_in_basis with K_j from one optimized einsum, as a reference."""
-    n = u.shape[0]
-    lay = svec_layout(n)
-    cg = ctil[:, None, :] * gamma
-    kmats = np.einsum("ai,ijk,ck->acj", u, cg, u, optimize=True)
-    f = u[lay.cols][:, None, :] * kmats[lay.rows]
-    f += u[lay.rows][:, None, :] * kmats[lay.cols]
-    e = (f.reshape(-1, n) @ u.T).reshape(-1, n * n)
-    out = e.take(lay.lower, axis=1)
-    out += e.take(lay.upper, axis=1)
-    half = lay.weight / np.sqrt(2.0)
-    out *= np.outer(half, half)
+def loop_phi_hessian_in_basis(ctil, gamma):
+    """The svec Hessian in the eigenbasis from one loop over the triples (i, j, l).
+
+    Entry (s(i, j), s(i, l)) collects 2 c_ij c_il Ctil_jl Gamma_ijl in the
+    loop's order, c = 1 on the diagonal and 1/sqrt(2) off it; s comes from
+    the upper triangle, row by row, as the oracle's isometry orders it.
+    """
+    n = ctil.shape[0]
+    d = n * (n + 1) // 2
+    s = np.zeros((n, n), dtype=int)
+    rows, cols = np.triu_indices(n)
+    s[rows, cols] = s[cols, rows] = np.arange(d)
+    c = np.where(np.eye(n, dtype=bool), 1.0, 1.0 / np.sqrt(2.0))
+    out = np.zeros((d, d))
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                out[s[i, j], s[i, l]] += (ctil[j, l] * gamma[i, j, l]) * (2.0 * c[i, j] * c[i, l])
     return out
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 16])
-def test_phi_hessian_in_basis_matches_einsum_bitwise(rng, n):
+def test_phi_hessian_in_basis_matches_the_triple_loop_bitwise(rng, n):
     for gen in ALL_GENERATORS:
         dec = spectral_decompose(rand_spd(rng, n))
-        ctil = dec.U.T @ rand_spd(rng, n, 0.1) @ dec.U
+        ctil = symmetrize(dec.U.T @ rand_spd(rng, n, 0.1) @ dec.U)
         gamma = second_divided_diff_tensor(gen, dec.lam, f1=divided_diff_1(gen, dec.lam))
-        got = phi_hessian_in_basis(dec.U, ctil, gamma)
-        assert np.array_equal(got, einsum_phi_hessian_in_basis(dec.U, ctil, gamma)), gen.kind
-
-
-@pytest.mark.parametrize("n", [*range(1, 10), 32])
-def test_scale_by_weight_pairs_matches_outer_product_bitwise(rng, n):
-    lay = svec_layout(n)
-    d = lay.weight.size
-    h = rng.standard_normal((d, d))  # not symmetric: every entry is its own
-    half = lay.weight / np.sqrt(2.0)
-    expected = h * np.outer(half, half)
-    got = h.copy()
-    assert scale_by_weight_pairs(got, lay) is got
-    assert np.array_equal(got, expected)
+        got = phi_hessian_in_basis(ctil, gamma)
+        assert np.array_equal(got, loop_phi_hessian_in_basis(ctil, gamma)), gen.kind
+        assert np.array_equal(got, got.T), gen.kind
 
 
 def count_decompositions(monkeypatch):

@@ -7,21 +7,27 @@ import scipy.linalg
 from qipsolve import objectives, pathfollow, probio
 from qipsolve.errors import (
     DecompositionFailure,
+    DomainViolation,
     InfeasibleStart,
     LineSearchFailure,
     SingularKKT,
 )
 from qipsolve.kkt import NewtonStep
-from qipsolve.matfun import symmetrize, vec
+from qipsolve.matfun import spectral_decompose, symmetrize, vec
 from qipsolve.objectives import LogDetBarrier, combine_terms, evaluate_terms
-from qipsolve.oracle import derivative_audit, reference_minimize, sym_isometry
+from qipsolve.oracle import (
+    derivative_audit,
+    fixed_coordinates,
+    reference_minimize,
+    sym_isometry,
+)
 from qipsolve.pathfollow import (
     FBetaEvaluator,
     SolverConfig,
-    _pencil_step_bound,
     _refresh_slacks,
     _State,
     center,
+    cone_step_bound,
     iteration_bound,
     line_search,
     max_feasible_step,
@@ -77,39 +83,50 @@ class TestMaxFeasibleStep:
 
 
     def test_failed_generalized_eigenproblem_raises(self, rng):
-        # X not positive definite: LAPACK's Cholesky of X inside dsygv fails
+        # X not positive definite: the pencil (P, X) has no bound from X's
+        # decomposition, whose Lam^-1/2 needs lam > 0
         problem = probio.build_named("trace-inverse-n4")
         x = -np.eye(4)
-        with pytest.raises(DecompositionFailure):
+        with pytest.raises(DomainViolation, match="iterate X must be positive definite"):
             max_feasible_step(_State(x, np.zeros(0)), fake_step(symmetrize(
                 rng.standard_normal((4, 4)))), FBetaEvaluator(problem))
 
     @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
                                             ("type2", {"n": 4, "m": 1})])
-    def test_bounds_match_scipy_eigh_bitwise(self, rng, kind, dims):
+    def test_bounds_match_scipy_eigh(self, rng, kind, dims):
+        # the bound from Y's decomposition against the generalized eigenvalues
+        # of the pencil (P, Y) from scipy, on X and on the map cones
         problem = probio.generate_random(kind, dims, seed=7)
         ev = FBetaEvaluator(problem)
         x = probio.random_feasible_point(problem, rng)
-        pencils = []
-        for _ in range(5):
-            p = symmetrize(rng.standard_normal(x.shape))
-            pencils.append((p, x))
-            pencils += [(lmap.apply(p), lmap.apply(x)) for lmap in ev.feasibility_maps()]
-        assert len(pencils) == (10 if kind == "type2" else 5)
-        for p, y in pencils:
+
+        def pencils(p):
+            return [(p, x)] + [(lmap.apply(p), lmap.apply(x)) for lmap in ev.feasibility_maps()]
+
+        def scipy_bound(p, y):
             w = scipy.linalg.eigh(p, y, eigvals_only=True)
             wmin = float(w.min())
-            bounded = wmin < -1e-14 * max(1.0, float(np.abs(w).max()))
-            assert _pencil_step_bound(p, y) == (-1.0 / wmin if bounded else math.inf)
+            return -1.0 / wmin if wmin < -1e-14 * max(1.0, float(np.abs(w).max())) else math.inf
+
+        def assert_same_bound(got, expected):
+            if math.isinf(expected):
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(expected, rel=1e-12)
+
+        cases = [pc for _ in range(5) for pc in pencils(symmetrize(rng.standard_normal(x.shape)))]
+        cases += pencils(np.eye(x.shape[0]))  # PSD step: unbounded in every cone
+        assert len(cases) == (12 if kind == "type2" else 6)
+        for p, y in cases:
+            dec = spectral_decompose(y)
+            assert_same_bound(cone_step_bound(dec.U.T @ p @ dec.U, dec.lam), scipy_bound(p, y))
         slacks = _refresh_slacks(problem, x)
         step = ev.newton_step(ev.x_bundle(x, 2.0), _State(x, slacks))
-        bounds = [_pencil_step_bound(step.direction_X, x)]
-        bounds += [_pencil_step_bound(lmap.apply(step.direction_X), lmap.apply(x))
-                   for lmap in ev.feasibility_maps()]
+        bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
         neg = step.direction_slack < 0
         if np.any(neg):
             bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
-        assert max_feasible_step(_State(x, slacks), step, ev) == min(bounds)
+        assert_same_bound(max_feasible_step(_State(x, slacks), step, ev), min(bounds))
 
 
 class TestLineSearch:
@@ -520,7 +537,8 @@ class TestSolve:
         for x, rec in zip(starts, records):
             bundle = ev.x_bundle(x, rec["beta"])
             step = ev.newton_step(bundle, _State(x, np.zeros(0)))
-            assert bundle.gradient @ (sym_isometry(3).T @ vec(step.direction_X)) < 0.0
+            grad = fixed_coordinates(bundle).gradient
+            assert grad @ (sym_isometry(3).T @ vec(step.direction_X)) < 0.0
             assert step.decrement_innerprod == pytest.approx(step.decrement, rel=1e-6)
 
     # QKD instances whose full-space Hessian solve used to end in

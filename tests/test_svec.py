@@ -1,9 +1,11 @@
 """Hessians on svec coordinates: the layout, each term kind, and the Newton step.
 
-Every term returns a d x d Hessian, d = n(n+1)/2, with
-H @ svec(xi) == svec(D^2 f[xi]). These tests check that contract against
-the oracles, which reach svec coordinates through their own isometry
-``sym_isometry`` (P, with vec(xi) = P svec(xi)).
+Every term returns a d x d Hessian, d = n(n+1)/2, on the svec
+coordinates of xi~ = U.T xi U in the eigenbasis U of X that the bundle
+carries: H @ svec(xi~) == svec(U.T D^2 f[xi] U). These tests check that
+contract against the oracles, which reach svec coordinates through their
+own isometry ``sym_isometry`` (P, with vec(xi) = P svec(xi)), and the
+eigenbasis through K = P.T (U (x) U).T P, built here with ``np.kron``.
 """
 
 import numpy as np
@@ -12,11 +14,28 @@ import pytest
 from conftest import rand_density, rand_spd, rand_sym, rel_err
 from qipsolve import probio
 from qipsolve.linmap import KrausMap, compose, identity_map, partial_transpose_map, pinching_map
-from qipsolve.matfun import NEG_LOG, NEG_SQRT, svec, svec_layout, unsvec, vec
-from qipsolve.objectives import TraceObjective, barrier_eval, congruence_batch, map_barrier_eval
+from qipsolve.matfun import (
+    INVERSE,
+    NEG_LOG,
+    NEG_SQRT,
+    neg_power,
+    svec,
+    svec_layout,
+    unsvec,
+    vec,
+)
+from qipsolve.objectives import (
+    TraceObjective,
+    barrier_eval,
+    congruence_batch,
+    map_barrier_eval,
+    phi_eval,
+)
 from qipsolve.oracle import (
     dense_hessian_reference,
+    fd_gradient,
     fd_hessian_action,
+    fixed_coordinates,
     sym_isometry,
     sym_map_matrix,
 )
@@ -62,16 +81,23 @@ MAP_CASES = {
 }
 
 
+def eigen_rotation(u):
+    """K = P.T (U (x) U).T P, with svec(U.T xi U) = K svec(xi), from P and np.kron."""
+    p = sym_isometry(u.shape[0])
+    return p.T @ np.kron(u, u).T @ p
+
+
 @pytest.mark.parametrize("name", sorted(MAP_CASES))
 def test_congruence_batch_is_the_congruence_of_the_mapped_basis(name, rng):
-    # V[c] = O.T L(E_c) O with E_c the c-th column of the oracle's isometry
+    # V[c] = O.T L(U E_c U.T) O with E_c the c-th column of the oracle's isometry
     lmap = MAP_CASES[name](rng)
     n, k = lmap.in_order, lmap.out_order
     o, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     p = sym_isometry(n)
-    expected = np.stack([o.T @ lmap.apply(p[:, c].reshape((n, n), order="F")) @ o
+    expected = np.stack([o.T @ lmap.apply(u @ p[:, c].reshape((n, n), order="F") @ u.T) @ o
                          for c in range(p.shape[1])])
-    v = congruence_batch(lmap, o)
+    v = congruence_batch(lmap, o, u)
     assert v.shape == (n * (n + 1) // 2, k, k)
     assert np.abs(v - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
 
@@ -148,31 +174,82 @@ def test_term_hessian_against_the_oracles(kind, rng):
     evaluate, x, reference = TERM_CASES[kind](rng)
     n = x.shape[0]
     d = n * (n + 1) // 2
-    h = evaluate(x, True).hessian
+    b = evaluate(x, True)
+    h = b.hessian
     assert h.shape == (d, d)
     assert np.array_equal(h, h.T)
+    k = eigen_rotation(b.basis)
+    assert np.allclose(b.basis.T @ x @ b.basis, np.diag(np.diag(b.basis.T @ x @ b.basis)),
+                       rtol=0, atol=1e-12 * np.abs(x).max())  # U diagonalizes X
 
     def grad(y):
-        return evaluate(y, True).gradient
+        # on the fixed coordinates: the basis moves with X, so the finite
+        # difference of an eigen-coordinate gradient is no Hessian action
+        by = evaluate(y, True)
+        return eigen_rotation(by.basis).T @ by.gradient
 
-    # the whole matrix against central differences along every svec direction
-    assert rel_err(h, fd_svec_hessian(grad, x)) <= 1e-5
+    # the gradient and the whole matrix, rotated back, against central
+    # differences along every svec direction
+    g_fd = sym_isometry(n).T @ fd_gradient(lambda y: evaluate(y, False).value, x)
+    assert rel_err(k.T @ b.gradient, g_fd) <= 1e-6
+    assert rel_err(k.T @ h @ k, fd_svec_hessian(grad, x)) <= 1e-5
     if reference is not None:
-        assert np.linalg.norm(h - reference) <= 1e-10 * np.linalg.norm(reference)
+        expected = k @ reference @ k.T
+        assert np.linalg.norm(h - expected) <= 1e-12 * np.linalg.norm(expected)
 
     p = sym_isometry(n)
     for _ in range(3):
         xi = rand_sym(rng, n) * 0.1
         act_fd = fd_hessian_action(grad, x, xi)
-        assert rel_err(h @ (p.T @ vec(xi)), act_fd) <= 1e-5
+        assert rel_err(k.T @ (h @ (k @ (p.T @ vec(xi)))), act_fd) <= 1e-5
+
+
+@pytest.mark.parametrize("kind", ["logdet", "logdet-map"])
+def test_barrier_gradient_against_the_closed_form(kind, rng):
+    evaluate, x, _ = TERM_CASES[kind](rng)
+    b = evaluate(x, True)
+    if kind == "logdet":
+        g = -np.linalg.inv(x)
+    else:
+        pt = partial_transpose_map(2, 2)
+        g = -pt.adjoint_apply(np.linalg.inv(pt.apply(x)))
+    expected = eigen_rotation(b.basis) @ (sym_isometry(x.shape[0]).T @ vec(g))
+    assert np.linalg.norm(b.gradient - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_logdet_hessian_is_diagonal_in_the_eigenbasis(n, rng):
+    x = rand_spd(rng, n)
+    b = barrier_eval(x)
+    lam = np.diag(b.basis.T @ x @ b.basis)
+    rows, cols = np.triu_indices(n)  # the oracle isometry's order of the pairs
+    expected = 1.0 / (lam[rows] * lam[cols])
+    assert np.count_nonzero(b.hessian - np.diag(np.diag(b.hessian))) == 0
+    assert np.allclose(np.diag(b.hessian), expected, rtol=1e-12, atol=0)
+    assert np.allclose(b.gradient[rows == cols], -1.0 / lam, rtol=1e-12, atol=0)
+    assert np.count_nonzero(b.gradient[rows != cols]) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("gen", [INVERSE, NEG_LOG, NEG_SQRT, neg_power(0.37)],
+                         ids=lambda g: g.kind)
+def test_trace_hessian_couples_only_pairs_that_share_an_index(n, gen, rng):
+    obj = TraceObjective(rand_spd(rng, n, 0.1), gen)
+    h = phi_eval(obj, rand_spd(rng, n)).hessian
+    rows, cols = np.triu_indices(n)
+    pair = np.stack([rows, cols], axis=1)
+    shares = (pair[:, None, :, None] == pair[None, :, None, :]).any(axis=(2, 3))
+    assert np.count_nonzero(h[~shares]) == 0
+    assert np.count_nonzero(h[shares]) == shares.sum()  # and dense on the pattern
 
 
 def test_qre_hessian_annihilates_the_point(rng):
     # f(tX) = t f(X) up to the eps perturbation: X is a null direction
     obj = QreObjective(random_kraus(rng, 6, 3, 0.3), random_kraus(rng, 6, 3, 0.3))
     x = rand_density(rng, 3)
-    h = qre_eval(obj, x).hessian
-    assert np.linalg.norm(h @ svec(x)) <= 1e-8 * np.linalg.norm(h)
+    b = qre_eval(obj, x)
+    h, u = b.hessian, b.basis
+    assert np.linalg.norm(h @ svec(u.T @ x @ u)) <= 1e-8 * np.linalg.norm(h)
 
 
 def dense_kkt_step(bundle, slacks, cons):
@@ -180,7 +257,8 @@ def dense_kkt_step(bundle, slacks, cons):
 
     Unknowns [p; q; lambda_ineq; lambda_eq] with
     H p - A_in^T l_in - A_eq^T l_eq = -g, D q - l_in = 1/s,
-    A_in p + q = 0, A_eq p = 0, built with the oracle's isometry.
+    A_in p + q = 0, A_eq p = 0, built with the oracle's isometry on the
+    fixed coordinates svec(xi) (``bundle`` is on them).
     """
     n, m = cons.order, cons.n_ineq
     p_iso = sym_isometry(n)
@@ -211,7 +289,7 @@ def test_newton_step_matches_the_dense_kkt_system(kind, dims, rng):
     ev = FBetaEvaluator(problem)
     bundle = ev.hessian_bundle(x, 5.0)
     step = ev.newton_step(bundle, state)
-    p, q, lam = dense_kkt_step(bundle, state.slacks, problem.constraints)
+    p, q, lam = dense_kkt_step(fixed_coordinates(bundle), state.slacks, problem.constraints)
     assert rel_err(vec(step.direction_X), p) <= 1e-8
     assert rel_err(step.direction_slack, q) <= 1e-8
     assert rel_err(step.multipliers, lam) <= 1e-8
