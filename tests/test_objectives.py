@@ -243,35 +243,34 @@ class TestCompatibilityInequality:
                 assert abs(d3) <= bound + 1e-4 * max(1.0, bound)
 
 
-def loop_phi_hessian_in_basis(ctil, gamma):
-    """The svec Hessian in the eigenbasis from one loop over the triples (i, j, l).
+def einsum_phi_hessian_in_basis(ctil, gamma):
+    """The svec Hessian in the eigenbasis from one einsum over one-hot svec selectors.
 
-    Entry (s(i, j), s(i, l)) collects 2 c_ij c_il Ctil_jl Gamma_ijl in the
-    loop's order, c = 1 on the diagonal and 1/sqrt(2) off it; s comes from
-    the upper triangle, row by row, as the oracle's isometry orders it.
+    E[s, i, j] is 1 where s(i, j) = s and 0 elsewhere, s from the upper
+    triangle, row by row, as the oracle's isometry orders it; the Hessian
+    is sum_ijl E[s, i, j] E[t, i, l] W_ijl with W_ijl = Ctil_jl Gamma_ijl
+    times 2 c_ij c_il, c = 1 on the diagonal and 1/sqrt(2) off it. Each
+    entry has at most two nonzero terms and the selectors are exact, so
+    no order of summation the einsum picks can change its bits.
     """
     n = ctil.shape[0]
     d = n * (n + 1) // 2
-    s = np.zeros((n, n), dtype=int)
     rows, cols = np.triu_indices(n)
-    s[rows, cols] = s[cols, rows] = np.arange(d)
+    sel = np.zeros((d, n, n))
+    sel[np.arange(d), rows, cols] = sel[np.arange(d), cols, rows] = 1.0
     c = np.where(np.eye(n, dtype=bool), 1.0, 1.0 / np.sqrt(2.0))
-    out = np.zeros((d, d))
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                out[s[i, j], s[i, l]] += (ctil[j, l] * gamma[i, j, l]) * (2.0 * c[i, j] * c[i, l])
-    return out
+    w = (ctil[None, :, :] * gamma) * (2.0 * c[:, :, None] * c[:, None, :])
+    return np.einsum("sij,ijl,til->st", sel, w, sel, optimize=True)
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 16])
-def test_phi_hessian_in_basis_matches_the_triple_loop_bitwise(rng, n):
+def test_phi_hessian_in_basis_matches_einsum_bitwise(rng, n):
     for gen in ALL_GENERATORS:
         dec = spectral_decompose(rand_spd(rng, n))
         ctil = symmetrize(dec.U.T @ rand_spd(rng, n, 0.1) @ dec.U)
         gamma = second_divided_diff_tensor(gen, dec.lam, f1=divided_diff_1(gen, dec.lam))
         got = phi_hessian_in_basis(ctil, gamma)
-        assert np.array_equal(got, loop_phi_hessian_in_basis(ctil, gamma)), gen.kind
+        assert np.array_equal(got, einsum_phi_hessian_in_basis(ctil, gamma)), gen.kind
         assert np.array_equal(got, got.T), gen.kind
 
 

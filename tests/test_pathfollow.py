@@ -128,6 +128,43 @@ class TestMaxFeasibleStep:
             bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
         assert_same_bound(max_feasible_step(_State(x, slacks), step, ev), min(bounds))
 
+    @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
+                                            ("type2", {"n": 4, "m": 1})])
+    def test_bounds_match_scipy_eigh_bitwise(self, rng, kind, dims):
+        # each cone's bound is -1 / lambda_min of W = Lam^-1/2 O.T P O Lam^-1/2
+        # from scipy's divide-and-conquer symmetric eigensolver on W's upper
+        # triangle, bit for bit, and max_feasible_step is the least of the
+        # cones' and the slacks' bounds, bit for bit
+        problem = probio.generate_random(kind, dims, seed=7)
+        ev = FBetaEvaluator(problem)
+        x = probio.random_feasible_point(problem, rng)
+
+        def pencils(p):
+            return [(p, x)] + [(lmap.apply(p), lmap.apply(x)) for lmap in ev.feasibility_maps()]
+
+        def scipy_bound(p, y):
+            dec = spectral_decompose(y)
+            s = 1.0 / np.sqrt(dec.lam)
+            w = scipy.linalg.eigh((dec.U.T @ p @ dec.U) * np.outer(s, s), lower=False,
+                                  eigvals_only=True, driver="evd")
+            wmin = float(w.min())
+            return -1.0 / wmin if wmin < -1e-14 * max(1.0, float(np.abs(w).max())) else math.inf
+
+        cases = [pc for _ in range(5) for pc in pencils(symmetrize(rng.standard_normal(x.shape)))]
+        cases += pencils(np.eye(x.shape[0]))  # PSD step: unbounded in every cone
+        assert len(cases) == (12 if kind == "type2" else 6)
+        for p, y in cases:
+            dec = spectral_decompose(y)
+            assert cone_step_bound(dec.U.T @ p @ dec.U, dec.lam) == scipy_bound(p, y)
+        assert scipy_bound(*cases[-1]) == math.inf
+        slacks = _refresh_slacks(problem, x)
+        step = ev.newton_step(ev.x_bundle(x, 2.0), _State(x, slacks))
+        bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
+        neg = step.direction_slack < 0
+        if np.any(neg):
+            bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
+        assert max_feasible_step(_State(x, slacks), step, ev) == min(bounds)
+
 
 class TestLineSearch:
     def test_strict_decrease_on_newton_step(self, rng):
