@@ -11,20 +11,26 @@ svec(U.T A_i U) (2 N n^3 work), and factors the rotated equality rows
 by LAPACK's dgeqrt, svec(U.T A_eq U)^T = Q R with Q = I - V T V^T in
 compact WY form (Q is never formed). The trailing columns of Q span the
 tangent space {svec(P~) : <A_i, U P~ U.T> = 0 on equality rows}.
-Nothing is cached between steps, since the basis moves with X. The
+The rotated rows and their QR are kept for the last basis array
+(``AffineConstraints.in_basis``): a gate check at the point of the step
+before reuses them, while a new iterate brings a new basis. The
 direction is rotated back once, P = U P~ U.T.
 
-A step copies the Hessian once into Fortran order and applies Q on both
-sides there: two rank-N_eq GEMMs accumulate into the copy.
-The slack block, which the inequality slack direction q = -A_ineq p
-contributes as (A_ineq N)^T diag(1/s^2) (A_ineq N), is accumulated by
-one more GEMM onto a Fortran copy of the tangent block, which LAPACK's
-Cholesky (dpotrf) then factors in place; dpotrs solves the reduced
-system and dtrtrs the triangular system of the equality multipliers.
-Each GEMM takes the operands of the plain expressions H - Z V^T - V Z^T
-and M_tt + (B^T D) B and adds its product into the target, so the
-results are those of the expressions (the tests compare them bit for
-bit) without their d x d temporaries.
+Expanding Q^T H Q = (I - V Y^T) H (I - Y V^T) with W = H Y and
+S = Y^T W gives H - W V^T - V W^T + V S V^T, and Z = W - V S / 2 folds
+the last term into two rank-k products: Q^T H Q = H - Z V^T - V Z^T. A
+step writes only what the Cholesky factor reads, the lower triangle of
+the tangent block. It copies the (d - k)^2 block H_tt into Fortran
+order, subtracts Z_t V_t^T + V_t Z_t^T by one rank-2k update (dsyr2k)
+and adds the slack block, which the inequality slack direction
+q = -A_ineq p contributes as (A_ineq N)^T diag(1/s^2) (A_ineq N), by one
+rank-N_ineq update (dsyrk); both write the lower triangle alone. LAPACK's
+Cholesky (dpotrf) factors that triangle in place, M = L L^T, and two
+triangular solves (dtrsv) give c = L^-1 r and y = -L^-T c, so the
+decrement's quadratic form r^T M^-1 r is the sum of squares c . c. The
+equality multipliers need the normal rows (Q^T H Q)_nt y, which the
+same factors give without forming the k x (d - k) block, and dtrtrs
+solves their triangular system.
 The reduced solution is mapped back, p~ = N y, so the direction is
 tangent by construction. Only the Hessian restricted to the tangent
 space must be positive definite, so the relative-entropy Hessian, which
@@ -54,6 +60,7 @@ class AffineConstraints:
     n_ineq: int = 0
     svec_rows: np.ndarray = field(init=False, repr=False)  # svec(A_i), N x n(n+1)/2
     eq_gram_condition: float = field(init=False, default=1.0)
+    _basis_cache: tuple = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self):
         self.mats = [symmetrize(a) for a in self.mats]
@@ -109,6 +116,22 @@ class AffineConstraints:
         rot = u.T @ self._stack @ u
         return rot.reshape(self.n_total, -1).take(lay.lower, axis=1) * lay.weight
 
+    def in_basis(self, u: np.ndarray):
+        """(rows, V, Y, R): ``rotated_rows(u)`` and the ``equality_qr`` of its equality rows.
+
+        The result for the last read-only U is kept, keyed on the array's
+        identity: the evaluation point's decompositions are read-only, so
+        the same array holds the same basis. A writeable U is never kept.
+        """
+        hit = self._basis_cache
+        if hit and hit[0] is u:
+            return hit[1:]
+        rows = self.rotated_rows(u)
+        factors = (rows, *equality_qr(rows[self.n_ineq:]))
+        if not u.flags.writeable:
+            self._basis_cache = (u, *factors)
+        return factors
+
 
 def equality_qr(eq_rows: np.ndarray):
     """(V, Y, R) of the Householder QR eq_rows^T = Q R, Q = I - V Y^T, Y = V T.
@@ -130,22 +153,6 @@ def equality_qr(eq_rows: np.ndarray):
     qr[lay.rows, lay.cols] = 0.0  # R's triangle, then V's unit diagonal
     np.fill_diagonal(qr, 1.0)
     return qr, qr @ t, r
-
-
-def rotate(h: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Q^T H Q of a symmetric H, as H - Z V^T - V Z^T, in Fortran order.
-
-    Expanding (I - V Y^T) H (I - Y V^T) with W = H Y and S = Y^T W
-    gives H - W V^T - V W^T + V S V^T; Z = W - V S / 2 folds the
-    last term into the two rank-k products. They are accumulated
-    into one Fortran copy of H (H^T, a plain copy of a C-ordered H),
-    first -Z V^T and then -V Z^T, as in the expression.
-    """
-    w = h @ y
-    z = w - 0.5 * v @ (y.T @ w)
-    out = np.array(h.T, order="F")
-    out = blas.dgemm(-1.0, z.T, v.T, beta=1.0, c=out, trans_a=1, overwrite_c=1)
-    return blas.dgemm(-1.0, v.T, z.T, beta=1.0, c=out, trans_a=1, overwrite_c=1)
 
 
 @dataclass
@@ -205,20 +212,27 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
         raise SingularKKT("Newton system has a non-finite Hessian or gradient entry")
 
     u = bundle.basis
-    rows = cons.rotated_rows(u)
+    rows, v, vt, r_eq = cons.in_basis(u)
     a_in = rows[:m]
-    v, vt, r_eq = equality_qr(rows[m:])
-    h_q = rotate(bundle.hessian, v, vt)
+    h = bundle.hessian
+    w = h @ vt
+    z = w - 0.5 * v @ (vt.T @ w)
     g_q = grad - v @ (vt.T @ grad)
     a_q = a_in - (a_in @ vt) @ v.T
 
     b = a_q[:, k:]
-    red = np.array(h_q[k:, k:], order="F")
-    bd = b.T * inv_s**2
-    red = blas.dgemm(1.0, bd.T, b, beta=1.0, c=red, trans_a=1, overwrite_c=1)
     r = g_q[k:] + b.T @ inv_s
     if d > k:
-        chol, info = lapack.dpotrf(red, lower=1, clean=1, overwrite_a=1)
+        # red is in Fortran order, so each update and dpotrf write into it
+        red = np.array(h[k:, k:].T, order="F")
+        if k:
+            red = blas.dsyr2k(-1.0, z[k:].T, v[k:].T, beta=1.0, c=red, trans=1, lower=1,
+                              overwrite_c=1)
+        if m:
+            red = blas.dsyrk(1.0, (b.T * inv_s).T, beta=1.0, c=red, trans=1, lower=1,
+                             overwrite_c=1)
+        # the upper triangle keeps stale entries of H_tt, which nothing reads
+        chol, info = lapack.dpotrf(red, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise SingularKKT("reduced Hessian is not positive definite on the tangent space")
         diag = np.abs(np.diag(chol))
@@ -228,9 +242,9 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
             # the level of a matrix that is singular on the tangent space
             raise SingularKKT("reduced Hessian is numerically singular on the tangent space",
                               condition=cond)
-        y, _ = lapack.dpotrs(chol, r, lower=1)
-        y = -y
-        quad = float(np.sum((chol.T @ y) ** 2))
+        c = blas.dtrsv(chol, r, lower=1)
+        quad = float(c @ c)
+        y = -blas.dtrsv(chol, c, lower=1, trans=1)
     else:
         y, cond, quad = np.zeros(0), 1.0, 0.0
 
@@ -244,8 +258,9 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     lam_in = p2 * inv_s**2 - inv_s
     lam = lam_in
     if k:
-        # a C-ordered copy of the block: the row-wise products of a C-ordered H_q
-        normal = np.ascontiguousarray(h_q[:k, k:]) @ y + g_q[:k] - a_q[:, :k].T @ lam_in
+        # (Q^T H Q)_nt y = H_nt y - Z_n (V_t^T y) - V_n (Z_t^T y)
+        normal = (h[:k, k:] @ y - z[:k] @ (v[k:].T @ y) - v[:k] @ (z[k:].T @ y)
+                  + g_q[:k] - a_q[:, :k].T @ lam_in)
         # R is C-ordered, so LAPACK sees R^T and solves (R^T)^T lambda = normal
         lam_eq, _ = lapack.dtrtrs(r_eq.T, normal, lower=1, trans=1)
         lam = np.concatenate([lam_in, lam_eq])

@@ -118,7 +118,9 @@ class EvalPoint:
     computed on first use and kept per (map, shift), the map keyed by
     identity. So terms that read the same image share one decomposition:
     a trace objective on X and -ln det X, or a trace objective through the
-    constraint map and the barrier on that map.
+    constraint map and the barrier on that map. Images and decompositions
+    are read-only like X, so an array's identity stands for its content:
+    the KKT layer keys its rotated constraint rows on the basis array.
 
     ``parts``, None until set, holds the per-term bundles of a Hessian
     evaluation of F_beta at this point (``pathfollow.FBetaEvaluator``).
@@ -137,7 +139,10 @@ class EvalPoint:
             y = self.x if lmap is None else lmap.apply(self.x)
             if shift:
                 y = y + shift * np.eye(y.shape[0])
-            hit = self._images[key] = (y, spectral_decompose(y))
+            dec = spectral_decompose(y)
+            for a in (y, dec.U, dec.lam):
+                a.flags.writeable = False
+            hit = self._images[key] = (y, dec)
         return hit
 
     @property

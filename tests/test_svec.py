@@ -281,6 +281,8 @@ def dense_kkt_step(bundle, slacks, cons):
     ("type1", {"n": 4, "m": 2, "N": 4}),
     ("type2", {"n": 4, "m": 1}),
     ("qkd", {"n": 3, "m": 1}),
+    # d = 136: the blocked BLAS/LAPACK kernels, not only the small ones
+    ("type1", {"n": 16, "m": 4, "N": 12}),
 ])
 def test_newton_step_matches_the_dense_kkt_system(kind, dims, rng):
     problem = probio.generate_random(kind, dims, seed=3)
