@@ -3,14 +3,13 @@ quantum relative entropy problems, via long-step path following."""
 
 from . import errors, kkt, linmap, matfun, objectives, oracle, pathfollow, probio, qre
 from .kkt import AffineConstraints, NewtonStep, newton_step_type1, newton_step_type2
-from .linmap import KrausMap, PartialTranspose, identity_map, partial_transpose_map, pinching_map
+from .linmap import KrausMap, PartialTranspose, identity_map, pinching_map
 from .matfun import (
     INVERSE,
     NEG_LOG,
     NEG_SQRT,
     ScalarGenerator,
     SpectralDecomp,
-    apply_matrix_function,
     divided_diff_1,
     divided_diff_2,
     neg_power,
@@ -40,7 +39,6 @@ __all__ = [
     "SolverConfig",
     "SpectralDecomp",
     "TraceObjective",
-    "apply_matrix_function",
     "barrier_eval",
     "build_named",
     "composite_eval",
@@ -59,7 +57,6 @@ __all__ = [
     "newton_step_type2",
     "objectives",
     "oracle",
-    "partial_transpose_map",
     "pathfollow",
     "phi_eval",
     "pinching_map",

@@ -28,13 +28,12 @@ rank-N_ineq update (dsyrk); both write the lower triangle alone. LAPACK's
 Cholesky (dpotrf) factors that triangle in place, M = L L^T, and two
 triangular solves (dtrsv) give c = L^-1 r and y = -L^-T c, so the
 decrement's quadratic form r^T M^-1 r is the sum of squares c . c. The
-equality multipliers need the normal rows (Q^T H Q)_nt y, which the
-same factors give without forming the k x (d - k) block, and dtrtrs
-solves their triangular system.
-The reduced solution is mapped back, p~ = N y, so the direction is
-tangent by construction. Only the Hessian restricted to the tangent
-space must be positive definite, so the relative-entropy Hessian, which
-annihilates svec(X), is fine wherever X is not tangent (Tr X = 1).
+step computes only what the path-following reads, the direction and
+the decrement; no multipliers. The reduced solution is mapped back,
+p~ = N y, so the direction is tangent by construction. Only the Hessian
+restricted to the tangent space must be positive definite, so the
+relative-entropy Hessian, which annihilates svec(X), is fine wherever X
+is not tangent (Tr X = 1).
 Structure II is structure I without inequality rows. A non-finite
 Hessian or gradient raises SingularKKT before any factorization.
 """
@@ -42,7 +41,6 @@ Hessian or gradient raises SingularKKT before any factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
@@ -55,7 +53,7 @@ from .matfun import svec, svec_layout, symmetrize, unsvec
 class AffineConstraints:
     """N trace constraints <A_i, X> (<=|=) b_i; the first n_ineq are inequalities."""
 
-    mats: list
+    mats: np.ndarray  # the symmetric A_i, N x n x n
     rhs: np.ndarray
     n_ineq: int = 0
     svec_rows: np.ndarray = field(init=False, repr=False)  # svec(A_i), N x n(n+1)/2
@@ -63,19 +61,21 @@ class AffineConstraints:
     _basis_cache: tuple = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self):
-        self.mats = [symmetrize(a) for a in self.mats]
+        mats = [np.asarray(a, dtype=float) for a in self.mats]
         self.rhs = np.asarray(self.rhs, dtype=float).ravel()
-        n_total = len(self.mats)
+        n_total = len(mats)
         if n_total < 1:
             raise ConstraintError("at least one constraint row is required")
         if self.rhs.size != n_total:
             raise ConstraintError("constraint right-hand side length mismatch")
         if not 0 <= self.n_ineq <= n_total:
             raise ConstraintError("inequality count out of range")
-        n = self.mats[0].shape[0]
-        for a in self.mats:
-            if a.shape != (n, n):
-                raise ConstraintError("constraint matrices must share one order")
+        shape = mats[0].shape
+        # checked before stacking, which would raise numpy's ValueError
+        if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in mats):
+            raise ConstraintError("constraint matrices must be square and share one order")
+        stack = np.stack(mats)
+        self.mats = 0.5 * (stack + stack.transpose(0, 2, 1))  # each A_i's symmetric part
         self.svec_rows = np.stack([svec(a) for a in self.mats])
 
         eq = self.svec_rows[self.n_ineq:]
@@ -88,7 +88,7 @@ class AffineConstraints:
 
     @property
     def order(self) -> int:
-        return self.mats[0].shape[0]
+        return self.mats.shape[1]
 
     @property
     def n_total(self) -> int:
@@ -105,19 +105,14 @@ class AffineConstraints:
             vals[: self.n_ineq] += np.asarray(slacks, dtype=float)
         return vals
 
-    @cached_property
-    def _stack(self) -> np.ndarray:
-        """The A_i as one N x n x n array, built on the first Newton step."""
-        return np.stack(self.mats)
-
     def rotated_rows(self, u: np.ndarray) -> np.ndarray:
         """svec(U.T A_i U) of every row, N x n(n+1)/2: the rows in the coordinates of U."""
         lay = svec_layout(self.order)
-        rot = u.T @ self._stack @ u
+        rot = u.T @ self.mats @ u
         return rot.reshape(self.n_total, -1).take(lay.lower, axis=1) * lay.weight
 
     def in_basis(self, u: np.ndarray):
-        """(rows, V, Y, R): ``rotated_rows(u)`` and the ``equality_qr`` of its equality rows.
+        """(rows, V, Y): ``rotated_rows(u)`` and the ``equality_qr`` of its equality rows.
 
         The result for the last read-only U is kept, keyed on the array's
         identity: the evaluation point's decompositions are read-only, so
@@ -134,40 +129,36 @@ class AffineConstraints:
 
 
 def equality_qr(eq_rows: np.ndarray):
-    """(V, Y, R) of the Householder QR eq_rows^T = Q R, Q = I - V Y^T, Y = V T.
+    """(V, Y) of the Householder QR eq_rows^T = Q R, Q = I - V Y^T, Y = V T.
 
     LAPACK's dgeqrt returns the reflectors V (below R's diagonal, unit
     diagonal implied) and the triangular factor T of the compact WY form
-    in one call; with no rows, V and Y are empty and Q = I. R is the
-    upper triangle of the returned k x k block, the only part that a
-    triangular solve reads; below its diagonal lie the reflectors.
+    in one call; with no rows, V and Y are empty and Q = I. The solve
+    reads Q alone, so R is dropped.
     """
     k, d = eq_rows.shape
     if not k:
-        return np.zeros((d, 0)), np.zeros((d, 0)), np.zeros((0, 0))
+        return np.zeros((d, 0)), np.zeros((d, 0))
     qr, t, info = lapack.dgeqrt(k, eq_rows.T)
     if info != 0:
         raise ConstraintError(f"QR of the equality rows failed (info {info})")
-    r = qr[:k].copy()
     lay = svec_layout(k)
     qr[lay.rows, lay.cols] = 0.0  # R's triangle, then V's unit diagonal
     np.fill_diagonal(qr, 1.0)
-    return qr, qr @ t, r
+    return qr, qr @ t
 
 
 @dataclass
 class NewtonStep:
-    """Newton direction (p, q) with its multipliers and diagnostics.
+    """Newton direction (p, q) with its decrement and diagnostics.
 
-    ``multipliers`` are ordered like the constraint rows, inequality rows
-    first. ``schur_condition`` estimates the condition of the reduced
-    Hessian as the squared ratio of the extreme diagonal entries of its
-    Cholesky factor.
+    ``schur_condition`` estimates the condition of the reduced Hessian as
+    the squared ratio of the extreme diagonal entries of its Cholesky
+    factor.
     """
 
     direction_X: np.ndarray
     direction_slack: np.ndarray
-    multipliers: np.ndarray
     decrement: float
     decrement_innerprod: float
     schur_condition: float
@@ -212,7 +203,7 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
         raise SingularKKT("Newton system has a non-finite Hessian or gradient entry")
 
     u = bundle.basis
-    rows, v, vt, r_eq = cons.in_basis(u)
+    rows, v, vt = cons.in_basis(u)
     a_in = rows[:m]
     h = bundle.hessian
     w = h @ vt
@@ -253,18 +244,6 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     p2 = -(a_in @ p_s)
     p_x = symmetrize(u @ unsvec(p_s) @ u.T)
 
-    # lambda_ineq from slack stationarity; lambda_eq from the normal rows
-    # of the X-equation, R lambda_eq = (Q^T (H_s p + g_s - A_ineq^T lam_ineq))_n
-    lam_in = p2 * inv_s**2 - inv_s
-    lam = lam_in
-    if k:
-        # (Q^T H Q)_nt y = H_nt y - Z_n (V_t^T y) - V_n (Z_t^T y)
-        normal = (h[:k, k:] @ y - z[:k] @ (v[k:].T @ y) - v[:k] @ (z[k:].T @ y)
-                  + g_q[:k] - a_q[:, :k].T @ lam_in)
-        # R is C-ordered, so LAPACK sees R^T and solves (R^T)^T lambda = normal
-        lam_eq, _ = lapack.dtrtrs(r_eq.T, normal, lower=1, trans=1)
-        lam = np.concatenate([lam_in, lam_eq])
-
     grad_slack = -inv_s
     rad = float(-(p_s @ grad + p2 @ grad_slack))
     scale = np.abs(p_s) @ np.abs(grad) + np.abs(p2) @ np.abs(grad_slack) + 1.0
@@ -276,7 +255,6 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     return NewtonStep(
         direction_X=p_x,
         direction_slack=p2,
-        multipliers=lam,
         decrement=delta,
         decrement_innerprod=delta_ip,
         schur_condition=cond,

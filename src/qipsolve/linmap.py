@@ -194,7 +194,3 @@ class PartialTranspose:
             e[col] = 1.0
             m[:, col] = vec(self.apply(e.reshape((n, n), order="F")))
         return m
-
-
-def partial_transpose_map(n1: int, n2: int) -> PartialTranspose:
-    return PartialTranspose(n1, n2)

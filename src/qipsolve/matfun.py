@@ -248,18 +248,6 @@ def second_divided_diff_tensor(gen: ScalarGenerator, lam, *, f1: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------------
-# spectral functional calculus
-# ---------------------------------------------------------------------------
-
-def apply_matrix_function(gen: ScalarGenerator, x: np.ndarray) -> np.ndarray:
-    """g(X) = U diag(g(lam)) U.T for positive definite X."""
-    dec = spectral_decompose(x)
-    if np.any(dec.lam <= 0.0):
-        raise DomainViolation("matrix function requires a positive definite argument")
-    return symmetrize((dec.U * gen.g(dec.lam)) @ dec.U.T)
-
-
-# ---------------------------------------------------------------------------
 # vectorization, symmetric coordinates
 # ---------------------------------------------------------------------------
 

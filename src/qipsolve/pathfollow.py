@@ -233,14 +233,6 @@ class FBetaEvaluator:
             v -= float(np.sum(np.log(slacks)))
         return v
 
-    def feasibility_maps(self):
-        lmap = self.problem.constraint_map
-        return [] if lmap is None else [lmap]
-
-    def newton_step(self, bundle, state) -> NewtonStep:
-        # with no inequality rows there are no slacks: the structure-II step
-        return newton_step_type1(bundle, state.slacks, self.problem.constraints)
-
 
 def _refresh_slacks(problem: ProblemSpec, x) -> np.ndarray:
     """b_i - <A_i, X> on the inequality rows."""
@@ -303,12 +295,12 @@ def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator
         neg = q < 0
         if np.any(neg):
             bounds.append(float(np.min(state.slacks[neg] / -q[neg])))
-    for lmap in evaluator.feasibility_maps():
+    lmap = evaluator.problem.constraint_map
+    if lmap is not None:
         yp = lmap.apply(p)
-        if np.linalg.norm(yp) == 0:
-            continue
-        _, dec = point.pd_image("mapped iterate L(X)", lmap)
-        bounds.append(cone_step_bound(dec.U.T @ yp @ dec.U, dec.lam))
+        if np.linalg.norm(yp) > 0:
+            _, dec = point.pd_image("mapped iterate L(X)", lmap)
+            bounds.append(cone_step_bound(dec.U.T @ yp @ dec.U, dec.lam))
     return min(bounds)
 
 
@@ -367,7 +359,8 @@ def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: Solver
     try:
         for _ in range(config.max_inner):
             bundle = evaluator.hessian_bundle(state.x, beta)
-            step = evaluator.newton_step(bundle, state)
+            # with no inequality rows there are no slacks: the structure-II step
+            step = newton_step_type1(bundle, state.slacks, evaluator.problem.constraints)
             max_cond = max(max_cond, step.schur_condition)
             records.append((beta, step.decrement))
             if step.decrement <= target:

@@ -36,6 +36,12 @@ class TestAffineConstraints:
         cons = AffineConstraints(mats, np.array([1.0, 0.0]), n_ineq=0)
         assert cons.eq_gram_condition >= 1.0
 
+    @pytest.mark.parametrize("mats", [[np.eye(3), np.eye(4)], [np.eye(3), np.ones((3, 4))]],
+                             ids=["orders", "not_square"])
+    def test_mismatched_shapes_rejected(self, mats):
+        with pytest.raises(ConstraintError, match="share one order"):
+            AffineConstraints(mats, np.array([1.0, 1.0]), n_ineq=0)
+
     def test_duplicate_inequality_rows_allowed(self, rng):
         a = rand_sym(rng, 3)
         cons = AffineConstraints([a, a, np.eye(3)], np.array([1.0, 1.0, 1.0]), n_ineq=2)
@@ -109,27 +115,24 @@ class TestType1:
         assert inner <= 0.0
 
     def test_kkt_residual_orthogonal_to_tangent(self, rng):
+        # with q = -A_in p eliminated, stationarity of the step reads
+        # (H + A_in^T D A_in) p + g + A_in^T / s in the span of the equality
+        # rows, D = diag(1/s^2): the residual must be fitted by them alone
         problem, x, slacks = type1_setup(rng)
         cons = problem.constraints
+        m = cons.n_ineq
         bundle = composite_eval(2.0, problem.terms, [None], x)
         step = newton_step_type1(bundle, slacks, cons)
         bundle = fixed_coordinates(bundle)
-        p = sym_isometry(cons.order)
-        v = np.stack([p.T @ vec(a) for a in cons.mats])
-        resid = bundle.hessian @ (p.T @ vec(step.direction_X)) + bundle.gradient
-        resid -= v.T @ step.multipliers
-        proj = resid - v.T @ np.linalg.solve(v @ v.T, v @ resid)
+        iso = sym_isometry(cons.order)
+        rows = np.stack([iso.T @ vec(a) for a in cons.mats])
+        a_in, a_eq = rows[:m], rows[m:]
+        p = iso.T @ vec(step.direction_X)
+        resid = bundle.hessian @ p + bundle.gradient
+        resid += a_in.T @ ((a_in @ p) / slacks**2) + a_in.T @ (1.0 / slacks)
+        fit, *_ = np.linalg.lstsq(a_eq.T, resid, rcond=None)
+        proj = resid - a_eq.T @ fit
         assert np.linalg.norm(proj) <= 1e-7 * (1 + np.linalg.norm(bundle.gradient))
-
-    def test_slack_direction_formula(self, rng):
-        problem, x, slacks = type1_setup(rng)
-        cons = problem.constraints
-        bundle = composite_eval(2.0, problem.terms, [None], x)
-        step = newton_step_type1(bundle, slacks, cons)
-        m = cons.n_ineq
-        assert step.direction_slack.shape == (m,)
-        expected = slacks + step.multipliers[:m] * slacks**2
-        assert np.allclose(step.direction_slack, expected, atol=1e-8)
 
     def test_nonpositive_slack_rejected(self, rng):
         problem, x, _ = type1_setup(rng)
@@ -151,15 +154,13 @@ class TestType2:
         assert np.linalg.norm(step.direction_X) <= 1e-9
 
     def test_no_tangent_space_gives_the_zero_step(self):
-        # n = 1 with Tr X = 1: the equality row spans svec, so p = 0 and
-        # the multiplier balances the gradient, -1/x of -ln det at x = 1/2
+        # n = 1 with Tr X = 1: the equality row spans svec, so p = 0
         from qipsolve.objectives import barrier_eval
 
         cons = AffineConstraints([np.eye(1)], np.array([1.0]), n_ineq=0)
         step = newton_step_type2(barrier_eval(np.full((1, 1), 0.5)), cons)
         assert np.array_equal(step.direction_X, np.zeros((1, 1)))
         assert step.decrement == 0.0
-        assert step.multipliers == pytest.approx([-2.0], rel=1e-15)
 
     def test_ree_toy_tangency(self, rng):
         problem = probio.build_named("ree-2x2")
@@ -247,7 +248,7 @@ def reference_newton_step(bundle, slacks, cons):
     u = bundle.basis
     rows = cons.rotated_rows(u)
     a_in = rows[:m]
-    v, vt, r_eq = equality_qr(rows[m:])
+    v, vt = equality_qr(rows[m:])
     grad = bundle.gradient
     inv_s = 1.0 / slacks
     h = bundle.hessian
@@ -268,16 +269,11 @@ def reference_newton_step(bundle, slacks, cons):
     p_s = p_q - vt @ (v.T @ p_q)
     p2 = -(a_in @ p_s)
     p_x = symmetrize(u @ unsvec(p_s) @ u.T)
-    lam = p2 * inv_s**2 - inv_s
-    if k:
-        normal = h_q[:k, k:] @ y + g_q[:k] - a_q[:, :k].T @ lam
-        lam = np.concatenate([lam, scipy.linalg.solve_triangular(r_eq, normal, lower=False)])
     grad_slack = -inv_s
     rad = float(-(p_s @ grad + p2 @ grad_slack))
     return {
         "direction_X": p_x,
         "direction_slack": p2,
-        "multipliers": lam,
         "decrement": float(np.sqrt(max(quad, 0.0))),
         "decrement_innerprod": float(np.sqrt(max(rad, 0.0))),
         "schur_condition": cond,
@@ -315,14 +311,14 @@ class TestRotatedRows:
         assert np.abs(cons.rotated_rows(u) - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_equality_qr_factors_the_rows(self, rng):
+        # Q is orthogonal and its trailing columns span the tangent space
+        # of the equality rows, the property the Newton step rests on
         cons = probio.generate_random("type1", {"n": 5, "m": 1, "N": 4}, seed=2).constraints
         eq = cons.svec_rows[cons.n_ineq:]
-        v, vt, r = equality_qr(eq)
+        v, vt = equality_qr(eq)
         q = np.eye(eq.shape[1]) - vt @ v.T  # Q = I - V T V^T
         assert np.allclose(q.T @ q, np.eye(q.shape[0]), rtol=0, atol=1e-14)
-        # R is the upper triangle of r; the reflectors lie below it
-        assert np.allclose(q[:, :r.shape[0]] @ np.triu(r), eq.T, rtol=0, atol=1e-13)
-        assert np.array_equal(np.tril(r, -1), np.tril(v[:r.shape[0]], -1))
+        assert np.allclose(eq @ q[:, eq.shape[0]:], 0.0, rtol=0, atol=1e-13)
 
 
 class TestBasisCache:
@@ -336,8 +332,8 @@ class TestBasisCache:
         fresh = newton_step_type1(
             bundle, slacks, AffineConstraints(cons.mats, cons.rhs, n_ineq=cons.n_ineq))
         for step in (hit, fresh):
-            for name in ("direction_X", "direction_slack", "multipliers", "decrement",
-                         "decrement_innerprod", "schur_condition", "tangency_residual"):
+            for name in ("direction_X", "direction_slack", "decrement", "decrement_innerprod",
+                         "schur_condition", "tangency_residual"):
                 assert np.array_equal(getattr(step, name), getattr(first, name)), name
 
     def test_a_new_basis_array_recomputes(self, rng):

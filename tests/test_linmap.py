@@ -5,9 +5,9 @@ from conftest import rand_spd, rand_sym
 from qipsolve.errors import ShapeError, ValidationError
 from qipsolve.linmap import (
     KrausMap,
+    PartialTranspose,
     compose,
     identity_map,
-    partial_transpose_map,
     pinching_map,
 )
 from qipsolve.matfun import vec
@@ -123,34 +123,34 @@ class TestPinchingValidation:
 
 class TestPartialTranspose:
     def test_trivial_split(self, rng):
-        pt = partial_transpose_map(1, 1)
+        pt = PartialTranspose(1, 1)
         x = np.array([[2.0]])
         assert np.allclose(pt.apply(x), x)
 
     def test_tensor_product(self, rng):
         a, b = rand_sym(rng, 2), rand_sym(rng, 2)
-        pt = partial_transpose_map(2, 2)
+        pt = PartialTranspose(2, 2)
         assert np.allclose(pt.apply(np.kron(a, b)), np.kron(a, b.T), atol=1e-13)
 
     def test_trace_preserved(self, rng):
-        pt = partial_transpose_map(2, 3)
+        pt = PartialTranspose(2, 3)
         for _ in range(5):
             x = rand_sym(rng, 6)
             assert abs(np.trace(pt.apply(x)) - np.trace(x)) <= 1e-13 * (1 + abs(np.trace(x)))
 
     def test_involution_exact(self, rng):
-        pt = partial_transpose_map(3, 2)
+        pt = PartialTranspose(3, 2)
         x = rand_sym(rng, 6)
         assert np.array_equal(pt.apply(pt.apply(x)), x)
 
     def test_vectorized_consistency(self, rng):
-        pt = partial_transpose_map(2, 2)
+        pt = PartialTranspose(2, 2)
         mat = pt.vectorized_matrix()
         x = rand_sym(rng, 4)
         assert np.allclose(mat @ vec(x), vec(pt.apply(x)), atol=1e-13)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            partial_transpose_map(0, 2)
+            PartialTranspose(0, 2)
         with pytest.raises(ShapeError):
-            partial_transpose_map(2, 2).apply(np.eye(3))
+            PartialTranspose(2, 2).apply(np.eye(3))

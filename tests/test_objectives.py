@@ -4,7 +4,7 @@ import pytest
 from conftest import rand_spd, rand_sym, rel_err
 from qipsolve import objectives, probio
 from qipsolve.errors import DomainViolation, ValidationError
-from qipsolve.linmap import KrausMap, partial_transpose_map
+from qipsolve.linmap import KrausMap, PartialTranspose
 from qipsolve.matfun import (
     INVERSE,
     NEG_LOG,
@@ -121,7 +121,7 @@ class TestPhiEval:
         bell = np.zeros((4, 4))
         bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
         x = symmetrize(0.95 * bell + 0.05 * np.eye(4) / 4)
-        pt = partial_transpose_map(2, 2)
+        pt = PartialTranspose(2, 2)
         obj = TraceObjective(np.eye(4), NEG_LOG, map=pt)
         with pytest.raises(DomainViolation):
             phi_eval(obj, x)
@@ -165,7 +165,7 @@ class TestBarrier:
             barrier_eval(-np.eye(3))
 
     def test_map_barrier_vs_fd(self, rng):
-        pt = partial_transpose_map(2, 2)
+        pt = PartialTranspose(2, 2)
         x = separable_ppt_state(rng, 2, 2)
         b = fixed_coordinates(map_barrier_eval(pt, x))
         p = sym_isometry(4)
@@ -201,7 +201,7 @@ class TestComposite:
     def test_ree_composite_vs_fd(self, rng):
         c = separable_ppt_state(rng, 2, 2)
         x = separable_ppt_state(rng, 2, 2)
-        pt = partial_transpose_map(2, 2)
+        pt = PartialTranspose(2, 2)
         terms = [TraceObjective(c, NEG_LOG)]
         beta = 3.0
         b = fixed_coordinates(composite_eval(beta, terms, [None, pt], x))
@@ -218,7 +218,7 @@ class TestComposite:
         bell = np.zeros((4, 4))
         bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
         x = symmetrize(0.95 * bell + 0.05 * np.eye(4) / 4)  # PD but not PPT
-        pt = partial_transpose_map(2, 2)
+        pt = PartialTranspose(2, 2)
         with pytest.raises(DomainViolation, match="barrier term 1"):
             composite_eval(1.0, [TraceObjective(np.eye(4), NEG_LOG)], [None, pt], x)
 
@@ -324,7 +324,7 @@ class TestEvalPoint:
 def term_cases(rng):
     """(label, term, X) for every term kind: trace on X or through a map,
     both barriers and the relative entropy."""
-    pt = partial_transpose_map(2, 2)
+    pt = PartialTranspose(2, 2)
     x = separable_ppt_state(rng, 2, 2)
     kraus = KrausMap([rng.standard_normal((6, 4)) * 0.4 for _ in range(2)])
     qkd = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=5)

@@ -12,7 +12,7 @@ from qipsolve.errors import (
     LineSearchFailure,
     SingularKKT,
 )
-from qipsolve.kkt import NewtonStep
+from qipsolve.kkt import NewtonStep, newton_step_type1
 from qipsolve.matfun import spectral_decompose, symmetrize, vec
 from qipsolve.objectives import LogDetBarrier, combine_terms, evaluate_terms
 from qipsolve.oracle import (
@@ -40,7 +40,6 @@ def fake_step(direction, slack=None):
     return NewtonStep(
         direction_X=direction,
         direction_slack=np.zeros(0) if slack is None else slack,
-        multipliers=np.zeros(1),
         decrement=1.0,
         decrement_innerprod=1.0,
         schur_condition=1.0,
@@ -99,9 +98,10 @@ class TestMaxFeasibleStep:
         problem = probio.generate_random(kind, dims, seed=7)
         ev = FBetaEvaluator(problem)
         x = probio.random_feasible_point(problem, rng)
+        lmap = problem.constraint_map
 
         def pencils(p):
-            return [(p, x)] + [(lmap.apply(p), lmap.apply(x)) for lmap in ev.feasibility_maps()]
+            return [(p, x)] + ([] if lmap is None else [(lmap.apply(p), lmap.apply(x))])
 
         def scipy_bound(p, y):
             w = scipy.linalg.eigh(p, y, eigvals_only=True)
@@ -121,7 +121,7 @@ class TestMaxFeasibleStep:
             dec = spectral_decompose(y)
             assert_same_bound(cone_step_bound(dec.U.T @ p @ dec.U, dec.lam), scipy_bound(p, y))
         slacks = _refresh_slacks(problem, x)
-        step = ev.newton_step(ev.x_bundle(x, 2.0), _State(x, slacks))
+        step = newton_step_type1(ev.x_bundle(x, 2.0), slacks, problem.constraints)
         bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
         neg = step.direction_slack < 0
         if np.any(neg):
@@ -138,9 +138,10 @@ class TestMaxFeasibleStep:
         problem = probio.generate_random(kind, dims, seed=7)
         ev = FBetaEvaluator(problem)
         x = probio.random_feasible_point(problem, rng)
+        lmap = problem.constraint_map
 
         def pencils(p):
-            return [(p, x)] + [(lmap.apply(p), lmap.apply(x)) for lmap in ev.feasibility_maps()]
+            return [(p, x)] + ([] if lmap is None else [(lmap.apply(p), lmap.apply(x))])
 
         def scipy_bound(p, y):
             dec = spectral_decompose(y)
@@ -158,7 +159,7 @@ class TestMaxFeasibleStep:
             assert cone_step_bound(dec.U.T @ p @ dec.U, dec.lam) == scipy_bound(p, y)
         assert scipy_bound(*cases[-1]) == math.inf
         slacks = _refresh_slacks(problem, x)
-        step = ev.newton_step(ev.x_bundle(x, 2.0), _State(x, slacks))
+        step = newton_step_type1(ev.x_bundle(x, 2.0), slacks, problem.constraints)
         bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
         neg = step.direction_slack < 0
         if np.any(neg):
@@ -176,7 +177,7 @@ class TestLineSearch:
         state = _State(x, slacks)
         beta = 2.0
         bundle = ev.x_bundle(x, beta)
-        step = ev.newton_step(bundle, state)
+        step = newton_step_type1(bundle, state.slacks, cons)
         alpha = line_search(state, step, beta, ev)
         assert 0.0 < alpha <= 1.0
         f0 = ev.value(state.x, state.slacks, beta)
@@ -191,7 +192,8 @@ class TestLineSearch:
         # spurious decrease of about 1e-14 relative
         ev, state = type1_point(rng)
         beta = 2.0
-        step = ev.newton_step(ev.x_bundle(state.x, beta), state)
+        step = newton_step_type1(ev.x_bundle(state.x, beta), state.slacks,
+                                 ev.problem.constraints)
         step.direction_X = -step.direction_X
         step.direction_slack = -step.direction_slack
         f0 = ev.value(state.x, state.slacks, beta)
@@ -439,7 +441,7 @@ class TestSharedPoint:
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
         state = _State(x, _refresh_slacks(problem, x))
         beta = 2.0
-        step = ev.newton_step(ev.hessian_bundle(x, beta), state)
+        step = newton_step_type1(ev.hessian_bundle(x, beta), state.slacks, problem.constraints)
         seen = []
         real = objectives.spectral_decompose
 
@@ -573,7 +575,7 @@ class TestSolve:
         assert len(starts) >= 5
         for x, rec in zip(starts, records):
             bundle = ev.x_bundle(x, rec["beta"])
-            step = ev.newton_step(bundle, _State(x, np.zeros(0)))
+            step = newton_step_type1(bundle, np.zeros(0), problem.constraints)
             grad = fixed_coordinates(bundle).gradient
             assert grad @ (sym_isometry(3).T @ vec(step.direction_X)) < 0.0
             assert step.decrement_innerprod == pytest.approx(step.decrement, rel=1e-6)
@@ -593,14 +595,14 @@ class TestSolve:
     def test_non_descent_step_fails_fast(self, monkeypatch):
         # an ascent direction must be named before any line-search backtrack
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
-        real_step = FBetaEvaluator.newton_step
+        real_step = pathfollow.newton_step_type1
 
-        def flipped(self, bundle, state):
-            step = real_step(self, bundle, state)
+        def flipped(bundle, slacks, cons):
+            step = real_step(bundle, slacks, cons)
             step.direction_X = -step.direction_X
             return step
 
-        monkeypatch.setattr(FBetaEvaluator, "newton_step", flipped)
+        monkeypatch.setattr(pathfollow, "newton_step_type1", flipped)
         monkeypatch.setattr(pathfollow, "line_search",
                             lambda *a, **k: pytest.fail("line search ran"))
         with pytest.raises(SingularKKT, match=r"not a descent direction.*phase: outer 0"):
@@ -695,14 +697,14 @@ class TestSolve:
             self, monkeypatch):
         problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=6)
         conditions = []
-        real = pathfollow.FBetaEvaluator.newton_step
+        real = pathfollow.newton_step_type1
 
-        def recorded(self, bundle, state):
-            step = real(self, bundle, state)
+        def recorded(bundle, slacks, cons):
+            step = real(bundle, slacks, cons)
             conditions.append(step.schur_condition)
             return step
 
-        monkeypatch.setattr(pathfollow.FBetaEvaluator, "newton_step", recorded)
+        monkeypatch.setattr(pathfollow, "newton_step_type1", recorded)
         report = solve(problem, config=SolverConfig(max_inner=3))
         assert report.termination == "IterCap"
         assert len(conditions) == 3
