@@ -265,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve a problem file or canonical instance")
     s.add_argument("problem")
     s.add_argument("--beta0", type=float, default=1.0)
-    s.add_argument("--theta", type=float, default=1.0)
+    s.add_argument("--theta", type=float, default=1.0,
+                   help="beta grows by (1 + theta) per centering; the run makes "
+                        "ceil(ln(4r/(eps beta0)) / ln(1 + theta)) + 1 centerings, "
+                        "each capped at the theory's per-outer Newton-step bound")
     s.add_argument("--eps", type=float, default=1e-8)
     s.add_argument("--no-barrier", action="store_true",
                    help="drop the -ln det X term (qkd problems only; an error on others)")

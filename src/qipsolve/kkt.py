@@ -49,7 +49,7 @@ from .errors import ConstraintError, DomainViolation, SingularKKT
 from .matfun import svec, svec_layout, symmetrize, unsvec
 
 
-@dataclass
+@dataclass(eq=False)
 class AffineConstraints:
     """N trace constraints <A_i, X> (<=|=) b_i; the first n_ineq are inequalities."""
 
@@ -57,8 +57,7 @@ class AffineConstraints:
     rhs: np.ndarray
     n_ineq: int = 0
     svec_rows: np.ndarray = field(init=False, repr=False)  # svec(A_i), N x n(n+1)/2
-    eq_gram_condition: float = field(init=False, default=1.0)
-    _basis_cache: tuple = field(init=False, default=(), repr=False, compare=False)
+    _basis_cache: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         mats = [np.asarray(a, dtype=float) for a in self.mats]
@@ -80,11 +79,9 @@ class AffineConstraints:
 
         eq = self.svec_rows[self.n_ineq:]
         if eq.shape[0]:
-            gram = eq @ eq.T
-            w = np.linalg.eigvalsh(gram)
+            w = np.linalg.eigvalsh(eq @ eq.T)
             if w[0] <= w[-1] * len(eq) * 1e-12:
                 raise ConstraintError("equality constraint rows are linearly dependent")
-            self.eq_gram_condition = float(w[-1] / w[0])
 
     @property
     def order(self) -> int:
@@ -148,7 +145,7 @@ def equality_qr(eq_rows: np.ndarray):
     return qr, qr @ t
 
 
-@dataclass
+@dataclass(eq=False)
 class NewtonStep:
     """Newton direction (p, q) with its decrement and diagnostics.
 

@@ -52,15 +52,12 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.tensordot(a, b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomp:
     """Eigenfactorization X = U diag(lam) U.T with lam descending."""
 
     U: np.ndarray
     lam: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return symmetrize((self.U * self.lam) @ self.U.T)
 
 
 def spectral_decompose(x: np.ndarray) -> SpectralDecomp:

@@ -91,7 +91,7 @@ class TraceObjective:
         return phi_eval(self, x, want_hessian=want_hessian, point=point)
 
 
-@dataclass
+@dataclass(eq=False)
 class DerivativeBundle:
     """Scalar value, gradient and dense Hessian, or the value alone.
 

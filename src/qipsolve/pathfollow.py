@@ -53,11 +53,13 @@ svec coordinates of X's eigenbasis U, which the point holds
 (``objectives``); the Newton system is solved in them (``kkt``), and the
 slope along a direction P is g~ . svec(U.T P U).
 
-Complexity caps from the underlying theory are evaluated alongside every
-run: per outer iteration at most 22/3 + 22 theta (5/2 kappa sqrt(r) +
-theta kappa^2 r / (theta+1)) Newton steps, and that times
-ln(4r/(eps beta0)) / ln(1+theta) in total. Both are attached to the
-report and checked against the observed counts.
+The run is fixed by beta0, theta and epsilon alone: it makes
+ceil(ln(4r/(eps beta0)) / ln(1+theta)) + 1 centerings. The theory caps
+each at 22/3 + 22 theta (5/2 kappa sqrt(r) + theta kappa^2 r / (theta+1))
+Newton steps, and the run at that times ln(4r/(eps beta0)) / ln(1+theta).
+The per-outer cap is the step limit of every centering, so IterCap means
+that one centering reached it; both caps are attached to the report and
+checked against the observed counts.
 """
 
 from __future__ import annotations
@@ -115,15 +117,14 @@ class SolverConfig:
     beta0: float = 1.0
     theta: float = 1.0
     epsilon: float = 1e-8
-    max_outer: int = 200
-    max_inner: int = 500
 
     def __post_init__(self):
-        if self.beta0 <= 0 or self.theta <= 0 or self.epsilon <= 0:
-            raise ValueError("beta0, theta and epsilon must be positive")
+        # beta must grow in floating point, or the schedule never ends
+        if self.beta0 <= 0 or not 1.0 + self.theta > 1.0 or self.epsilon <= 0:
+            raise ValueError("beta0 and epsilon must be positive, and 1 + theta > 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
     f_min: float
     X_star: np.ndarray
@@ -149,10 +150,27 @@ class SolveReport:
         return {**asdict(self), "X_star": self.X_star.tolist()}
 
 
-@dataclass
+@dataclass(eq=False)
 class _State:
     x: np.ndarray
     slacks: np.ndarray
+
+
+@dataclass(eq=False)
+class _Run:
+    """A solve's progress, which ``center`` updates step by step.
+
+    The iterate, the Newton steps of each centering (the last one counts
+    the steps of the centering in progress), one (beta, delta) pair per
+    computed decrement, one gap certificate per finished centering, and
+    the largest Schur condition so far.
+    """
+
+    state: _State
+    steps: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
+    gaps: list = field(default_factory=list)
+    max_cond: float = 1.0
 
 
 class FBetaEvaluator:
@@ -192,9 +210,6 @@ class FBetaEvaluator:
         self.self_concordant = any(isinstance(t, LogDetBarrier) and t.map is None
                                    for t in self.terms)
         self._point = None
-
-    def objective(self, x) -> float:
-        return self.problem.objective_value(x)
 
     def point_at(self, x) -> EvalPoint:
         """The kept point when it is at X, else a new point at X, which is kept."""
@@ -336,60 +351,56 @@ def certified_full_step(evaluator: FBetaEvaluator, delta: float) -> bool:
     return evaluator.self_concordant and 0.5 * SELF_CONCORDANCE_M * delta <= FULL_STEP_RADIUS
 
 
-def center(state: _State, beta: float, evaluator: FBetaEvaluator, config: SolverConfig,
-           target: float | None = None, callback=None):
-    """Newton-iterate at fixed beta until the decrement gate passes.
+def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
+           target: float | None = None, callback=None) -> None:
+    """Newton-iterate ``run.state`` at fixed beta until the decrement gate passes.
 
-    Returns (state, newton_steps, records) where records holds one
-    (beta, delta) pair per computed decrement, gate value included.
-    ``callback`` receives one dict per step taken: beta, delta, alpha,
-    and f, feas_residual and x at the new iterate. A step that is not a
-    descent direction raises SingularKKT before the line search. A step
-    inside the self-concordance band (``certified_full_step``) is taken
-    whole, with no line search; every other one is line-searched. Any
-    QipError raised here carries the last iterate reached as ``state``,
-    the steps taken (with a callback, exactly those it was given) and the
-    records made so far as ``steps`` and ``records``, and the largest
-    Schur condition so far as ``max_cond``.
+    Opens a step count on ``run.steps`` and, as it goes, records every
+    computed decrement (gate value included) as a (beta, delta) pair on
+    ``run.trace`` and every Schur condition in ``run.max_cond``. After
+    ``max_steps`` steps it raises IterCap. ``callback`` receives one dict
+    per step taken: beta, delta, alpha, and f, feas_residual and x at the
+    new iterate. A step that is not a descent direction raises SingularKKT
+    before the line search. A step inside the self-concordance band
+    (``certified_full_step``) is taken whole, with no line search; every
+    other one is line-searched. When a QipError is raised, ``run`` holds
+    the last iterate reached and counts the steps taken (with a callback,
+    exactly those it was given).
     """
     target = DELTA_STAR if target is None else target
-    records = []
-    steps = 0
-    max_cond = 1.0
-    try:
-        for _ in range(config.max_inner):
-            bundle = evaluator.hessian_bundle(state.x, beta)
-            # with no inequality rows there are no slacks: the structure-II step
-            step = newton_step_type1(bundle, state.slacks, evaluator.problem.constraints)
-            max_cond = max(max_cond, step.schur_condition)
-            records.append((beta, step.decrement))
-            if step.decrement <= target:
-                return state, steps, records, max_cond
-            slope = directional_derivative(bundle, state.slacks, step)
-            if slope >= 0.0:
-                raise SingularKKT(f"Newton direction is not a descent direction: "
-                                  f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
-            alpha = (1.0 if certified_full_step(evaluator, step.decrement)
-                     else line_search(state, step, beta, evaluator))
-            new_x = symmetrize(state.x + alpha * step.direction_X)
-            new_state = _State(x=new_x, slacks=_refresh_slacks(evaluator.problem, new_x))
-            if callback is not None:
-                # before the step is committed: an error raised while the
-                # record is built leaves uncounted a step no callback saw
-                callback({
-                    "beta": beta,
-                    "delta": step.decrement,
-                    "alpha": alpha,
-                    "f": evaluator.objective(new_x),
-                    "feas_residual": _feas_residual(evaluator.problem, new_state),
-                    "x": new_x,
-                })
-            state = new_state
-            steps += 1
-        raise IterCap(f"centering at beta={beta:.3e} exceeded {config.max_inner} inner steps")
-    except QipError as exc:
-        exc.state, exc.steps, exc.records, exc.max_cond = state, steps, records, max_cond
-        raise
+    problem = evaluator.problem
+    run.steps.append(0)
+    for _ in range(max_steps):
+        state = run.state
+        bundle = evaluator.hessian_bundle(state.x, beta)
+        # with no inequality rows there are no slacks: the structure-II step
+        step = newton_step_type1(bundle, state.slacks, problem.constraints)
+        run.max_cond = max(run.max_cond, step.schur_condition)
+        run.trace.append((beta, step.decrement))
+        if step.decrement <= target:
+            return
+        slope = directional_derivative(bundle, state.slacks, step)
+        if slope >= 0.0:
+            raise SingularKKT(f"Newton direction is not a descent direction: "
+                              f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
+        alpha = (1.0 if certified_full_step(evaluator, step.decrement)
+                 else line_search(state, step, beta, evaluator))
+        new_x = symmetrize(state.x + alpha * step.direction_X)
+        new_state = _State(x=new_x, slacks=_refresh_slacks(problem, new_x))
+        if callback is not None:
+            # before the step is committed: an error raised while the
+            # record is built leaves uncounted a step no callback saw
+            callback({
+                "beta": beta,
+                "delta": step.decrement,
+                "alpha": alpha,
+                "f": problem.objective_value(new_x),
+                "feas_residual": _feas_residual(problem, new_state),
+                "x": new_x,
+            })
+        run.state = new_state
+        run.steps[-1] += 1
+    raise IterCap(f"centering at beta={beta:.3e} reached the cap of {max_steps} Newton steps")
 
 
 def _feas_residual(problem: ProblemSpec, state: _State) -> float:
@@ -422,11 +433,13 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
 
     The start (given or taken from the problem) must be strictly
     feasible; a damped-Newton phase at beta0 performs the initial
-    centering. Any QipError other than IterCap raised while centering
-    re-raises with the phase and a NumericalFailure report attached; like
-    an IterCap report, it is built at the iterate where centering
-    stopped, not at the last centered point, and counts the steps of
-    that centering. ``include_barrier=False`` drops -ln det X,
+    centering. Each centering may take at most the theory's per-outer
+    cap of Newton steps (``iteration_bound``); one that reaches it ends
+    the run with an IterCap report. Any other QipError raised while
+    centering re-raises with the phase and a NumericalFailure report
+    attached; like an IterCap report, it is built at the iterate where
+    centering stopped, not at the last centered point, and counts the
+    steps of that centering. ``include_barrier=False`` drops -ln det X,
     a heuristic admitted only when every objective term is a relative
     entropy (qkd problems); otherwise it raises ValueError.
     """
@@ -444,14 +457,13 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
         raise InfeasibleStart("start is not strictly feasible: " + bad[0][0])
 
     r = barrier_parameter(problem)
+    caps = iteration_bound(config, r)
     evaluator = FBetaEvaluator(problem, include_barrier=include_barrier)
-    state = _State(x=x0, slacks=_refresh_slacks(problem, x0))
+    run = _Run(_State(x=x0, slacks=_refresh_slacks(problem, x0)))
 
     t_start = time.perf_counter()
-    f_start = evaluator.objective(state.x)
-    trace, inner_counts, gap_bounds = [], [], []
+    f_start = problem.objective_value(x0)
     beta_stop = 4.0 * r / config.epsilon
-    max_cond = 1.0
     termination = "Converged"
     failure = None
     beta = config.beta0
@@ -459,28 +471,18 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
 
     try:
         while True:
-            state, k, rec, cond = center(state, beta, evaluator, config, callback=callback)
-            inner_counts.append(k)
-            trace.extend(rec)
-            max_cond = max(max_cond, cond)
-            gap_bounds.append(proximity_gap_bound(rec[-1][1], beta, r, KAPPA))
+            center(run, beta, evaluator, math.floor(caps[0]), callback=callback)
+            run.gaps.append(proximity_gap_bound(run.trace[-1][1], beta, r, KAPPA))
             if beta >= beta_stop:
-                break
-            if i >= config.max_outer:
-                termination = "IterCap"
                 break
             i += 1
             beta = config.beta0 * (1.0 + config.theta) ** i
-    except QipError as exc:  # raised by center, with the iterate it stopped at
-        state = exc.state
-        inner_counts.append(exc.steps)
-        trace.extend(exc.records)
-        max_cond = max(max_cond, exc.max_cond)
-        failure = None if isinstance(exc, IterCap) else exc
-        termination = "IterCap" if failure is None else "NumericalFailure"
+    except IterCap:
+        termination = "IterCap"
+    except QipError as exc:  # ``run`` holds the iterate it was raised at
+        termination, failure = "NumericalFailure", exc
 
-    report = _build_report(problem, evaluator, state, config, inner_counts, trace,
-                           gap_bounds, beta, r, f_start, max_cond,
+    report = _build_report(problem, run, config, caps, beta, r, f_start,
                            time.perf_counter() - t_start, termination, include_barrier)
     if failure is not None:
         failure.phase = f"outer {i}, beta={beta:.6e}"
@@ -490,44 +492,35 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
     return report
 
 
-def _build_report(problem, evaluator, state, config, inner_counts, trace, gap_bounds,
-                  beta, r, f_start, max_cond, wall, termination, include_barrier):
-    per_outer_cap, total_cap = iteration_bound(config, r)
-    total = int(sum(inner_counts))
+def _build_report(problem, run, config, caps, beta, r, f_start, wall, termination,
+                  include_barrier):
+    per_outer_cap, total_cap = caps
+    total = sum(run.steps)
     bound_check = {
         "per_outer_cap": per_outer_cap,
         "total_cap": total_cap,
-        "max_inner_observed": int(max(inner_counts)) if inner_counts else 0,
+        "per_outer_max": max(run.steps),
         "total_newton": total,
-        "within_caps": bool(
-            total <= total_cap
-            and (not inner_counts or max(inner_counts) <= per_outer_cap)
-        ),
+        "within_caps": total <= total_cap and max(run.steps) <= per_outer_cap,
     }
-    cfg = {
-        "beta0": config.beta0,
-        "theta": config.theta,
-        "epsilon": config.epsilon,
-        "kappa": KAPPA,
-        "barrier_param_r": r,
-        "include_barrier": include_barrier,
-    }
+    cfg = {**asdict(config), "kappa": KAPPA, "barrier_param_r": r,
+           "include_barrier": include_barrier}
     return SolveReport(
-        f_min=evaluator.objective(state.x),
-        X_star=state.x,
-        outer_iters=len(inner_counts),
-        inner_iters_per_outer=[int(k) for k in inner_counts],
+        f_min=problem.objective_value(run.state.x),
+        X_star=run.state.x,
+        outer_iters=len(run.steps),
+        inner_iters_per_outer=list(run.steps),
         total_newton=total,
-        decrement_trace=trace,
+        decrement_trace=run.trace,
         wall_time=wall,
         termination=termination,
         bound_check=bound_check,
         beta_final=beta,
         barrier_param_r=r,
-        gap_certificates=gap_bounds,
+        gap_certificates=run.gaps,
         f_start=f_start,
-        feas_residual=_feas_residual(problem, state),
-        schur_condition_max=max_cond,
+        feas_residual=_feas_residual(problem, run.state),
+        schur_condition_max=run.max_cond,
         heuristic_no_barrier=not include_barrier,
         name=problem.name,
         config=cfg,

@@ -116,10 +116,6 @@ def feasibility_violations(problem: ProblemSpec, x: np.ndarray, margin: float = 
     return bad
 
 
-def is_strictly_feasible(problem: ProblemSpec, x: np.ndarray, margin: float = FEAS_MARGIN) -> bool:
-    return not feasibility_violations(problem, x, margin)
-
-
 def validate_problem(problem: ProblemSpec) -> None:
     """Raise ValidationError on any invariant violation."""
     if problem.kind not in ("type1", "type2", "qkd"):
@@ -173,7 +169,7 @@ def random_feasible_point(problem: ProblemSpec, rng, scale: float = 0.3,
         t = scale
         for _ in range(40):
             cand = symmetrize(x + t * d)
-            if is_strictly_feasible(problem, cand, margin):
+            if not feasibility_violations(problem, cand, margin):
                 x = cand
                 break
             t *= 0.5

@@ -27,9 +27,12 @@ coordinates of the Newton system, so it moves with them, and the list
 shows how close a move comes to the SingularKKT gate (about 1e13 at
 n = 32). A moved condition alone is reported, not failed.
 
-This is a tool, not a test or a CI gate: other BLAS builds, or another
-BLAS thread count, move ``f_min`` by tens of 1e-12 on their own. The
-file name keeps it out of pytest's collection.
+CI runs it on every pull request, on the one-BLAS-thread leg only: it
+dumps the base branch (with this copy of the file) and the change on the
+same runner, and ``--compare`` fails the job on a changed termination
+or an ``f_min`` drift above 1e-10. Both dumps come from one machine and
+one BLAS build; across builds, or thread counts, ``f_min`` moves by tens
+of 1e-12 on its own. The file name keeps it out of pytest's collection.
 """
 
 from __future__ import annotations

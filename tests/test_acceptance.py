@@ -21,7 +21,7 @@ from qipsolve.oracle import (
     reference_minimize,
     sym_isometry,
 )
-from qipsolve.pathfollow import SolverConfig, solve
+from qipsolve.pathfollow import solve
 
 _converged_reports = []
 
@@ -31,7 +31,7 @@ def _record(report):
     if report.termination == "Converged":
         bc = report.bound_check
         assert report.total_newton <= bc["total_cap"]
-        assert bc["max_inner_observed"] <= bc["per_outer_cap"]
+        assert bc["per_outer_max"] <= bc["per_outer_cap"]
         _converged_reports.append(report)
     return report
 
@@ -144,7 +144,7 @@ def test_criterion_06_compatibility_inequality():
 
 
 def test_criterion_07_quadratic_centering():
-    from qipsolve.pathfollow import FBetaEvaluator, _State, center
+    from qipsolve.pathfollow import FBetaEvaluator, _Run, _State, center
 
     pairs = []
     for seed in (9, 21):
@@ -153,9 +153,9 @@ def test_criterion_07_quadratic_centering():
         for point_seed in range(6):
             prng = np.random.default_rng(point_seed)
             x = probio.random_feasible_point(problem, prng, scale=0.5)
-            _, _, records, _ = center(_State(x, np.zeros(0)), 4.0, ev,
-                                      SolverConfig(), target=1e-7)
-            deltas = [d for _, d in records]
+            run = _Run(_State(x, np.zeros(0)))
+            center(run, 4.0, ev, 500, target=1e-7)
+            deltas = [d for _, d in run.trace]
             pairs.extend(zip(deltas, deltas[1:]))
     in_regime = [(a, b) for a, b in pairs if a <= 1.0 / 6.0]
     good = sum(1 for a, b in in_regime if b <= 8.0 * a * a)
@@ -178,7 +178,7 @@ def test_criterion_08_complexity_bound_conformance():
     for rep in reports:
         bc = rep.bound_check
         if not (rep.total_newton <= bc["total_cap"]
-                and bc["max_inner_observed"] <= bc["per_outer_cap"]):
+                and bc["per_outer_max"] <= bc["per_outer_cap"]):
             bad += 1
     _emit(8, bad == 0 and len(reports) >= 8,
           f"Newton-step counts within the per-outer and total theory caps on "

@@ -163,10 +163,10 @@ class TestSolve:
         assert "only supported on qkd" in err
         assert "f_min" not in out
 
-    def test_iteration_cap_exits_4(self, capsys):
-        # theta so small that the outer cap is hit long before 4r/eps
-        code, _, err = run(capsys, "solve", "trace-inverse-n2",
-                           "--theta", "1e-4", "--eps", "1e-8")
+    def test_iteration_cap_exits_4(self, capsys, monkeypatch):
+        # a per-outer cap below one Newton step stops the first centering
+        monkeypatch.setattr(pathfollow, "iteration_bound", lambda config, r: (0.5, 1.0))
+        code, _, err = run(capsys, "solve", "trace-inverse-n2")
         assert code == 4
         assert "IterCap" in err
 

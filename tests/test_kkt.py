@@ -31,11 +31,6 @@ class TestAffineConstraints:
         with pytest.raises(ConstraintError):
             AffineConstraints([a, 2.0 * a], np.array([1.0, 2.0]), n_ineq=0)
 
-    def test_condition_recorded(self, rng):
-        mats = [np.eye(3), rand_sym(rng, 3)]
-        cons = AffineConstraints(mats, np.array([1.0, 0.0]), n_ineq=0)
-        assert cons.eq_gram_condition >= 1.0
-
     @pytest.mark.parametrize("mats", [[np.eye(3), np.eye(4)], [np.eye(3), np.ones((3, 4))]],
                              ids=["orders", "not_square"])
     def test_mismatched_shapes_rejected(self, mats):

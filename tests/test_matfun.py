@@ -43,7 +43,7 @@ class TestSpectralDecompose:
     def test_reconstruction(self, rng):
         x = rand_sym(rng, 6)
         dec = spectral_decompose(x)
-        assert np.linalg.norm(dec.reconstruct() - x) <= 1e-10 * (1 + np.linalg.norm(x))
+        assert np.linalg.norm((dec.U * dec.lam) @ dec.U.T - x) <= 1e-10 * (1 + np.linalg.norm(x))
         assert np.linalg.norm(dec.U @ dec.U.T - np.eye(6)) <= 1e-10 * 6
         assert np.all(np.diff(dec.lam) <= 0)
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -12,9 +13,9 @@ from qipsolve.errors import (
     LineSearchFailure,
     SingularKKT,
 )
-from qipsolve.kkt import NewtonStep, newton_step_type1
+from qipsolve.kkt import AffineConstraints, NewtonStep, newton_step_type1
 from qipsolve.matfun import spectral_decompose, symmetrize, vec
-from qipsolve.objectives import LogDetBarrier, combine_terms, evaluate_terms
+from qipsolve.objectives import DerivativeBundle, LogDetBarrier, combine_terms, evaluate_terms
 from qipsolve.oracle import (
     derivative_audit,
     fixed_coordinates,
@@ -25,6 +26,7 @@ from qipsolve.pathfollow import (
     FBetaEvaluator,
     SolverConfig,
     _refresh_slacks,
+    _Run,
     _State,
     center,
     cone_step_bound,
@@ -34,6 +36,13 @@ from qipsolve.pathfollow import (
     proximity_gap_bound,
     solve,
 )
+
+
+def cap_centerings(monkeypatch, per_outer):
+    """Make ``per_outer`` the theory's per-outer cap, the step limit of every centering."""
+    real = pathfollow.iteration_bound
+    monkeypatch.setattr(pathfollow, "iteration_bound",
+                        lambda config, r: (per_outer, real(config, r)[1]))
 
 
 def fake_step(direction, slack=None):
@@ -278,10 +287,10 @@ class TestCenter:
     def test_already_centered_takes_zero_steps(self):
         problem = probio.build_named("trace-inverse-n4")
         ev = FBetaEvaluator(problem)
-        state = _State(np.eye(4) / 4, np.zeros(0))
-        state, steps, records, _ = center(state, 1.0, ev, SolverConfig())
-        assert steps == 0
-        assert len(records) == 1
+        run = _Run(_State(np.eye(4) / 4, np.zeros(0)))
+        center(run, 1.0, ev, 500)
+        assert run.steps == [0]
+        assert len(run.trace) == 1
 
     def test_quadratic_contraction_on_logged_trace(self, rng):
         # center well past the gate (but above the float floor) and look
@@ -292,9 +301,9 @@ class TestCenter:
         for point_seed in range(6):
             prng = np.random.default_rng(point_seed)
             x = probio.random_feasible_point(problem, prng, scale=0.5)
-            state = _State(x, np.zeros(0))
-            _, _, records, _ = center(state, 4.0, ev, SolverConfig(), target=1e-7)
-            deltas = [d for _, d in records]
+            run = _Run(_State(x, np.zeros(0)))
+            center(run, 4.0, ev, 500, target=1e-7)
+            deltas = [d for _, d in run.trace]
             pairs.extend(zip(deltas, deltas[1:]))
         in_regime = [(a, b) for a, b in pairs if a <= 1.0 / 6.0]
         assert len(in_regime) >= 5
@@ -675,19 +684,22 @@ class TestSolve:
             if records:
                 assert np.array_equal(report.X_star, records[-1]["x"]), fail_at
 
-    def test_iteration_cap_report_carries_the_failing_iterate(self):
+    def test_iteration_cap_report_carries_the_failing_iterate(self, monkeypatch):
+        cap_centerings(monkeypatch, 1.5)
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
         records = []
-        report = solve(problem, config=SolverConfig(max_inner=1), callback=records.append)
+        report = solve(problem, callback=records.append)
         assert report.termination == "IterCap"
         assert np.array_equal(report.X_star, records[-1]["x"])
+        assert report.bound_check["per_outer_cap"] == 1.5
 
-    def test_iteration_cap_report_counts_the_failed_centering(self):
-        # the initial centering runs out of inner steps after three steps:
-        # the report counts them, as the callback saw them
+    def test_iteration_cap_report_counts_the_failed_centering(self, monkeypatch):
+        # the initial centering reaches the per-outer cap after three
+        # steps: the report counts them, as the callback saw them
+        cap_centerings(monkeypatch, 3.0)
         problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=6)
         records = []
-        report = solve(problem, config=SolverConfig(max_inner=3), callback=records.append)
+        report = solve(problem, callback=records.append)
         assert report.termination == "IterCap"
         assert report.total_newton == 3 == len(records)
         assert report.inner_iters_per_outer == [3]
@@ -705,11 +717,30 @@ class TestSolve:
             return step
 
         monkeypatch.setattr(pathfollow, "newton_step_type1", recorded)
-        report = solve(problem, config=SolverConfig(max_inner=3))
+        cap_centerings(monkeypatch, 3.0)
+        report = solve(problem)
         assert report.termination == "IterCap"
         assert len(conditions) == 3
         assert max(conditions) > 1.0
         assert report.schur_condition_max == max(conditions)
+
+    def test_small_theta_runs_the_whole_schedule(self):
+        # theta = 0.1 needs 224 centerings at r = 4; each stays far below
+        # the per-outer cap, so the run converges within the caps
+        config = SolverConfig(theta=0.1)
+        problem = probio.generate_random("type1", {"n": 3}, seed=2)
+        r = probio.barrier_parameter(problem)
+        centerings = math.ceil(math.log(4.0 * r / (config.epsilon * config.beta0))
+                               / math.log1p(config.theta)) + 1
+        report = solve(problem, config=config)
+        assert report.termination == "Converged"
+        assert report.bound_check["within_caps"]
+        assert report.outer_iters == centerings == 224
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-17, math.nan])
+    def test_theta_must_grow_beta(self, theta):
+        with pytest.raises(ValueError, match="1 \\+ theta > 1"):
+            SolverConfig(theta=theta)
 
     def test_no_barrier_rejected_on_trace_objectives(self, monkeypatch):
         monkeypatch.setattr(pathfollow, "center", lambda *a, **k: pytest.fail("solve ran"))
@@ -755,3 +786,22 @@ def test_structure_comes_from_the_data(case, rng):
     if reference:
         f_ref, _ = reference_minimize(problem)
         assert abs(f_ref - report.f_min) <= 1e-4 * (1 + abs(f_ref))
+
+
+# one instance of each dataclass that holds numpy arrays
+EQ_CASES = {
+    "AffineConstraints": lambda: AffineConstraints([np.eye(2)], [1.0]),
+    "NewtonStep": lambda: fake_step(np.zeros((2, 2))),
+    "DerivativeBundle": lambda: DerivativeBundle(1.0, np.ones(3), np.eye(3), np.eye(2)),
+    "SolveReport": lambda: solve(probio.build_named("trace-inverse-n2")),
+    "SpectralDecomp": lambda: spectral_decompose(np.eye(2)),
+    "_Run": lambda: _Run(_State(np.eye(2) / 2, np.zeros(0)), steps=[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQ_CASES))
+def test_array_dataclasses_compare_by_identity(name):
+    # generated field-wise equality would take the truth value of an array
+    a = EQ_CASES[name]()
+    assert a == a
+    assert a != copy.deepcopy(a)
