@@ -30,8 +30,9 @@ svec(U.T L.T(O M O.T) U) with no adjoint or rotation (``batch_inner``).
 Each V[c] is symmetric, so the contractions run over the k(k+1)/2
 upper-triangle entries of each batch, gathered once.
 
-Every evaluation reads its spectral decompositions from an ``EvalPoint``:
-an owned copy of X that decomposes X, and each map image, on first use,
+Every evaluation takes an ``EvalPoint``, held by whatever holds X (the
+solver's iterate, or an entry point such as ``composite_eval``): an
+owned copy of X that decomposes X, and each map image, on first use,
 and checks that the image is positive definite. All terms of one
 evaluation share it, so X and each image are decomposed once, however
 many terms read them, and every term's bundle is in the one basis U of
@@ -86,9 +87,8 @@ class TraceObjective:
     def input_order(self) -> int:
         return self.C.shape[0] if self.map is None else self.map.in_order
 
-    def evaluate(self, x: np.ndarray, want_hessian: bool = True, *,
-                 point: EvalPoint | None = None) -> DerivativeBundle:
-        return phi_eval(self, x, want_hessian=want_hessian, point=point)
+    def evaluate(self, point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
+        return phi_eval(self, point, want_hessian)
 
 
 @dataclass(eq=False)
@@ -268,16 +268,13 @@ def phi_hessian_in_basis(ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 # trace objectives
 # ---------------------------------------------------------------------------
 
-def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True, *,
-             point: EvalPoint | None = None) -> DerivativeBundle:
-    """Evaluate Tr(C g(.)) and its derivatives at X (optionally through a map).
+def phi_eval(obj: TraceObjective, point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
+    """Evaluate Tr(C g(.)) and its derivatives at the X of ``point`` (optionally through a map).
 
-    As in every evaluation here, ``point``, when given, is the EvalPoint
-    of X, whose decompositions are read instead of computed; without
-    ``want_hessian`` the value alone is returned (gradient None), the
-    same bits as a full evaluation's.
+    As in every evaluation here, the decompositions are read from the
+    point; without ``want_hessian`` the value alone is returned (gradient
+    None), the same bits as a full evaluation's.
     """
-    point = EvalPoint(x) if point is None else point
     _, dec = point.pd_image("argument" if obj.map is None else "map output", obj.map)
     o, lam = dec.U, dec.lam
     ctil = symmetrize(o.T @ obj.C @ o)
@@ -302,15 +299,13 @@ def phi_eval(obj: TraceObjective, x: np.ndarray, want_hessian: bool = True, *,
 # log-det barriers
 # ---------------------------------------------------------------------------
 
-def barrier_eval(x: np.ndarray, want_hessian: bool = True, *,
-                 point: EvalPoint | None = None) -> DerivativeBundle:
+def barrier_eval(point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
     """-ln det X, with gradient svec(-Lam^-1) and Hessian diag(1/(lam_a lam_b)).
 
     In X's eigenbasis, D^2(-ln det X)[xi, xi] = sum_ab xi~_ab^2 / (lam_a lam_b),
     so the svec Hessian is diagonal, with entry 1/(lam_a lam_b) at the
     coordinate (a, b); nothing is rotated or gathered.
     """
-    point = EvalPoint(x) if point is None else point
     _, dec = point.pd_image("barrier argument")
     lam = dec.lam
     value = -float(np.sum(np.log(lam)))
@@ -324,14 +319,12 @@ def barrier_eval(x: np.ndarray, want_hessian: bool = True, *,
     return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=dec.U)
 
 
-def map_barrier_eval(lmap, x: np.ndarray, want_hessian: bool = True, *,
-                     point: EvalPoint | None = None) -> DerivativeBundle:
+def map_barrier_eval(lmap, point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
     """-ln det L(X), Y = L(X): gradient -L.T(Y^-1) and Hessian L.T P(Y^-1) L, in X's eigenbasis.
 
     Both come from the batch V[c] = O.T L(U E_c U.T) O: the gradient entry
     is -<Lam^-1, V[c]>, the Hessian entry sum_ij V[c]_ij V[c']_ij / (lam_i lam_j).
     """
-    point = EvalPoint(x) if point is None else point
     _, dec = point.pd_image("mapped barrier argument", lmap)
     o, lam = dec.U, dec.lam
     value = -float(np.sum(np.log(lam)))
@@ -355,27 +348,24 @@ class LogDetBarrier:
 
     map: object | None = None
 
-    def evaluate(self, x: np.ndarray, want_hessian: bool = True, *,
-                 point: EvalPoint | None = None) -> DerivativeBundle:
+    def evaluate(self, point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
         if self.map is None:
-            return barrier_eval(x, want_hessian=want_hessian, point=point)
-        return map_barrier_eval(self.map, x, want_hessian=want_hessian, point=point)
+            return barrier_eval(point, want_hessian)
+        return map_barrier_eval(self.map, point, want_hessian)
 
 
-def evaluate_terms(terms, n_scaled: int, x: np.ndarray, want_hessian: bool = True, *,
-                   point: EvalPoint | None = None) -> list[DerivativeBundle]:
-    """Unscaled bundle of every term of F_beta at X, in term order.
+def evaluate_terms(terms, n_scaled: int, point: EvalPoint,
+                   want_hessian: bool = True) -> list[DerivativeBundle]:
+    """Unscaled bundle of every term of F_beta at the X of ``point``, in term order.
 
     The first ``n_scaled`` terms are the objective's, the rest barriers;
-    each term has ``evaluate(x, want_hessian, point=)``. All terms read
-    one EvalPoint of X (``point``, or a new one). A DomainViolation names
-    the term that raised it.
+    each term has ``evaluate(point, want_hessian)``, and all read the one
+    point. A DomainViolation names the term that raised it.
     """
-    point = EvalPoint(x) if point is None else point
     parts = []
     for i, term in enumerate(terms):
         try:
-            parts.append(term.evaluate(point.x, want_hessian=want_hessian, point=point))
+            parts.append(term.evaluate(point, want_hessian))
         except DomainViolation as exc:
             what = f"objective term {i}" if i < n_scaled else f"barrier term {i - n_scaled}"
             raise DomainViolation(f"{what}: {exc}") from exc
@@ -431,7 +421,8 @@ def composite_eval(
 
     ``barrier_maps`` lists the maps whose outputs receive a -ln det
     barrier; ``None`` stands for the identity (a barrier on X itself).
+    All terms read one EvalPoint of X.
     """
     all_terms = [*terms, *(LogDetBarrier(lmap) for lmap in barrier_maps)]
-    parts = evaluate_terms(all_terms, len(terms), x, want_hessian)
+    parts = evaluate_terms(all_terms, len(terms), EvalPoint(x), want_hessian)
     return combine_terms(beta, parts, len(terms))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainViolation, OracleInconclusive, SizeGuard, ValidationError
 from .matfun import divided_diff_2, spectral_decompose, symmetrize, vec
-from .objectives import DerivativeBundle, TraceObjective
+from .objectives import DerivativeBundle, EvalPoint, TraceObjective
 from .probio import ProblemSpec, random_feasible_point
 from .qre import QreObjective, qre_hessian_asymmetry
 
@@ -202,18 +202,19 @@ def problem_bundle(problem: ProblemSpec, x: np.ndarray,
     Gradient and Hessian are the terms' summed on the fixed coordinates
     svec(xi) (basis I), each term's rotated back from its own basis by
     ``fixed_coordinates``. Without ``want_hessian`` the bundle holds the
-    value alone, as a term's does.
+    value alone, as a term's does. All terms read one EvalPoint of X.
     """
     value = problem.offset
+    point = EvalPoint(x)
     if not want_hessian:
         for t in problem.terms:
-            value += t.evaluate(x, want_hessian=False).value
+            value += t.evaluate(point, want_hessian=False).value
         return DerivativeBundle(value, None)
     d = problem.n * (problem.n + 1) // 2
     grad = np.zeros(d)
     hess = np.zeros((d, d))
     for t in problem.terms:
-        b = fixed_coordinates(t.evaluate(x))
+        b = fixed_coordinates(t.evaluate(point))
         value += b.value
         grad += b.gradient
         hess += b.hessian

@@ -40,14 +40,16 @@ then the log-det barriers on X and, when the problem has a constraint
 map, on L(X); inequality rows add one log per slack. F_beta is
 evaluated in two modes: the value alone at a line-search trial, and
 value, gradient and Hessian at a Newton iterate. Each evaluation reads
-one evaluation point (``objectives.EvalPoint``) that decomposes X and
-each map image once, and the point of the last evaluation is kept: the
-line search's value at alpha = 0 reads the Hessian evaluation's
-decompositions, and the Hessian evaluation at an accepted trial reads
-the trial's. A Hessian evaluation keeps its unscaled per-term
+the evaluation point (``objectives.EvalPoint``) of its X, which
+decomposes X and each map image once, and the iterate owns its point:
+the line search's value at alpha = 0 reads the decompositions of the
+Hessian evaluation there, and the line search hands back the trial it
+accepts, whose point becomes the next iterate's with the decompositions
+its value test made. A Hessian evaluation keeps its unscaled per-term
 derivatives on its point, and since H_beta = beta H_f + H_B, a
 centering that starts where the previous one stopped recombines them at
-the new beta instead of evaluating anew. A solve thus makes one Hessian
+the new beta instead of evaluating anew; an evaluation at another point
+takes nothing from the iterate's. A solve thus makes one Hessian
 evaluation per Newton step plus one at the start. Every bundle is on the
 svec coordinates of X's eigenbasis U, which the point holds
 (``objectives``); the Newton system is solved in them (``kkt``), and the
@@ -122,6 +124,9 @@ class SolverConfig:
         # beta must grow in floating point, or the schedule never ends
         if self.beta0 <= 0 or not 1.0 + self.theta > 1.0 or self.epsilon <= 0:
             raise ValueError("beta0 and epsilon must be positive, and 1 + theta > 1")
+        for name, v in asdict(self).items():
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
 
 
 @dataclass(eq=False)
@@ -152,7 +157,9 @@ class SolveReport:
 
 @dataclass(eq=False)
 class _State:
-    x: np.ndarray
+    """An iterate: the EvalPoint of X, which holds X, and the inequality slacks."""
+
+    point: EvalPoint
     slacks: np.ndarray
 
 
@@ -183,20 +190,17 @@ class FBetaEvaluator:
     sum in that order (``combine_terms``). The inequality slacks' logs
     are added to values only; their derivatives enter the Newton step.
 
-    Every evaluation reads one ``EvalPoint`` of its X, shared by all terms,
-    so X and each map image are decomposed once, and the point of the last
-    evaluation is the one thing kept: the line search's value at alpha = 0
-    reads the decompositions of the Hessian evaluation at the same X, and
-    the Hessian evaluation at an accepted trial reads those of the trial,
-    which is the same ``symmetrize(x + alpha p)`` array bit for bit. A
-    value-only evaluation computes the terms' values alone, with no gradient.
+    Every evaluation takes the ``EvalPoint`` of its X, which the caller
+    holds and all terms share, so X and each map image are decomposed once
+    per point. The evaluator keeps nothing between calls. A value-only
+    evaluation computes the terms' values alone, with no gradient.
 
     A Hessian evaluation leaves its per-term bundles on its point
     (``EvalPoint.parts``). Since H_beta = beta H_f + H_B, ``hessian_bundle``
-    at the kept point's X and another beta recombines them instead of
+    at a point that holds them recombines them at another beta instead of
     evaluating anew: every centering starts where the previous one
-    stopped, so its first Newton system needs no new derivatives. An
-    evaluation at another X replaces the point, and its bundles with it.
+    stopped, so its first Newton system needs no new derivatives.
+    Evaluations at other points leave them in place.
     """
 
     def __init__(self, problem: ProblemSpec, include_barrier: bool = True):
@@ -209,37 +213,28 @@ class FBetaEvaluator:
         # F_beta is self-concordant only when -ln det X is one of its terms
         self.self_concordant = any(isinstance(t, LogDetBarrier) and t.map is None
                                    for t in self.terms)
-        self._point = None
 
-    def point_at(self, x) -> EvalPoint:
-        """The kept point when it is at X, else a new point at X, which is kept."""
-        if self._point is None or not np.array_equal(x, self._point.x):
-            self._point = EvalPoint(x)
-        return self._point
-
-    def x_bundle(self, x, beta, want_hessian=True) -> DerivativeBundle:
-        """Evaluate the X-block of F_beta at X (slack block excluded).
+    def x_bundle(self, point: EvalPoint, beta, want_hessian=True) -> DerivativeBundle:
+        """Evaluate the X-block of F_beta at the X of ``point`` (slack block excluded).
 
         Without ``want_hessian`` only the value is computed (gradient
         None). A Hessian evaluation keeps its per-term bundles on the point.
         """
-        point = self.point_at(x)
-        parts = evaluate_terms(self.terms, self.n_scaled, point.x, want_hessian, point=point)
+        parts = evaluate_terms(self.terms, self.n_scaled, point, want_hessian)
         if want_hessian:
             point.parts = parts
         return combine_terms(beta, parts, self.n_scaled)
 
-    def hessian_bundle(self, x, beta) -> DerivativeBundle:
-        """X-block of F_beta with its Hessian; recombined when X is the kept iterate."""
-        point = self._point
-        if point is not None and point.parts is not None and np.array_equal(x, point.x):
+    def hessian_bundle(self, point: EvalPoint, beta) -> DerivativeBundle:
+        """X-block of F_beta with its Hessian; recombined when the point holds its bundles."""
+        if point.parts is not None:
             return combine_terms(beta, point.parts, self.n_scaled)
-        return self.x_bundle(x, beta, want_hessian=True)
+        return self.x_bundle(point, beta, want_hessian=True)
 
-    def value(self, x, slacks, beta) -> float:
+    def value(self, point: EvalPoint, slacks, beta) -> float:
         """Full F_beta including slack logs; +inf outside the open domain."""
         try:
-            v = self.x_bundle(x, beta, want_hessian=False).value
+            v = self.x_bundle(point, beta, want_hessian=False).value
         except DomainViolation:
             return math.inf
         if slacks.size:
@@ -296,12 +291,12 @@ def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator
     """Largest alpha keeping X (and slacks, and mapped cones) in the open cone.
 
     Each cone's bound reads the decomposition of its image at X from the
-    evaluator's point there (the kept one, after a line search's value at
-    alpha = 0), so no decomposition is computed for it.
+    iterate's point, which its Hessian evaluation made, so no decomposition
+    is computed for it.
     """
     bounds = [math.inf]
     p = step.direction_X
-    point = evaluator.point_at(state.x)
+    point = state.point
     if np.linalg.norm(p) > 0:
         _, dec = point.pd_image("iterate X")
         bounds.append(cone_step_bound(dec.U.T @ p @ dec.U, dec.lam))
@@ -320,26 +315,28 @@ def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator
 
 
 def line_search(state: _State, step: NewtonStep, beta: float,
-                evaluator: FBetaEvaluator) -> float:
+                evaluator: FBetaEvaluator) -> tuple[float, _State]:
     """Backtrack from min(1, fraction * alpha_max) until F_beta decreases.
 
     The only acceptance rule is a value decrease: the first trial step at
-    which F_beta is below its value at alpha = 0 is taken, and if none of
-    LS_MAX_BACKTRACKS trials is, LineSearchFailure is raised. There is no
-    slope fallback. ``center`` calls this only outside the band in which
-    self-concordance certifies the full step (module docstring), which is
-    where the value noise of F_beta at large beta used to defeat the test.
+    which F_beta is below its value at alpha = 0 is returned, as alpha and
+    the trial state, whose point keeps the decompositions of its value
+    test; if none of LS_MAX_BACKTRACKS trials is, LineSearchFailure is
+    raised. There is no slope fallback. ``center`` calls this only outside
+    the band in which self-concordance certifies the full step (module
+    docstring), where the value noise of F_beta at large beta used to
+    defeat the test.
     """
-    f0 = evaluator.value(state.x, state.slacks, beta)
+    f0 = evaluator.value(state.point, state.slacks, beta)
     if not math.isfinite(f0):
         raise DomainViolation("line search started outside the domain")
     amax = max_feasible_step(state, step, evaluator)
     alpha = min(1.0, LS_BOUNDARY_FRACTION * amax)
     for _ in range(LS_MAX_BACKTRACKS):
-        cand_x = symmetrize(state.x + alpha * step.direction_X)
-        cand_s = state.slacks + alpha * step.direction_slack
-        if evaluator.value(cand_x, cand_s, beta) < f0:
-            return alpha
+        trial = _State(EvalPoint(symmetrize(state.point.x + alpha * step.direction_X)),
+                       state.slacks + alpha * step.direction_slack)
+        if evaluator.value(trial.point, trial.slacks, beta) < f0:
+            return alpha, trial
         alpha *= LS_SHRINK
     raise LineSearchFailure(
         f"no decrease after {LS_MAX_BACKTRACKS} backtracks (delta={step.decrement:.3e})"
@@ -362,17 +359,18 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
     per step taken: beta, delta, alpha, and f, feas_residual and x at the
     new iterate. A step that is not a descent direction raises SingularKKT
     before the line search. A step inside the self-concordance band
-    (``certified_full_step``) is taken whole, with no line search; every
-    other one is line-searched. When a QipError is raised, ``run`` holds
-    the last iterate reached and counts the steps taken (with a callback,
-    exactly those it was given).
+    (``certified_full_step``) is taken whole, with no line search, to a new
+    point; every other one is line-searched, and the new iterate adopts the
+    accepted trial's point. Either way its slacks are recomputed from its
+    X. When a QipError is raised, ``run`` holds the last iterate reached
+    and counts the steps taken (with a callback, exactly those it was given).
     """
     target = DELTA_STAR if target is None else target
     problem = evaluator.problem
     run.steps.append(0)
     for _ in range(max_steps):
         state = run.state
-        bundle = evaluator.hessian_bundle(state.x, beta)
+        bundle = evaluator.hessian_bundle(state.point, beta)
         # with no inequality rows there are no slacks: the structure-II step
         step = newton_step_type1(bundle, state.slacks, problem.constraints)
         run.max_cond = max(run.max_cond, step.schur_condition)
@@ -383,10 +381,12 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
         if slope >= 0.0:
             raise SingularKKT(f"Newton direction is not a descent direction: "
                               f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
-        alpha = (1.0 if certified_full_step(evaluator, step.decrement)
-                 else line_search(state, step, beta, evaluator))
-        new_x = symmetrize(state.x + alpha * step.direction_X)
-        new_state = _State(x=new_x, slacks=_refresh_slacks(problem, new_x))
+        if certified_full_step(evaluator, step.decrement):
+            alpha, point = 1.0, EvalPoint(symmetrize(state.point.x + step.direction_X))
+        else:
+            alpha, trial = line_search(state, step, beta, evaluator)
+            point = trial.point
+        new_state = _State(point, _refresh_slacks(problem, point.x))
         if callback is not None:
             # before the step is committed: an error raised while the
             # record is built leaves uncounted a step no callback saw
@@ -394,9 +394,9 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
                 "beta": beta,
                 "delta": step.decrement,
                 "alpha": alpha,
-                "f": problem.objective_value(new_x),
+                "f": problem.objective_at(point),
                 "feas_residual": _feas_residual(problem, new_state),
-                "x": new_x,
+                "x": point.x,
             })
         run.state = new_state
         run.steps[-1] += 1
@@ -404,7 +404,7 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
 
 
 def _feas_residual(problem: ProblemSpec, state: _State) -> float:
-    res = problem.constraints.residuals(state.x, state.slacks if state.slacks.size else None)
+    res = problem.constraints.residuals(state.point.x, state.slacks if state.slacks.size else None)
     return float(np.abs(res / (1.0 + np.abs(problem.constraints.rhs))).max())
 
 
@@ -459,10 +459,10 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
     r = barrier_parameter(problem)
     caps = iteration_bound(config, r)
     evaluator = FBetaEvaluator(problem, include_barrier=include_barrier)
-    run = _Run(_State(x=x0, slacks=_refresh_slacks(problem, x0)))
+    run = _Run(_State(EvalPoint(x0), _refresh_slacks(problem, x0)))
 
     t_start = time.perf_counter()
-    f_start = problem.objective_value(x0)
+    f_start = problem.objective_at(run.state.point)
     beta_stop = 4.0 * r / config.epsilon
     termination = "Converged"
     failure = None
@@ -506,8 +506,8 @@ def _build_report(problem, run, config, caps, beta, r, f_start, wall, terminatio
     cfg = {**asdict(config), "kappa": KAPPA, "barrier_param_r": r,
            "include_barrier": include_barrier}
     return SolveReport(
-        f_min=problem.objective_value(run.state.x),
-        X_star=run.state.x,
+        f_min=problem.objective_at(run.state.point),
+        X_star=run.state.point.x,
         outer_iters=len(run.steps),
         inner_iters_per_outer=list(run.steps),
         total_newton=total,

@@ -69,9 +69,11 @@ class ProblemSpec:
 
     def objective_value(self, x: np.ndarray) -> float:
         """The reported objective f(X), including any constant offset."""
-        point = EvalPoint(x)
-        return sum(t.evaluate(point.x, want_hessian=False, point=point).value
-                   for t in self.terms) + self.offset
+        return self.objective_at(EvalPoint(x))
+
+    def objective_at(self, point: EvalPoint) -> float:
+        """f at the X of ``point``, from the decompositions it holds."""
+        return sum(t.evaluate(point, want_hessian=False).value for t in self.terms) + self.offset
 
 
 def barrier_parameter(problem: ProblemSpec) -> float:
@@ -125,6 +127,8 @@ def validate_problem(problem: ProblemSpec) -> None:
             raise ValidationError("qkd problem takes exactly one relative-entropy term")
         if problem.constraints.n_ineq != 0:
             raise ValidationError("qkd problems take equality constraints only")
+        if problem.constraint_map is not None:
+            raise ValidationError("qkd problems take no constraint map")
         qre = problem.terms[0]
         for label, lm in (("L1", qre.l1), ("L2", qre.l2)):
             defect = lm.trace_contraction_defect()
@@ -138,6 +142,8 @@ def validate_problem(problem: ProblemSpec) -> None:
         if not problem.terms:
             raise ValidationError("trace-objective problem has no terms")
         for t in problem.terms:
+            if not isinstance(t, TraceObjective):
+                raise ValidationError(f"{problem.kind} problems take trace objectives only")
             if t.input_order() != problem.n:
                 raise ValidationError("objective term order does not match the constraints")
         if problem.kind == "type2":
@@ -317,7 +323,8 @@ def generate_random(kind: str, dims: dict, seed: int) -> ProblemSpec:
         )
     else:
         raise ShapeError(f"unknown problem kind {kind!r}")
-
+    if kind != "type1" and m < 1:  # m counts the equality rows, the trace row among them
+        raise ShapeError(f"{kind} needs m >= 1 (the trace row is an equality)")
     validate_problem(spec)
     return spec
 

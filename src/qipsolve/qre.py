@@ -31,9 +31,10 @@ symmetrized; ``qre_hessian_asymmetry`` measures the asymmetry before
 that.
 
 Like every term (``objectives``), ``qre_eval`` reads X, Y1 and Y2 and
-their decompositions from one ``EvalPoint``, which checks each of the
-three for positive definiteness and names the one that fails. Without
-``want_hessian`` it returns the value alone, with no gradient.
+their decompositions from the ``EvalPoint`` it is given, which checks
+each of the three for positive definiteness and names the one that
+fails. Without ``want_hessian`` it returns the value alone, with no
+gradient.
 """
 
 from __future__ import annotations
@@ -88,18 +89,15 @@ class QreObjective:
     def out_order(self) -> int:
         return self.l1.out_order
 
-    def evaluate(self, x: np.ndarray, want_hessian: bool = True, *,
-                 point: EvalPoint | None = None) -> DerivativeBundle:
-        return qre_eval(self, x, want_hessian=want_hessian, point=point)
+    def evaluate(self, point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
+        return qre_eval(self, point, want_hessian)
 
 
-def qre_eval(obj: QreObjective, x: np.ndarray, want_hessian: bool = True, *,
-             point: EvalPoint | None = None) -> DerivativeBundle:
-    """Value, gradient and Hessian of the relative entropy, or its value alone.
+def qre_eval(obj: QreObjective, point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
+    """Value, gradient and Hessian of the relative entropy at ``point``, or its value alone.
 
     ``point`` and ``want_hessian`` act as in ``objectives.phi_eval``.
     """
-    point = EvalPoint(x) if point is None else point
     bundle = _eval(obj, point, want_hessian)
     if bundle.hessian is not None:
         bundle.hessian = symmetrize(bundle.hessian)

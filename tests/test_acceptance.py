@@ -12,7 +12,7 @@ import pytest
 
 from qipsolve import probio
 from qipsolve.matfun import INVERSE, NEG_LOG, NEG_SQRT, neg_power, symmetrize, vec
-from qipsolve.objectives import TraceObjective, barrier_eval, phi_eval
+from qipsolve.objectives import EvalPoint, TraceObjective, barrier_eval, phi_eval
 from qipsolve.oracle import (
     dense_hessian_reference,
     derivative_audit,
@@ -108,7 +108,7 @@ def test_criterion_05_hessian_two_path_equivalence():
         c = symmetrize(g @ g.T)
         for gen in (INVERSE, NEG_LOG, NEG_SQRT, neg_power(0.37)):
             obj = TraceObjective(c, gen)
-            h_prod = fixed_coordinates(phi_eval(obj, x)).hessian
+            h_prod = fixed_coordinates(phi_eval(obj, EvalPoint(x))).hessian
             h_ref = dense_hessian_reference(obj, x)
             worst = max(worst, float(np.linalg.norm(h_prod - h_ref)
                                      / np.linalg.norm(h_ref)))
@@ -131,9 +131,10 @@ def test_criterion_06_compatibility_inequality():
             xi = symmetrize(rng.standard_normal((n, n)))
             obj = TraceObjective(c, gen)
             s = sym_isometry(n).T @ vec(xi)
-            d2phi = float(s @ (fixed_coordinates(phi_eval(obj, x)).hessian @ s))
-            d2b = float(s @ (fixed_coordinates(barrier_eval(x)).hessian @ s))
-            d3 = fd_cubic_form(lambda y: fixed_coordinates(phi_eval(obj, y)).hessian, x, xi)
+            d2phi = float(s @ (fixed_coordinates(phi_eval(obj, EvalPoint(x))).hessian @ s))
+            d2b = float(s @ (fixed_coordinates(barrier_eval(EvalPoint(x))).hessian @ s))
+            d3 = fd_cubic_form(lambda y: fixed_coordinates(phi_eval(obj, EvalPoint(y))).hessian,
+                               x, xi)
             bound = 3.0 * d2phi * np.sqrt(d2b)
             total += 1
             if abs(d3) > bound + 1e-4 * max(1.0, bound):
@@ -153,7 +154,7 @@ def test_criterion_07_quadratic_centering():
         for point_seed in range(6):
             prng = np.random.default_rng(point_seed)
             x = probio.random_feasible_point(problem, prng, scale=0.5)
-            run = _Run(_State(x, np.zeros(0)))
+            run = _Run(_State(EvalPoint(x), np.zeros(0)))
             center(run, 4.0, ev, 500, target=1e-7)
             deltas = [d for _, d in run.trace]
             pairs.extend(zip(deltas, deltas[1:]))

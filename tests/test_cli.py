@@ -163,6 +163,13 @@ class TestSolve:
         assert "only supported on qkd" in err
         assert "f_min" not in out
 
+    @pytest.mark.parametrize("flag, name", [("--beta0", "beta0"), ("--eps", "epsilon")])
+    def test_non_finite_parameter_exits_2(self, flag, name, capsys):
+        code, out, err = run(capsys, "solve", "trace-inverse-n2", flag, "nan")
+        assert code == 2
+        assert f"{name} must be finite" in err
+        assert "f_min" not in out
+
     def test_iteration_cap_exits_4(self, capsys, monkeypatch):
         # a per-outer cap below one Newton step stops the first centering
         monkeypatch.setattr(pathfollow, "iteration_bound", lambda config, r: (0.5, 1.0))

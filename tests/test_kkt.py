@@ -12,7 +12,7 @@ from qipsolve.kkt import (
     newton_step_type2,
 )
 from qipsolve.matfun import INVERSE, symmetrize, unsvec, vec
-from qipsolve.objectives import DerivativeBundle, TraceObjective, composite_eval
+from qipsolve.objectives import DerivativeBundle, EvalPoint, TraceObjective, composite_eval
 from qipsolve.oracle import eigen_rotation, fixed_coordinates, sym_isometry
 from qipsolve.pathfollow import FBetaEvaluator, _refresh_slacks
 
@@ -143,7 +143,7 @@ class TestType2:
         from qipsolve.objectives import barrier_eval
 
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
-        bundle = barrier_eval(np.eye(n) / n)
+        bundle = barrier_eval(EvalPoint(np.eye(n) / n))
         step = newton_step_type2(bundle, cons)
         assert step.decrement <= 1e-10
         assert np.linalg.norm(step.direction_X) <= 1e-9
@@ -153,7 +153,7 @@ class TestType2:
         from qipsolve.objectives import barrier_eval
 
         cons = AffineConstraints([np.eye(1)], np.array([1.0]), n_ineq=0)
-        step = newton_step_type2(barrier_eval(np.full((1, 1), 0.5)), cons)
+        step = newton_step_type2(barrier_eval(EvalPoint(np.full((1, 1), 0.5))), cons)
         assert np.array_equal(step.direction_X, np.zeros((1, 1)))
         assert step.decrement == 0.0
 
@@ -161,7 +161,7 @@ class TestType2:
         problem = probio.build_named("ree-2x2")
         x = probio.random_feasible_point(problem, rng, scale=0.1)
         ev = FBetaEvaluator(problem)
-        bundle = ev.x_bundle(x, beta=2.0)
+        bundle = ev.x_bundle(EvalPoint(x), beta=2.0)
         step = newton_step_type2(bundle, problem.constraints)
         for a in problem.constraints.mats:
             assert abs(np.tensordot(a, step.direction_X)) <= 1e-9 * (
@@ -171,7 +171,7 @@ class TestType2:
         problem = probio.build_named("ree-2x2")
         x = probio.random_feasible_point(problem, rng, scale=0.1)
         ev = FBetaEvaluator(problem)
-        bundle = ev.x_bundle(x, beta=2.0)
+        bundle = ev.x_bundle(EvalPoint(x), beta=2.0)
         step = newton_step_type2(bundle, problem.constraints)
         p = sym_isometry(problem.n).T @ vec(step.direction_X)
         hess = fixed_coordinates(bundle).hessian
@@ -292,7 +292,7 @@ def mixed_setup(rng):
 def equality_only_setup(rng):
     problem = probio.generate_random("type2", {"n": 4, "m": 1}, seed=5)
     x = probio.random_feasible_point(problem, rng)
-    return FBetaEvaluator(problem).x_bundle(x, 3.0), np.zeros(0), problem.constraints
+    return FBetaEvaluator(problem).x_bundle(EvalPoint(x), 3.0), np.zeros(0), problem.constraints
 
 
 class TestRotatedRows:

@@ -49,7 +49,7 @@ class TestTraceObjective:
 
     def test_zero_weight(self, rng):
         obj = TraceObjective(np.zeros((3, 3)), NEG_LOG)
-        b = phi_eval(obj, rand_spd(rng, 3))
+        b = phi_eval(obj, EvalPoint(rand_spd(rng, 3)))
         assert b.value == 0.0
         assert np.all(b.gradient == 0.0)
         assert np.all(b.hessian == 0.0)
@@ -58,7 +58,7 @@ class TestTraceObjective:
 class TestPhiEval:
     def test_inverse_identity_case(self):
         obj = TraceObjective(np.eye(2), INVERSE)
-        b = fixed_coordinates(phi_eval(obj, np.eye(2)))
+        b = fixed_coordinates(phi_eval(obj, EvalPoint(np.eye(2))))
         assert b.value == pytest.approx(2.0)
         assert np.allclose(b.gradient, sym_isometry(2).T @ vec(-np.eye(2)))
         # d^2/dt^2 Tr((I + t xi)^{-1}) = 2 Tr(xi^2) at t=0, so H == 2 I
@@ -66,7 +66,7 @@ class TestPhiEval:
 
     def test_inverse_identity_fd_quadratic_form(self, rng):
         obj = TraceObjective(np.eye(2), INVERSE)
-        b = fixed_coordinates(phi_eval(obj, np.eye(2)))
+        b = fixed_coordinates(phi_eval(obj, EvalPoint(np.eye(2))))
         xi = rand_sym(rng, 2)
         h = 1e-4
         vals = [np.trace(np.linalg.inv(np.eye(2) + t * xi)) for t in (-h, 0.0, h)]
@@ -78,11 +78,11 @@ class TestPhiEval:
     def test_neglog_weight_equal_to_point(self, rng):
         x = rand_spd(rng, 4)
         obj = TraceObjective(x, NEG_LOG)
-        b = fixed_coordinates(phi_eval(obj, x))
+        b = fixed_coordinates(phi_eval(obj, EvalPoint(x)))
         # <grad, I> = -Tr(C X^{-1}) = -n when C = X
         p = sym_isometry(4)
         assert b.gradient @ (p.T @ vec(np.eye(4))) == pytest.approx(-4.0, rel=1e-10)
-        g_fd = fd_gradient(lambda y: phi_eval(obj, y, False).value, x)
+        g_fd = fd_gradient(lambda y: phi_eval(obj, EvalPoint(y), False).value, x)
         assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -91,20 +91,20 @@ class TestPhiEval:
             c = rand_spd(rng, n, 0.1)
             obj = TraceObjective(c, gen)
             x = rand_spd(rng, n)
-            b = fixed_coordinates(phi_eval(obj, x))
+            b = fixed_coordinates(phi_eval(obj, EvalPoint(x)))
             p = sym_isometry(n)
-            g_fd = fd_gradient(lambda y: phi_eval(obj, y, False).value, x)
+            g_fd = fd_gradient(lambda y: phi_eval(obj, EvalPoint(y), False).value, x)
             assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6, gen.kind
             xi = rand_sym(rng, n)
             act_fd = fd_hessian_action(
-                lambda y: fixed_coordinates(phi_eval(obj, y)).gradient, x, xi)
+                lambda y: fixed_coordinates(phi_eval(obj, EvalPoint(y))).gradient, x, xi)
             assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5, gen.kind
 
     def test_hessian_symmetric_psd(self, rng):
         for gen in ALL_GENERATORS:
             c = rand_spd(rng, 4, 0.1)
             x = rand_spd(rng, 4)
-            h = phi_eval(TraceObjective(c, gen), x).hessian
+            h = phi_eval(TraceObjective(c, gen), EvalPoint(x)).hessian
             assert np.linalg.norm(h - h.T) <= 1e-9 * np.linalg.norm(h)
             hnorm = np.linalg.norm(h, 2)
             assert np.linalg.eigvalsh(h).min() >= -1e-7 * hnorm
@@ -114,7 +114,7 @@ class TestPhiEval:
         x = rand_sym(rng, 3)
         x -= (np.linalg.eigvalsh(x).min() + 1.0) * np.eye(3)
         with pytest.raises(DomainViolation):
-            phi_eval(obj, x)
+            phi_eval(obj, EvalPoint(x))
 
     def test_map_output_domain_violation(self, rng):
         # partial transpose of an entangled state is indefinite
@@ -124,56 +124,58 @@ class TestPhiEval:
         pt = PartialTranspose(2, 2)
         obj = TraceObjective(np.eye(4), NEG_LOG, map=pt)
         with pytest.raises(DomainViolation):
-            phi_eval(obj, x)
+            phi_eval(obj, EvalPoint(x))
 
     def test_through_kraus_map_vs_fd(self, rng):
         k_factors = [rng.standard_normal((6, 4)) * 0.4 for _ in range(2)]
         lmap = KrausMap(k_factors)
         obj = TraceObjective(rand_spd(rng, 6, 0.1), NEG_SQRT, map=lmap)
         x = rand_spd(rng, 4)
-        b = fixed_coordinates(phi_eval(obj, x))
+        b = fixed_coordinates(phi_eval(obj, EvalPoint(x)))
         p = sym_isometry(4)
-        g_fd = fd_gradient(lambda y: phi_eval(obj, y, False).value, x)
+        g_fd = fd_gradient(lambda y: phi_eval(obj, EvalPoint(y), False).value, x)
         assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6
         xi = rand_sym(rng, 4)
-        act_fd = fd_hessian_action(lambda y: fixed_coordinates(phi_eval(obj, y)).gradient, x, xi)
+        act_fd = fd_hessian_action(
+            lambda y: fixed_coordinates(phi_eval(obj, EvalPoint(y))).gradient, x, xi)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5
 
 
 class TestBarrier:
     def test_identity(self):
-        b = fixed_coordinates(barrier_eval(np.eye(3)))
+        b = fixed_coordinates(barrier_eval(EvalPoint(np.eye(3))))
         assert b.value == pytest.approx(0.0)
         assert np.allclose(b.gradient, sym_isometry(3).T @ vec(-np.eye(3)))
         assert np.allclose(b.hessian, np.eye(6), atol=1e-13)
 
     def test_diag_case(self):
-        b = fixed_coordinates(barrier_eval(np.diag([2.0, 1.0])))
+        b = fixed_coordinates(barrier_eval(EvalPoint(np.diag([2.0, 1.0]))))
         assert b.value == pytest.approx(-np.log(2.0))
         assert np.allclose(b.gradient, sym_isometry(2).T @ vec(np.diag([-0.5, -1.0])))
 
     def test_hessian_action_vs_fd(self, rng):
         x = rand_spd(rng, 4)
-        b = fixed_coordinates(barrier_eval(x))
+        b = fixed_coordinates(barrier_eval(EvalPoint(x)))
         xi = rand_sym(rng, 4)
-        act_fd = fd_hessian_action(lambda y: fixed_coordinates(barrier_eval(y)).gradient, x, xi)
+        act_fd = fd_hessian_action(
+            lambda y: fixed_coordinates(barrier_eval(EvalPoint(y))).gradient, x, xi)
         p = sym_isometry(4)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-6
 
     def test_domain(self, rng):
         with pytest.raises(DomainViolation):
-            barrier_eval(-np.eye(3))
+            barrier_eval(EvalPoint(-np.eye(3)))
 
     def test_map_barrier_vs_fd(self, rng):
         pt = PartialTranspose(2, 2)
         x = separable_ppt_state(rng, 2, 2)
-        b = fixed_coordinates(map_barrier_eval(pt, x))
+        b = fixed_coordinates(map_barrier_eval(pt, EvalPoint(x)))
         p = sym_isometry(4)
-        g_fd = fd_gradient(lambda y: map_barrier_eval(pt, y, False).value, x)
+        g_fd = fd_gradient(lambda y: map_barrier_eval(pt, EvalPoint(y), False).value, x)
         assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6
         xi = rand_sym(rng, 4) * 0.01
         act_fd = fd_hessian_action(
-            lambda y: fixed_coordinates(map_barrier_eval(pt, y)).gradient, x, xi)
+            lambda y: fixed_coordinates(map_barrier_eval(pt, EvalPoint(y))).gradient, x, xi)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5
 
 
@@ -182,7 +184,7 @@ class TestComposite:
         x = rand_spd(rng, 3)
         obj = TraceObjective(rand_spd(rng, 3, 0.1), INVERSE)
         comp = composite_eval(0.0, [obj], [None], x)
-        bar = barrier_eval(x)
+        bar = barrier_eval(EvalPoint(x))
         assert comp.value == pytest.approx(bar.value)
         assert np.allclose(comp.gradient, bar.gradient)
         assert np.allclose(comp.hessian, bar.hessian)
@@ -192,8 +194,8 @@ class TestComposite:
         obj = TraceObjective(rand_spd(rng, 3, 0.1), INVERSE)
         beta = 2.5
         comp = composite_eval(beta, [obj], [None], x)
-        phi = phi_eval(obj, x)
-        bar = barrier_eval(x)
+        phi = phi_eval(obj, EvalPoint(x))
+        bar = barrier_eval(EvalPoint(x))
         assert comp.value == pytest.approx(beta * phi.value + bar.value)
         assert np.allclose(comp.gradient, beta * phi.gradient + bar.gradient)
         assert np.allclose(comp.hessian, beta * phi.hessian + bar.hessian)
@@ -236,9 +238,10 @@ class TestCompatibilityInequality:
                 x = rand_spd(rng, n)
                 xi = rand_sym(rng, n)
                 s = sym_isometry(n).T @ vec(xi)
-                d2phi = float(s @ (fixed_coordinates(phi_eval(obj, x)).hessian @ s))
-                d2b = float(s @ (fixed_coordinates(barrier_eval(x)).hessian @ s))
-                d3 = fd_cubic_form(lambda y: fixed_coordinates(phi_eval(obj, y)).hessian, x, xi)
+                d2phi = float(s @ (fixed_coordinates(phi_eval(obj, EvalPoint(x))).hessian @ s))
+                d2b = float(s @ (fixed_coordinates(barrier_eval(EvalPoint(x))).hessian @ s))
+                d3 = fd_cubic_form(
+                    lambda y: fixed_coordinates(phi_eval(obj, EvalPoint(y))).hessian, x, xi)
                 bound = 3.0 * d2phi * np.sqrt(d2b)
                 assert abs(d3) <= bound + 1e-4 * max(1.0, bound)
 
@@ -307,7 +310,7 @@ class TestEvalPoint:
             assert problem.terms[0].map is problem.constraint_map
         x = probio.random_feasible_point(problem, rng)
         seen = count_decompositions(monkeypatch)
-        FBetaEvaluator(problem).x_bundle(x, 2.0, want_hessian=want_hessian)
+        FBetaEvaluator(problem).x_bundle(EvalPoint(x), 2.0, want_hessian=want_hessian)
         assert len(seen) == images
         for i, a in enumerate(seen):
             assert not any(np.array_equal(a, b) for b in seen[:i])
@@ -343,11 +346,13 @@ def test_value_only_matches_the_full_evaluation_bitwise(rng):
     kinds = set()
     for label, term, x in term_cases(rng):
         kinds.add(type(term))
-        full = term.evaluate(x)
+        point = EvalPoint(x)
+        full = term.evaluate(point)
         assert full.gradient is not None and full.hessian is not None, label
-        alone = term.evaluate(x, want_hessian=False)
+        alone = term.evaluate(EvalPoint(x), want_hessian=False)
         assert alone.gradient is None and alone.hessian is None, label
         assert alone.value == full.value, label
-        shared = term.evaluate(x, False, point=EvalPoint(x))
+        # a value-only evaluation at a point the full one decomposed
+        shared = term.evaluate(point, False)
         assert shared.gradient is None and shared.value == full.value, label
     assert kinds == {TraceObjective, LogDetBarrier, QreObjective}

@@ -6,7 +6,7 @@ from qipsolve import probio
 from qipsolve.errors import OracleInconclusive, SizeGuard, ValidationError
 from qipsolve.linmap import KrausMap
 from qipsolve.matfun import INVERSE, NEG_LOG, NEG_SQRT, divided_diff_2, neg_power, vec
-from qipsolve.objectives import TraceObjective, phi_eval
+from qipsolve.objectives import EvalPoint, TraceObjective, phi_eval
 from qipsolve.oracle import (
     dense_hessian_reference,
     dense_sparse_core,
@@ -38,18 +38,18 @@ class TestFiniteDifferences:
     def test_qre_gradient_is_validated(self, rng):
         problem = probio.generate_random("qkd", {"n": 4, "m": 1}, seed=3)
         x = rand_density(rng, 4)
-        b = fixed_coordinates(qre_eval(problem.terms[0], x))
-        g_fd = fd_gradient(lambda y: qre_eval(problem.terms[0], y, False).value, x)
+        b = fixed_coordinates(qre_eval(problem.terms[0], EvalPoint(x)))
+        g_fd = fd_gradient(lambda y: qre_eval(problem.terms[0], EvalPoint(y), False).value, x)
         assert rel_err(b.gradient, sym_isometry(4).T @ g_fd) <= 1e-5
 
     def test_hessian_action_from_bare_scalar(self, rng):
         # nested-FD route: pass an fd_gradient closure instead of a gradient
         x = rand_spd(rng, 3)
         obj = TraceObjective(rand_spd(rng, 3, 0.1), INVERSE)
-        b = fixed_coordinates(phi_eval(obj, x))
+        b = fixed_coordinates(phi_eval(obj, EvalPoint(x)))
         xi = rand_spd(rng, 3, 0.0)
         act = fd_hessian_action(
-            lambda y: fd_gradient(lambda z: phi_eval(obj, z, False).value, y, h=1e-5),
+            lambda y: fd_gradient(lambda z: phi_eval(obj, EvalPoint(z), False).value, y, h=1e-5),
             x, xi, h=1e-3)
         p = sym_isometry(3)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), p.T @ act) <= 1e-5
@@ -61,7 +61,7 @@ class TestDenseHessianReference:
         c = rand_spd(rng, 4, 0.1)
         for gen in ALL_GENERATORS:
             obj = TraceObjective(c, gen)
-            h_prod = fixed_coordinates(phi_eval(obj, x)).hessian
+            h_prod = fixed_coordinates(phi_eval(obj, EvalPoint(x))).hessian
             h_ref = dense_hessian_reference(obj, x)
             assert np.linalg.norm(h_prod - h_ref) <= 1e-10 * np.linalg.norm(h_ref)
 
@@ -69,7 +69,7 @@ class TestDenseHessianReference:
         lmap = KrausMap([rng.standard_normal((5, 3)) * 0.4 for _ in range(2)])
         obj = TraceObjective(rand_spd(rng, 5, 0.1), NEG_LOG, map=lmap)
         x = rand_spd(rng, 3)
-        h_prod = fixed_coordinates(phi_eval(obj, x)).hessian
+        h_prod = fixed_coordinates(phi_eval(obj, EvalPoint(x))).hessian
         h_ref = dense_hessian_reference(obj, x)
         assert np.linalg.norm(h_prod - h_ref) <= 1e-10 * np.linalg.norm(h_ref)
 

@@ -15,7 +15,13 @@ from qipsolve.errors import (
 )
 from qipsolve.kkt import AffineConstraints, NewtonStep, newton_step_type1
 from qipsolve.matfun import spectral_decompose, symmetrize, vec
-from qipsolve.objectives import DerivativeBundle, LogDetBarrier, combine_terms, evaluate_terms
+from qipsolve.objectives import (
+    DerivativeBundle,
+    EvalPoint,
+    LogDetBarrier,
+    combine_terms,
+    evaluate_terms,
+)
 from qipsolve.oracle import (
     derivative_audit,
     fixed_coordinates,
@@ -62,7 +68,7 @@ def type1_point(rng):
     x = probio.random_feasible_point(problem, rng)
     cons = problem.constraints
     slacks = cons.rhs[:2] - np.array([np.tensordot(a, x) for a in cons.mats[:2]])
-    return FBetaEvaluator(problem), _State(x, slacks)
+    return FBetaEvaluator(problem), _State(EvalPoint(x), slacks)
 
 
 class TestMaxFeasibleStep:
@@ -71,7 +77,7 @@ class TestMaxFeasibleStep:
         ev = FBetaEvaluator(problem)
         g = rng.standard_normal((4, 4))
         x = symmetrize(g @ g.T + 0.3 * np.eye(4))
-        a = max_feasible_step(_State(x, np.zeros(0)), fake_step(-x), ev)
+        a = max_feasible_step(_State(EvalPoint(x), np.zeros(0)), fake_step(-x), ev)
         assert a == pytest.approx(1.0, rel=1e-10)
 
     def test_psd_direction_is_unbounded(self, rng):
@@ -80,12 +86,12 @@ class TestMaxFeasibleStep:
         g = rng.standard_normal((4, 4))
         x = symmetrize(g @ g.T + 0.3 * np.eye(4))
         p = symmetrize(g @ g.T)  # PSD step
-        assert max_feasible_step(_State(x, np.zeros(0)), fake_step(p), ev) == math.inf
+        assert max_feasible_step(_State(EvalPoint(x), np.zeros(0)), fake_step(p), ev) == math.inf
 
     def test_slack_boundary(self, rng):
         problem = probio.generate_random("type1", {"n": 3, "m": 2, "N": 3}, seed=5)
         ev = FBetaEvaluator(problem)
-        state = _State(np.eye(3) * 10, np.array([0.5, 2.0]))
+        state = _State(EvalPoint(np.eye(3) * 10), np.array([0.5, 2.0]))
         step = fake_step(np.zeros((3, 3)), slack=np.array([-1.0, -1.0]))
         assert max_feasible_step(state, step, ev) == pytest.approx(0.5)
 
@@ -96,7 +102,7 @@ class TestMaxFeasibleStep:
         problem = probio.build_named("trace-inverse-n4")
         x = -np.eye(4)
         with pytest.raises(DomainViolation, match="iterate X must be positive definite"):
-            max_feasible_step(_State(x, np.zeros(0)), fake_step(symmetrize(
+            max_feasible_step(_State(EvalPoint(x), np.zeros(0)), fake_step(symmetrize(
                 rng.standard_normal((4, 4)))), FBetaEvaluator(problem))
 
     @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
@@ -130,12 +136,12 @@ class TestMaxFeasibleStep:
             dec = spectral_decompose(y)
             assert_same_bound(cone_step_bound(dec.U.T @ p @ dec.U, dec.lam), scipy_bound(p, y))
         slacks = _refresh_slacks(problem, x)
-        step = newton_step_type1(ev.x_bundle(x, 2.0), slacks, problem.constraints)
+        step = newton_step_type1(ev.x_bundle(EvalPoint(x), 2.0), slacks, problem.constraints)
         bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
         neg = step.direction_slack < 0
         if np.any(neg):
             bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
-        assert_same_bound(max_feasible_step(_State(x, slacks), step, ev), min(bounds))
+        assert_same_bound(max_feasible_step(_State(EvalPoint(x), slacks), step, ev), min(bounds))
 
     @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
                                             ("type2", {"n": 4, "m": 1})])
@@ -168,12 +174,12 @@ class TestMaxFeasibleStep:
             assert cone_step_bound(dec.U.T @ p @ dec.U, dec.lam) == scipy_bound(p, y)
         assert scipy_bound(*cases[-1]) == math.inf
         slacks = _refresh_slacks(problem, x)
-        step = newton_step_type1(ev.x_bundle(x, 2.0), slacks, problem.constraints)
+        step = newton_step_type1(ev.x_bundle(EvalPoint(x), 2.0), slacks, problem.constraints)
         bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
         neg = step.direction_slack < 0
         if np.any(neg):
             bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
-        assert max_feasible_step(_State(x, slacks), step, ev) == min(bounds)
+        assert max_feasible_step(_State(EvalPoint(x), slacks), step, ev) == min(bounds)
 
 
 class TestLineSearch:
@@ -183,16 +189,20 @@ class TestLineSearch:
         x = probio.random_feasible_point(problem, rng)
         cons = problem.constraints
         slacks = cons.rhs[:2] - np.array([np.tensordot(a, x) for a in cons.mats[:2]])
-        state = _State(x, slacks)
+        state = _State(EvalPoint(x), slacks)
         beta = 2.0
-        bundle = ev.x_bundle(x, beta)
+        bundle = ev.x_bundle(state.point, beta)
         step = newton_step_type1(bundle, state.slacks, cons)
-        alpha = line_search(state, step, beta, ev)
+        alpha, trial = line_search(state, step, beta, ev)
         assert 0.0 < alpha <= 1.0
-        f0 = ev.value(state.x, state.slacks, beta)
-        f1 = ev.value(symmetrize(x + alpha * step.direction_X),
+        f0 = ev.value(state.point, state.slacks, beta)
+        f1 = ev.value(EvalPoint(symmetrize(x + alpha * step.direction_X)),
                       slacks + alpha * step.direction_slack, beta)
         assert f1 < f0
+        # the accepted trial is that step, and its point holds its X
+        assert np.array_equal(trial.point.x, symmetrize(x + alpha * step.direction_X))
+        assert np.array_equal(trial.slacks, slacks + alpha * step.direction_slack)
+        assert ev.value(trial.point, trial.slacks, beta) == f1
 
     def test_ascent_direction_fails(self, rng, monkeypatch):
         # a value decrease is the only acceptance rule, so an ascent
@@ -201,16 +211,16 @@ class TestLineSearch:
         # spurious decrease of about 1e-14 relative
         ev, state = type1_point(rng)
         beta = 2.0
-        step = newton_step_type1(ev.x_bundle(state.x, beta), state.slacks,
+        step = newton_step_type1(ev.x_bundle(state.point, beta), state.slacks,
                                  ev.problem.constraints)
         step.direction_X = -step.direction_X
         step.direction_slack = -step.direction_slack
-        f0 = ev.value(state.x, state.slacks, beta)
+        f0 = ev.value(state.point, state.slacks, beta)
         true_value = ev.value
         values = []
 
-        def clamped(x, slacks, b):
-            values.append(true_value(x, slacks, b))
+        def clamped(point, slacks, b):
+            values.append(true_value(point, slacks, b))
             return max(values[-1], f0)
 
         monkeypatch.setattr(ev, "value", clamped)
@@ -276,8 +286,8 @@ class TestCertifiedStep:
                 continue
             lam = 0.5 * m * s["delta"]
             bound = (4.0 / m**2) * (lam**2 + lam + math.log1p(-lam))
-            f0 = ev.value(start, pathfollow._refresh_slacks(problem, start), s["beta"])
-            f1 = ev.value(s["x"], pathfollow._refresh_slacks(problem, s["x"]), s["beta"])
+            f0 = ev.value(EvalPoint(start), _refresh_slacks(problem, start), s["beta"])
+            f1 = ev.value(EvalPoint(s["x"]), _refresh_slacks(problem, s["x"]), s["beta"])
             assert f1 - f0 <= -bound + 1e-12 * abs(f0)
             checked += 1
         assert checked >= 3
@@ -287,7 +297,7 @@ class TestCenter:
     def test_already_centered_takes_zero_steps(self):
         problem = probio.build_named("trace-inverse-n4")
         ev = FBetaEvaluator(problem)
-        run = _Run(_State(np.eye(4) / 4, np.zeros(0)))
+        run = _Run(_State(EvalPoint(np.eye(4) / 4), np.zeros(0)))
         center(run, 1.0, ev, 500)
         assert run.steps == [0]
         assert len(run.trace) == 1
@@ -301,7 +311,7 @@ class TestCenter:
         for point_seed in range(6):
             prng = np.random.default_rng(point_seed)
             x = probio.random_feasible_point(problem, prng, scale=0.5)
-            run = _Run(_State(x, np.zeros(0)))
+            run = _Run(_State(EvalPoint(x), np.zeros(0)))
             center(run, 4.0, ev, 500, target=1e-7)
             deltas = [d for _, d in run.trace]
             pairs.extend(zip(deltas, deltas[1:]))
@@ -333,13 +343,18 @@ def count_fresh_hessians(monkeypatch, ev):
     fresh = []
     real = ev.x_bundle
 
-    def counted(x, beta, want_hessian=True):
+    def counted(point, beta, want_hessian=True):
         if want_hessian:
-            fresh.append(np.array(x))
-        return real(x, beta, want_hessian)
+            fresh.append(np.array(point.x))
+        return real(point, beta, want_hessian)
 
     monkeypatch.setattr(ev, "x_bundle", counted)
     return fresh
+
+
+def reference_bundle(problem, include_barrier, x, beta):
+    """F_beta's bundle at X from a new evaluator and a new point."""
+    return FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(EvalPoint(x), beta)
 
 
 def assert_bitwise_equal(a, b):
@@ -354,10 +369,11 @@ class TestHessianCache:
         problem, include_barrier, x = cache_case(case, rng)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
         fresh = count_fresh_hessians(monkeypatch, ev)
-        ev.hessian_bundle(x, 3.0)
-        recombined = ev.hessian_bundle(x.copy(), 7.5)  # same X by value
+        point = EvalPoint(x)
+        ev.hessian_bundle(point, 3.0)
+        recombined = ev.hessian_bundle(point, 7.5)  # the same point
         assert len(fresh) == 1
-        reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(x, 7.5)
+        reference = reference_bundle(problem, include_barrier, x, 7.5)
         assert_bitwise_equal(recombined, reference)
 
     @pytest.mark.parametrize("case", ["qkd", "type2"])
@@ -367,34 +383,53 @@ class TestHessianCache:
         assert not np.array_equal(other, x)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
         fresh = count_fresh_hessians(monkeypatch, ev)
-        ev.hessian_bundle(x, 3.0)
-        point = ev._point
+        point = EvalPoint(x)
+        ev.hessian_bundle(point, 3.0)
         parts = point.parts
         assert np.array_equal(point.x, x) and len(parts) == len(ev.terms)
-        # a value-only evaluation at the same X keeps the point and its bundles
-        ev.value(x.copy(), np.zeros(0), 5.0)
-        assert ev._point is point and point.parts is parts
-        reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(x, 7.5)
-        assert_bitwise_equal(ev.hessian_bundle(x, 7.5), reference)
+        # a value-only evaluation at the same point keeps its bundles
+        ev.value(point, np.zeros(0), 5.0)
+        assert point.parts is parts
+        reference = reference_bundle(problem, include_barrier, x, 7.5)
+        assert_bitwise_equal(ev.hessian_bundle(point, 7.5), reference)
         assert len(fresh) == 1
-        # one at another X replaces the point, and the bundles go with it
-        ev.value(other, np.zeros(0), 5.0)
-        assert np.array_equal(ev._point.x, other) and ev._point.parts is None
-        assert_bitwise_equal(ev.hessian_bundle(x, 7.5), reference)
+        # the bundles belong to their point: one at another X holds none,
+        # and a new point at X is evaluated afresh
+        other_point = EvalPoint(other)
+        ev.value(other_point, np.zeros(0), 5.0)
+        assert np.array_equal(other_point.x, other) and other_point.parts is None
+        assert_bitwise_equal(ev.hessian_bundle(EvalPoint(x), 7.5), reference)
         assert len(fresh) == 2
 
+    @pytest.mark.parametrize("case", sorted(CACHE_CASES))
+    def test_iterate_keeps_its_bundles_across_another_point(self, case, rng, monkeypatch):
+        # a value evaluation elsewhere (a trial step, or a predicted point)
+        # takes nothing from the iterate: back at it, a new beta recombines
+        problem, include_barrier, x = cache_case(case, rng)
+        other = probio.random_feasible_point(problem, rng)
+        assert not np.array_equal(other, x)
+        ev = FBetaEvaluator(problem, include_barrier=include_barrier)
+        fresh = count_fresh_hessians(monkeypatch, ev)
+        iterate = EvalPoint(x)
+        ev.hessian_bundle(iterate, 3.0)
+        assert math.isfinite(ev.value(EvalPoint(other), _refresh_slacks(problem, other), 3.0))
+        bundle = ev.hessian_bundle(iterate, 7.5)
+        assert len(fresh) == 1
+        assert_bitwise_equal(bundle, combine_terms(7.5, iterate.parts, ev.n_scaled))
+        assert_bitwise_equal(bundle, reference_bundle(problem, include_barrier, x, 7.5))
+
     def test_new_iterate_is_evaluated_afresh(self, rng, monkeypatch):
-        # the cache holds its own copy of X: changing the caller's array in
-        # place makes it a new iterate
+        # a point holds its own copy of X: changing the caller's array in
+        # place makes it a new iterate, with a point of its own
         problem, include_barrier, x = cache_case("type2", rng)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
         fresh = count_fresh_hessians(monkeypatch, ev)
-        ev.hessian_bundle(x, 3.0)
+        ev.hessian_bundle(EvalPoint(x), 3.0)
         x[:] = probio.random_feasible_point(problem, rng)
-        bundle = ev.hessian_bundle(x, 3.0)
+        bundle = ev.hessian_bundle(EvalPoint(x), 3.0)
         assert len(fresh) == 2
         assert np.array_equal(fresh[1], x)
-        reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(x, 3.0)
+        reference = reference_bundle(problem, include_barrier, x, 3.0)
         assert_bitwise_equal(bundle, reference)
 
     # the relative entropy; type1 with inequality rows (slacks, and steps
@@ -413,9 +448,9 @@ class TestHessianCache:
         real_search = pathfollow.line_search
         hessians, searches = [], []
 
-        def counted(x, want_hessian=True, **kwargs):
+        def counted(point, want_hessian=True):
             hessians.append(want_hessian)
-            return real(x, want_hessian=want_hessian, **kwargs)
+            return real(point, want_hessian)
 
         def counted_search(*args):
             searches.append(None)
@@ -438,19 +473,20 @@ class TestSharedPoint:
         problem, include_barrier, x = cache_case(case, rng)
         slacks = _refresh_slacks(problem, x)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
-        parts = evaluate_terms(ev.terms, ev.n_scaled, x)
+        parts = evaluate_terms(ev.terms, ev.n_scaled, EvalPoint(x))
         expected = combine_terms(3.0, parts, ev.n_scaled).value
         if slacks.size:
             expected -= float(np.sum(np.log(slacks)))
-        assert ev.value(x, slacks, 3.0) == expected
+        assert ev.value(EvalPoint(x), slacks, 3.0) == expected
 
     @pytest.mark.parametrize("case", ["qkd", "type1", "type2"])
     def test_accepted_trial_is_not_decomposed_again(self, case, rng, monkeypatch):
         problem, include_barrier, x = cache_case(case, rng)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
-        state = _State(x, _refresh_slacks(problem, x))
+        state = _State(EvalPoint(x), _refresh_slacks(problem, x))
         beta = 2.0
-        step = newton_step_type1(ev.hessian_bundle(x, beta), state.slacks, problem.constraints)
+        step = newton_step_type1(ev.hessian_bundle(state.point, beta), state.slacks,
+                                 problem.constraints)
         seen = []
         real = objectives.spectral_decompose
 
@@ -459,15 +495,16 @@ class TestSharedPoint:
             return real(y)
 
         monkeypatch.setattr(objectives, "spectral_decompose", counted)
-        alpha = line_search(state, step, beta, ev)
+        alpha, trial = line_search(state, step, beta, ev)
         # F at alpha = 0 reads the Hessian evaluation's decompositions
         assert seen and not any(np.array_equal(y, x) for y in seen)
-        new_x = symmetrize(state.x + alpha * step.direction_X)
+        new_x = symmetrize(state.point.x + alpha * step.direction_X)
+        assert np.array_equal(trial.point.x, new_x)
         del seen[:]
-        bundle = ev.hessian_bundle(new_x, beta)
+        bundle = ev.hessian_bundle(trial.point, beta)
         assert seen == []
         monkeypatch.undo()
-        reference = FBetaEvaluator(problem, include_barrier=include_barrier).x_bundle(new_x, beta)
+        reference = reference_bundle(problem, include_barrier, new_x, beta)
         assert_bitwise_equal(bundle, reference)
 
 
@@ -583,7 +620,7 @@ class TestSolve:
         starts = [problem.start] + [rec["x"] for rec in records[:-1]]
         assert len(starts) >= 5
         for x, rec in zip(starts, records):
-            bundle = ev.x_bundle(x, rec["beta"])
+            bundle = ev.x_bundle(EvalPoint(x), rec["beta"])
             step = newton_step_type1(bundle, np.zeros(0), problem.constraints)
             grad = fixed_coordinates(bundle).gradient
             assert grad @ (sym_isometry(3).T @ vec(step.direction_X)) < 0.0
@@ -742,6 +779,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="1 \\+ theta > 1"):
             SolverConfig(theta=theta)
 
+    @pytest.mark.parametrize("name, value", [
+        ("beta0", math.nan), ("beta0", math.inf), ("theta", math.inf),
+        ("epsilon", math.nan), ("epsilon", math.inf),
+    ])
+    def test_parameters_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SolverConfig(**{name: value})
+
     def test_no_barrier_rejected_on_trace_objectives(self, monkeypatch):
         monkeypatch.setattr(pathfollow, "center", lambda *a, **k: pytest.fail("solve ran"))
         for name in ("trace-inverse-n4", "ree-2x2"):
@@ -776,7 +821,7 @@ def test_structure_comes_from_the_data(case, rng):
     assert ev.terms[ev.n_scaled:] == tuple(LogDetBarrier(m) for m in maps)
 
     x = probio.random_feasible_point(problem, rng)
-    values = [t.evaluate(x, want_hessian=False).value for t in problem.terms]
+    values = [t.evaluate(EvalPoint(x), want_hessian=False).value for t in problem.terms]
     assert problem.objective_value(x) == sum(values) + problem.offset
 
     assert all(res.passed for res in derivative_audit(problem, rng, points=2))
@@ -795,7 +840,7 @@ EQ_CASES = {
     "DerivativeBundle": lambda: DerivativeBundle(1.0, np.ones(3), np.eye(3), np.eye(2)),
     "SolveReport": lambda: solve(probio.build_named("trace-inverse-n2")),
     "SpectralDecomp": lambda: spectral_decompose(np.eye(2)),
-    "_Run": lambda: _Run(_State(np.eye(2) / 2, np.zeros(0)), steps=[0]),
+    "_Run": lambda: _Run(_State(EvalPoint(np.eye(2) / 2), np.zeros(0)), steps=[0]),
 }
 
 

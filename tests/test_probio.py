@@ -5,7 +5,7 @@ import pytest
 
 from qipsolve import probio
 from qipsolve.errors import NotFound, ParseError, ShapeError, ValidationError
-from qipsolve.linmap import PartialTranspose
+from qipsolve.linmap import KrausMap, PartialTranspose
 from qipsolve.probio import (
     barrier_parameter,
     build_named,
@@ -50,6 +50,12 @@ class TestGeneration:
             generate_random("type1", {"n": 4, "m": 4, "N": 4}, seed=0)
         with pytest.raises(ShapeError):
             generate_random("nope", {"n": 4}, seed=0)
+
+    @pytest.mark.parametrize("kind", ["type2", "qkd"])
+    def test_equality_kinds_need_a_row(self, kind):
+        # the trace row is always there, so m = 0 would misreport N = 1
+        with pytest.raises(ShapeError, match="m >= 1"):
+            generate_random(kind, {"n": 4, "m": 0}, seed=0)
 
     def test_barrier_parameters(self):
         assert barrier_parameter(generate_random("type1", {"n": 4, "m": 2, "N": 4}, 0)) == 6.0
@@ -96,6 +102,20 @@ class TestRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="equality constraint"):
             load(path)
+
+    def test_qkd_constraint_map_rejected(self):
+        # the file format keeps no map for qkd, so saving would drop its barrier
+        spec = generate_random("qkd", {"n": 3}, seed=2)
+        spec.constraint_map = KrausMap([np.eye(3)])
+        with pytest.raises(ValidationError, match="no constraint map"):
+            validate_problem(spec)
+
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_trace_kind_rejects_relative_entropy_terms(self, kind):
+        spec = generate_random(kind, {"n": 4}, seed=2)
+        spec.terms = generate_random("qkd", {"n": 4}, seed=2).terms
+        with pytest.raises(ValidationError, match="trace objectives only"):
+            validate_problem(spec)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -8,6 +8,7 @@ from qipsolve import objectives
 from qipsolve.errors import DomainViolation, ShapeError, ValidationError
 from qipsolve.linmap import KrausMap, compose, identity_map, pinching_map
 from qipsolve.matfun import SpectralDecomp, vec
+from qipsolve.objectives import EvalPoint
 from qipsolve.oracle import fd_gradient, fd_hessian_action, fixed_coordinates, sym_isometry
 from qipsolve.qre import QreObjective, qre_eval, qre_hessian_asymmetry
 
@@ -43,30 +44,31 @@ class TestQreEval:
         obj = QreObjective(identity_map(3), pinching_map([np.eye(3)]))
         for _ in range(5):
             x = rand_spd(rng, 3)
-            b = qre_eval(obj, x)
+            b = qre_eval(obj, EvalPoint(x))
             assert abs(b.value) <= 1e-12 * (1 + np.trace(x))
             assert np.linalg.norm(b.gradient) <= 1e-10
 
     def test_pinched_state_gives_zero(self):
         obj = QreObjective(identity_map(2), coordinate_pinching(2))
-        b = qre_eval(obj, np.diag([0.5, 0.5]), want_hessian=False)
+        b = qre_eval(obj, EvalPoint(np.diag([0.5, 0.5])), want_hessian=False)
         assert abs(b.value) <= 1e-12
 
     def test_gradient_hessian_vs_fd(self, rng):
         obj = random_instance(rng, n=4, k=8)
         x = rand_density(rng, 4)
-        b = fixed_coordinates(qre_eval(obj, x))
+        b = fixed_coordinates(qre_eval(obj, EvalPoint(x)))
         p = sym_isometry(4)
-        g_fd = fd_gradient(lambda y: qre_eval(obj, y, False).value, x)
+        g_fd = fd_gradient(lambda y: qre_eval(obj, EvalPoint(y), False).value, x)
         assert rel_err(b.gradient, p.T @ g_fd) <= 1e-5
         xi = rand_sym(rng, 4) * 0.1
-        act_fd = fd_hessian_action(lambda y: fixed_coordinates(qre_eval(obj, y)).gradient, x, xi)
+        act_fd = fd_hessian_action(
+            lambda y: fixed_coordinates(qre_eval(obj, EvalPoint(y))).gradient, x, xi)
         assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5
 
     def test_domain(self, rng):
         obj = random_instance(rng)
         with pytest.raises(DomainViolation):
-            qre_eval(obj, -np.eye(4))
+            qre_eval(obj, EvalPoint(-np.eye(4)))
 
     @pytest.mark.parametrize("want_hessian", [True, False])
     def test_domain_violation_names_the_image(self, want_hessian, rng, monkeypatch):
@@ -87,7 +89,7 @@ class TestQreEval:
             monkeypatch.setattr(objectives, "spectral_decompose", negated)
             with pytest.raises(DomainViolation,
                                match=re.escape(name) + " must be positive definite"):
-                qre_eval(obj, x, want_hessian)
+                qre_eval(obj, EvalPoint(x), want_hessian)
 
 
 class TestHessianStructure:
@@ -101,7 +103,7 @@ class TestHessianStructure:
         obj = random_instance(rng)
         for _ in range(3):
             x = rand_density(rng, 4)
-            h = qre_eval(obj, x).hessian
+            h = qre_eval(obj, EvalPoint(x)).hessian
             hnorm = np.linalg.norm(h, 2)
             assert np.linalg.eigvalsh(h).min() >= -1e-6 * hnorm
 
@@ -109,15 +111,15 @@ class TestHessianStructure:
         l1 = random_contraction(rng, 8, 4, 2)
         l2 = random_contraction(rng, 8, 4, 2)
         x = rand_density(rng, 4)
-        v12 = qre_eval(QreObjective(l1, l2, eps_pert=1e-12), x, False).value
-        v10 = qre_eval(QreObjective(l1, l2, eps_pert=1e-10), x, False).value
+        v12 = qre_eval(QreObjective(l1, l2, eps_pert=1e-12), EvalPoint(x), False).value
+        v10 = qre_eval(QreObjective(l1, l2, eps_pert=1e-10), EvalPoint(x), False).value
         assert abs(v12 - v10) <= 1e-6
 
 
 class TestNonnegativity:
     def test_trivial_pinching(self, rng):
         obj = QreObjective(identity_map(3), pinching_map([np.eye(3)]))
-        assert abs(qre_eval(obj, rand_spd(rng, 3), want_hessian=False).value) <= 1e-10
+        assert abs(qre_eval(obj, EvalPoint(rand_spd(rng, 3)), want_hessian=False).value) <= 1e-10
 
     def test_random_pinching_of_output(self, rng):
         l1 = random_contraction(rng, 8, 4, 2)
@@ -125,9 +127,10 @@ class TestNonnegativity:
         pinch = pinching_map([q[:, :3] @ q[:, :3].T, q[:, 3:] @ q[:, 3:].T])
         obj = QreObjective(l1, compose(pinch, l1))
         for _ in range(5):
-            assert qre_eval(obj, rand_density(rng, 4), want_hessian=False).value >= -1e-8
+            value = qre_eval(obj, EvalPoint(rand_density(rng, 4)), want_hessian=False).value
+            assert value >= -1e-8
 
     def test_diagonal_state_coordinate_pinching(self, rng):
         obj = QreObjective(identity_map(3), coordinate_pinching(3))
         d = np.diag(rng.uniform(0.1, 1.0, size=3))
-        assert abs(qre_eval(obj, d, want_hessian=False).value) <= 1e-10
+        assert abs(qre_eval(obj, EvalPoint(d), want_hessian=False).value) <= 1e-10

@@ -26,6 +26,7 @@ from qipsolve.matfun import (
     vec,
 )
 from qipsolve.objectives import (
+    EvalPoint,
     TraceObjective,
     barrier_eval,
     congruence_batch,
@@ -159,7 +160,7 @@ def _logdet_map(rng):
             mp.T @ np.kron(yinv, yinv) @ mp)
 
 
-# term kind -> rng -> (evaluate(x, want_hessian), x, dense reference or None)
+# term kind -> rng -> (evaluate(point, want_hessian), x, dense reference or None)
 TERM_CASES = {
     "trace": _trace,
     "trace-kraus": _trace_kraus,
@@ -175,7 +176,7 @@ def test_term_hessian_against_the_oracles(kind, rng):
     evaluate, x, reference = TERM_CASES[kind](rng)
     n = x.shape[0]
     d = n * (n + 1) // 2
-    b = evaluate(x, True)
+    b = evaluate(EvalPoint(x), True)
     h = b.hessian
     assert h.shape == (d, d)
     assert np.array_equal(h, h.T)
@@ -186,12 +187,12 @@ def test_term_hessian_against_the_oracles(kind, rng):
     def grad(y):
         # on the fixed coordinates: the basis moves with X, so the finite
         # difference of an eigen-coordinate gradient is no Hessian action
-        by = evaluate(y, True)
+        by = evaluate(EvalPoint(y), True)
         return eigen_rotation(by.basis).T @ by.gradient
 
     # the gradient and the whole matrix, rotated back, against central
     # differences along every svec direction
-    g_fd = sym_isometry(n).T @ fd_gradient(lambda y: evaluate(y, False).value, x)
+    g_fd = sym_isometry(n).T @ fd_gradient(lambda y: evaluate(EvalPoint(y), False).value, x)
     assert rel_err(k.T @ b.gradient, g_fd) <= 1e-6
     assert rel_err(k.T @ h @ k, fd_svec_hessian(grad, x)) <= 1e-5
     if reference is not None:
@@ -208,7 +209,7 @@ def test_term_hessian_against_the_oracles(kind, rng):
 @pytest.mark.parametrize("kind", ["logdet", "logdet-map"])
 def test_barrier_gradient_against_the_closed_form(kind, rng):
     evaluate, x, _ = TERM_CASES[kind](rng)
-    b = evaluate(x, True)
+    b = evaluate(EvalPoint(x), True)
     if kind == "logdet":
         g = -np.linalg.inv(x)
     else:
@@ -221,7 +222,7 @@ def test_barrier_gradient_against_the_closed_form(kind, rng):
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_logdet_hessian_is_diagonal_in_the_eigenbasis(n, rng):
     x = rand_spd(rng, n)
-    b = barrier_eval(x)
+    b = barrier_eval(EvalPoint(x))
     lam = np.diag(b.basis.T @ x @ b.basis)
     rows, cols = np.triu_indices(n)  # the oracle isometry's order of the pairs
     expected = 1.0 / (lam[rows] * lam[cols])
@@ -236,7 +237,7 @@ def test_logdet_hessian_is_diagonal_in_the_eigenbasis(n, rng):
                          ids=lambda g: g.kind)
 def test_trace_hessian_couples_only_pairs_that_share_an_index(n, gen, rng):
     obj = TraceObjective(rand_spd(rng, n, 0.1), gen)
-    h = phi_eval(obj, rand_spd(rng, n)).hessian
+    h = phi_eval(obj, EvalPoint(rand_spd(rng, n))).hessian
     rows, cols = np.triu_indices(n)
     pair = np.stack([rows, cols], axis=1)
     shares = (pair[:, None, :, None] == pair[None, :, None, :]).any(axis=(2, 3))
@@ -248,7 +249,7 @@ def test_qre_hessian_annihilates_the_point(rng):
     # f(tX) = t f(X) up to the eps perturbation: X is a null direction
     obj = QreObjective(random_kraus(rng, 6, 3, 0.3), random_kraus(rng, 6, 3, 0.3))
     x = rand_density(rng, 3)
-    b = qre_eval(obj, x)
+    b = qre_eval(obj, EvalPoint(x))
     h, u = b.hessian, b.basis
     assert np.linalg.norm(h @ svec(u.T @ x @ u)) <= 1e-8 * np.linalg.norm(h)
 
@@ -288,9 +289,9 @@ def dense_kkt_step(bundle, slacks, cons):
 def test_newton_step_matches_the_dense_kkt_system(kind, dims, rng):
     problem = probio.generate_random(kind, dims, seed=3)
     x = probio.random_feasible_point(problem, rng)
-    state = _State(x=x, slacks=_refresh_slacks(problem, x))
+    state = _State(point=EvalPoint(x), slacks=_refresh_slacks(problem, x))
     ev = FBetaEvaluator(problem)
-    bundle = ev.hessian_bundle(x, 5.0)
+    bundle = ev.hessian_bundle(state.point, 5.0)
     step = newton_step_type1(bundle, state.slacks, problem.constraints)
     p, q = dense_kkt_step(fixed_coordinates(bundle), state.slacks, problem.constraints)
     assert rel_err(vec(step.direction_X), p) <= 1e-8
