@@ -181,7 +181,11 @@ def bench_environment() -> dict:
 def cmd_bench(args) -> int:
     sizes = set(args.sizes) if args.sizes else None
     runs = []  # (dimensions, seed, report, wall seconds)
-    config = SolverConfig(epsilon=args.eps)
+    try:
+        config = SolverConfig(epsilon=args.eps)
+    except ValueError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 2
     if args.suite == "table1":
         ladder = [n for n in (4, 8, 16, 32, 64) if sizes is None or n in sizes]
         shapes = [("type1", {"n": n, "m": n // 2, "N": n}) for n in ladder]

@@ -95,12 +95,9 @@ class AffineConstraints:
     def n_eq(self) -> int:
         return self.n_total - self.n_ineq
 
-    def residuals(self, x: np.ndarray, slacks=None) -> np.ndarray:
-        """<A_i, X> + s_i - b_i with s_i = 0 on equality rows."""
-        vals = self.svec_rows @ svec(x) - self.rhs
-        if slacks is not None and self.n_ineq:
-            vals[: self.n_ineq] += np.asarray(slacks, dtype=float)
-        return vals
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        """<A_i, X> - b_i of every row."""
+        return self.svec_rows @ svec(x) - self.rhs
 
     def rotated_rows(self, u: np.ndarray) -> np.ndarray:
         """svec(U.T A_i U) of every row, N x n(n+1)/2: the rows in the coordinates of U."""
@@ -183,15 +180,23 @@ def _decrements(quad: float, innerprod: float, scale: float):
     return float(np.sqrt(quad)), float(np.sqrt(max(innerprod, 0.0)))
 
 
-def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) -> NewtonStep:
-    """Newton step of bundle + slack logs, solved on the tangent space.
+def newton_step_type1(bundle, slacks, cons: AffineConstraints) -> NewtonStep:
+    """Newton direction for mixed inequality/equality trace constraints.
 
-    Everything is on the bundle's coordinates, svec(U.T xi U), with the
-    rows rotated to match. Coordinates after Q^T are [normal (k);
-    tangent]: with M = Q^T H_s Q, the tangent step y solves
+    ``bundle`` holds gradient and Hessian of the X-block of F_beta;
+    ``slacks`` the strictly positive slack values of the inequality rows.
+    The step of bundle + slack logs is solved on the tangent space, all on
+    the bundle's coordinates, svec(U.T xi U), with the rows rotated to
+    match. Coordinates after Q^T are [normal (k); tangent]: with
+    M = Q^T H_s Q, the tangent step y solves
     (M_tt + B^T D B) y = -(Q^T (g_s + A_ineq^T / s))_t, B = (A_ineq Q)_t.
     """
     m, k = cons.n_ineq, cons.n_eq
+    slacks = np.asarray(slacks, dtype=float).ravel()
+    if slacks.size != m:
+        raise DomainViolation(f"expected {m} slacks, got {slacks.size}")
+    if m and slacks.min() <= 0.0:
+        raise DomainViolation("inequality slacks must be strictly positive")
     grad = bundle.gradient
     d = grad.size
     inv_s = 1.0 / slacks
@@ -259,23 +264,8 @@ def _reduced_newton_step(bundle, slacks: np.ndarray, cons: AffineConstraints) ->
     )
 
 
-def newton_step_type1(bundle, slacks, cons: AffineConstraints) -> NewtonStep:
-    """Newton direction for mixed inequality/equality trace constraints.
-
-    ``bundle`` holds gradient and Hessian of the X-block of F_beta;
-    ``slacks`` the strictly positive slack values of the inequality rows.
-    """
-    m = cons.n_ineq
-    slacks = np.asarray(slacks, dtype=float).ravel()
-    if slacks.size != m:
-        raise DomainViolation(f"expected {m} slacks, got {slacks.size}")
-    if m and slacks.min() <= 0.0:
-        raise DomainViolation("inequality slacks must be strictly positive")
-    return _reduced_newton_step(bundle, slacks, cons)
-
-
 def newton_step_type2(bundle, cons: AffineConstraints) -> NewtonStep:
     """Newton direction with equality constraints only (no slack block)."""
     if cons.n_ineq != 0:
         raise ConstraintError("structure-II steps take equality constraints only")
-    return _reduced_newton_step(bundle, np.zeros(0), cons)
+    return newton_step_type1(bundle, np.zeros(0), cons)

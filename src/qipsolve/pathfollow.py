@@ -41,15 +41,17 @@ map, on L(X); inequality rows add one log per slack. F_beta is
 evaluated in two modes: the value alone at a line-search trial, and
 value, gradient and Hessian at a Newton iterate. Each evaluation reads
 the evaluation point (``objectives.EvalPoint``) of its X, which
-decomposes X and each map image once, and the iterate owns its point:
-the line search's value at alpha = 0 reads the decompositions of the
-Hessian evaluation there, and the line search hands back the trial it
-accepts, whose point becomes the next iterate's with the decompositions
-its value test made. A Hessian evaluation keeps its unscaled per-term
-derivatives on its point, and since H_beta = beta H_f + H_B, a
-centering that starts where the previous one stopped recombines them at
-the new beta instead of evaluating anew; an evaluation at another point
-takes nothing from the iterate's. A solve thus makes one Hessian
+decomposes X and each map image once. The iterate is its point: its
+slacks are b - A(X), read from X once per step, and a trial's value
+test reads the slacks of the trial's own X. The line search's value at
+alpha = 0 reads the decompositions of the Hessian evaluation there, and
+the line search hands back the point of the trial it accepts, which
+becomes the next iterate with the decompositions its value test made.
+A Hessian evaluation keeps its unscaled per-term derivatives on its
+point, and since H_beta = beta H_f + H_B, a centering that starts where
+the previous one stopped recombines them at the new beta instead of
+evaluating anew; an evaluation at another point takes nothing from the
+iterate's. A solve thus makes one Hessian
 evaluation per Newton step plus one at the start. Every bundle is on the
 svec coordinates of X's eigenbasis U, which the point holds
 (``objectives``); the Newton system is solved in them (``kkt``), and the
@@ -156,24 +158,16 @@ class SolveReport:
 
 
 @dataclass(eq=False)
-class _State:
-    """An iterate: the EvalPoint of X, which holds X, and the inequality slacks."""
-
-    point: EvalPoint
-    slacks: np.ndarray
-
-
-@dataclass(eq=False)
 class _Run:
     """A solve's progress, which ``center`` updates step by step.
 
-    The iterate, the Newton steps of each centering (the last one counts
-    the steps of the centering in progress), one (beta, delta) pair per
+    The iterate's point, the Newton steps of each centering (the last one
+    counts the steps of the centering in progress), one (beta, delta) pair per
     computed decrement, one gap certificate per finished centering, and
     the largest Schur condition so far.
     """
 
-    state: _State
+    point: EvalPoint
     steps: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
@@ -244,8 +238,8 @@ class FBetaEvaluator:
         return v
 
 
-def _refresh_slacks(problem: ProblemSpec, x) -> np.ndarray:
-    """b_i - <A_i, X> on the inequality rows."""
+def _slacks(problem: ProblemSpec, x) -> np.ndarray:
+    """b_i - <A_i, X> on the inequality rows, the slacks of the iterate or trial X."""
     cons = problem.constraints
     m = cons.n_ineq
     return cons.rhs[:m] - cons.svec_rows[:m] @ svec(x)
@@ -287,7 +281,8 @@ def cone_step_bound(p_tilde: np.ndarray, lam: np.ndarray) -> float:
     return math.inf
 
 
-def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator) -> float:
+def max_feasible_step(point: EvalPoint, slacks: np.ndarray, step: NewtonStep,
+                      evaluator: FBetaEvaluator) -> float:
     """Largest alpha keeping X (and slacks, and mapped cones) in the open cone.
 
     Each cone's bound reads the decomposition of its image at X from the
@@ -296,15 +291,14 @@ def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator
     """
     bounds = [math.inf]
     p = step.direction_X
-    point = state.point
     if np.linalg.norm(p) > 0:
         _, dec = point.pd_image("iterate X")
         bounds.append(cone_step_bound(dec.U.T @ p @ dec.U, dec.lam))
-    if state.slacks.size:
+    if slacks.size:
         q = step.direction_slack
         neg = q < 0
         if np.any(neg):
-            bounds.append(float(np.min(state.slacks[neg] / -q[neg])))
+            bounds.append(float(np.min(slacks[neg] / -q[neg])))
     lmap = evaluator.problem.constraint_map
     if lmap is not None:
         yp = lmap.apply(p)
@@ -314,28 +308,30 @@ def max_feasible_step(state: _State, step: NewtonStep, evaluator: FBetaEvaluator
     return min(bounds)
 
 
-def line_search(state: _State, step: NewtonStep, beta: float,
-                evaluator: FBetaEvaluator) -> tuple[float, _State]:
+def line_search(point: EvalPoint, slacks: np.ndarray, step: NewtonStep, beta: float,
+                evaluator: FBetaEvaluator) -> tuple[float, EvalPoint]:
     """Backtrack from min(1, fraction * alpha_max) until F_beta decreases.
 
-    The only acceptance rule is a value decrease: the first trial step at
-    which F_beta is below its value at alpha = 0 is returned, as alpha and
-    the trial state, whose point keeps the decompositions of its value
-    test; if none of LS_MAX_BACKTRACKS trials is, LineSearchFailure is
-    raised. There is no slope fallback. ``center`` calls this only outside
-    the band in which self-concordance certifies the full step (module
-    docstring), where the value noise of F_beta at large beta used to
-    defeat the test.
+    ``point`` is the iterate's and ``slacks`` its slacks. Each trial's
+    value test reads the slacks of the trial's own X (``_slacks``), as the
+    next iterate would. The only acceptance rule is a value decrease: the
+    first trial step at which F_beta is below its value at alpha = 0 is
+    returned, as alpha and the trial's point, which keeps the
+    decompositions of its value test; if none of LS_MAX_BACKTRACKS trials
+    is, LineSearchFailure is raised. There is no slope fallback. ``center``
+    calls this only outside the band in which self-concordance certifies
+    the full step (module docstring), where the value noise of F_beta at
+    large beta used to defeat the test.
     """
-    f0 = evaluator.value(state.point, state.slacks, beta)
+    problem = evaluator.problem
+    f0 = evaluator.value(point, slacks, beta)
     if not math.isfinite(f0):
         raise DomainViolation("line search started outside the domain")
-    amax = max_feasible_step(state, step, evaluator)
+    amax = max_feasible_step(point, slacks, step, evaluator)
     alpha = min(1.0, LS_BOUNDARY_FRACTION * amax)
     for _ in range(LS_MAX_BACKTRACKS):
-        trial = _State(EvalPoint(symmetrize(state.point.x + alpha * step.direction_X)),
-                       state.slacks + alpha * step.direction_slack)
-        if evaluator.value(trial.point, trial.slacks, beta) < f0:
+        trial = EvalPoint(symmetrize(point.x + alpha * step.direction_X))
+        if evaluator.value(trial, _slacks(problem, trial.x), beta) < f0:
             return alpha, trial
         alpha *= LS_SHRINK
     raise LineSearchFailure(
@@ -350,7 +346,7 @@ def certified_full_step(evaluator: FBetaEvaluator, delta: float) -> bool:
 
 def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
            target: float | None = None, callback=None) -> None:
-    """Newton-iterate ``run.state`` at fixed beta until the decrement gate passes.
+    """Newton-iterate ``run.point`` at fixed beta until the decrement gate passes.
 
     Opens a step count on ``run.steps`` and, as it goes, records every
     computed decrement (gate value included) as a (beta, delta) pair on
@@ -361,32 +357,33 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
     before the line search. A step inside the self-concordance band
     (``certified_full_step``) is taken whole, with no line search, to a new
     point; every other one is line-searched, and the new iterate adopts the
-    accepted trial's point. Either way its slacks are recomputed from its
-    X. When a QipError is raised, ``run`` holds the last iterate reached
-    and counts the steps taken (with a callback, exactly those it was given).
+    accepted trial's point. The iterate is its point alone: each step reads
+    its slacks from its X once (``_slacks``) for the Newton system, the
+    slope and the line search. When a QipError is raised, ``run`` holds
+    the last iterate reached and counts the steps taken (with a callback,
+    exactly those it was given).
     """
     target = DELTA_STAR if target is None else target
     problem = evaluator.problem
     run.steps.append(0)
     for _ in range(max_steps):
-        state = run.state
-        bundle = evaluator.hessian_bundle(state.point, beta)
+        point = run.point
+        slacks = _slacks(problem, point.x)
+        bundle = evaluator.hessian_bundle(point, beta)
         # with no inequality rows there are no slacks: the structure-II step
-        step = newton_step_type1(bundle, state.slacks, problem.constraints)
+        step = newton_step_type1(bundle, slacks, problem.constraints)
         run.max_cond = max(run.max_cond, step.schur_condition)
         run.trace.append((beta, step.decrement))
         if step.decrement <= target:
             return
-        slope = directional_derivative(bundle, state.slacks, step)
+        slope = directional_derivative(bundle, slacks, step)
         if slope >= 0.0:
             raise SingularKKT(f"Newton direction is not a descent direction: "
                               f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
         if certified_full_step(evaluator, step.decrement):
-            alpha, point = 1.0, EvalPoint(symmetrize(state.point.x + step.direction_X))
+            alpha, new = 1.0, EvalPoint(symmetrize(point.x + step.direction_X))
         else:
-            alpha, trial = line_search(state, step, beta, evaluator)
-            point = trial.point
-        new_state = _State(point, _refresh_slacks(problem, point.x))
+            alpha, new = line_search(point, slacks, step, beta, evaluator)
         if callback is not None:
             # before the step is committed: an error raised while the
             # record is built leaves uncounted a step no callback saw
@@ -394,18 +391,21 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
                 "beta": beta,
                 "delta": step.decrement,
                 "alpha": alpha,
-                "f": problem.objective_at(point),
-                "feas_residual": _feas_residual(problem, new_state),
-                "x": point.x,
+                "f": problem.objective_at(new),
+                "feas_residual": _feas_residual(problem, new.x),
+                "x": new.x,
             })
-        run.state = new_state
+        run.point = new
         run.steps[-1] += 1
     raise IterCap(f"centering at beta={beta:.3e} reached the cap of {max_steps} Newton steps")
 
 
-def _feas_residual(problem: ProblemSpec, state: _State) -> float:
-    res = problem.constraints.residuals(state.point.x, state.slacks if state.slacks.size else None)
-    return float(np.abs(res / (1.0 + np.abs(problem.constraints.rhs))).max())
+def _feas_residual(problem: ProblemSpec, x) -> float:
+    """Largest scaled equality residual; slacks b - A(X) leave none on inequality rows."""
+    cons = problem.constraints
+    m = cons.n_ineq
+    res = cons.residuals(x)[m:] / (1.0 + np.abs(cons.rhs[m:]))
+    return float(np.abs(res).max(initial=0.0))
 
 
 def proximity_gap_bound(delta: float, beta: float, r: float, kappa: float) -> float:
@@ -426,16 +426,14 @@ def iteration_bound(config: SolverConfig, r: float):
     return per_outer, total
 
 
-def solve(problem: ProblemSpec, start: np.ndarray | None = None,
-          config: SolverConfig | None = None, callback=None,
+def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=None,
           include_barrier: bool = True) -> SolveReport:
     """Run the full path-following scheme and return a SolveReport.
 
-    The start (given or taken from the problem) must be strictly
-    feasible; a damped-Newton phase at beta0 performs the initial
-    centering. Each centering may take at most the theory's per-outer
-    cap of Newton steps (``iteration_bound``); one that reaches it ends
-    the run with an IterCap report. Any other QipError raised while
+    The problem's start must be strictly feasible; a damped-Newton phase
+    at beta0 performs the initial centering. Each centering may take at
+    most the theory's per-outer cap of Newton steps (``iteration_bound``);
+    one that reaches it ends the run with an IterCap report. Any other QipError raised while
     centering re-raises with the phase and a NumericalFailure report
     attached; like an IterCap report, it is built at the iterate where
     centering stopped, not at the last centered point, and counts the
@@ -448,7 +446,7 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
                          "(relative-entropy objectives); trace objectives need the "
                          "-ln det X barrier")
     config = config or SolverConfig()
-    x0 = problem.start if start is None else np.asarray(start, dtype=float)
+    x0 = problem.start
     if x0 is None:
         raise InfeasibleStart("no starting point supplied")
     x0 = symmetrize(x0)
@@ -459,10 +457,10 @@ def solve(problem: ProblemSpec, start: np.ndarray | None = None,
     r = barrier_parameter(problem)
     caps = iteration_bound(config, r)
     evaluator = FBetaEvaluator(problem, include_barrier=include_barrier)
-    run = _Run(_State(EvalPoint(x0), _refresh_slacks(problem, x0)))
+    run = _Run(EvalPoint(x0))
 
     t_start = time.perf_counter()
-    f_start = problem.objective_at(run.state.point)
+    f_start = problem.objective_at(run.point)
     beta_stop = 4.0 * r / config.epsilon
     termination = "Converged"
     failure = None
@@ -506,8 +504,8 @@ def _build_report(problem, run, config, caps, beta, r, f_start, wall, terminatio
     cfg = {**asdict(config), "kappa": KAPPA, "barrier_param_r": r,
            "include_barrier": include_barrier}
     return SolveReport(
-        f_min=problem.objective_at(run.state.point),
-        X_star=run.state.point.x,
+        f_min=problem.objective_at(run.point),
+        X_star=run.point.x,
         outer_iters=len(run.steps),
         inner_iters_per_outer=list(run.steps),
         total_newton=total,
@@ -519,7 +517,7 @@ def _build_report(problem, run, config, caps, beta, r, f_start, wall, terminatio
         barrier_param_r=r,
         gap_certificates=run.gaps,
         f_start=f_start,
-        feas_residual=_feas_residual(problem, run.state),
+        feas_residual=_feas_residual(problem, run.point.x),
         schur_condition_max=run.max_cond,
         heuristic_no_barrier=not include_barrier,
         name=problem.name,

@@ -3,14 +3,19 @@
 A problem is an objective term list, affine trace rows (inequalities
 first) and an optional constraint map L whose output must stay PSD and
 receives its own log-det barrier. The solver reads its structure from
-these data alone; the ``kind`` label names one of three families for
-the file format, generation and validation:
+these data alone. The ``kind`` and ``dims`` of a problem are read from
+the same data (``ProblemSpec.kind``, ``ProblemSpec.dims``); the kind
+names one of three families for the file format, generation and
+validation:
 
 * ``type1``  - trace objective, mixed inequality/equality trace constraints,
   PSD cone on X (slack reformulation handled by the solver),
 * ``type2``  - trace objective(s) plus the constraint map,
 * ``qkd``    - quantum relative entropy of two Kraus maps (one
   ``QreObjective`` term) under equality constraints.
+
+A problem file names its kind, which picks the parser, and must name the
+kind of the data it holds.
 
 Problems round-trip through a single JSON document (row-major matrices,
 decimal floats); generation is a pure function of (kind, dims, seed) and
@@ -53,7 +58,6 @@ FEAS_MARGIN = 1e-8
 class ProblemSpec:
     """A fully specified optimization instance plus optional starting point."""
 
-    kind: str
     constraints: AffineConstraints
     terms: list = field(default_factory=list)
     offset: float = 0.0
@@ -61,15 +65,33 @@ class ProblemSpec:
     start: np.ndarray | None = None
     name: str = ""
     seed: int | None = None
-    dims: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.constraints.order
 
-    def objective_value(self, x: np.ndarray) -> float:
-        """The reported objective f(X), including any constant offset."""
-        return self.objective_at(EvalPoint(x))
+    @property
+    def kind(self) -> str:
+        """qkd with a relative-entropy term, else type2 with a constraint map, else type1."""
+        if any(isinstance(t, QreObjective) for t in self.terms):
+            return "qkd"
+        return "type1" if self.constraint_map is None else "type2"
+
+    @property
+    def dims(self) -> dict:
+        """The sizes read from the data: n; m, the inequality rows of type1
+        and the equality rows otherwise; N, all rows; k, the output order of
+        the map (L1 for qkd); r1 and r2, the Kraus ranks (None if not Kraus).
+        """
+        cons, kind = self.constraints, self.kind
+        if kind == "qkd":
+            maps = (self.terms[0].l1, self.terms[0].l2)
+        else:
+            maps = (self.constraint_map, None)
+        ranks = [len(lm.factors) if isinstance(lm, KrausMap) else None for lm in maps]
+        return {"n": self.n, "k": None if maps[0] is None else maps[0].out_order,
+                "m": cons.n_ineq if kind == "type1" else cons.n_eq, "N": cons.n_total,
+                "r1": ranks[0], "r2": ranks[1]}
 
     def objective_at(self, point: EvalPoint) -> float:
         """f at the X of ``point``, from the decompositions it holds."""
@@ -120,8 +142,6 @@ def feasibility_violations(problem: ProblemSpec, x: np.ndarray, margin: float = 
 
 def validate_problem(problem: ProblemSpec) -> None:
     """Raise ValidationError on any invariant violation."""
-    if problem.kind not in ("type1", "type2", "qkd"):
-        raise ValidationError(f"unknown problem kind {problem.kind!r}")
     if problem.kind == "qkd":
         if len(problem.terms) != 1 or not isinstance(problem.terms[0], QreObjective):
             raise ValidationError("qkd problem takes exactly one relative-entropy term")
@@ -146,13 +166,9 @@ def validate_problem(problem: ProblemSpec) -> None:
                 raise ValidationError(f"{problem.kind} problems take trace objectives only")
             if t.input_order() != problem.n:
                 raise ValidationError("objective term order does not match the constraints")
-        if problem.kind == "type2":
-            if problem.constraint_map is None:
-                raise ValidationError("type2 problem is missing its constraint map")
-            if problem.constraint_map.in_order != problem.n:
-                raise ValidationError("constraint map order does not match the constraints")
-        elif problem.constraint_map is not None:
-            raise ValidationError("type1 problems take no constraint map")
+        lmap = problem.constraint_map
+        if lmap is not None and lmap.in_order != problem.n:
+            raise ValidationError("constraint map order does not match the constraints")
     if problem.start is not None:
         bad = feasibility_violations(problem, problem.start)
         if bad:
@@ -264,13 +280,11 @@ def generate_random(kind: str, dims: dict, seed: int) -> ProblemSpec:
         cons = _build_constraints(rng, n, x0, m, n_total - m - 1)
         c = _random_psd_weight(rng, n)
         spec = ProblemSpec(
-            kind="type1",
             constraints=cons,
             terms=[TraceObjective(c, gen)],
             start=x0,
             seed=seed,
             name=f"random-type1-n{n}-seed{seed}",
-            dims={"n": n, "k": None, "m": m, "N": n_total, "r1": None, "r2": None},
         )
     elif kind == "type2":
         m = int(dims.get("m", 1))
@@ -293,7 +307,6 @@ def generate_random(kind: str, dims: dict, seed: int) -> ProblemSpec:
         cons = _build_constraints(rng, n, x0, 0, max(0, m - 1))
         c = _random_psd_weight(rng, n)
         spec = ProblemSpec(
-            kind="type2",
             constraints=cons,
             terms=[TraceObjective(c, generator_from_name("neg_log"))],
             offset=float(np.sum(_entropy_weights(c))),
@@ -301,7 +314,6 @@ def generate_random(kind: str, dims: dict, seed: int) -> ProblemSpec:
             start=x0,
             seed=seed,
             name=f"random-type2-n{n}-seed{seed}",
-            dims={"n": n, "k": n, "m": m, "N": cons.n_total, "r1": None, "r2": None},
         )
     elif kind == "qkd":
         k = int(dims.get("k") or 2 * n)
@@ -313,13 +325,11 @@ def generate_random(kind: str, dims: dict, seed: int) -> ProblemSpec:
         x0 = _random_interior_density(rng, n)
         cons = _build_constraints(rng, n, x0, 0, max(0, m - 1))
         spec = ProblemSpec(
-            kind="qkd",
             constraints=cons,
             terms=[QreObjective(l1, l2)],
             start=x0,
             seed=seed,
             name=f"random-qkd-n{n}-seed{seed}",
-            dims={"n": n, "k": k, "m": m, "N": cons.n_total, "r1": r1, "r2": r2},
         )
     else:
         raise ShapeError(f"unknown problem kind {kind!r}")
@@ -350,13 +360,11 @@ def build_named(name: str) -> ProblemSpec:
         n = int(m.group(1))
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         return ProblemSpec(
-            kind="type1",
             constraints=cons,
             terms=[TraceObjective(np.eye(n), generator_from_name("inverse"))],
             start=np.eye(n) / n,
             name=name,
             seed=0,
-            dims={"n": n, "k": None, "m": 0, "N": 1, "r1": None, "r2": None},
         )
 
     m = re.fullmatch(r"ree-(\d+)x(\d+)", name)
@@ -374,7 +382,6 @@ def build_named(name: str) -> ProblemSpec:
         c = symmetrize(c / np.trace(c))
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         return ProblemSpec(
-            kind="type2",
             constraints=cons,
             terms=[TraceObjective(c, generator_from_name("neg_log"))],
             offset=float(np.sum(_entropy_weights(c))),
@@ -382,7 +389,6 @@ def build_named(name: str) -> ProblemSpec:
             start=np.eye(n) / n,
             name=name,
             seed=0,
-            dims={"n": n, "k": n, "m": 1, "N": 1, "r1": None, "r2": None},
         )
 
     m = re.fullmatch(r"fidelity-n(\d+)", name)
@@ -397,27 +403,23 @@ def build_named(name: str) -> ProblemSpec:
         lmap = KrausMap([y_half])
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         return ProblemSpec(
-            kind="type2",
             constraints=cons,
             terms=[TraceObjective(np.eye(n), generator_from_name("neg_sqrt"), map=lmap)],
             constraint_map=lmap,
             start=np.eye(n) / n,
             name=name,
             seed=0,
-            dims={"n": n, "k": n, "m": 1, "N": 1, "r1": 1, "r2": None},
         )
 
     if name == "qkd-toy":
         n = 2
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         return ProblemSpec(
-            kind="qkd",
             constraints=cons,
             terms=[QreObjective(identity_map(n), pinching_map([np.eye(n)]))],
             start=np.eye(n) / n,
             name=name,
             seed=0,
-            dims={"n": n, "k": n, "m": 1, "N": 1, "r1": 1, "r2": 1},
         )
 
     m = re.fullmatch(r"qkd-n(\d+)", name)
@@ -430,13 +432,11 @@ def build_named(name: str) -> ProblemSpec:
         x0 = _random_interior_density(rng, n)
         cons = _build_constraints(rng, n, x0, 0, max(0, n // 2 - 1))
         spec = ProblemSpec(
-            kind="qkd",
             constraints=cons,
             terms=[QreObjective(l1, l2)],
             start=x0,
             name=name,
             seed=0,
-            dims={"n": n, "k": k, "m": n // 2, "N": cons.n_total, "r1": 2, "r2": 4},
         )
         validate_problem(spec)
         return spec
@@ -538,21 +538,18 @@ def from_dict(doc: dict) -> ProblemSpec:
         l1 = KrausMap([np.asarray(f, dtype=float) for f in _require(kraus, "L1", "kraus")])
         l2 = KrausMap([np.asarray(f, dtype=float) for f in _require(kraus, "L2", "kraus")])
         spec = ProblemSpec(
-            kind="qkd",
             constraints=cons,
             terms=[QreObjective(l1, l2, eps_pert=float(obj.get("epsilon_perturb", 1e-12)))],
             offset=float(obj.get("offset", 0.0)),
             start=start_mat,
             name=doc.get("name", ""),
             seed=doc.get("seed"),
-            dims=doc.get("dims", {}),
         )
     elif kind in ("type1", "type2"):
         c = _load_sym(_require(doc, "C", "top level"), "weight C")
         gen = generator_from_name(_require(obj, "generator", "objective"), obj.get("alpha"))
         term_map = _map_from_dict(obj.get("term_map"), "objective.term_map")
         spec = ProblemSpec(
-            kind=kind,
             constraints=cons,
             terms=[TraceObjective(c, gen, map=term_map)],
             offset=float(obj.get("offset", 0.0)),
@@ -560,11 +557,11 @@ def from_dict(doc: dict) -> ProblemSpec:
             start=start_mat,
             name=doc.get("name", ""),
             seed=doc.get("seed"),
-            dims=doc.get("dims", {}),
         )
     else:
         raise ParseError(f"unknown problem kind {kind!r}", "top level")
-
+    if spec.kind != kind:
+        raise ValidationError(f"file kind {kind!r} does not match its data, a {spec.kind} problem")
     validate_problem(spec)
     return spec
 

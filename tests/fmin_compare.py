@@ -11,13 +11,15 @@ compares two such records:
 at seeds 1 and 2, as ``perfbench/workloads.py`` builds them, with one
 BLAS thread and the default ``SolverConfig``. For each it writes
 ``f_min`` (as ``float.hex``), the termination (or the name of the
-QipError raised), ``total_newton`` and ``schur_condition_max``. It
+QipError raised), ``total_newton``, ``schur_condition_max`` and the
+SHA-256 of the instance's problem document,
+``json.dumps(probio.to_dict(spec), sort_keys=True)``. It
 solves with the checkout it lives in: to record another revision, run
 that revision's copy of this file (or a copy placed in that checkout).
 It takes about a minute.
 
-``--compare`` exits 1 when an instance's termination changed, or when
-|f_A - f_B| / (1 + |f_A|) exceeds 1e-10. It prints the worst drift per
+``--compare`` exits 1 when an instance's termination or problem-document
+hash changed, or when |f_A - f_B| / (1 + |f_A|) exceeds 1e-10. It prints the worst drift per
 workload and every change in the Newton count; a changed count alone is
 reported, not failed. Plain relative error would mean nothing here,
 since the type2 optima are about 1e-16. It also lists every instance
@@ -29,8 +31,9 @@ n = 32). A moved condition alone is reported, not failed.
 
 CI runs it on every pull request, on the one-BLAS-thread leg only: it
 dumps the base branch (with this copy of the file) and the change on the
-same runner, and ``--compare`` fails the job on a changed termination
-or an ``f_min`` drift above 1e-10. Both dumps come from one machine and
+same runner, and ``--compare`` fails the job on a changed termination,
+a changed problem document or an ``f_min`` drift above 1e-10, so the job
+also guards the problem-file format. Both dumps come from one machine and
 one BLAS build; across builds, or thread counts, ``f_min`` moves by tens
 of 1e-12 on its own. The file name keeps it out of pytest's collection.
 """
@@ -38,6 +41,7 @@ of 1e-12 on its own. The file name keeps it out of pytest's collection.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -51,6 +55,7 @@ bench_env.pin_blas_threads()
 bench_env.import_program()
 
 import workloads  # noqa: E402
+from qipsolve import probio  # noqa: E402
 from qipsolve.errors import QipError  # noqa: E402
 from qipsolve.pathfollow import SolverConfig, solve  # noqa: E402
 
@@ -60,7 +65,9 @@ CONDITION_MOVE = 10.0
 
 
 def record(workload: str, seed: int, label: str, spec, config) -> dict:
-    """One instance's result: f_min as hex (None without a report), termination, count."""
+    """One instance's result: f_min as hex (None without a report), termination,
+    count, and the hash of its problem document."""
+    doc = json.dumps(probio.to_dict(spec), sort_keys=True)
     try:
         report = solve(spec, config=config)
         termination = report.termination
@@ -74,6 +81,7 @@ def record(workload: str, seed: int, label: str, spec, config) -> dict:
         "termination": termination,
         "total_newton": None if report is None else report.total_newton,
         "schur_condition_max": None if report is None else report.schur_condition_max,
+        "problem_sha256": hashlib.sha256(doc.encode()).hexdigest(),
     }
 
 
@@ -120,6 +128,8 @@ def compare(path_a: Path, path_b: Path) -> int:
             worst[name] = (d, label)
         if a["termination"] != b["termination"]:
             failures.append(f"{label}: termination {a['termination']} -> {b['termination']}")
+        if a.get("problem_sha256") != b.get("problem_sha256"):
+            failures.append(f"{label}: problem document hash changed")
         if not d <= MAX_DRIFT:
             failures.append(f"{label}: f_min drift {d:.3e} > {MAX_DRIFT:g}")
         if a["total_newton"] != b["total_newton"]:

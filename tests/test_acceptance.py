@@ -145,7 +145,7 @@ def test_criterion_06_compatibility_inequality():
 
 
 def test_criterion_07_quadratic_centering():
-    from qipsolve.pathfollow import FBetaEvaluator, _Run, _State, center
+    from qipsolve.pathfollow import FBetaEvaluator, _Run, center
 
     pairs = []
     for seed in (9, 21):
@@ -154,7 +154,7 @@ def test_criterion_07_quadratic_centering():
         for point_seed in range(6):
             prng = np.random.default_rng(point_seed)
             x = probio.random_feasible_point(problem, prng, scale=0.5)
-            run = _Run(_State(EvalPoint(x), np.zeros(0)))
+            run = _Run(EvalPoint(x))
             center(run, 4.0, ev, 500, target=1e-7)
             deltas = [d for _, d in run.trace]
             pairs.extend(zip(deltas, deltas[1:]))

@@ -230,3 +230,12 @@ class TestBench:
             assert row["wall_s"] > 0.0 and row["outer_iters"] >= 1
             assert row["total_newton"] == int(cells[4])  # the table's nNewton
             assert row["f_min"] == pytest.approx(float(cells[3]), rel=1e-5)
+
+    @pytest.mark.parametrize("eps", ["nan", "0"])
+    def test_invalid_eps_exits_2(self, capsys, eps):
+        # as for solve: the configuration's message, no traceback
+        code, out, err = run(capsys, "bench", "--suite", "table1", "--sizes", "4",
+                             "--eps", eps)
+        assert code == 2
+        assert err.startswith("bench: ") and "epsilon" in err
+        assert out == ""

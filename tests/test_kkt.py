@@ -14,7 +14,7 @@ from qipsolve.kkt import (
 from qipsolve.matfun import INVERSE, symmetrize, unsvec, vec
 from qipsolve.objectives import DerivativeBundle, EvalPoint, TraceObjective, composite_eval
 from qipsolve.oracle import eigen_rotation, fixed_coordinates, sym_isometry
-from qipsolve.pathfollow import FBetaEvaluator, _refresh_slacks
+from qipsolve.pathfollow import FBetaEvaluator, _slacks
 
 
 def type1_setup(rng, n=5, m=2, n_total=4, seed=11):
@@ -62,7 +62,7 @@ class TestAffineConstraints:
             scale += np.abs(cons.rhs)
             resid = cons.residuals(x)
             assert np.all(np.abs(resid - (dots - cons.rhs)) <= 1e-14 * scale)
-            slacks = _refresh_slacks(problem, x)
+            slacks = _slacks(problem, x)
             assert slacks.shape == (m,)
             assert np.all(np.abs(slacks - (cons.rhs[:m] - dots[:m])) <= 1e-14 * scale[:m])
 

@@ -169,4 +169,4 @@ class TestDerivativeAudit:
         b = problem_bundle(problem, x, want_hessian=False)
         assert b.gradient is None and b.hessian is None
         assert b.value == problem_bundle(problem, x).value
-        assert b.value == pytest.approx(problem.objective_value(x))
+        assert b.value == pytest.approx(problem.objective_at(EvalPoint(x)))

@@ -31,9 +31,8 @@ from qipsolve.oracle import (
 from qipsolve.pathfollow import (
     FBetaEvaluator,
     SolverConfig,
-    _refresh_slacks,
     _Run,
-    _State,
+    _slacks,
     center,
     cone_step_bound,
     iteration_bound,
@@ -63,12 +62,12 @@ def fake_step(direction, slack=None):
 
 
 def type1_point(rng):
-    """Evaluator and a random strictly feasible state of a small type1 instance."""
+    """Evaluator, a random strictly feasible point and its slacks of a small type1 instance."""
     problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=3)
     x = probio.random_feasible_point(problem, rng)
     cons = problem.constraints
     slacks = cons.rhs[:2] - np.array([np.tensordot(a, x) for a in cons.mats[:2]])
-    return FBetaEvaluator(problem), _State(EvalPoint(x), slacks)
+    return FBetaEvaluator(problem), EvalPoint(x), slacks
 
 
 class TestMaxFeasibleStep:
@@ -77,7 +76,7 @@ class TestMaxFeasibleStep:
         ev = FBetaEvaluator(problem)
         g = rng.standard_normal((4, 4))
         x = symmetrize(g @ g.T + 0.3 * np.eye(4))
-        a = max_feasible_step(_State(EvalPoint(x), np.zeros(0)), fake_step(-x), ev)
+        a = max_feasible_step(EvalPoint(x), np.zeros(0), fake_step(-x), ev)
         assert a == pytest.approx(1.0, rel=1e-10)
 
     def test_psd_direction_is_unbounded(self, rng):
@@ -86,14 +85,14 @@ class TestMaxFeasibleStep:
         g = rng.standard_normal((4, 4))
         x = symmetrize(g @ g.T + 0.3 * np.eye(4))
         p = symmetrize(g @ g.T)  # PSD step
-        assert max_feasible_step(_State(EvalPoint(x), np.zeros(0)), fake_step(p), ev) == math.inf
+        assert max_feasible_step(EvalPoint(x), np.zeros(0), fake_step(p), ev) == math.inf
 
     def test_slack_boundary(self, rng):
         problem = probio.generate_random("type1", {"n": 3, "m": 2, "N": 3}, seed=5)
         ev = FBetaEvaluator(problem)
-        state = _State(EvalPoint(np.eye(3) * 10), np.array([0.5, 2.0]))
         step = fake_step(np.zeros((3, 3)), slack=np.array([-1.0, -1.0]))
-        assert max_feasible_step(state, step, ev) == pytest.approx(0.5)
+        bound = max_feasible_step(EvalPoint(np.eye(3) * 10), np.array([0.5, 2.0]), step, ev)
+        assert bound == pytest.approx(0.5)
 
 
     def test_failed_generalized_eigenproblem_raises(self, rng):
@@ -102,7 +101,7 @@ class TestMaxFeasibleStep:
         problem = probio.build_named("trace-inverse-n4")
         x = -np.eye(4)
         with pytest.raises(DomainViolation, match="iterate X must be positive definite"):
-            max_feasible_step(_State(EvalPoint(x), np.zeros(0)), fake_step(symmetrize(
+            max_feasible_step(EvalPoint(x), np.zeros(0), fake_step(symmetrize(
                 rng.standard_normal((4, 4)))), FBetaEvaluator(problem))
 
     @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
@@ -135,13 +134,13 @@ class TestMaxFeasibleStep:
         for p, y in cases:
             dec = spectral_decompose(y)
             assert_same_bound(cone_step_bound(dec.U.T @ p @ dec.U, dec.lam), scipy_bound(p, y))
-        slacks = _refresh_slacks(problem, x)
+        slacks = _slacks(problem, x)
         step = newton_step_type1(ev.x_bundle(EvalPoint(x), 2.0), slacks, problem.constraints)
         bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
         neg = step.direction_slack < 0
         if np.any(neg):
             bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
-        assert_same_bound(max_feasible_step(_State(EvalPoint(x), slacks), step, ev), min(bounds))
+        assert_same_bound(max_feasible_step(EvalPoint(x), slacks, step, ev), min(bounds))
 
     @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
                                             ("type2", {"n": 4, "m": 1})])
@@ -173,49 +172,56 @@ class TestMaxFeasibleStep:
             dec = spectral_decompose(y)
             assert cone_step_bound(dec.U.T @ p @ dec.U, dec.lam) == scipy_bound(p, y)
         assert scipy_bound(*cases[-1]) == math.inf
-        slacks = _refresh_slacks(problem, x)
+        slacks = _slacks(problem, x)
         step = newton_step_type1(ev.x_bundle(EvalPoint(x), 2.0), slacks, problem.constraints)
         bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
         neg = step.direction_slack < 0
         if np.any(neg):
             bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
-        assert max_feasible_step(_State(EvalPoint(x), slacks), step, ev) == min(bounds)
+        assert max_feasible_step(EvalPoint(x), slacks, step, ev) == min(bounds)
 
 
 class TestLineSearch:
-    def test_strict_decrease_on_newton_step(self, rng):
-        problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=3)
-        ev = FBetaEvaluator(problem)
-        x = probio.random_feasible_point(problem, rng)
-        cons = problem.constraints
-        slacks = cons.rhs[:2] - np.array([np.tensordot(a, x) for a in cons.mats[:2]])
-        state = _State(EvalPoint(x), slacks)
+    def test_strict_decrease_on_newton_step(self, rng, monkeypatch):
+        ev, point, slacks = type1_point(rng)
+        problem = ev.problem
         beta = 2.0
-        bundle = ev.x_bundle(state.point, beta)
-        step = newton_step_type1(bundle, state.slacks, cons)
-        alpha, trial = line_search(state, step, beta, ev)
+        step = newton_step_type1(ev.x_bundle(point, beta), slacks, problem.constraints)
+        real_value = ev.value
+        tested = []
+
+        def recorded(p, s, b):
+            tested.append((p, s))
+            return real_value(p, s, b)
+
+        monkeypatch.setattr(ev, "value", recorded)
+        alpha, trial = line_search(point, slacks, step, beta, ev)
+        monkeypatch.undo()
         assert 0.0 < alpha <= 1.0
-        f0 = ev.value(state.point, state.slacks, beta)
-        f1 = ev.value(EvalPoint(symmetrize(x + alpha * step.direction_X)),
-                      slacks + alpha * step.direction_slack, beta)
+        new_x = symmetrize(point.x + alpha * step.direction_X)
+        f0 = ev.value(point, slacks, beta)
+        f1 = ev.value(EvalPoint(new_x), _slacks(problem, new_x), beta)
         assert f1 < f0
         # the accepted trial is that step, and its point holds its X
-        assert np.array_equal(trial.point.x, symmetrize(x + alpha * step.direction_X))
-        assert np.array_equal(trial.slacks, slacks + alpha * step.direction_slack)
-        assert ev.value(trial.point, trial.slacks, beta) == f1
+        assert np.array_equal(trial.x, new_x)
+        assert ev.value(trial, _slacks(problem, trial.x), beta) == f1
+        # each trial's value test read the slacks of the trial's own X
+        assert tested[0][0] is point and tested[0][1] is slacks
+        for p, s in tested[1:]:
+            assert np.array_equal(s, _slacks(problem, p.x))
+        assert tested[-1][0] is trial
 
     def test_ascent_direction_fails(self, rng, monkeypatch):
         # a value decrease is the only acceptance rule, so an ascent
         # direction exhausts the backtrack budget. Values are clamped at
         # F_beta(x): at alpha ~ 1e-14 the rounding of real ones can show a
         # spurious decrease of about 1e-14 relative
-        ev, state = type1_point(rng)
+        ev, point, slacks = type1_point(rng)
         beta = 2.0
-        step = newton_step_type1(ev.x_bundle(state.point, beta), state.slacks,
-                                 ev.problem.constraints)
+        step = newton_step_type1(ev.x_bundle(point, beta), slacks, ev.problem.constraints)
         step.direction_X = -step.direction_X
         step.direction_slack = -step.direction_slack
-        f0 = ev.value(state.point, state.slacks, beta)
+        f0 = ev.value(point, slacks, beta)
         true_value = ev.value
         values = []
 
@@ -225,7 +231,7 @@ class TestLineSearch:
 
         monkeypatch.setattr(ev, "value", clamped)
         with pytest.raises(LineSearchFailure):
-            line_search(state, step, beta, ev)
+            line_search(point, slacks, step, beta, ev)
         assert len(values) == 1 + pathfollow.LS_MAX_BACKTRACKS
         assert all(v > f0 for v in values[1:10])
 
@@ -247,9 +253,9 @@ class TestCertifiedStep:
         searched = []
         real_search = pathfollow.line_search
 
-        def recording(state, step, beta, evaluator):
+        def recording(point, slacks, step, beta, evaluator):
             searched.append((beta, step.decrement))
-            return real_search(state, step, beta, evaluator)
+            return real_search(point, slacks, step, beta, evaluator)
 
         monkeypatch.setattr(pathfollow, "line_search", recording)
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
@@ -286,8 +292,8 @@ class TestCertifiedStep:
                 continue
             lam = 0.5 * m * s["delta"]
             bound = (4.0 / m**2) * (lam**2 + lam + math.log1p(-lam))
-            f0 = ev.value(EvalPoint(start), _refresh_slacks(problem, start), s["beta"])
-            f1 = ev.value(EvalPoint(s["x"]), _refresh_slacks(problem, s["x"]), s["beta"])
+            f0 = ev.value(EvalPoint(start), _slacks(problem, start), s["beta"])
+            f1 = ev.value(EvalPoint(s["x"]), _slacks(problem, s["x"]), s["beta"])
             assert f1 - f0 <= -bound + 1e-12 * abs(f0)
             checked += 1
         assert checked >= 3
@@ -297,7 +303,7 @@ class TestCenter:
     def test_already_centered_takes_zero_steps(self):
         problem = probio.build_named("trace-inverse-n4")
         ev = FBetaEvaluator(problem)
-        run = _Run(_State(EvalPoint(np.eye(4) / 4), np.zeros(0)))
+        run = _Run(EvalPoint(np.eye(4) / 4))
         center(run, 1.0, ev, 500)
         assert run.steps == [0]
         assert len(run.trace) == 1
@@ -311,7 +317,7 @@ class TestCenter:
         for point_seed in range(6):
             prng = np.random.default_rng(point_seed)
             x = probio.random_feasible_point(problem, prng, scale=0.5)
-            run = _Run(_State(EvalPoint(x), np.zeros(0)))
+            run = _Run(EvalPoint(x))
             center(run, 4.0, ev, 500, target=1e-7)
             deltas = [d for _, d in run.trace]
             pairs.extend(zip(deltas, deltas[1:]))
@@ -412,7 +418,7 @@ class TestHessianCache:
         fresh = count_fresh_hessians(monkeypatch, ev)
         iterate = EvalPoint(x)
         ev.hessian_bundle(iterate, 3.0)
-        assert math.isfinite(ev.value(EvalPoint(other), _refresh_slacks(problem, other), 3.0))
+        assert math.isfinite(ev.value(EvalPoint(other), _slacks(problem, other), 3.0))
         bundle = ev.hessian_bundle(iterate, 7.5)
         assert len(fresh) == 1
         assert_bitwise_equal(bundle, combine_terms(7.5, iterate.parts, ev.n_scaled))
@@ -471,7 +477,7 @@ class TestSharedPoint:
     @pytest.mark.parametrize("case", sorted(CACHE_CASES))
     def test_value_is_the_combined_bundle_value(self, case, rng):
         problem, include_barrier, x = cache_case(case, rng)
-        slacks = _refresh_slacks(problem, x)
+        slacks = _slacks(problem, x)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
         parts = evaluate_terms(ev.terms, ev.n_scaled, EvalPoint(x))
         expected = combine_terms(3.0, parts, ev.n_scaled).value
@@ -483,10 +489,9 @@ class TestSharedPoint:
     def test_accepted_trial_is_not_decomposed_again(self, case, rng, monkeypatch):
         problem, include_barrier, x = cache_case(case, rng)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
-        state = _State(EvalPoint(x), _refresh_slacks(problem, x))
+        point, slacks = EvalPoint(x), _slacks(problem, x)
         beta = 2.0
-        step = newton_step_type1(ev.hessian_bundle(state.point, beta), state.slacks,
-                                 problem.constraints)
+        step = newton_step_type1(ev.hessian_bundle(point, beta), slacks, problem.constraints)
         seen = []
         real = objectives.spectral_decompose
 
@@ -495,13 +500,13 @@ class TestSharedPoint:
             return real(y)
 
         monkeypatch.setattr(objectives, "spectral_decompose", counted)
-        alpha, trial = line_search(state, step, beta, ev)
+        alpha, trial = line_search(point, slacks, step, beta, ev)
         # F at alpha = 0 reads the Hessian evaluation's decompositions
         assert seen and not any(np.array_equal(y, x) for y in seen)
-        new_x = symmetrize(state.point.x + alpha * step.direction_X)
-        assert np.array_equal(trial.point.x, new_x)
+        new_x = symmetrize(point.x + alpha * step.direction_X)
+        assert np.array_equal(trial.x, new_x)
         del seen[:]
-        bundle = ev.hessian_bundle(trial.point, beta)
+        bundle = ev.hessian_bundle(trial, beta)
         assert seen == []
         monkeypatch.undo()
         reference = reference_bundle(problem, include_barrier, new_x, beta)
@@ -591,8 +596,9 @@ class TestSolve:
 
     def test_infeasible_start_rejected(self):
         problem = probio.build_named("trace-inverse-n2")
+        problem.start = np.diag([2.0, 2.0])  # violates Tr X = 1
         with pytest.raises(InfeasibleStart):
-            solve(problem, start=np.diag([2.0, 2.0]))  # violates Tr X = 1
+            solve(problem)
 
     def test_deterministic_report(self):
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=8)
@@ -663,10 +669,10 @@ class TestSolve:
         records = []
         real_search = pathfollow.line_search
 
-        def failing(state, step, beta, evaluator):
+        def failing(point, slacks, step, beta, evaluator):
             if beta > config.beta0 and any(rec["beta"] == beta for rec in records):
                 raise LineSearchFailure("forced failure")
-            return real_search(state, step, beta, evaluator)
+            return real_search(point, slacks, step, beta, evaluator)
 
         monkeypatch.setattr(pathfollow, "line_search", failing)
         with pytest.raises(LineSearchFailure, match="phase: outer") as caught:
@@ -675,7 +681,7 @@ class TestSolve:
         assert report.termination == "NumericalFailure"
         assert records[-1]["beta"] == report.beta_final > config.beta0
         assert np.array_equal(report.X_star, records[-1]["x"])
-        assert report.f_min == problem.objective_value(records[-1]["x"])
+        assert report.f_min == problem.objective_at(EvalPoint(records[-1]["x"]))
         assert report.total_newton == len(records)
 
     def test_every_centering_failure_carries_a_report(self, monkeypatch):
@@ -822,7 +828,7 @@ def test_structure_comes_from_the_data(case, rng):
 
     x = probio.random_feasible_point(problem, rng)
     values = [t.evaluate(EvalPoint(x), want_hessian=False).value for t in problem.terms]
-    assert problem.objective_value(x) == sum(values) + problem.offset
+    assert problem.objective_at(EvalPoint(x)) == sum(values) + problem.offset
 
     assert all(res.passed for res in derivative_audit(problem, rng, points=2))
     report = solve(problem)
@@ -840,7 +846,7 @@ EQ_CASES = {
     "DerivativeBundle": lambda: DerivativeBundle(1.0, np.ones(3), np.eye(3), np.eye(2)),
     "SolveReport": lambda: solve(probio.build_named("trace-inverse-n2")),
     "SpectralDecomp": lambda: spectral_decompose(np.eye(2)),
-    "_Run": lambda: _Run(_State(EvalPoint(np.eye(2) / 2), np.zeros(0)), steps=[0]),
+    "_Run": lambda: _Run(EvalPoint(np.eye(2) / 2), steps=[0]),
 }
 
 

@@ -112,16 +112,75 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", ["type1", "type2"])
     def test_trace_kind_rejects_relative_entropy_terms(self, kind):
+        # a relative-entropy term makes the problem qkd, whose rules then
+        # reject the inequality rows (type1) or the constraint map (type2)
         spec = generate_random(kind, {"n": 4}, seed=2)
         spec.terms = generate_random("qkd", {"n": 4}, seed=2).terms
-        with pytest.raises(ValidationError, match="trace objectives only"):
+        assert spec.kind == "qkd"
+        with pytest.raises(ValidationError,
+                           match="qkd problems take (equality constraints only|no constraint map)"):
             validate_problem(spec)
+
+    def test_type2_file_without_its_map_rejected(self, tmp_path):
+        doc = probio.to_dict(generate_random("type2", {"n": 4, "m": 1}, seed=2))
+        doc["objective"]["barrier_map"] = None
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="file kind 'type2' does not match"):
+            load(path)
+
+    def test_type1_file_with_a_map_rejected(self, tmp_path):
+        doc = probio.to_dict(generate_random("type1", {"n": 4, "m": 1, "N": 2}, seed=2))
+        doc["objective"]["barrier_map"] = {"kind": "partial_transpose", "n1": 2, "n2": 2}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="file kind 'type1' does not match"):
+            load(path)
+
+    @pytest.mark.parametrize("stale", [True, False])
+    def test_dims_come_from_the_data(self, tmp_path, stale):
+        spec = generate_random("qkd", {"n": 3, "k": 5, "m": 2, "r1": 3}, seed=2)
+        doc = probio.to_dict(spec)
+        if stale:
+            doc["dims"] = {"n": 9, "k": 1, "m": 0, "N": 7, "r1": 2, "r2": 8}
+        else:
+            del doc["dims"]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        loaded = load(path)
+        assert loaded.dims == spec.dims == {"n": 3, "k": 5, "m": 2, "N": 2, "r1": 3, "r2": 2}
+        assert probio.to_dict(loaded) == probio.to_dict(spec)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load(path)
+
+
+class TestKindAndDims:
+    @pytest.mark.parametrize("kind, dims, expected", [
+        ("type1", {"n": 4, "m": 2, "N": 4},
+         {"n": 4, "k": None, "m": 2, "N": 4, "r1": None, "r2": None}),
+        ("type2", {"n": 6, "m": 2}, {"n": 6, "k": 6, "m": 2, "N": 2, "r1": None, "r2": None}),
+        ("qkd", {"n": 4}, {"n": 4, "k": 8, "m": 2, "N": 2, "r1": 2, "r2": 2}),
+    ])
+    def test_generated(self, kind, dims, expected):
+        spec = generate_random(kind, dims, seed=1)
+        assert spec.kind == kind
+        assert spec.dims == expected
+
+    @pytest.mark.parametrize("name, kind, dims", [
+        ("trace-inverse-n3", "type1", {"n": 3, "k": None, "m": 0, "N": 1, "r1": None, "r2": None}),
+        ("ree-2x3", "type2", {"n": 6, "k": 6, "m": 1, "N": 1, "r1": None, "r2": None}),
+        ("fidelity-n4", "type2", {"n": 4, "k": 4, "m": 1, "N": 1, "r1": 1, "r2": None}),
+        ("qkd-toy", "qkd", {"n": 2, "k": 2, "m": 1, "N": 1, "r1": 1, "r2": 1}),
+        ("qkd-n6", "qkd", {"n": 6, "k": 12, "m": 3, "N": 3, "r1": 2, "r2": 4}),
+    ])
+    def test_named(self, name, kind, dims):
+        spec = build_named(name)
+        assert spec.kind == kind
+        assert spec.dims == dims
 
 
 class TestNamedInstances:

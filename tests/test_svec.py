@@ -41,7 +41,7 @@ from qipsolve.oracle import (
     sym_isometry,
     sym_map_matrix,
 )
-from qipsolve.pathfollow import FBetaEvaluator, _refresh_slacks, _State
+from qipsolve.pathfollow import FBetaEvaluator, _slacks
 from qipsolve.qre import QreObjective, qre_eval
 
 
@@ -289,10 +289,10 @@ def dense_kkt_step(bundle, slacks, cons):
 def test_newton_step_matches_the_dense_kkt_system(kind, dims, rng):
     problem = probio.generate_random(kind, dims, seed=3)
     x = probio.random_feasible_point(problem, rng)
-    state = _State(point=EvalPoint(x), slacks=_refresh_slacks(problem, x))
+    slacks = _slacks(problem, x)
     ev = FBetaEvaluator(problem)
-    bundle = ev.hessian_bundle(state.point, 5.0)
-    step = newton_step_type1(bundle, state.slacks, problem.constraints)
-    p, q = dense_kkt_step(fixed_coordinates(bundle), state.slacks, problem.constraints)
+    bundle = ev.hessian_bundle(EvalPoint(x), 5.0)
+    step = newton_step_type1(bundle, slacks, problem.constraints)
+    p, q = dense_kkt_step(fixed_coordinates(bundle), slacks, problem.constraints)
     assert rel_err(vec(step.direction_X), p) <= 1e-8
     assert rel_err(step.direction_slack, q) <= 1e-8
