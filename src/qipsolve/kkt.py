@@ -6,36 +6,39 @@ upper-triangle entries of a symmetric matrix, off-diagonal ones scaled
 by sqrt(2), so that <A, X> = svec(A) . svec(X). The bundle's gradient
 and Hessian are on the svec coordinates of xi~ = U.T xi U, U the
 eigenbasis of X that the bundle carries (``objectives``), and so is the
-whole solve: each step rotates the constraint rows into that basis,
-svec(U.T A_i U) (2 N n^3 work), and factors the rotated equality rows
+whole solve: the constraint rows are rotated into that basis,
+svec(U.T A_i U) (2 N n^3 work), and the rotated equality rows factored
 by LAPACK's dgeqrt, svec(U.T A_eq U)^T = Q R with Q = I - V T V^T in
 compact WY form (Q is never formed). The trailing columns of Q span the
 tangent space {svec(P~) : <A_i, U P~ U.T> = 0 on equality rows}.
 The rotated rows and their QR are kept for the last basis array
-(``AffineConstraints.in_basis``): a gate check at the point of the step
-before reuses them, while a new iterate brings a new basis. The
-direction is rotated back once, P = U P~ U.T.
+(``AffineConstraints.in_basis``): the Hessian evaluation of the X
+barrier reads the rotated inequality rows there and the step the
+equality QR, a gate check at the point of the step before reuses both,
+and a new iterate brings a new basis. The direction is rotated back
+once, P = U P~ U.T.
 
 Expanding Q^T H Q = (I - V Y^T) H (I - Y V^T) with W = H Y and
 S = Y^T W gives H - W V^T - V W^T + V S V^T, and Z = W - V S / 2 folds
 the last term into two rank-k products: Q^T H Q = H - Z V^T - V Z^T. A
 step writes only what the Cholesky factor reads, the lower triangle of
 the tangent block. It copies the (d - k)^2 block H_tt into Fortran
-order, subtracts Z_t V_t^T + V_t Z_t^T by one rank-2k update (dsyr2k)
-and adds the slack block, which the inequality slack direction
-q = -A_ineq p contributes as (A_ineq N)^T diag(1/s^2) (A_ineq N), by one
-rank-N_ineq update (dsyrk); both write the lower triangle alone. LAPACK's
-Cholesky (dpotrf) factors that triangle in place, M = L L^T, and two
-triangular solves (dtrsv) give c = L^-1 r and y = -L^-T c, so the
-decrement's quadratic form r^T M^-1 r is the sum of squares c . c. The
-step computes only what the path-following reads, the direction and
-the decrement; no multipliers. The reduced solution is mapped back,
+order and subtracts Z_t V_t^T + V_t Z_t^T by one rank-2k update
+(dsyr2k), which writes the lower triangle alone. LAPACK's Cholesky
+(dpotrf) factors that triangle in place, M = L L^T, and two triangular
+solves (dtrsv) give c = L^-1 r and y = -L^-T c, so the decrement's
+quadratic form r^T M^-1 r is the sum of squares c . c. The step
+computes only what the path-following reads, the direction and the
+decrement; no multipliers. The reduced solution is mapped back,
 p~ = N y, so the direction is tangent by construction. Only the Hessian
 restricted to the tangent space must be positive definite, so the
 relative-entropy Hessian, which annihilates svec(X), is fine wherever X
 is not tangent (Tr X = 1).
-Structure II is structure I without inequality rows. A non-finite
-Hessian or gradient raises SingularKKT before any factorization.
+The inequality rows take no part here: their logs -ln(b_i - <A_i, X>)
+belong to the barrier of X's domain (``objectives.barrier_eval``),
+whose derivatives the bundle already holds, so structure I and
+structure II share one system. A non-finite Hessian or gradient raises
+SingularKKT before any factorization.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .errors import ConstraintError, DomainViolation, SingularKKT
+from .errors import ConstraintError, SingularKKT
 from .matfun import svec, svec_layout, symmetrize, unsvec
 
 
@@ -99,6 +102,11 @@ class AffineConstraints:
         """<A_i, X> - b_i of every row."""
         return self.svec_rows @ svec(x) - self.rhs
 
+    def slacks(self, x: np.ndarray) -> np.ndarray:
+        """b_i - <A_i, X> on the inequality rows, positive inside the domain."""
+        m = self.n_ineq
+        return self.rhs[:m] - self.svec_rows[:m] @ svec(x)
+
     def rotated_rows(self, u: np.ndarray) -> np.ndarray:
         """svec(U.T A_i U) of every row, N x n(n+1)/2: the rows in the coordinates of U."""
         lay = svec_layout(self.order)
@@ -144,7 +152,7 @@ def equality_qr(eq_rows: np.ndarray):
 
 @dataclass(eq=False)
 class NewtonStep:
-    """Newton direction (p, q) with its decrement and diagnostics.
+    """Newton direction P with its decrement and diagnostics.
 
     ``schur_condition`` estimates the condition of the reduced Hessian as
     the squared ratio of the extreme diagonal entries of its Cholesky
@@ -152,7 +160,6 @@ class NewtonStep:
     """
 
     direction_X: np.ndarray
-    direction_slack: np.ndarray
     decrement: float
     decrement_innerprod: float
     schur_condition: float
@@ -180,50 +187,36 @@ def _decrements(quad: float, innerprod: float, scale: float):
     return float(np.sqrt(quad)), float(np.sqrt(max(innerprod, 0.0)))
 
 
-def newton_step_type1(bundle, slacks, cons: AffineConstraints) -> NewtonStep:
-    """Newton direction for mixed inequality/equality trace constraints.
+def newton_step_type1(bundle, cons: AffineConstraints) -> NewtonStep:
+    """Newton direction of F_beta on the tangent space of the equality rows.
 
-    ``bundle`` holds gradient and Hessian of the X-block of F_beta;
-    ``slacks`` the strictly positive slack values of the inequality rows.
-    The step of bundle + slack logs is solved on the tangent space, all on
-    the bundle's coordinates, svec(U.T xi U), with the rows rotated to
-    match. Coordinates after Q^T are [normal (k); tangent]: with
-    M = Q^T H_s Q, the tangent step y solves
-    (M_tt + B^T D B) y = -(Q^T (g_s + A_ineq^T / s))_t, B = (A_ineq Q)_t.
+    ``bundle`` holds the gradient and Hessian of F_beta, the inequality
+    rows' logs included (they are part of the X barrier), on the svec
+    coordinates svec(U.T xi U), with the rows rotated to match.
+    Coordinates after Q^T are [normal (k); tangent]: with M = Q^T H Q, the
+    tangent step y solves M_tt y = -(Q^T g)_t.
     """
     m, k = cons.n_ineq, cons.n_eq
-    slacks = np.asarray(slacks, dtype=float).ravel()
-    if slacks.size != m:
-        raise DomainViolation(f"expected {m} slacks, got {slacks.size}")
-    if m and slacks.min() <= 0.0:
-        raise DomainViolation("inequality slacks must be strictly positive")
     grad = bundle.gradient
     d = grad.size
-    inv_s = 1.0 / slacks
     # LAPACK does not check its input for NaN or inf
     if not (np.isfinite(grad).all() and np.isfinite(bundle.hessian).all()):
         raise SingularKKT("Newton system has a non-finite Hessian or gradient entry")
 
     u = bundle.basis
     rows, v, vt = cons.in_basis(u)
-    a_in = rows[:m]
     h = bundle.hessian
     w = h @ vt
     z = w - 0.5 * v @ (vt.T @ w)
     g_q = grad - v @ (vt.T @ grad)
-    a_q = a_in - (a_in @ vt) @ v.T
 
-    b = a_q[:, k:]
-    r = g_q[k:] + b.T @ inv_s
+    r = g_q[k:]
     if d > k:
-        # red is in Fortran order, so each update and dpotrf write into it
+        # red is in Fortran order, so the update and dpotrf write into it
         red = np.array(h[k:, k:].T, order="F")
         if k:
             red = blas.dsyr2k(-1.0, z[k:].T, v[k:].T, beta=1.0, c=red, trans=1, lower=1,
                               overwrite_c=1)
-        if m:
-            red = blas.dsyrk(1.0, (b.T * inv_s).T, beta=1.0, c=red, trans=1, lower=1,
-                             overwrite_c=1)
         # the upper triangle keeps stale entries of H_tt, which nothing reads
         chol, info = lapack.dpotrf(red, lower=1, clean=0, overwrite_a=1)
         if info > 0:
@@ -243,29 +236,23 @@ def newton_step_type1(bundle, slacks, cons: AffineConstraints) -> NewtonStep:
 
     p_q = np.concatenate([np.zeros(k), y])
     p_s = p_q - vt @ (v.T @ p_q)
-    p2 = -(a_in @ p_s)
     p_x = symmetrize(u @ unsvec(p_s) @ u.T)
 
-    grad_slack = -inv_s
-    rad = float(-(p_s @ grad + p2 @ grad_slack))
-    scale = np.abs(p_s) @ np.abs(grad) + np.abs(p2) @ np.abs(grad_slack) + 1.0
+    rad = float(-(p_s @ grad))
+    scale = np.abs(p_s) @ np.abs(grad) + 1.0
     delta, delta_ip = _decrements(quad, rad, scale)
-
-    tang = rows @ p_s
-    tang[:m] += p2
 
     return NewtonStep(
         direction_X=p_x,
-        direction_slack=p2,
         decrement=delta,
         decrement_innerprod=delta_ip,
         schur_condition=cond,
-        tangency_residual=float(np.abs(tang).max()),
+        tangency_residual=float(np.abs(rows[m:] @ p_s).max(initial=0.0)),
     )
 
 
 def newton_step_type2(bundle, cons: AffineConstraints) -> NewtonStep:
-    """Newton direction with equality constraints only (no slack block)."""
+    """Newton direction with equality constraints only."""
     if cons.n_ineq != 0:
         raise ConstraintError("structure-II steps take equality constraints only")
-    return newton_step_type1(bundle, np.zeros(0), cons)
+    return newton_step_type1(bundle, cons)

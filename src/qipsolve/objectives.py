@@ -16,7 +16,8 @@ and the bundle carries U as ``basis``. The KKT layer solves in those
 coordinates. There, the structures are sparse, with no rotation:
 
 * -ln det X has gradient svec(-Lam^-1) and the diagonal Hessian
-  diag(1/(lam_a lam_b)) over the svec coordinates (a, b);
+  diag(1/(lam_a lam_b)) over the svec coordinates (a, b) (the slack logs
+  that join it add the rotated inequality rows, ``barrier_eval``);
 * Tr(C g(X)) has gradient svec(Ctil o g1), and its Hessian couples
   (a, b) only with the pairs that share an index: the n^3 entries of the
   core, scattered into the d x d matrix (``phi_hessian_in_basis``).
@@ -299,23 +300,41 @@ def phi_eval(obj: TraceObjective, point: EvalPoint, want_hessian: bool = True) -
 # log-det barriers
 # ---------------------------------------------------------------------------
 
-def barrier_eval(point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
-    """-ln det X, with gradient svec(-Lam^-1) and Hessian diag(1/(lam_a lam_b)).
+def barrier_eval(point: EvalPoint, want_hessian: bool = True,
+                 constraints=None) -> DerivativeBundle:
+    """B_X = -ln det X - sum_i ln s_i, the barrier of X's domain, s = b - A_ineq(X).
 
+    s holds the slacks of the inequality rows of ``constraints``, if any
+    (``kkt.AffineConstraints.slacks``); a slack <= 0 raises DomainViolation.
     In X's eigenbasis, D^2(-ln det X)[xi, xi] = sum_ab xi~_ab^2 / (lam_a lam_b),
-    so the svec Hessian is diagonal, with entry 1/(lam_a lam_b) at the
-    coordinate (a, b); nothing is rotated or gathered.
+    a diagonal svec Hessian. The logs add R.T (1/s) to the gradient and
+    G G.T to the Hessian, G = R.T diag(1/s), for the rotated rows
+    R = svec(U.T A_i U) that the constraints keep for the basis
+    (``in_basis``), where the Newton step reads its QR.
     """
     _, dec = point.pd_image("barrier argument")
     lam = dec.lam
     value = -float(np.sum(np.log(lam)))
+    m = 0 if constraints is None else constraints.n_ineq
+    if m:
+        s = constraints.slacks(point.x)
+        if s.min() <= 0.0:
+            raise DomainViolation(f"inequality slacks must be positive (min {s.min():.3e})")
+        value -= float(np.sum(np.log(s)))
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     lay = svec_layout(lam.size)
     inv = 1.0 / lam
     grad = np.zeros(lay.rows.size)
     grad[lay.diag] = -inv
-    hess = np.diag(inv[lay.rows] * inv[lay.cols])
+    curv = inv[lay.rows] * inv[lay.cols]
+    if m:
+        gw = constraints.in_basis(dec.U)[0][:m].T / s
+        grad += gw.sum(axis=1)
+        hess = gw @ gw.T  # numpy's rank-k path: exactly symmetric
+        hess[np.diag_indices_from(hess)] += curv
+    else:
+        hess = np.diag(curv)
     return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=dec.U)
 
 
@@ -344,13 +363,14 @@ def map_barrier_eval(lmap, point: EvalPoint, want_hessian: bool = True) -> Deriv
 
 @dataclass(frozen=True)
 class LogDetBarrier:
-    """-ln det L(X) for a linear map L; ``map=None`` stands for -ln det X."""
+    """-ln det L(X) for a linear map L; ``map=None`` stands for B_X on ``constraints``."""
 
     map: object | None = None
+    constraints: object | None = None
 
     def evaluate(self, point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
         if self.map is None:
-            return barrier_eval(point, want_hessian)
+            return barrier_eval(point, want_hessian, self.constraints)
         return map_barrier_eval(self.map, point, want_hessian)
 
 

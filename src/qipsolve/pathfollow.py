@@ -12,16 +12,17 @@ Step lengths come from self-concordance where it applies. Every objective
 term f is 1-compatible with the barrier B: |D^3 f[h,h,h]| <= 3 D^2 f[h,h]
 sqrt(D^2 B[h,h]), the constant 3 that acceptance criterion 6 checks for
 the trace objectives (Faybusovich and Tsuchiya 2017 give it for matrix
-monotone objectives and the relative entropy).
-B = -ln det X, plus -ln det L(X) with a constraint map and -ln s_i per
-inequality slack, is a self-concordant barrier, and its extra terms only
-enlarge D^2 B, so the bound holds against the whole of B. Both sides scale
-alike with beta, so by Nesterov and Nemirovski's compatibility proposition
-(1994, with compatibility constant 1) F_beta is self-concordant with
+monotone objectives and the relative entropy). B is B_X, plus
+-ln det L(X) with a constraint map, where the barrier of X's domain is
+B_X = -ln det X - sum_i ln s_i with s = b - A_ineq(X); a sum of
+self-concordant barriers is one, and its extra terms only enlarge D^2 B,
+so the bound holds against the whole of B. Both sides scale alike with
+beta, so by Nesterov and Nemirovski's compatibility proposition (1994,
+with compatibility constant 1) F_beta is self-concordant with
 M = 2 (1 + 1) = 4 for every beta > 0, and kappa = M/2 = 2 is the one
-constant of the gate, the caps and the certificates. For
-such an F and lambda = (M/2) delta < 1, the full Newton step x + p stays
-in the domain and
+constant of the gate, the caps and the certificates. For such an F and
+lambda = (M/2) delta < 1, the full Newton step x + p stays in the domain
+and
     F(x + p) - F(x) <= -(4/M^2) (lambda^2 + lambda + ln(1 - lambda)),
 which is a strict decrease while lambda is below 0.6838. So ``center``
 takes alpha = 1 with no value test whenever (M/2) delta <= 0.68
@@ -30,29 +31,24 @@ not self-concordant and every step is line-searched. Outside the band the
 line search backtracks from the feasibility boundary (slack ratios and,
 for X and each map cone Y = O Lam O.T, the most negative eigenvalue of
 Lam^-1/2 O.T P O Lam^-1/2, read from the decompositions the current
-point already holds) and accepts on a value decrease only;
-the slope fallback it once had for F_beta's value noise at large beta is
-gone, since the steps that needed it lie inside the band.
+point already holds) and accepts on a value decrease only.
 
 F_beta is evaluated from one ordered term list: the problem's objective
 terms (trace objectives, or the relative entropy), each scaled by beta,
-then the log-det barriers on X and, when the problem has a constraint
-map, on L(X); inequality rows add one log per slack. F_beta is
-evaluated in two modes: the value alone at a line-search trial, and
+then the barriers, B_X and, with a constraint map, -ln det L(X). F_beta
+is evaluated in two modes: the value alone at a line-search trial, and
 value, gradient and Hessian at a Newton iterate. Each evaluation reads
 the evaluation point (``objectives.EvalPoint``) of its X, which
-decomposes X and each map image once. The iterate is its point: its
-slacks are b - A(X), read from X once per step, and a trial's value
-test reads the slacks of the trial's own X. The line search's value at
-alpha = 0 reads the decompositions of the Hessian evaluation there, and
-the line search hands back the point of the trial it accepts, which
-becomes the next iterate with the decompositions its value test made.
-A Hessian evaluation keeps its unscaled per-term derivatives on its
-point, and since H_beta = beta H_f + H_B, a centering that starts where
-the previous one stopped recombines them at the new beta instead of
-evaluating anew; an evaluation at another point takes nothing from the
-iterate's. A solve thus makes one Hessian
-evaluation per Newton step plus one at the start. Every bundle is on the
+decomposes X and each map image once; the iterate is its point. The
+line search's value at alpha = 0 reads the decompositions of the Hessian
+evaluation there, and the line search hands back the point of the trial
+it accepts, which becomes the next iterate with the decompositions its
+value test made. A Hessian evaluation keeps its unscaled per-term
+derivatives on its point, and since H_beta = beta H_f + H_B, a centering
+that starts where the previous one stopped recombines them at the new
+beta instead of evaluating anew; an evaluation at another point takes
+nothing from the iterate's. A solve thus makes one Hessian evaluation
+per Newton step plus one at the start. Every bundle is on the
 svec coordinates of X's eigenbasis U, which the point holds
 (``objectives``); the Newton system is solved in them (``kkt``), and the
 slope along a direction P is g~ . svec(U.T P U).
@@ -178,11 +174,11 @@ class FBetaEvaluator:
     """F_beta = beta f + B for one problem instance, as one ordered term list.
 
     ``terms`` holds the problem's objective terms, each scaled by beta,
-    then the barriers: -ln det X (unless ``include_barrier`` is false)
-    and -ln det L(X) when the problem has a constraint map. Each term
-    yields an unscaled DerivativeBundle, and a bundle of F_beta is their
-    sum in that order (``combine_terms``). The inequality slacks' logs
-    are added to values only; their derivatives enter the Newton step.
+    then the barriers: B_X, -ln det X with the logs of the inequality
+    slacks (unless ``include_barrier`` is false), and -ln det L(X) when
+    the problem has a constraint map. Each term yields an unscaled
+    DerivativeBundle, and a bundle of F_beta is their sum in that order
+    (``combine_terms``).
 
     Every evaluation takes the ``EvalPoint`` of its X, which the caller
     holds and all terms share, so X and each map image are decomposed once
@@ -199,7 +195,7 @@ class FBetaEvaluator:
 
     def __init__(self, problem: ProblemSpec, include_barrier: bool = True):
         self.problem = problem
-        barriers = [LogDetBarrier()] if include_barrier else []
+        barriers = [LogDetBarrier(None, problem.constraints)] if include_barrier else []
         if problem.constraint_map is not None:
             barriers.append(LogDetBarrier(problem.constraint_map))
         self.terms = (*problem.terms, *barriers)
@@ -209,7 +205,7 @@ class FBetaEvaluator:
                                    for t in self.terms)
 
     def x_bundle(self, point: EvalPoint, beta, want_hessian=True) -> DerivativeBundle:
-        """Evaluate the X-block of F_beta at the X of ``point`` (slack block excluded).
+        """Evaluate F_beta at the X of ``point``.
 
         Without ``want_hessian`` only the value is computed (gradient
         None). A Hessian evaluation keeps its per-term bundles on the point.
@@ -220,46 +216,28 @@ class FBetaEvaluator:
         return combine_terms(beta, parts, self.n_scaled)
 
     def hessian_bundle(self, point: EvalPoint, beta) -> DerivativeBundle:
-        """X-block of F_beta with its Hessian; recombined when the point holds its bundles."""
+        """F_beta with its Hessian; recombined when the point holds its bundles."""
         if point.parts is not None:
             return combine_terms(beta, point.parts, self.n_scaled)
         return self.x_bundle(point, beta, want_hessian=True)
 
-    def value(self, point: EvalPoint, slacks, beta) -> float:
-        """Full F_beta including slack logs; +inf outside the open domain."""
+    def value(self, point: EvalPoint, beta) -> float:
+        """F_beta at the X of ``point``; +inf outside the open domain."""
         try:
-            v = self.x_bundle(point, beta, want_hessian=False).value
+            return self.x_bundle(point, beta, want_hessian=False).value
         except DomainViolation:
             return math.inf
-        if slacks.size:
-            if slacks.min() <= 0.0:
-                return math.inf
-            v -= float(np.sum(np.log(slacks)))
-        return v
 
 
-def _slacks(problem: ProblemSpec, x) -> np.ndarray:
-    """b_i - <A_i, X> on the inequality rows, the slacks of the iterate or trial X."""
-    cons = problem.constraints
-    m = cons.n_ineq
-    return cons.rhs[:m] - cons.svec_rows[:m] @ svec(x)
+def directional_derivative(bundle: DerivativeBundle, step: NewtonStep) -> float:
+    """<grad F_beta, P>, the slope of F_beta along the step.
 
-
-def directional_derivative(bundle: DerivativeBundle, slacks: np.ndarray,
-                           step: NewtonStep) -> float:
-    """<grad F_beta, p> + <grad_s F_beta, q>, the slope of F_beta along the step.
-
-    ``bundle`` is the X-block's, with its gradient on the svec
-    coordinates of its basis U; the slack block's gradient is -1/slacks.
-    The slope is computed here from the direction itself, the one
-    ``center`` moves along, as g~ . svec(U.T P U), not taken from the
-    KKT solve.
+    ``bundle``'s gradient is on the svec coordinates of its basis U. The
+    slope is computed here from the direction itself, the one ``center``
+    moves along, as g~ . svec(U.T P U), not taken from the KKT solve.
     """
     u = bundle.basis
-    slope = float(bundle.gradient @ svec(u.T @ step.direction_X @ u))
-    if slacks.size:
-        slope -= float(step.direction_slack @ (1.0 / slacks))
-    return slope
+    return float(bundle.gradient @ svec(u.T @ step.direction_X @ u))
 
 
 def cone_step_bound(p_tilde: np.ndarray, lam: np.ndarray) -> float:
@@ -281,24 +259,25 @@ def cone_step_bound(p_tilde: np.ndarray, lam: np.ndarray) -> float:
     return math.inf
 
 
-def max_feasible_step(point: EvalPoint, slacks: np.ndarray, step: NewtonStep,
-                      evaluator: FBetaEvaluator) -> float:
-    """Largest alpha keeping X (and slacks, and mapped cones) in the open cone.
+def max_feasible_step(point: EvalPoint, step: NewtonStep, evaluator: FBetaEvaluator) -> float:
+    """Largest alpha keeping X + alpha P in the domain: X, L(X) definite, slacks positive.
 
     Each cone's bound reads the decomposition of its image at X from the
     iterate's point, which its Hessian evaluation made, so no decomposition
-    is computed for it.
+    is computed for it. A slack s_i falling at the rate <A_i, P> > 0 bounds
+    alpha by s_i / <A_i, P>.
     """
     bounds = [math.inf]
     p = step.direction_X
     if np.linalg.norm(p) > 0:
         _, dec = point.pd_image("iterate X")
         bounds.append(cone_step_bound(dec.U.T @ p @ dec.U, dec.lam))
-    if slacks.size:
-        q = step.direction_slack
-        neg = q < 0
-        if np.any(neg):
-            bounds.append(float(np.min(slacks[neg] / -q[neg])))
+    cons = evaluator.problem.constraints
+    if cons.n_ineq:
+        rate = cons.svec_rows[:cons.n_ineq] @ svec(p)
+        falls = rate > 0
+        if np.any(falls):
+            bounds.append(float(np.min(cons.slacks(point.x)[falls] / rate[falls])))
     lmap = evaluator.problem.constraint_map
     if lmap is not None:
         yp = lmap.apply(p)
@@ -308,30 +287,26 @@ def max_feasible_step(point: EvalPoint, slacks: np.ndarray, step: NewtonStep,
     return min(bounds)
 
 
-def line_search(point: EvalPoint, slacks: np.ndarray, step: NewtonStep, beta: float,
+def line_search(point: EvalPoint, step: NewtonStep, beta: float,
                 evaluator: FBetaEvaluator) -> tuple[float, EvalPoint]:
     """Backtrack from min(1, fraction * alpha_max) until F_beta decreases.
 
-    ``point`` is the iterate's and ``slacks`` its slacks. Each trial's
-    value test reads the slacks of the trial's own X (``_slacks``), as the
-    next iterate would. The only acceptance rule is a value decrease: the
-    first trial step at which F_beta is below its value at alpha = 0 is
-    returned, as alpha and the trial's point, which keeps the
+    ``point`` is the iterate's. The only acceptance rule is a value
+    decrease: the first trial step at which F_beta is below its value at
+    alpha = 0 is returned, as alpha and the trial's point, which keeps the
     decompositions of its value test; if none of LS_MAX_BACKTRACKS trials
-    is, LineSearchFailure is raised. There is no slope fallback. ``center``
-    calls this only outside the band in which self-concordance certifies
-    the full step (module docstring), where the value noise of F_beta at
-    large beta used to defeat the test.
+    is, LineSearchFailure is raised. ``center`` calls this only outside
+    the band in which self-concordance certifies the full step (module
+    docstring).
     """
-    problem = evaluator.problem
-    f0 = evaluator.value(point, slacks, beta)
+    f0 = evaluator.value(point, beta)
     if not math.isfinite(f0):
         raise DomainViolation("line search started outside the domain")
-    amax = max_feasible_step(point, slacks, step, evaluator)
+    amax = max_feasible_step(point, step, evaluator)
     alpha = min(1.0, LS_BOUNDARY_FRACTION * amax)
     for _ in range(LS_MAX_BACKTRACKS):
         trial = EvalPoint(symmetrize(point.x + alpha * step.direction_X))
-        if evaluator.value(trial, _slacks(problem, trial.x), beta) < f0:
+        if evaluator.value(trial, beta) < f0:
             return alpha, trial
         alpha *= LS_SHRINK
     raise LineSearchFailure(
@@ -357,9 +332,7 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
     before the line search. A step inside the self-concordance band
     (``certified_full_step``) is taken whole, with no line search, to a new
     point; every other one is line-searched, and the new iterate adopts the
-    accepted trial's point. The iterate is its point alone: each step reads
-    its slacks from its X once (``_slacks``) for the Newton system, the
-    slope and the line search. When a QipError is raised, ``run`` holds
+    accepted trial's point. When a QipError is raised, ``run`` holds
     the last iterate reached and counts the steps taken (with a callback,
     exactly those it was given).
     """
@@ -368,22 +341,20 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
     run.steps.append(0)
     for _ in range(max_steps):
         point = run.point
-        slacks = _slacks(problem, point.x)
         bundle = evaluator.hessian_bundle(point, beta)
-        # with no inequality rows there are no slacks: the structure-II step
-        step = newton_step_type1(bundle, slacks, problem.constraints)
+        step = newton_step_type1(bundle, problem.constraints)
         run.max_cond = max(run.max_cond, step.schur_condition)
         run.trace.append((beta, step.decrement))
         if step.decrement <= target:
             return
-        slope = directional_derivative(bundle, slacks, step)
+        slope = directional_derivative(bundle, step)
         if slope >= 0.0:
             raise SingularKKT(f"Newton direction is not a descent direction: "
                               f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
         if certified_full_step(evaluator, step.decrement):
             alpha, new = 1.0, EvalPoint(symmetrize(point.x + step.direction_X))
         else:
-            alpha, new = line_search(point, slacks, step, beta, evaluator)
+            alpha, new = line_search(point, step, beta, evaluator)
         if callback is not None:
             # before the step is committed: an error raised while the
             # record is built leaves uncounted a step no callback saw
@@ -401,7 +372,7 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
 
 
 def _feas_residual(problem: ProblemSpec, x) -> float:
-    """Largest scaled equality residual; slacks b - A(X) leave none on inequality rows."""
+    """Largest scaled equality residual; the inequality rows hold inside the domain."""
     cons = problem.constraints
     m = cons.n_ineq
     res = cons.residuals(x)[m:] / (1.0 + np.abs(cons.rhs[m:]))
@@ -437,14 +408,16 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
     centering re-raises with the phase and a NumericalFailure report
     attached; like an IterCap report, it is built at the iterate where
     centering stopped, not at the last centered point, and counts the
-    steps of that centering. ``include_barrier=False`` drops -ln det X,
-    a heuristic admitted only when every objective term is a relative
-    entropy (qkd problems); otherwise it raises ValueError.
+    steps of that centering. ``include_barrier=False`` drops the barrier
+    of X's domain, a heuristic admitted only when every objective term is
+    a relative entropy (qkd problems) and there are no inequality rows,
+    whose logs that barrier holds; otherwise it raises ValueError.
     """
-    if not include_barrier and not all(isinstance(t, QreObjective) for t in problem.terms):
+    if not include_barrier and (problem.constraints.n_ineq or not all(
+            isinstance(t, QreObjective) for t in problem.terms)):
         raise ValueError("include_barrier=False is only supported on qkd problems "
-                         "(relative-entropy objectives); trace objectives need the "
-                         "-ln det X barrier")
+                         "(relative-entropy objectives) with equality rows only: it "
+                         "drops -ln det X and the inequality slacks' logs")
     config = config or SolverConfig()
     x0 = problem.start
     if x0 is None:

@@ -122,17 +122,12 @@ def feasibility_violations(problem: ProblemSpec, x: np.ndarray, margin: float = 
     if lam_min < margin:
         bad.append((f"cone margin: min eigenvalue of X is {lam_min:.3e}", lam_min))
     cons = problem.constraints
-    vals = cons.svec_rows @ svec(x)
-    for i in range(cons.n_total):
-        scale = 1.0 + abs(cons.rhs[i])
+    for i, res in enumerate(cons.residuals(x)):
         if i < cons.n_ineq:
-            slack = cons.rhs[i] - vals[i]
-            if slack < margin:
-                bad.append((f"inequality constraint {i}: slack {slack:.3e}", slack))
-        else:
-            res = abs(vals[i] - cons.rhs[i])
-            if res > margin * scale:
-                bad.append((f"equality constraint {i}: residual {res:.3e}", res))
+            if -res < margin:
+                bad.append((f"inequality constraint {i}: slack {-res:.3e}", -res))
+        elif abs(res) > margin * (1.0 + abs(cons.rhs[i])):
+            bad.append((f"equality constraint {i}: residual {abs(res):.3e}", abs(res)))
     if problem.constraint_map is not None:
         lam_map = float(np.linalg.eigvalsh(problem.constraint_map.apply(x)).min())
         if lam_map < margin:
@@ -459,11 +454,12 @@ def _map_to_dict(lmap):
 def _map_from_dict(d, where):
     if d is None:
         return None
-    kind = d.get("kind")
+    kind = _require(d, "kind", where)
     if kind == "partial_transpose":
-        return PartialTranspose(int(d["n1"]), int(d["n2"]))
+        return PartialTranspose(*(_parsed(int, _require(d, key, where), f"{where}.{key}")
+                                  for key in ("n1", "n2")))
     if kind == "kraus":
-        return KrausMap([np.asarray(f, dtype=float) for f in d["factors"]])
+        return _kraus(_require(d, "factors", where), f"{where}.factors")
     raise ParseError(f"unknown map kind {kind!r}", where)
 
 
@@ -506,13 +502,29 @@ def to_dict(spec: ProblemSpec) -> dict:
 
 
 def _require(doc, key, where):
-    if key not in doc:
+    if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"missing field {key!r}", where)
     return doc[key]
 
 
+def _floats(entries):
+    return np.asarray(entries, dtype=float)
+
+
+def _parsed(cast, value, what):
+    """``cast(value)``, or a ParseError that names the field ``what``."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what} is malformed: {exc}") from exc
+
+
+def _kraus(factors, what):
+    return KrausMap([_parsed(_floats, f, f"{what}[{i}]") for i, f in enumerate(factors)])
+
+
 def _load_sym(entries, what):
-    a = np.asarray(entries, dtype=float)
+    a = _parsed(_floats, entries, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{what} is not a square matrix")
     if not np.all(np.isfinite(a)):
@@ -526,21 +538,24 @@ def _load_sym(entries, what):
 def from_dict(doc: dict) -> ProblemSpec:
     kind = _require(doc, "kind", "top level")
     cd = _require(doc, "constraints", "top level")
-    mats = [_load_sym(a, f"constraint matrix {i}") for i, a in enumerate(_require(cd, "A", "constraints"))]
-    cons = AffineConstraints(mats, np.asarray(_require(cd, "b", "constraints"), dtype=float),
-                             n_ineq=int(cd.get("n_ineq", 0)))
+    mats = [_load_sym(a, f"constraints.A[{i}]")
+            for i, a in enumerate(_require(cd, "A", "constraints"))]
+    cons = AffineConstraints(mats, _parsed(_floats, _require(cd, "b", "constraints"),
+                                           "constraints.b"),
+                             n_ineq=_parsed(int, cd.get("n_ineq", 0), "constraints.n_ineq"))
     obj = _require(doc, "objective", "top level")
+    offset = _parsed(float, obj.get("offset", 0.0), "objective.offset")
     start = doc.get("start")
     start_mat = None if start is None else _load_sym(start, "start")
 
     if kind == "qkd":
         kraus = _require(doc, "kraus", "top level")
-        l1 = KrausMap([np.asarray(f, dtype=float) for f in _require(kraus, "L1", "kraus")])
-        l2 = KrausMap([np.asarray(f, dtype=float) for f in _require(kraus, "L2", "kraus")])
+        l1, l2 = (_kraus(_require(kraus, key, "kraus"), f"kraus.{key}") for key in ("L1", "L2"))
+        eps = _parsed(float, obj.get("epsilon_perturb", 1e-12), "objective.epsilon_perturb")
         spec = ProblemSpec(
             constraints=cons,
-            terms=[QreObjective(l1, l2, eps_pert=float(obj.get("epsilon_perturb", 1e-12)))],
-            offset=float(obj.get("offset", 0.0)),
+            terms=[QreObjective(l1, l2, eps_pert=eps)],
+            offset=offset,
             start=start_mat,
             name=doc.get("name", ""),
             seed=doc.get("seed"),
@@ -552,7 +567,7 @@ def from_dict(doc: dict) -> ProblemSpec:
         spec = ProblemSpec(
             constraints=cons,
             terms=[TraceObjective(c, gen, map=term_map)],
-            offset=float(obj.get("offset", 0.0)),
+            offset=offset,
             constraint_map=_map_from_dict(obj.get("barrier_map"), "objective.barrier_map"),
             start=start_mat,
             name=doc.get("name", ""),

@@ -105,6 +105,17 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 3
 
+    def test_malformed_field_exits_3(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "gen", "--named", "ree-2x2", "--out", str(tmp_path / "p.json"))
+        assert code == 0
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["constraints"]["n_ineq"] = "x"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == 3
+        assert "constraints.n_ineq" in err and "Traceback" not in err
+
     def test_failure_writes_report_and_trace(self, tmp_path, capsys, monkeypatch):
         # a line search that fails on its third call: two steps are taken
         calls = []

@@ -12,9 +12,15 @@ from qipsolve.kkt import (
     newton_step_type2,
 )
 from qipsolve.matfun import INVERSE, symmetrize, unsvec, vec
-from qipsolve.objectives import DerivativeBundle, EvalPoint, TraceObjective, composite_eval
+from qipsolve.objectives import (
+    DerivativeBundle,
+    EvalPoint,
+    TraceObjective,
+    barrier_eval,
+    composite_eval,
+)
 from qipsolve.oracle import eigen_rotation, fixed_coordinates, sym_isometry
-from qipsolve.pathfollow import FBetaEvaluator, _slacks
+from qipsolve.pathfollow import FBetaEvaluator
 
 
 def type1_setup(rng, n=5, m=2, n_total=4, seed=11):
@@ -23,6 +29,11 @@ def type1_setup(rng, n=5, m=2, n_total=4, seed=11):
     cons = problem.constraints
     slacks = cons.rhs[:m] - np.array([np.tensordot(a, x) for a in cons.mats[:m]])
     return problem, x, slacks
+
+
+def f_beta_bundle(problem, x, beta=2.0):
+    """F_beta's bundle at X, the inequality rows' logs in the X barrier."""
+    return FBetaEvaluator(problem).x_bundle(EvalPoint(x), beta)
 
 
 class TestAffineConstraints:
@@ -62,7 +73,7 @@ class TestAffineConstraints:
             scale += np.abs(cons.rhs)
             resid = cons.residuals(x)
             assert np.all(np.abs(resid - (dots - cons.rhs)) <= 1e-14 * scale)
-            slacks = _slacks(problem, x)
+            slacks = cons.slacks(x)
             assert slacks.shape == (m,)
             assert np.all(np.abs(slacks - (cons.rhs[:m] - dots[:m])) <= 1e-14 * scale[:m])
 
@@ -75,50 +86,43 @@ class TestType1:
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         for beta in (1.0, 10.0, 1e4):
             bundle = composite_eval(beta, [obj], [None], np.eye(n) / n)
-            step = newton_step_type1(bundle, np.zeros(0), cons)
+            step = newton_step_type1(bundle, cons)
             assert step.decrement <= 1e-8
             assert np.linalg.norm(step.direction_X) <= 1e-7
 
     def test_tangency_on_random_instances(self, rng):
-        problem, x, slacks = type1_setup(rng)
+        problem, x, _ = type1_setup(rng)
         cons = problem.constraints
-        bundle = composite_eval(2.0, problem.terms, [None], x)
-        step = newton_step_type1(bundle, slacks, cons)
+        step = newton_step_type1(f_beta_bundle(problem, x), cons)
         scale = 1.0 + np.linalg.norm(step.direction_X)
         assert step.tangency_residual <= 1e-8 * scale
-        # recompute independently
-        for i, a in enumerate(cons.mats):
-            resid = np.tensordot(a, step.direction_X)
-            if i < cons.n_ineq:
-                resid += step.direction_slack[i]
-            assert abs(resid) <= 1e-8 * scale
+        # recompute independently, on the equality rows
+        for a in cons.mats[cons.n_ineq:]:
+            assert abs(np.tensordot(a, step.direction_X)) <= 1e-8 * scale
 
     def test_decrement_formulas_agree(self, rng):
-        problem, x, slacks = type1_setup(rng)
-        bundle = composite_eval(2.0, problem.terms, [None], x)
-        step = newton_step_type1(bundle, slacks, problem.constraints)
+        problem, x, _ = type1_setup(rng)
+        step = newton_step_type1(f_beta_bundle(problem, x), problem.constraints)
         assert step.decrement > 1e-6  # away from the center, both formulas live
         assert step.decrement_innerprod == pytest.approx(step.decrement, rel=1e-7)
 
     def test_descent_direction(self, rng):
-        problem, x, slacks = type1_setup(rng)
-        bundle = composite_eval(2.0, problem.terms, [None], x)
-        step = newton_step_type1(bundle, slacks, problem.constraints)
+        problem, x, _ = type1_setup(rng)
+        bundle = f_beta_bundle(problem, x)
+        step = newton_step_type1(bundle, problem.constraints)
         grad = fixed_coordinates(bundle).gradient
-        inner = grad @ (sym_isometry(problem.n).T @ vec(step.direction_X))
-        inner += np.sum(step.direction_slack * (-1.0 / slacks))
-        assert inner <= 0.0
+        assert grad @ (sym_isometry(problem.n).T @ vec(step.direction_X)) <= 0.0
 
     def test_kkt_residual_orthogonal_to_tangent(self, rng):
-        # with q = -A_in p eliminated, stationarity of the step reads
-        # (H + A_in^T D A_in) p + g + A_in^T / s in the span of the equality
-        # rows, D = diag(1/s^2): the residual must be fitted by them alone
+        # with the slack direction q = -A_in p eliminated, stationarity of
+        # the step reads (H + A_in^T D A_in) p + g + A_in^T / s in the span of
+        # the equality rows, D = diag(1/s^2), for H and g of the objective
+        # and -ln det X alone: the residual must be fitted by those rows
         problem, x, slacks = type1_setup(rng)
         cons = problem.constraints
         m = cons.n_ineq
-        bundle = composite_eval(2.0, problem.terms, [None], x)
-        step = newton_step_type1(bundle, slacks, cons)
-        bundle = fixed_coordinates(bundle)
+        step = newton_step_type1(f_beta_bundle(problem, x), cons)
+        bundle = fixed_coordinates(composite_eval(2.0, problem.terms, [None], x))
         iso = sym_isometry(cons.order)
         rows = np.stack([iso.T @ vec(a) for a in cons.mats])
         a_in, a_eq = rows[:m], rows[m:]
@@ -130,18 +134,25 @@ class TestType1:
         assert np.linalg.norm(proj) <= 1e-7 * (1 + np.linalg.norm(bundle.gradient))
 
     def test_nonpositive_slack_rejected(self, rng):
-        problem, x, _ = type1_setup(rng)
-        bundle = composite_eval(1.0, problem.terms, [None], x)
-        with pytest.raises(DomainViolation):
-            newton_step_type1(bundle, np.array([1.0, -0.1]), problem.constraints)
+        # the X barrier holds the slacks' logs: outside their domain it
+        # raises in both modes, and F_beta's value is +inf
+        problem, x, slacks = type1_setup(rng)
+        cons = problem.constraints
+        for gap in (-1e-9, -0.1):
+            rhs = cons.rhs.copy()
+            rhs[1] -= slacks[1] - gap
+            shifted = AffineConstraints(cons.mats, rhs, n_ineq=cons.n_ineq)
+            for want_hessian in (True, False):
+                with pytest.raises(DomainViolation, match="slacks must be positive"):
+                    barrier_eval(EvalPoint(x), want_hessian, shifted)
+            problem.constraints = shifted
+            assert FBetaEvaluator(problem).value(EvalPoint(x), 1.0) == np.inf
 
 
 class TestType2:
     def test_stationary_point_gives_zero_direction(self):
         # analytic center of {Tr X = 1}: gradient of -ln det is in span{I}
         n = 4
-        from qipsolve.objectives import barrier_eval
-
         cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
         bundle = barrier_eval(EvalPoint(np.eye(n) / n))
         step = newton_step_type2(bundle, cons)
@@ -150,8 +161,6 @@ class TestType2:
 
     def test_no_tangent_space_gives_the_zero_step(self):
         # n = 1 with Tr X = 1: the equality row spans svec, so p = 0
-        from qipsolve.objectives import barrier_eval
-
         cons = AffineConstraints([np.eye(1)], np.array([1.0]), n_ineq=0)
         step = newton_step_type2(barrier_eval(EvalPoint(np.full((1, 1), 0.5))), cons)
         assert np.array_equal(step.direction_X, np.zeros((1, 1)))
@@ -234,10 +243,14 @@ class TestType2:
 def reference_newton_step(bundle, slacks, cons):
     """The Newton step from plain expressions and scipy.linalg's wrappers.
 
-    The production step writes only the lower triangle of the tangent
-    block, by rank-2k and rank-N_ineq updates, and solves by two
-    triangular solves, so it rounds differently from these expressions.
-    Both take the rotated rows and their QR from the production helpers.
+    ``bundle`` leaves out the inequality rows' logs, which enter here as a
+    slack block: the slack direction q = -A_ineq p is eliminated, adding
+    (A_ineq N)^T diag(1/s^2) (A_ineq N) to the reduced Hessian. The
+    production step reads them from the X barrier instead, writes only
+    the lower triangle of the tangent block by a rank-2k update and solves
+    by two triangular solves, so it rounds differently from these
+    expressions. Both take the rotated rows and their QR from the
+    production helpers.
     """
     m, k = cons.n_ineq, cons.n_eq
     u = bundle.basis
@@ -264,35 +277,41 @@ def reference_newton_step(bundle, slacks, cons):
     p_s = p_q - vt @ (v.T @ p_q)
     p2 = -(a_in @ p_s)
     p_x = symmetrize(u @ unsvec(p_s) @ u.T)
-    grad_slack = -inv_s
-    rad = float(-(p_s @ grad + p2 @ grad_slack))
+    rad = float(-(p_s @ grad - p2 @ inv_s))
     return {
         "direction_X": p_x,
-        "direction_slack": p2,
         "decrement": float(np.sqrt(max(quad, 0.0))),
         "decrement_innerprod": float(np.sqrt(max(rad, 0.0))),
         "schur_condition": cond,
     }
 
 
+# each setup returns the bundle without the inequality rows' logs, their
+# slacks, the constraints, and F_beta's bundle, which holds those logs
+
 def inequality_only_setup(rng, n=6):
     """Every row an inequality: the tangent space is all of svec."""
     problem = probio.generate_random("type1", {"n": n, "m": 2, "N": 4}, seed=11)
-    cons = AffineConstraints(problem.constraints.mats, problem.constraints.rhs, n_ineq=4)
     x = rand_spd(rng, n)
     slacks = rng.uniform(0.5, 2.0, 4)
-    return composite_eval(2.0, problem.terms, [None], x), slacks, cons
+    mats = problem.constraints.mats
+    cons = AffineConstraints(mats, [np.tensordot(a, x) for a in mats] + slacks, n_ineq=4)
+    problem.constraints = cons
+    return (composite_eval(2.0, problem.terms, [None], x), slacks, cons,
+            f_beta_bundle(problem, x))
 
 
 def mixed_setup(rng):
     problem, x, slacks = type1_setup(rng, n=6)
-    return composite_eval(2.0, problem.terms, [None], x), slacks, problem.constraints
+    return (composite_eval(2.0, problem.terms, [None], x), slacks, problem.constraints,
+            f_beta_bundle(problem, x))
 
 
 def equality_only_setup(rng):
     problem = probio.generate_random("type2", {"n": 4, "m": 1}, seed=5)
     x = probio.random_feasible_point(problem, rng)
-    return FBetaEvaluator(problem).x_bundle(EvalPoint(x), 3.0), np.zeros(0), problem.constraints
+    bundle = f_beta_bundle(problem, x, 3.0)
+    return bundle, np.zeros(0), problem.constraints, bundle
 
 
 class TestRotatedRows:
@@ -318,21 +337,21 @@ class TestRotatedRows:
 
 class TestBasisCache:
     def test_a_hit_gives_the_fresh_step_bitwise(self, rng):
-        bundle, slacks, cons = mixed_setup(rng)
+        *_, cons, bundle = mixed_setup(rng)
         assert not bundle.basis.flags.writeable  # the evaluation point's U
-        first = newton_step_type1(bundle, slacks, cons)
+        first = newton_step_type1(bundle, cons)
         factors = cons.in_basis(bundle.basis)
-        hit = newton_step_type1(bundle, slacks, cons)
+        hit = newton_step_type1(bundle, cons)
         assert all(a is b for a, b in zip(cons.in_basis(bundle.basis), factors))
         fresh = newton_step_type1(
-            bundle, slacks, AffineConstraints(cons.mats, cons.rhs, n_ineq=cons.n_ineq))
+            bundle, AffineConstraints(cons.mats, cons.rhs, n_ineq=cons.n_ineq))
         for step in (hit, fresh):
-            for name in ("direction_X", "direction_slack", "decrement", "decrement_innerprod",
+            for name in ("direction_X", "decrement", "decrement_innerprod",
                          "schur_condition", "tangency_residual"):
                 assert np.array_equal(getattr(step, name), getattr(first, name)), name
 
     def test_a_new_basis_array_recomputes(self, rng):
-        bundle, _, cons = mixed_setup(rng)
+        bundle, _, cons, _ = mixed_setup(rng)
         u = bundle.basis
         rows = cons.in_basis(u)[0]
         other = u.copy()
@@ -346,8 +365,10 @@ class TestBasisCache:
 
 class TestLapackPath:
     # relative error in the 2-norm, the same for every field; the largest
-    # measured at this seed is 2.1e-11 (direction_X, mixed, Schur condition
-    # 2.5e3), at one and at two BLAS threads
+    # measured at this seed is 7.0e-11 (direction_X, mixed, Schur condition
+    # 2.5e3), at one and at two BLAS threads. The slack logs enter the
+    # step's Hessian before the projection on the tangent space and the
+    # reference's after it, so the two round differently
     RTOL = 1e-9
 
     @pytest.mark.parametrize("setup, rows", [(mixed_setup, (True, True)),
@@ -355,31 +376,31 @@ class TestLapackPath:
                                              (inequality_only_setup, (True, False))],
                              ids=["mixed", "equalities_only", "inequalities_only"])
     def test_step_matches_the_plain_expressions(self, rng, setup, rows):
-        bundle, slacks, cons = setup(rng)
+        bundle, slacks, cons, f_beta = setup(rng)
         assert (cons.n_ineq > 0, cons.n_eq > 0) == rows
-        hess = bundle.hessian.copy()
-        step = newton_step_type1(bundle, slacks, cons)
-        assert np.array_equal(bundle.hessian, hess)  # the caller's Hessian is untouched
+        hess = f_beta.hessian.copy()
+        step = newton_step_type1(f_beta, cons)
+        assert np.array_equal(f_beta.hessian, hess)  # the caller's Hessian is untouched
         for name, expected in reference_newton_step(bundle, slacks, cons).items():
             err = np.linalg.norm(getattr(step, name) - expected)
             assert err <= self.RTOL * np.linalg.norm(expected), name
 
     def test_nan_hessian_entry_rejected(self, rng):
-        bundle, slacks, cons = mixed_setup(rng)
+        *_, cons, bundle = mixed_setup(rng)
         d = bundle.hessian.shape[0]
         for entry in np.ndindex(d, d):
             hess = bundle.hessian.copy()
             hess[entry] = np.nan
             with pytest.raises(SingularKKT):
-                newton_step_type1(DerivativeBundle(0.0, bundle.gradient, hess), slacks, cons)
+                newton_step_type1(DerivativeBundle(0.0, bundle.gradient, hess), cons)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_entry_rejected(self, rng, bad):
-        problem, x, slacks = type1_setup(rng, n=3, m=1, n_total=2)
-        bundle = composite_eval(2.0, problem.terms, [None], x)
+        problem, x, _ = type1_setup(rng, n=3, m=1, n_total=2)
+        bundle = f_beta_bundle(problem, x)
         for i in range(bundle.gradient.size):
             grad = bundle.gradient.copy()
             grad[i] = bad
             with pytest.raises(SingularKKT):
-                newton_step_type1(DerivativeBundle(0.0, grad, bundle.hessian), slacks,
+                newton_step_type1(DerivativeBundle(0.0, grad, bundle.hessian),
                                   problem.constraints)

@@ -32,7 +32,6 @@ from qipsolve.pathfollow import (
     FBetaEvaluator,
     SolverConfig,
     _Run,
-    _slacks,
     center,
     cone_step_bound,
     iteration_bound,
@@ -50,10 +49,9 @@ def cap_centerings(monkeypatch, per_outer):
                         lambda config, r: (per_outer, real(config, r)[1]))
 
 
-def fake_step(direction, slack=None):
+def fake_step(direction):
     return NewtonStep(
         direction_X=direction,
-        direction_slack=np.zeros(0) if slack is None else slack,
         decrement=1.0,
         decrement_innerprod=1.0,
         schur_condition=1.0,
@@ -62,12 +60,19 @@ def fake_step(direction, slack=None):
 
 
 def type1_point(rng):
-    """Evaluator, a random strictly feasible point and its slacks of a small type1 instance."""
+    """Evaluator and a random strictly feasible point of a small type1 instance."""
     problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=3)
     x = probio.random_feasible_point(problem, rng)
+    return FBetaEvaluator(problem), EvalPoint(x)
+
+
+def slack_bound(problem, x, p):
+    """Least s_i / <A_i, P> over the inequality rows whose slack falls along P."""
     cons = problem.constraints
-    slacks = cons.rhs[:2] - np.array([np.tensordot(a, x) for a in cons.mats[:2]])
-    return FBetaEvaluator(problem), EvalPoint(x), slacks
+    m = cons.n_ineq
+    slacks = cons.rhs[:m] - np.array([np.tensordot(a, x) for a in cons.mats[:m]])
+    rates = np.array([np.tensordot(a, p) for a in cons.mats[:m]])
+    return min((s / r for s, r in zip(slacks, rates) if r > 0), default=math.inf)
 
 
 class TestMaxFeasibleStep:
@@ -76,7 +81,7 @@ class TestMaxFeasibleStep:
         ev = FBetaEvaluator(problem)
         g = rng.standard_normal((4, 4))
         x = symmetrize(g @ g.T + 0.3 * np.eye(4))
-        a = max_feasible_step(EvalPoint(x), np.zeros(0), fake_step(-x), ev)
+        a = max_feasible_step(EvalPoint(x), fake_step(-x), ev)
         assert a == pytest.approx(1.0, rel=1e-10)
 
     def test_psd_direction_is_unbounded(self, rng):
@@ -85,14 +90,20 @@ class TestMaxFeasibleStep:
         g = rng.standard_normal((4, 4))
         x = symmetrize(g @ g.T + 0.3 * np.eye(4))
         p = symmetrize(g @ g.T)  # PSD step
-        assert max_feasible_step(EvalPoint(x), np.zeros(0), fake_step(p), ev) == math.inf
+        assert max_feasible_step(EvalPoint(x), fake_step(p), ev) == math.inf
 
     def test_slack_boundary(self, rng):
+        # a PSD direction leaves X definite, so the first falling slack bounds it
         problem = probio.generate_random("type1", {"n": 3, "m": 2, "N": 3}, seed=5)
         ev = FBetaEvaluator(problem)
-        step = fake_step(np.zeros((3, 3)), slack=np.array([-1.0, -1.0]))
-        bound = max_feasible_step(EvalPoint(np.eye(3) * 10), np.array([0.5, 2.0]), step, ev)
-        assert bound == pytest.approx(0.5)
+        x = probio.random_feasible_point(problem, rng)
+        w, v = np.linalg.eigh(problem.constraints.mats[0])
+        assert w[-1] > 0.0
+        p = np.outer(v[:, -1], v[:, -1])
+        expected = slack_bound(problem, x, p)
+        assert math.isfinite(expected)
+        assert max_feasible_step(EvalPoint(x), fake_step(p), ev) == pytest.approx(expected,
+                                                                                  rel=1e-12)
 
 
     def test_failed_generalized_eigenproblem_raises(self, rng):
@@ -101,7 +112,7 @@ class TestMaxFeasibleStep:
         problem = probio.build_named("trace-inverse-n4")
         x = -np.eye(4)
         with pytest.raises(DomainViolation, match="iterate X must be positive definite"):
-            max_feasible_step(EvalPoint(x), np.zeros(0), fake_step(symmetrize(
+            max_feasible_step(EvalPoint(x), fake_step(symmetrize(
                 rng.standard_normal((4, 4)))), FBetaEvaluator(problem))
 
     @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
@@ -134,13 +145,10 @@ class TestMaxFeasibleStep:
         for p, y in cases:
             dec = spectral_decompose(y)
             assert_same_bound(cone_step_bound(dec.U.T @ p @ dec.U, dec.lam), scipy_bound(p, y))
-        slacks = _slacks(problem, x)
-        step = newton_step_type1(ev.x_bundle(EvalPoint(x), 2.0), slacks, problem.constraints)
+        step = newton_step_type1(ev.x_bundle(EvalPoint(x), 2.0), problem.constraints)
         bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
-        neg = step.direction_slack < 0
-        if np.any(neg):
-            bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
-        assert_same_bound(max_feasible_step(EvalPoint(x), slacks, step, ev), min(bounds))
+        bounds.append(slack_bound(problem, x, step.direction_X))
+        assert_same_bound(max_feasible_step(EvalPoint(x), step, ev), min(bounds))
 
     @pytest.mark.parametrize("kind, dims", [("type1", {"n": 5, "m": 2, "N": 4}),
                                             ("type2", {"n": 4, "m": 1})])
@@ -148,7 +156,7 @@ class TestMaxFeasibleStep:
         # each cone's bound is -1 / lambda_min of W = Lam^-1/2 O.T P O Lam^-1/2
         # from scipy's divide-and-conquer symmetric eigensolver on W's upper
         # triangle, bit for bit, and max_feasible_step is the least of the
-        # cones' and the slacks' bounds, bit for bit
+        # cones' bounds, bit for bit, and of the slacks' bounds
         problem = probio.generate_random(kind, dims, seed=7)
         ev = FBetaEvaluator(problem)
         x = probio.random_feasible_point(problem, rng)
@@ -172,66 +180,62 @@ class TestMaxFeasibleStep:
             dec = spectral_decompose(y)
             assert cone_step_bound(dec.U.T @ p @ dec.U, dec.lam) == scipy_bound(p, y)
         assert scipy_bound(*cases[-1]) == math.inf
-        slacks = _slacks(problem, x)
-        step = newton_step_type1(ev.x_bundle(EvalPoint(x), 2.0), slacks, problem.constraints)
-        bounds = [scipy_bound(p, y) for p, y in pencils(step.direction_X)]
-        neg = step.direction_slack < 0
-        if np.any(neg):
-            bounds.append(float(np.min(slacks[neg] / -step.direction_slack[neg])))
-        assert max_feasible_step(EvalPoint(x), slacks, step, ev) == min(bounds)
+        step = newton_step_type1(ev.x_bundle(EvalPoint(x), 2.0), problem.constraints)
+        cones = min(scipy_bound(p, y) for p, y in pencils(step.direction_X))
+        slacks = slack_bound(problem, x, step.direction_X)
+        bound = max_feasible_step(EvalPoint(x), step, ev)
+        if cones <= slacks:
+            assert bound == cones
+        else:
+            assert bound == pytest.approx(slacks, rel=1e-12)
 
 
 class TestLineSearch:
     def test_strict_decrease_on_newton_step(self, rng, monkeypatch):
-        ev, point, slacks = type1_point(rng)
+        ev, point = type1_point(rng)
         problem = ev.problem
         beta = 2.0
-        step = newton_step_type1(ev.x_bundle(point, beta), slacks, problem.constraints)
+        step = newton_step_type1(ev.x_bundle(point, beta), problem.constraints)
         real_value = ev.value
         tested = []
 
-        def recorded(p, s, b):
-            tested.append((p, s))
-            return real_value(p, s, b)
+        def recorded(p, b):
+            tested.append(p)
+            return real_value(p, b)
 
         monkeypatch.setattr(ev, "value", recorded)
-        alpha, trial = line_search(point, slacks, step, beta, ev)
+        alpha, trial = line_search(point, step, beta, ev)
         monkeypatch.undo()
         assert 0.0 < alpha <= 1.0
         new_x = symmetrize(point.x + alpha * step.direction_X)
-        f0 = ev.value(point, slacks, beta)
-        f1 = ev.value(EvalPoint(new_x), _slacks(problem, new_x), beta)
+        f0 = ev.value(point, beta)
+        f1 = ev.value(EvalPoint(new_x), beta)
         assert f1 < f0
         # the accepted trial is that step, and its point holds its X
         assert np.array_equal(trial.x, new_x)
-        assert ev.value(trial, _slacks(problem, trial.x), beta) == f1
-        # each trial's value test read the slacks of the trial's own X
-        assert tested[0][0] is point and tested[0][1] is slacks
-        for p, s in tested[1:]:
-            assert np.array_equal(s, _slacks(problem, p.x))
-        assert tested[-1][0] is trial
+        assert ev.value(trial, beta) == f1
+        assert tested[0] is point and tested[-1] is trial
 
     def test_ascent_direction_fails(self, rng, monkeypatch):
         # a value decrease is the only acceptance rule, so an ascent
         # direction exhausts the backtrack budget. Values are clamped at
         # F_beta(x): at alpha ~ 1e-14 the rounding of real ones can show a
         # spurious decrease of about 1e-14 relative
-        ev, point, slacks = type1_point(rng)
+        ev, point = type1_point(rng)
         beta = 2.0
-        step = newton_step_type1(ev.x_bundle(point, beta), slacks, ev.problem.constraints)
+        step = newton_step_type1(ev.x_bundle(point, beta), ev.problem.constraints)
         step.direction_X = -step.direction_X
-        step.direction_slack = -step.direction_slack
-        f0 = ev.value(point, slacks, beta)
+        f0 = ev.value(point, beta)
         true_value = ev.value
         values = []
 
-        def clamped(point, slacks, b):
-            values.append(true_value(point, slacks, b))
+        def clamped(point, b):
+            values.append(true_value(point, b))
             return max(values[-1], f0)
 
         monkeypatch.setattr(ev, "value", clamped)
         with pytest.raises(LineSearchFailure):
-            line_search(point, slacks, step, beta, ev)
+            line_search(point, step, beta, ev)
         assert len(values) == 1 + pathfollow.LS_MAX_BACKTRACKS
         assert all(v > f0 for v in values[1:10])
 
@@ -253,9 +257,9 @@ class TestCertifiedStep:
         searched = []
         real_search = pathfollow.line_search
 
-        def recording(point, slacks, step, beta, evaluator):
+        def recording(point, step, beta, evaluator):
             searched.append((beta, step.decrement))
-            return real_search(point, slacks, step, beta, evaluator)
+            return real_search(point, step, beta, evaluator)
 
         monkeypatch.setattr(pathfollow, "line_search", recording)
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
@@ -292,8 +296,8 @@ class TestCertifiedStep:
                 continue
             lam = 0.5 * m * s["delta"]
             bound = (4.0 / m**2) * (lam**2 + lam + math.log1p(-lam))
-            f0 = ev.value(EvalPoint(start), _slacks(problem, start), s["beta"])
-            f1 = ev.value(EvalPoint(s["x"]), _slacks(problem, s["x"]), s["beta"])
+            f0 = ev.value(EvalPoint(start), s["beta"])
+            f1 = ev.value(EvalPoint(s["x"]), s["beta"])
             assert f1 - f0 <= -bound + 1e-12 * abs(f0)
             checked += 1
         assert checked >= 3
@@ -328,7 +332,7 @@ class TestCenter:
 
 
 # (kind, dims, include_barrier): QKD with and without -ln det X, type1
-# with slacks, and type2 with two barriers (on X and on L(X))
+# with inequality rows, and type2 with two barriers (on X and on L(X))
 CACHE_CASES = {
     "qkd": ("qkd", {"n": 3, "m": 1}, True),
     "qkd-no-barrier": ("qkd", {"n": 3, "m": 1}, False),
@@ -394,7 +398,7 @@ class TestHessianCache:
         parts = point.parts
         assert np.array_equal(point.x, x) and len(parts) == len(ev.terms)
         # a value-only evaluation at the same point keeps its bundles
-        ev.value(point, np.zeros(0), 5.0)
+        ev.value(point, 5.0)
         assert point.parts is parts
         reference = reference_bundle(problem, include_barrier, x, 7.5)
         assert_bitwise_equal(ev.hessian_bundle(point, 7.5), reference)
@@ -402,7 +406,7 @@ class TestHessianCache:
         # the bundles belong to their point: one at another X holds none,
         # and a new point at X is evaluated afresh
         other_point = EvalPoint(other)
-        ev.value(other_point, np.zeros(0), 5.0)
+        ev.value(other_point, 5.0)
         assert np.array_equal(other_point.x, other) and other_point.parts is None
         assert_bitwise_equal(ev.hessian_bundle(EvalPoint(x), 7.5), reference)
         assert len(fresh) == 2
@@ -418,7 +422,7 @@ class TestHessianCache:
         fresh = count_fresh_hessians(monkeypatch, ev)
         iterate = EvalPoint(x)
         ev.hessian_bundle(iterate, 3.0)
-        assert math.isfinite(ev.value(EvalPoint(other), _slacks(problem, other), 3.0))
+        assert math.isfinite(ev.value(EvalPoint(other), 3.0))
         bundle = ev.hessian_bundle(iterate, 7.5)
         assert len(fresh) == 1
         assert_bitwise_equal(bundle, combine_terms(7.5, iterate.parts, ev.n_scaled))
@@ -438,8 +442,9 @@ class TestHessianCache:
         reference = reference_bundle(problem, include_barrier, x, 3.0)
         assert_bitwise_equal(bundle, reference)
 
-    # the relative entropy; type1 with inequality rows (slacks, and steps
-    # outside the certified band, so line-searched); type2 (map barrier)
+    # the relative entropy; type1 with inequality rows (their logs in the
+    # X barrier, and steps outside the certified band, so line-searched);
+    # type2 (map barrier)
     @pytest.mark.parametrize("kind, dims", [
         ("qkd", {"n": 3, "m": 1}),
         ("type1", {"n": 4, "m": 2, "N": 4}),
@@ -454,9 +459,9 @@ class TestHessianCache:
         real_search = pathfollow.line_search
         hessians, searches = [], []
 
-        def counted(point, want_hessian=True):
+        def counted(point, want_hessian=True, constraints=None):
             hessians.append(want_hessian)
-            return real(point, want_hessian)
+            return real(point, want_hessian, constraints)
 
         def counted_search(*args):
             searches.append(None)
@@ -477,21 +482,18 @@ class TestSharedPoint:
     @pytest.mark.parametrize("case", sorted(CACHE_CASES))
     def test_value_is_the_combined_bundle_value(self, case, rng):
         problem, include_barrier, x = cache_case(case, rng)
-        slacks = _slacks(problem, x)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
         parts = evaluate_terms(ev.terms, ev.n_scaled, EvalPoint(x))
         expected = combine_terms(3.0, parts, ev.n_scaled).value
-        if slacks.size:
-            expected -= float(np.sum(np.log(slacks)))
-        assert ev.value(EvalPoint(x), slacks, 3.0) == expected
+        assert ev.value(EvalPoint(x), 3.0) == expected
 
     @pytest.mark.parametrize("case", ["qkd", "type1", "type2"])
     def test_accepted_trial_is_not_decomposed_again(self, case, rng, monkeypatch):
         problem, include_barrier, x = cache_case(case, rng)
         ev = FBetaEvaluator(problem, include_barrier=include_barrier)
-        point, slacks = EvalPoint(x), _slacks(problem, x)
+        point = EvalPoint(x)
         beta = 2.0
-        step = newton_step_type1(ev.hessian_bundle(point, beta), slacks, problem.constraints)
+        step = newton_step_type1(ev.hessian_bundle(point, beta), problem.constraints)
         seen = []
         real = objectives.spectral_decompose
 
@@ -500,7 +502,7 @@ class TestSharedPoint:
             return real(y)
 
         monkeypatch.setattr(objectives, "spectral_decompose", counted)
-        alpha, trial = line_search(point, slacks, step, beta, ev)
+        alpha, trial = line_search(point, step, beta, ev)
         # F at alpha = 0 reads the Hessian evaluation's decompositions
         assert seen and not any(np.array_equal(y, x) for y in seen)
         new_x = symmetrize(point.x + alpha * step.direction_X)
@@ -627,7 +629,7 @@ class TestSolve:
         assert len(starts) >= 5
         for x, rec in zip(starts, records):
             bundle = ev.x_bundle(EvalPoint(x), rec["beta"])
-            step = newton_step_type1(bundle, np.zeros(0), problem.constraints)
+            step = newton_step_type1(bundle, problem.constraints)
             grad = fixed_coordinates(bundle).gradient
             assert grad @ (sym_isometry(3).T @ vec(step.direction_X)) < 0.0
             assert step.decrement_innerprod == pytest.approx(step.decrement, rel=1e-6)
@@ -649,8 +651,8 @@ class TestSolve:
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
         real_step = pathfollow.newton_step_type1
 
-        def flipped(bundle, slacks, cons):
-            step = real_step(bundle, slacks, cons)
+        def flipped(bundle, cons):
+            step = real_step(bundle, cons)
             step.direction_X = -step.direction_X
             return step
 
@@ -669,10 +671,10 @@ class TestSolve:
         records = []
         real_search = pathfollow.line_search
 
-        def failing(point, slacks, step, beta, evaluator):
+        def failing(point, step, beta, evaluator):
             if beta > config.beta0 and any(rec["beta"] == beta for rec in records):
                 raise LineSearchFailure("forced failure")
-            return real_search(point, slacks, step, beta, evaluator)
+            return real_search(point, step, beta, evaluator)
 
         monkeypatch.setattr(pathfollow, "line_search", failing)
         with pytest.raises(LineSearchFailure, match="phase: outer") as caught:
@@ -754,8 +756,8 @@ class TestSolve:
         conditions = []
         real = pathfollow.newton_step_type1
 
-        def recorded(bundle, slacks, cons):
-            step = real(bundle, slacks, cons)
+        def recorded(bundle, cons):
+            step = real(bundle, cons)
             conditions.append(step.schur_condition)
             return step
 
@@ -799,6 +801,17 @@ class TestSolve:
             with pytest.raises(ValueError, match="only supported on qkd"):
                 solve(probio.build_named(name), include_barrier=False)
 
+    def test_no_barrier_rejected_with_inequality_rows(self, monkeypatch):
+        # validation keeps inequality rows out of qkd files, but a problem
+        # built in code reaches solve, whose X barrier holds their logs
+        monkeypatch.setattr(pathfollow, "center", lambda *a, **k: pytest.fail("solve ran"))
+        qkd = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
+        cons = qkd.constraints
+        rows = AffineConstraints([2.0 * np.eye(3), *cons.mats], [3.0, *cons.rhs], n_ineq=1)
+        problem = probio.ProblemSpec(constraints=rows, terms=qkd.terms, start=qkd.start)
+        with pytest.raises(ValueError, match="equality rows only"):
+            solve(problem, include_barrier=False)
+
     def test_gap_bound_formula(self):
         # printed proximity bound at delta = 0 collapses to 0
         assert proximity_gap_bound(0.0, 10.0, 4.0, 2.0) == 0.0
@@ -819,12 +832,15 @@ def test_structure_comes_from_the_data(case, rng):
     problem = probio.generate_random(kind, dims, seed=1)
     assert probio.barrier_parameter(problem) == r
 
-    # objective terms, then -ln det X, then -ln det L(X) for type2 only
+    # objective terms, then the X barrier with the problem's rows, then
+    # -ln det L(X) for type2 only
     ev = FBetaEvaluator(problem)
-    maps = [None, problem.constraint_map] if kind == "type2" else [None]
+    barriers = [LogDetBarrier(None, problem.constraints)]
+    if kind == "type2":
+        barriers.append(LogDetBarrier(problem.constraint_map))
     assert ev.n_scaled == len(problem.terms)
     assert all(a is b for a, b in zip(ev.terms, problem.terms))
-    assert ev.terms[ev.n_scaled:] == tuple(LogDetBarrier(m) for m in maps)
+    assert ev.terms[ev.n_scaled:] == tuple(barriers)
 
     x = probio.random_feasible_point(problem, rng)
     values = [t.evaluate(EvalPoint(x), want_hessian=False).value for t in problem.terms]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,20 @@ class TestRoundTrip:
         loaded = load(path)
         assert loaded.dims == spec.dims == {"n": 3, "k": 5, "m": 2, "N": 2, "r1": 3, "r2": 2}
         assert probio.to_dict(loaded) == probio.to_dict(spec)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("missing field 'n1' (at objective.barrier_map)",
+         lambda doc: doc["objective"].update(barrier_map={"kind": "partial_transpose", "n2": 2})),
+        ("constraints.n_ineq", lambda doc: doc["constraints"].update(n_ineq="x")),
+        ("weight C", lambda doc: doc["C"][1].pop()),
+    ], ids=["map_without_n1", "n_ineq_not_a_number", "ragged_C"])
+    def test_malformed_field_named(self, tmp_path, field, edit):
+        doc = probio.to_dict(generate_random("type2", {"n": 4, "n1": 2, "n2": 2}, seed=2))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(field)):
+            load(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -29,6 +29,7 @@ from qipsolve.objectives import (
     EvalPoint,
     TraceObjective,
     barrier_eval,
+    composite_eval,
     congruence_batch,
     map_barrier_eval,
     phi_eval,
@@ -41,7 +42,7 @@ from qipsolve.oracle import (
     sym_isometry,
     sym_map_matrix,
 )
-from qipsolve.pathfollow import FBetaEvaluator, _slacks
+from qipsolve.pathfollow import FBetaEvaluator
 from qipsolve.qre import QreObjective, qre_eval
 
 
@@ -152,6 +153,19 @@ def _logdet(rng):
     return barrier_eval, x, p.T @ np.kron(xinv, xinv) @ p
 
 
+def _logdet_ineq(rng):
+    # the X barrier with inequality rows: -ln det X - sum_i ln s_i, whose
+    # Hessian adds svec(A_i) svec(A_i)^T / s_i^2 to the log-det part
+    problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=4)
+    cons = problem.constraints
+    x = problem.start  # well inside: min eigenvalue 0.08, slacks 0.62 and 0.08
+    slacks = cons.rhs[:2] - np.array([np.tensordot(a, x) for a in cons.mats[:2]])
+    p, xinv = sym_isometry(4), np.linalg.inv(x)
+    rows = np.stack([p.T @ vec(a) for a in cons.mats[:2]])
+    return ((lambda y, want_hessian=True: barrier_eval(y, want_hessian, cons)), x,
+            p.T @ np.kron(xinv, xinv) @ p + (rows.T / slacks**2) @ rows)
+
+
 def _logdet_map(rng):
     pt = PartialTranspose(2, 2)
     x = separable_ppt_state(rng, 2, 2)
@@ -167,6 +181,7 @@ TERM_CASES = {
     "trace-partial-transpose": _trace_partial_transpose,
     "qre": _qre,
     "logdet": _logdet,
+    "logdet-ineq": _logdet_ineq,
     "logdet-map": _logdet_map,
 }
 
@@ -206,12 +221,17 @@ def test_term_hessian_against_the_oracles(kind, rng):
         assert rel_err(k.T @ (h @ (k @ (p.T @ vec(xi)))), act_fd) <= 1e-5
 
 
-@pytest.mark.parametrize("kind", ["logdet", "logdet-map"])
+@pytest.mark.parametrize("kind", ["logdet", "logdet-ineq", "logdet-map"])
 def test_barrier_gradient_against_the_closed_form(kind, rng):
     evaluate, x, _ = TERM_CASES[kind](rng)
     b = evaluate(EvalPoint(x), True)
     if kind == "logdet":
         g = -np.linalg.inv(x)
+    elif kind == "logdet-ineq":
+        # -X^-1 + sum_i A_i / s_i
+        cons = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=4).constraints
+        slacks = cons.rhs[:2] - np.array([np.tensordot(a, x) for a in cons.mats[:2]])
+        g = -np.linalg.inv(x) + np.tensordot(1.0 / slacks, cons.mats[:2], axes=1)
     else:
         pt = PartialTranspose(2, 2)
         g = -pt.adjoint_apply(np.linalg.inv(pt.apply(x)))
@@ -257,10 +277,12 @@ def test_qre_hessian_annihilates_the_point(rng):
 def dense_kkt_step(bundle, slacks, cons):
     """Newton direction (p, q) of the full saddle-point system on svec coordinates.
 
-    Unknowns [p; q; lambda_ineq; lambda_eq] with
+    The inequality rows enter by slack variables s = b - A_in(X) with
+    their own logs, so ``bundle`` holds the rest of F_beta. Unknowns
+    [p; q; lambda_ineq; lambda_eq] with
     H p - A_in^T l_in - A_eq^T l_eq = -g, D q - l_in = 1/s,
-    A_in p + q = 0, A_eq p = 0, built with the oracle's isometry on the
-    fixed coordinates svec(xi) (``bundle`` is on them).
+    A_in p + q = 0, A_eq p = 0, D = diag(1/s^2), built with the oracle's
+    isometry on the fixed coordinates svec(xi) (``bundle`` is on them).
     """
     n, m = cons.order, cons.n_ineq
     p_iso = sym_isometry(n)
@@ -287,12 +309,17 @@ def dense_kkt_step(bundle, slacks, cons):
     ("type1", {"n": 16, "m": 4, "N": 12}),
 ])
 def test_newton_step_matches_the_dense_kkt_system(kind, dims, rng):
+    # the step of F_beta, whose X barrier holds the inequality rows' logs,
+    # against the saddle-point system with an explicit slack block
     problem = probio.generate_random(kind, dims, seed=3)
+    cons = problem.constraints
+    m = cons.n_ineq
     x = probio.random_feasible_point(problem, rng)
-    slacks = _slacks(problem, x)
-    ev = FBetaEvaluator(problem)
-    bundle = ev.hessian_bundle(EvalPoint(x), 5.0)
-    step = newton_step_type1(bundle, slacks, problem.constraints)
-    p, q = dense_kkt_step(fixed_coordinates(bundle), slacks, problem.constraints)
+    slacks = cons.rhs[:m] - np.array([np.tensordot(a, x) for a in cons.mats[:m]])
+    step = newton_step_type1(FBetaEvaluator(problem).hessian_bundle(EvalPoint(x), 5.0), cons)
+    maps = [None] if problem.constraint_map is None else [None, problem.constraint_map]
+    rest = composite_eval(5.0, problem.terms, maps, x)
+    p, q = dense_kkt_step(fixed_coordinates(rest), slacks, cons)
     assert rel_err(vec(step.direction_X), p) <= 1e-8
-    assert rel_err(step.direction_slack, q) <= 1e-8
+    assert np.abs(q + np.array([np.tensordot(a, step.direction_X) for a in cons.mats[:m]])).max(
+        initial=0.0) <= 1e-8 * (1.0 + np.abs(q).max(initial=0.0))
