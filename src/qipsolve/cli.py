@@ -110,6 +110,8 @@ def cmd_solve(args) -> int:
     print(f"f_min      {report.f_min:.10g}")
     print(f"nNewton    {report.total_newton}")
     print(f"outer      {report.outer_iters}")
+    print(f"predictions_accepted {report.predictions_accepted}")
+    print(f"predictions_rejected {report.predictions_rejected}")
     print(f"time_s     {report.wall_time:.4f}")
     _write_solve_outputs(report, records, args)
     return 0
@@ -270,9 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("problem")
     s.add_argument("--beta0", type=float, default=1.0)
     s.add_argument("--theta", type=float, default=1.0,
-                   help="beta grows by (1 + theta) per centering; the run makes "
-                        "ceil(ln(4r/(eps beta0)) / ln(1 + theta)) + 1 centerings, "
-                        "each capped at the theory's per-outer Newton-step bound")
+                   help="every beta is beta0 (1 + theta)^i, up to the first at or "
+                        "above 4r/eps; a tangent predictor skips betas while its "
+                        "predictions land, and each centering is capped at the "
+                        "theory's per-outer Newton-step bound")
     s.add_argument("--eps", type=float, default=1e-8)
     s.add_argument("--no-barrier", action="store_true",
                    help="drop the -ln det X term (qkd problems only; an error on others)")

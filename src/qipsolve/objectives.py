@@ -392,18 +392,8 @@ def evaluate_terms(terms, n_scaled: int, point: EvalPoint,
     return parts
 
 
-def combine_terms(beta: float, parts, n_scaled: int) -> DerivativeBundle:
-    """beta * (the first ``n_scaled`` parts) + the remaining parts.
-
-    Each sum starts from the first part (times beta when it is scaled)
-    and adds the others in place, in term order, so the same parts and
-    beta always give bit-identical results, whether the parts were just
-    evaluated or kept from an earlier beta, and the value is the same
-    whether the parts are full or value-only. Value-only parts (gradient
-    None) give a value-only bundle. Full parts share one basis, the
-    eigenbasis of their common X, which the sum keeps. The parts are not
-    modified.
-    """
+def combine_values(beta: float, parts, n_scaled: int) -> float:
+    """The value of ``combine_terms(beta, parts, n_scaled)``, alone: the same sum."""
     if beta < 0.0:
         raise DomainViolation("beta must be nonnegative")
     head = parts[0]
@@ -412,6 +402,23 @@ def combine_terms(beta: float, parts, n_scaled: int) -> DerivativeBundle:
         value += beta * part.value
     for part in parts[max(n_scaled, 1):]:
         value += part.value
+    return value
+
+
+def combine_terms(beta: float, parts, n_scaled: int) -> DerivativeBundle:
+    """beta * (the first ``n_scaled`` parts) + the remaining parts.
+
+    Each sum starts from the first part (times beta when it is scaled)
+    and adds the others in place, in term order, so the same parts and
+    beta always give bit-identical results, whether the parts were just
+    evaluated or kept from an earlier beta, and the value is the same
+    whether the parts are full or value-only (``combine_values``).
+    Value-only parts (gradient None) give a value-only bundle. Full parts
+    share one basis, the eigenbasis of their common X, which the sum
+    keeps. The parts are not modified.
+    """
+    value = combine_values(beta, parts, n_scaled)
+    head = parts[0]
     if head.gradient is None:
         return DerivativeBundle(value=value, gradient=None)
 

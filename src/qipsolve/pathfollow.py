@@ -1,12 +1,42 @@
 """Long-step path-following driver.
 
-Outer iterations grow beta geometrically, beta_i = (1+theta)^i * beta0;
-each outer iteration re-centers F_beta = beta f + B by damped Newton
-steps until the Newton decrement passes the gate delta <= 1/(3 kappa)
-(kappa = M/2 = 2, below),
-and the run stops once beta >= 4 r / epsilon. An initial damped-Newton
-phase at beta0 supplies the centered starting point the outer loop
-presumes.
+Every beta of a run is on the schedule beta_i = (1+theta)^i * beta0,
+i = 0..K, whose last beta_K is the first at or above 4 r / epsilon. Each
+outer iteration (a centering) re-centers F_beta = beta f + B by damped
+Newton steps until the Newton decrement passes the gate
+delta <= 1/(3 kappa) (kappa = M/2 = 2, below), and the run stops after
+its centering at beta_K. An initial damped-Newton phase at beta0
+supplies the centered starting point the outer loop presumes.
+
+Between centerings the run predicts along the central path (Nesterov
+and Nemirovski 1994; Gonzaga, SIAM Review 34, 1992). At x(beta),
+beta grad f + grad B + A^T lambda = 0 with A x = b, so the tangent
+xdot = dx/dbeta solves the Newton system of F_beta at x with the
+gradient grad f, the sum of the unscaled objective parts the point
+holds. The gate check that ended the last centering keeps its factor
+(``kkt.NewtonStep.solve``), so xdot costs two triangular solves. Late in
+a run x(beta) ~ x* + c / beta, so the predicted point is
+x_p = x + (beta' - beta)(beta / beta') xdot, at beta' = min(mu beta, beta_K).
+mu starts at 1 + theta, is squared after each accepted prediction and
+goes back to 1 + theta after a rejection, so every beta' is a beta_i and
+the last beta is beta_K. A prediction is accepted when x_p is strictly
+feasible and passes the gate at beta'; that centering takes no Newton
+step. An x_p outside the domain is rejected at its evaluation, and the
+run centers from x. After any other rejection the run centers at beta'' = (1 + theta) beta from
+whichever of x_p and x has the lower F_beta'', both values read from the
+parts the two points hold, so nothing is evaluated again and the
+Hessian at x_p serves the first corrector step when x_p wins; the other
+point's parts are released at once.
+
+The theory's per-outer cap still bounds every corrector. It bounds the
+damped-Newton steps of a centering by F_beta''(start) - min F_beta''
+over the least decrease per step, and for the start x = x(beta) of the
+theory that difference is at most the cap's expression. The run starts
+from x or from a point of lower F_beta'', which only shrinks it. An
+accepted prediction takes no step, and every centering still ends at
+the gate, so the proximity certificates keep their meaning. A
+prediction is not a Newton step: the step counts and the caps count
+Newton steps only, and the report counts predictions apart.
 
 Step lengths come from self-concordance where it applies. Every objective
 term f is 1-compatible with the barrier B: |D^3 f[h,h,h]| <= 3 D^2 f[h,h]
@@ -48,14 +78,14 @@ derivatives on its point, and since H_beta = beta H_f + H_B, a centering
 that starts where the previous one stopped recombines them at the new
 beta instead of evaluating anew; an evaluation at another point takes
 nothing from the iterate's. A solve thus makes one Hessian evaluation
-per Newton step plus one at the start. Every bundle is on the
+at the start, one per Newton step and one per prediction, at x_p,
+accepted or rejected. Every bundle is on the
 svec coordinates of X's eigenbasis U, which the point holds
 (``objectives``); the Newton system is solved in them (``kkt``), and the
 slope along a direction P is g~ . svec(U.T P U).
 
-The run is fixed by beta0, theta and epsilon alone: it makes
-ceil(ln(4r/(eps beta0)) / ln(1+theta)) + 1 centerings. The theory caps
-each at 22/3 + 22 theta (5/2 kappa sqrt(r) + theta kappa^2 r / (theta+1))
+The run is fixed by beta0, theta and epsilon alone. The theory caps
+each centering at 22/3 + 22 theta (5/2 kappa sqrt(r) + theta kappa^2 r / (theta+1))
 Newton steps, and the run at that times ln(4r/(eps beta0)) / ln(1+theta).
 The per-outer cap is the step limit of every centering, so IterCap means
 that one centering reached it; both caps are attached to the report and
@@ -87,6 +117,7 @@ from .objectives import (
     EvalPoint,
     LogDetBarrier,
     combine_terms,
+    combine_values,
     evaluate_terms,
 )
 from .probio import ProblemSpec, barrier_parameter, feasibility_violations
@@ -134,6 +165,8 @@ class SolveReport:
     outer_iters: int
     inner_iters_per_outer: list
     total_newton: int
+    predictions_accepted: int
+    predictions_rejected: int
     decrement_trace: list
     wall_time: float
     termination: str
@@ -158,9 +191,13 @@ class _Run:
     """A solve's progress, which ``center`` updates step by step.
 
     The iterate's point, the Newton steps of each centering (the last one
-    counts the steps of the centering in progress), one (beta, delta) pair per
-    computed decrement, one gap certificate per finished centering, and
-    the largest Schur condition so far.
+    counts the steps of the centering in progress), one (beta, delta) pair
+    per decrement a centering computed, one gap certificate per finished
+    centering, the largest Schur condition so far, and the predictions
+    accepted and rejected. ``kept`` is (point, beta, gradient, step) of
+    the last Newton system solved, F_beta's gradient and Newton step at
+    that point; at a centered iterate it is the gate check that ended
+    the centering, whose factor gives the tangent.
     """
 
     point: EvalPoint
@@ -168,6 +205,9 @@ class _Run:
     trace: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
     max_cond: float = 1.0
+    accepted: int = 0
+    rejected: int = 0
+    kept: tuple = ()
 
 
 class FBetaEvaluator:
@@ -229,15 +269,16 @@ class FBetaEvaluator:
             return math.inf
 
 
-def directional_derivative(bundle: DerivativeBundle, step: NewtonStep) -> float:
+def directional_derivative(gradient: np.ndarray, step: NewtonStep) -> float:
     """<grad F_beta, P>, the slope of F_beta along the step.
 
-    ``bundle``'s gradient is on the svec coordinates of its basis U. The
-    slope is computed here from the direction itself, the one ``center``
-    moves along, as g~ . svec(U.T P U), not taken from the KKT solve.
+    ``gradient`` is on the svec coordinates of the basis U of the step's
+    system. The slope is computed here from the direction itself, the one
+    ``center`` moves along, as g~ . svec(U.T P U), not taken from the KKT
+    solve.
     """
-    u = bundle.basis
-    return float(bundle.gradient @ svec(u.T @ step.direction_X @ u))
+    u = step.system.basis
+    return float(gradient @ svec(u.T @ step.direction_X @ u))
 
 
 def cone_step_bound(p_tilde: np.ndarray, lam: np.ndarray) -> float:
@@ -319,12 +360,68 @@ def certified_full_step(evaluator: FBetaEvaluator, delta: float) -> bool:
     return evaluator.self_concordant and 0.5 * SELF_CONCORDANCE_M * delta <= FULL_STEP_RADIUS
 
 
+def newton_system(run: _Run, beta: float, evaluator: FBetaEvaluator):
+    """(gradient, step): F_beta's gradient and Newton step at the iterate.
+
+    Kept on ``run.kept`` for the point and beta, and reused from there when
+    both match; otherwise solved, with the Schur condition recorded.
+    """
+    kept = run.kept
+    if not kept or kept[0] is not run.point or kept[1] != beta:
+        bundle = evaluator.hessian_bundle(run.point, beta)
+        step = newton_step_type1(bundle, evaluator.problem.constraints)
+        run.max_cond = max(run.max_cond, step.schur_condition)
+        kept = run.kept = (run.point, beta, bundle.gradient, step)
+    return kept[2:]
+
+
+def predict(run: _Run, beta: float, beta_pred: float, evaluator: FBetaEvaluator,
+            target: float) -> bool:
+    """Move the centered iterate along the tangent to ``beta_pred``; whether it is accepted.
+
+    ``run.kept`` must hold the gate check that centered ``run.point``. The
+    predicted point is accepted when it is strictly feasible and its
+    decrement at ``beta_pred`` passes ``target``; the run then holds it
+    with that check. Otherwise the run holds whichever of the predicted
+    and the centered point has the lower F_beta (module docstring), or the
+    centered point when the predicted one is outside the domain. Any other
+    QipError of the predicted point's evaluation is raised with the run
+    left at the centered point.
+    """
+    x, beta_c, _, step = run.kept
+    n = evaluator.n_scaled
+    grad_f = sum((part.gradient for part in x.parts[:n]), np.zeros_like(x.parts[0].gradient))
+    tangent, _ = step.solve(grad_f)
+    run.point = EvalPoint(symmetrize(x.x + (beta_pred - beta_c) * (beta_c / beta_pred) * tangent))
+    try:
+        _, trial = newton_system(run, beta_pred, evaluator)
+    except QipError as exc:
+        run.point = x  # a prediction that fails its evaluation leaves the run in place
+        if not isinstance(exc, DomainViolation):
+            raise
+        run.rejected += 1
+        return False
+    if trial.decrement <= target:
+        run.accepted += 1
+        return True
+    run.rejected += 1
+    if not combine_values(beta, run.point.parts, n) < combine_values(beta, x.parts, n):
+        run.point, run.kept = x, ()
+    return False
+
+
 def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
-           target: float | None = None, callback=None) -> None:
+           target: float | None = None, callback=None, predict_to: float | None = None) -> bool:
     """Newton-iterate ``run.point`` at fixed beta until the decrement gate passes.
 
+    With ``predict_to``, the iterate is centered at a beta below ``beta``
+    and ``run.kept`` holds its gate check: ``predict`` first tries the
+    tangent predictor to ``predict_to``. If that is accepted, the run is
+    centered there with no step and True is returned; otherwise the
+    centering at ``beta`` starts from the point ``predict`` chose.
+
     Opens a step count on ``run.steps`` and, as it goes, records every
-    computed decrement (gate value included) as a (beta, delta) pair on
+    decrement it computes (gate value included) as a (beta, delta) pair on
     ``run.trace`` and every Schur condition in ``run.max_cond``. After
     ``max_steps`` steps it raises IterCap. ``callback`` receives one dict
     per step taken: beta, delta, alpha, and f, feas_residual and x at the
@@ -339,15 +436,16 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
     target = DELTA_STAR if target is None else target
     problem = evaluator.problem
     run.steps.append(0)
+    accepted = predict_to is not None and predict(run, beta, predict_to, evaluator, target)
+    if accepted:
+        beta = predict_to
     for _ in range(max_steps):
         point = run.point
-        bundle = evaluator.hessian_bundle(point, beta)
-        step = newton_step_type1(bundle, problem.constraints)
-        run.max_cond = max(run.max_cond, step.schur_condition)
+        gradient, step = newton_system(run, beta, evaluator)
         run.trace.append((beta, step.decrement))
         if step.decrement <= target:
-            return
-        slope = directional_derivative(bundle, step)
+            return accepted
+        slope = directional_derivative(gradient, step)
         if slope >= 0.0:
             raise SingularKKT(f"Newton direction is not a descent direction: "
                               f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
@@ -397,6 +495,18 @@ def iteration_bound(config: SolverConfig, r: float):
     return per_outer, total
 
 
+def schedule_end(config: SolverConfig, r: float) -> int:
+    """K, the exponent of the schedule's last beta: the least beta0 (1+theta)^K >= 4r/epsilon."""
+    beta_stop = 4.0 * r / config.epsilon
+    k = max(0, math.ceil(math.log(beta_stop / config.beta0) / math.log1p(config.theta)))
+    # the estimate is off by one at most where the logarithms round
+    while k > 0 and config.beta0 * (1.0 + config.theta) ** (k - 1) >= beta_stop:
+        k -= 1
+    while config.beta0 * (1.0 + config.theta) ** k < beta_stop:
+        k += 1
+    return k
+
+
 def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=None,
           include_barrier: bool = True) -> SolveReport:
     """Run the full path-following scheme and return a SolveReport.
@@ -434,20 +544,30 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
 
     t_start = time.perf_counter()
     f_start = problem.objective_at(run.point)
-    beta_stop = 4.0 * r / config.epsilon
+    last = schedule_end(config, r)
+    max_steps = math.floor(caps[0])
     termination = "Converged"
     failure = None
+    # beta = beta_at(i); a prediction reaches ahead by ``span`` exponents,
+    # mu = (1+theta)^span (module docstring)
+    i, span = 0, 1
     beta = config.beta0
-    i = 0
+
+    def beta_at(j):
+        return config.beta0 * (1.0 + config.theta) ** j
 
     try:
-        while True:
-            center(run, beta, evaluator, math.floor(caps[0]), callback=callback)
+        center(run, beta, evaluator, max_steps, callback=callback)
+        run.gaps.append(proximity_gap_bound(run.trace[-1][1], beta, r, KAPPA))
+        while i < last:
+            ahead = min(i + span, last)
+            beta = beta_at(i + 1)
+            if center(run, beta, evaluator, max_steps, callback=callback,
+                      predict_to=beta_at(ahead)):
+                i, span, beta = ahead, 2 * span, beta_at(ahead)
+            else:
+                i, span = i + 1, 1
             run.gaps.append(proximity_gap_bound(run.trace[-1][1], beta, r, KAPPA))
-            if beta >= beta_stop:
-                break
-            i += 1
-            beta = config.beta0 * (1.0 + config.theta) ** i
     except IterCap:
         termination = "IterCap"
     except QipError as exc:  # ``run`` holds the iterate it was raised at
@@ -456,7 +576,7 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
     report = _build_report(problem, run, config, caps, beta, r, f_start,
                            time.perf_counter() - t_start, termination, include_barrier)
     if failure is not None:
-        failure.phase = f"outer {i}, beta={beta:.6e}"
+        failure.phase = f"outer {len(run.steps) - 1}, beta={beta:.6e}"
         failure.report = report
         failure.args = (f"{failure.args[0]} [phase: {failure.phase}]",) + failure.args[1:]
         raise failure
@@ -482,6 +602,8 @@ def _build_report(problem, run, config, caps, beta, r, f_start, wall, terminatio
         outer_iters=len(run.steps),
         inner_iters_per_outer=list(run.steps),
         total_newton=total,
+        predictions_accepted=run.accepted,
+        predictions_rejected=run.rejected,
         decrement_trace=run.trace,
         wall_time=wall,
         termination=termination,

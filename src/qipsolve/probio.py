@@ -507,6 +507,19 @@ def _require(doc, key, where):
     return doc[key]
 
 
+def _typed(value, kind, what):
+    """``value``, or a ParseError naming the field ``what`` when it is not a ``kind``."""
+    names = {dict: "a JSON object", list: "a JSON array", str: "a string"}
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be {names[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _section(doc, key):
+    """The top-level field ``key``, which must hold a JSON object."""
+    return _typed(_require(doc, key, "top level"), dict, key)
+
+
 def _floats(entries):
     return np.asarray(entries, dtype=float)
 
@@ -520,7 +533,8 @@ def _parsed(cast, value, what):
 
 
 def _kraus(factors, what):
-    return KrausMap([_parsed(_floats, f, f"{what}[{i}]") for i, f in enumerate(factors)])
+    return KrausMap([_parsed(_floats, f, f"{what}[{i}]")
+                     for i, f in enumerate(_typed(factors, list, what))])
 
 
 def _load_sym(entries, what):
@@ -537,19 +551,20 @@ def _load_sym(entries, what):
 
 def from_dict(doc: dict) -> ProblemSpec:
     kind = _require(doc, "kind", "top level")
-    cd = _require(doc, "constraints", "top level")
+    cd = _section(doc, "constraints")
     mats = [_load_sym(a, f"constraints.A[{i}]")
-            for i, a in enumerate(_require(cd, "A", "constraints"))]
+            for i, a in enumerate(_typed(_require(cd, "A", "constraints"), list,
+                                         "constraints.A"))]
     cons = AffineConstraints(mats, _parsed(_floats, _require(cd, "b", "constraints"),
                                            "constraints.b"),
                              n_ineq=_parsed(int, cd.get("n_ineq", 0), "constraints.n_ineq"))
-    obj = _require(doc, "objective", "top level")
+    obj = _section(doc, "objective")
     offset = _parsed(float, obj.get("offset", 0.0), "objective.offset")
     start = doc.get("start")
     start_mat = None if start is None else _load_sym(start, "start")
 
     if kind == "qkd":
-        kraus = _require(doc, "kraus", "top level")
+        kraus = _section(doc, "kraus")
         l1, l2 = (_kraus(_require(kraus, key, "kraus"), f"kraus.{key}") for key in ("L1", "L2"))
         eps = _parsed(float, obj.get("epsilon_perturb", 1e-12), "objective.epsilon_perturb")
         spec = ProblemSpec(
@@ -562,7 +577,8 @@ def from_dict(doc: dict) -> ProblemSpec:
         )
     elif kind in ("type1", "type2"):
         c = _load_sym(_require(doc, "C", "top level"), "weight C")
-        gen = generator_from_name(_require(obj, "generator", "objective"), obj.get("alpha"))
+        gen = generator_from_name(_typed(_require(obj, "generator", "objective"), str,
+                                         "objective.generator"), obj.get("alpha"))
         term_map = _map_from_dict(obj.get("term_map"), "objective.term_map")
         spec = ProblemSpec(
             constraints=cons,

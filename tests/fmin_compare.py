@@ -11,7 +11,8 @@ compares two such records:
 at seeds 1 and 2, as ``perfbench/workloads.py`` builds them, with one
 BLAS thread and the default ``SolverConfig``. For each it writes
 ``f_min`` (as ``float.hex``), the termination (or the name of the
-QipError raised), ``total_newton``, ``schur_condition_max`` and the
+QipError raised), ``total_newton``, ``outer_iters``,
+``schur_condition_max`` and the
 SHA-256 of the instance's problem document,
 ``json.dumps(probio.to_dict(spec), sort_keys=True)``. It
 solves with the checkout it lives in: to record another revision, run
@@ -20,8 +21,9 @@ It takes about a minute.
 
 ``--compare`` exits 1 when an instance's termination or problem-document
 hash changed, or when |f_A - f_B| / (1 + |f_A|) exceeds 1e-10. It prints the worst drift per
-workload and every change in the Newton count; a changed count alone is
-reported, not failed. Plain relative error would mean nothing here,
+workload, every change in the Newton count, and per workload the totals
+of ``total_newton`` and ``outer_iters`` (centerings) of both records; a
+changed count alone is reported, not failed. Plain relative error would mean nothing here,
 since the type2 optima are about 1e-16. It also lists every instance
 whose ``schur_condition_max`` moved by more than a factor of 10, and
 the largest move per workload: the Cholesky pivot ratio depends on the
@@ -80,6 +82,7 @@ def record(workload: str, seed: int, label: str, spec, config) -> dict:
         "f_min": None if report is None else report.f_min.hex(),
         "termination": termination,
         "total_newton": None if report is None else report.total_newton,
+        "outer_iters": None if report is None else report.outer_iters,
         "schur_condition_max": None if report is None else report.schur_condition_max,
         "problem_sha256": hashlib.sha256(doc.encode()).hexdigest(),
     }
@@ -118,7 +121,7 @@ def compare(path_a: Path, path_b: Path) -> int:
     failures = [f"{key[1]}: only in {path_a}" for key in rows_a.keys() - rows_b.keys()]
     failures += [f"{key[1]}: only in {path_b}" for key in rows_b.keys() - rows_a.keys()]
     worst: dict[str, tuple[float, str]] = {}
-    newton = {}
+    totals = {}  # (workload, side, count) -> sum
     moves: dict[str, tuple[float, str]] = {}
     for key in sorted(rows_a.keys() & rows_b.keys()):
         a, b = rows_a[key], rows_b[key]
@@ -142,11 +145,16 @@ def compare(path_a: Path, path_b: Path) -> int:
             print(f"{label}: schur_condition_max {a['schur_condition_max']:.3g} -> "
                   f"{b['schur_condition_max']:.3g} ({move:.3g}x)")
         for side, row in (("a", a), ("b", b)):
-            newton[name, side] = newton.get((name, side), 0) + (row["total_newton"] or 0)
+            for count in ("total_newton", "outer_iters"):
+                key = name, side, count
+                # a record written before outer_iters was recorded lacks it
+                totals[key] = totals.get(key, 0) + (row.get(count) or 0)
     for name, (d, label) in worst.items():
         factor, where = moves.get(name, (1.0, ""))
         print(f"{name}: worst drift {d:.2e} ({label}); Newton steps "
-              f"{newton[name, 'a']} -> {newton[name, 'b']}; largest Schur condition "
+              f"{totals[name, 'a', 'total_newton']} -> {totals[name, 'b', 'total_newton']}; "
+              f"centerings {totals[name, 'a', 'outer_iters']} -> "
+              f"{totals[name, 'b', 'outer_iters']}; largest Schur condition "
               f"move {factor:.3g}x ({where or 'none'})")
     for line in failures:
         print("FAIL", line)

@@ -63,6 +63,15 @@ class TestSolve:
         assert abs(float(lines["f_min"])) <= 1e-7
         assert int(lines["nNewton"]) <= 20
 
+    def test_prints_prediction_counts(self, capsys):
+        # every centering after the first starts with one prediction
+        code, out, _ = run(capsys, "solve", "trace-inverse-n4")
+        assert code == 0
+        lines = dict(line.split() for line in out.splitlines() if " " in line.strip())
+        predictions = int(lines["predictions_accepted"]) + int(lines["predictions_rejected"])
+        assert int(lines["predictions_accepted"]) > 0
+        assert predictions == int(lines["outer"]) - 1
+
     def test_report_and_trace_files(self, tmp_path, capsys):
         problem = tmp_path / "p.json"
         run(capsys, "gen", "--kind", "qkd", "--n", "3", "--seed", "2",
@@ -116,14 +125,29 @@ class TestSolve:
         assert code == 3
         assert "constraints.n_ineq" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, edit", [
+        ("constraints.A", lambda doc: doc["constraints"].update(A=5)),
+        ("objective", lambda doc: doc.update(objective="x")),
+    ], ids=["A_not_a_list", "objective_not_an_object"])
+    def test_wrong_container_type_exits_3(self, tmp_path, capsys, field, edit):
+        code, _, _ = run(capsys, "gen", "--named", "ree-2x2", "--out", str(tmp_path / "p.json"))
+        assert code == 0
+        doc = json.loads((tmp_path / "p.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == 3
+        assert f"{field} must be a JSON" in err and "Traceback" not in err
+
     def test_failure_writes_report_and_trace(self, tmp_path, capsys, monkeypatch):
-        # a line search that fails on its third call: two steps are taken
+        # a line search that fails on its second call: one step is taken
         calls = []
         real_search = pathfollow.line_search
 
         def failing(*args):
             calls.append(None)
-            if len(calls) == 3:
+            if len(calls) == 2:
                 raise LineSearchFailure("forced failure")
             return real_search(*args)
 
@@ -143,7 +167,7 @@ class TestSolve:
         with open(trace) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "beta", "delta", "alpha", "f", "feas_residual"]
-        assert len(rows) == 1 + 2
+        assert len(rows) == 1 + 1
 
     def test_decomposition_failure_writes_report(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -151,7 +175,7 @@ class TestSolve:
 
         def failing(y):
             calls.append(None)
-            if len(calls) == 50:
+            if len(calls) == 25:  # of 36, past the first centering
                 raise DecompositionFailure("forced failure")
             return real(y)
 

@@ -404,3 +404,41 @@ class TestLapackPath:
             with pytest.raises(SingularKKT):
                 newton_step_type1(DerivativeBundle(0.0, grad, bundle.hessian),
                                   problem.constraints)
+
+
+class TestKeptFactor:
+    # the relative entropy; type1 with inequality rows; type2 (map barrier)
+    @pytest.mark.parametrize("kind, dims", [
+        ("qkd", {"n": 3, "m": 1}),
+        ("type1", {"n": 4, "m": 2, "N": 4}),
+        ("type2", {"n": 4, "m": 1}),
+    ], ids=["qkd", "type1", "type2"])
+    def test_solve_matches_a_fresh_step_bitwise(self, rng, kind, dims):
+        # another gradient on the kept factor is the step a fresh KKT call
+        # makes with that gradient on the same Hessian, bit for bit; the
+        # objective's own gradient is the predictor's tangent
+        problem = probio.generate_random(kind, dims, seed=2)
+        ev = FBetaEvaluator(problem)
+        point = EvalPoint(probio.random_feasible_point(problem, rng))
+        bundle = ev.x_bundle(point, 3.0)
+        step = newton_step_type1(bundle, problem.constraints)
+        grad_f = sum(part.gradient for part in point.parts[:ev.n_scaled])
+        for g in (bundle.gradient, grad_f, rng.standard_normal(bundle.gradient.size)):
+            fresh = newton_step_type1(DerivativeBundle(bundle.value, g, bundle.hessian,
+                                                       bundle.basis), problem.constraints)
+            direction, quad = step.solve(g)
+            assert np.array_equal(direction, fresh.direction_X)
+            assert float(np.sqrt(quad)) == fresh.decrement
+            assert np.array_equal(fresh.system.factor, step.system.factor)
+        own, quad = step.solve(bundle.gradient)
+        assert np.array_equal(own, step.direction_X)
+        assert float(np.sqrt(quad)) == step.decrement
+
+    def test_no_tangent_space_gives_the_zero_step(self):
+        # one equality row at n = 1: the tangent space is {0}
+        cons = AffineConstraints([np.eye(1)], [1.0])
+        bundle = DerivativeBundle(0.0, np.array([2.0]), np.eye(1), np.eye(1))
+        step = newton_step_type1(bundle, cons)
+        assert step.system.factor is None
+        direction, quad = step.solve(np.array([5.0]))
+        assert np.array_equal(direction, np.zeros((1, 1))) and quad == 0.0

@@ -49,6 +49,21 @@ def cap_centerings(monkeypatch, per_outer):
                         lambda config, r: (per_outer, real(config, r)[1]))
 
 
+def count_decompositions(monkeypatch, problem) -> int:
+    """Spectral decompositions a solve of ``problem`` makes."""
+    calls = []
+    real = objectives.spectral_decompose
+
+    def counted(y):
+        calls.append(None)
+        return real(y)
+
+    monkeypatch.setattr(objectives, "spectral_decompose", counted)
+    solve(problem)
+    monkeypatch.undo()
+    return len(calls)
+
+
 def fake_step(direction):
     return NewtonStep(
         direction_X=direction,
@@ -284,15 +299,19 @@ class TestCertifiedStep:
     ])
     def test_certified_step_decrease_meets_the_bound(self, kind, dims, seed):
         # F(x + p) - F(x) <= -(4/M^2)(lam^2 + lam + ln(1 - lam)), lam = (M/2) delta;
-        # at beta <= 1e4 the value noise of F_beta is far below the margin
+        # at beta <= 1e4 the value noise of F_beta is far below the margin.
+        # The schedule of theta = 1 up to there, with no predictions, so
+        # each step starts where the last one ended
         problem = probio.generate_random(kind, dims, seed=seed)
-        steps = []
-        solve(problem, callback=steps.append)
         ev = FBetaEvaluator(problem)
+        run, steps = _Run(EvalPoint(problem.start)), []
+        for i in range(14):
+            center(run, 2.0**i, ev, 500, callback=steps.append)
+        pairs = zip([problem.start] + [s["x"] for s in steps], steps)
         m = pathfollow.SELF_CONCORDANCE_M
         checked = 0
-        for start, s in zip([problem.start] + [s["x"] for s in steps], steps):
-            if s["beta"] > 1e4 or not pathfollow.certified_full_step(ev, s["delta"]):
+        for start, s in pairs:
+            if not pathfollow.certified_full_step(ev, s["delta"]):
                 continue
             lam = 0.5 * m * s["delta"]
             bound = (4.0 / m**2) * (lam**2 + lam + math.log1p(-lam))
@@ -450,10 +469,12 @@ class TestHessianCache:
         ("type1", {"n": 4, "m": 2, "N": 4}),
         ("type2", {"n": 4, "m": 1}),
     ], ids=["qkd", "type1", "type2"])
-    def test_one_fresh_hessian_per_newton_step_plus_one(self, kind, dims, monkeypatch):
+    def test_one_fresh_hessian_per_newton_step_and_prediction_plus_one(self, kind, dims,
+                                                                       monkeypatch):
         # each centering starts at the iterate where the previous one
-        # evaluated its gate, so only the start and each step cost a
-        # Hessian of -ln det X, a term of every case
+        # evaluated its gate, or at a predicted point evaluated for its
+        # own gate, so only the start, each step and each prediction cost
+        # a Hessian of -ln det X, a term of every case
         problem = probio.generate_random(kind, dims, seed=0)
         real = objectives.barrier_eval
         real_search = pathfollow.line_search
@@ -472,7 +493,9 @@ class TestHessianCache:
         report = solve(problem)
         assert report.termination == "Converged"
         assert report.outer_iters > 1
-        assert sum(hessians) == report.total_newton + 1
+        predictions = report.predictions_accepted + report.predictions_rejected
+        assert report.predictions_accepted and report.predictions_rejected
+        assert sum(hessians) == 1 + report.total_newton + predictions
         assert len(hessians) > sum(hessians)  # value-only evaluations ran too
         if kind == "type1":
             assert searches
@@ -515,6 +538,97 @@ class TestSharedPoint:
         assert_bitwise_equal(bundle, reference)
 
 
+# small instances of every structure whose runs accept and reject predictions
+PREDICTOR_CASES = [
+    ("qkd", {"n": 4, "m": 2}, 3),
+    ("type1", {"n": 4, "m": 2, "N": 4}, 6),
+    ("type2", {"n": 4, "n1": 2, "n2": 2}, 1),
+]
+
+
+def traced_predictions(monkeypatch):
+    """Record (centered X, predicted X or None, beta, accepted, X after) of every prediction."""
+    events = []
+    real_predict, real_system = pathfollow.predict, pathfollow.newton_system
+
+    def predict(run, beta, beta_pred, evaluator, target):
+        centered, seen = run.point, []
+
+        def system(run_, beta_, evaluator_):
+            seen.append(run_.point)
+            return real_system(run_, beta_, evaluator_)
+
+        monkeypatch.setattr(pathfollow, "newton_system", system)
+        try:
+            accepted = real_predict(run, beta, beta_pred, evaluator, target)
+        finally:
+            monkeypatch.setattr(pathfollow, "newton_system", real_system)
+        predicted = next((p for p in seen if p is not centered), None)
+        events.append((centered, predicted, beta, accepted, run.point))
+        return accepted
+
+    monkeypatch.setattr(pathfollow, "predict", predict)
+    return events
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("kind, dims, seed", PREDICTOR_CASES,
+                             ids=[c[0] for c in PREDICTOR_CASES])
+    def test_every_centering_ends_at_the_gate_on_the_schedule(self, kind, dims, seed):
+        problem = probio.generate_random(kind, dims, seed=seed)
+        config = SolverConfig()
+        report = solve(problem, config=config)
+        assert report.termination == "Converged"
+        assert report.bound_check["within_caps"]
+        assert report.predictions_accepted and report.predictions_rejected
+        # one run of equal betas per centering, each ending at the gate
+        ends = [(b, d) for (b, d), nxt in zip(report.decrement_trace,
+                                              report.decrement_trace[1:] + [(None, 0)])
+                if b != nxt[0]]
+        assert len(ends) == report.outer_iters == len(report.gap_certificates)
+        assert all(d <= pathfollow.DELTA_STAR for _, d in ends)
+        assert [b for b, _ in ends] == sorted({b for b, _ in ends})
+        last = pathfollow.schedule_end(config, report.barrier_param_r)
+        assert ends[-1][0] == report.beta_final == config.beta0 * (1.0 + config.theta) ** last
+        assert report.outer_iters == 1 + report.predictions_accepted + report.predictions_rejected
+
+    def test_rejected_prediction_starts_at_the_lower_value(self, monkeypatch):
+        # after a rejection the corrector at beta'' starts from whichever of
+        # the predicted and the centered point has the lower F_beta''; both
+        # choices occur over these runs
+        chosen = []
+        for kind, dims, seed in PREDICTOR_CASES:
+            problem = probio.generate_random(kind, dims, seed=seed)
+            events = traced_predictions(monkeypatch)
+            solve(problem)
+            monkeypatch.undo()
+            ev = FBetaEvaluator(problem)
+            for centered, predicted, beta, accepted, after in events:
+                if accepted:
+                    assert after is predicted
+                    continue
+                assert predicted is not None  # every prediction here was in the domain
+                values = [ev.value(EvalPoint(p.x), beta) for p in (centered, predicted)]
+                lower = predicted if values[1] < values[0] else centered
+                assert after is lower
+                chosen.append(lower is predicted)
+        assert any(chosen) and not all(chosen)
+
+    def test_prediction_outside_the_domain_is_rejected_in_place(self, monkeypatch):
+        # a tangent pushed far past the boundary: the prediction is
+        # rejected, and the corrector starts from the centered point
+        problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=6)
+        real_solve = NewtonStep.solve
+        monkeypatch.setattr(NewtonStep, "solve",
+                            lambda step, g: tuple(v * 1e6 for v in real_solve(step, g)))
+        events = traced_predictions(monkeypatch)
+        report = solve(problem)
+        assert report.termination == "Converged"
+        assert report.predictions_accepted == 0
+        assert report.predictions_rejected == len(events) == report.outer_iters - 1
+        assert all(after is centered for centered, _, _, _, after in events)
+
+
 class TestIterationBound:
     def test_theta_to_zero_limit(self):
         config = SolverConfig(theta=1e-12, epsilon=1e-6)
@@ -553,12 +667,18 @@ class TestSolve:
         assert np.linalg.norm(report.X_star - problem.terms[0].C) <= 1e-3
 
     def test_beta_schedule_exact(self):
+        # predictions skip betas of the schedule, but every beta is one of
+        # them, exact to machine precision, from beta0 to the last
         problem = probio.generate_random("type1", {"n": 3, "m": 1, "N": 2}, seed=2)
         config = SolverConfig(theta=0.7, beta0=0.9)
         report = solve(problem, config=config)
-        betas = sorted({b for b, _ in report.decrement_trace})
-        for i, b in enumerate(betas):
-            assert b == 0.9 * (1.0 + 0.7) ** i  # exact, machine precision
+        last = pathfollow.schedule_end(config, report.barrier_param_r)
+        grid = [0.9 * (1.0 + 0.7) ** i for i in range(last + 1)]
+        betas = [b for b, _ in report.decrement_trace]
+        assert betas == sorted(betas)
+        assert set(betas) <= set(grid)
+        assert betas[0] == grid[0] and betas[-1] == report.beta_final == grid[-1]
+        assert len(set(betas)) == report.outer_iters < len(grid)
 
     def test_monotone_feasibility_and_descent(self):
         problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=6)
@@ -618,17 +738,26 @@ class TestSolve:
         assert not with_barrier.heuristic_no_barrier
         assert report.f_min == pytest.approx(with_barrier.f_min, abs=1e-6)
 
-    def test_no_barrier_steps_are_descent_directions(self):
+    def test_no_barrier_steps_are_descent_directions(self, monkeypatch):
         # without the barrier the QRE Hessian is singular along svec(X);
-        # every step the solve takes must still decrease F_beta to first order
-        problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=0)
-        records = []
-        solve(problem, include_barrier=False, callback=records.append)
-        ev = FBetaEvaluator(problem, include_barrier=False)
-        starts = [problem.start] + [rec["x"] for rec in records[:-1]]
+        # every step the solve takes must still decrease F_beta to first
+        # order. Without the barrier every step is line-searched, from the
+        # iterate the search receives
+        starts = []
+        real_search = pathfollow.line_search
+
+        def recording(point, step, beta, evaluator):
+            starts.append((evaluator.problem, point.x, beta))
+            return real_search(point, step, beta, evaluator)
+
+        monkeypatch.setattr(pathfollow, "line_search", recording)
+        for seed in (0, 1):
+            solve(probio.generate_random("qkd", {"n": 3, "m": 1}, seed=seed),
+                  include_barrier=False)
         assert len(starts) >= 5
-        for x, rec in zip(starts, records):
-            bundle = ev.x_bundle(EvalPoint(x), rec["beta"])
+        for problem, x, beta in starts:
+            ev = FBetaEvaluator(problem, include_barrier=False)
+            bundle = ev.x_bundle(EvalPoint(x), beta)
             step = newton_step_type1(bundle, problem.constraints)
             grad = fixed_coordinates(bundle).gradient
             assert grad @ (sym_isometry(3).T @ vec(step.direction_X)) < 0.0
@@ -663,16 +792,18 @@ class TestSolve:
             solve(problem)
 
     def test_failure_report_carries_the_failing_iterate(self, monkeypatch):
-        # fail the first line search that follows a step at the same beta,
-        # past the initial centering: the iterate is then not centered, and
-        # the report must hold it rather than the last centered point
+        # fail the first line search past the initial centering: the
+        # iterate is then not centered at its beta, and the report must
+        # hold it, here a rejected prediction's point, rather than the last
+        # centered point or the last step's
         problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=6)
         config = SolverConfig()
-        records = []
+        records, failed = [], []
         real_search = pathfollow.line_search
 
         def failing(point, step, beta, evaluator):
-            if beta > config.beta0 and any(rec["beta"] == beta for rec in records):
+            if beta > config.beta0:
+                failed.append((point.x, beta))
                 raise LineSearchFailure("forced failure")
             return real_search(point, step, beta, evaluator)
 
@@ -680,10 +811,13 @@ class TestSolve:
         with pytest.raises(LineSearchFailure, match="phase: outer") as caught:
             solve(problem, config=config, callback=records.append)
         report = caught.value.report
+        x, beta = failed[0]
         assert report.termination == "NumericalFailure"
-        assert records[-1]["beta"] == report.beta_final > config.beta0
-        assert np.array_equal(report.X_star, records[-1]["x"])
-        assert report.f_min == problem.objective_at(EvalPoint(records[-1]["x"]))
+        assert report.beta_final == beta > config.beta0
+        assert report.predictions_rejected >= 1
+        assert not np.array_equal(x, records[-1]["x"])
+        assert np.array_equal(report.X_star, x)
+        assert report.f_min == problem.objective_at(EvalPoint(x))
         assert report.total_newton == len(records)
 
     def test_every_centering_failure_carries_a_report(self, monkeypatch):
@@ -692,10 +826,11 @@ class TestSolve:
         problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=3)
         calls = []
         real = objectives.spectral_decompose
+        total = count_decompositions(monkeypatch, problem)
 
         def failing(y):
             calls.append(None)
-            if len(calls) == 50:
+            if len(calls) == 2 * total // 3:
                 raise DecompositionFailure("forced failure")
             return real(y)
 
@@ -709,11 +844,24 @@ class TestSolve:
 
     def test_failed_callback_record_leaves_the_step_uncounted(self, monkeypatch):
         # the callback record evaluates f at the new iterate; a failure
-        # there must not count a step that the callback never received
+        # there must not count a step that the callback never received.
+        # The report holds the last iterate: a step's, or one a
+        # prediction moved to
         problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=3)
         real = objectives.spectral_decompose
-        for fail_at in range(40, 60):
-            calls, records = [], []
+        real_predict = pathfollow.predict
+        total = count_decompositions(monkeypatch, problem)
+        for fail_at in range(total // 2, total):
+            calls, records, iterates = [], [], [problem.start]
+
+            def recorded(rec):
+                records.append(rec)
+                iterates.append(rec["x"])
+
+            def predict(run, *args):
+                accepted = real_predict(run, *args)
+                iterates.append(run.point.x)
+                return accepted
 
             def failing(y):
                 calls.append(None)
@@ -722,12 +870,12 @@ class TestSolve:
                 return real(y)
 
             monkeypatch.setattr(objectives, "spectral_decompose", failing)
+            monkeypatch.setattr(pathfollow, "predict", predict)
             with pytest.raises(DecompositionFailure) as caught:
-                solve(problem, callback=records.append)
+                solve(problem, callback=recorded)
             report = caught.value.report
             assert report.total_newton == len(records), fail_at
-            if records:
-                assert np.array_equal(report.X_star, records[-1]["x"]), fail_at
+            assert np.array_equal(report.X_star, iterates[-1]), fail_at
 
     def test_iteration_cap_report_carries_the_failing_iterate(self, monkeypatch):
         cap_centerings(monkeypatch, 1.5)
@@ -770,17 +918,22 @@ class TestSolve:
         assert report.schur_condition_max == max(conditions)
 
     def test_small_theta_runs_the_whole_schedule(self):
-        # theta = 0.1 needs 224 centerings at r = 4; each stays far below
-        # the per-outer cap, so the run converges within the caps
+        # theta = 0.1 gives a schedule of 224 betas at r = 4. Predictions
+        # square their ratio while they land, so the run centers at far
+        # fewer of them; it still ends at the schedule's last beta, within
+        # the caps
         config = SolverConfig(theta=0.1)
         problem = probio.generate_random("type1", {"n": 3}, seed=2)
         r = probio.barrier_parameter(problem)
-        centerings = math.ceil(math.log(4.0 * r / (config.epsilon * config.beta0))
-                               / math.log1p(config.theta)) + 1
+        last = pathfollow.schedule_end(config, r)
+        assert last + 1 == math.ceil(math.log(4.0 * r / (config.epsilon * config.beta0))
+                                     / math.log1p(config.theta)) + 1 == 224
         report = solve(problem, config=config)
         assert report.termination == "Converged"
         assert report.bound_check["within_caps"]
-        assert report.outer_iters == centerings == 224
+        assert report.beta_final == config.beta0 * (1.0 + config.theta) ** last
+        assert report.outer_iters == 1 + report.predictions_accepted + report.predictions_rejected
+        assert report.outer_iters < 224 // 10
 
     @pytest.mark.parametrize("theta", [0.0, 1e-17, math.nan])
     def test_theta_must_grow_beta(self, theta):

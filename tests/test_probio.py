@@ -157,7 +157,11 @@ class TestRoundTrip:
          lambda doc: doc["objective"].update(barrier_map={"kind": "partial_transpose", "n2": 2})),
         ("constraints.n_ineq", lambda doc: doc["constraints"].update(n_ineq="x")),
         ("weight C", lambda doc: doc["C"][1].pop()),
-    ], ids=["map_without_n1", "n_ineq_not_a_number", "ragged_C"])
+        ("constraints.A must be a JSON array, not int",
+         lambda doc: doc["constraints"].update(A=5)),
+        ("objective must be a JSON object, not str", lambda doc: doc.update(objective="x")),
+    ], ids=["map_without_n1", "n_ineq_not_a_number", "ragged_C", "A_not_a_list",
+            "objective_not_an_object"])
     def test_malformed_field_named(self, tmp_path, field, edit):
         doc = probio.to_dict(generate_random("type2", {"n": 4, "n1": 2, "n2": 2}, seed=2))
         edit(doc)
