@@ -469,6 +469,41 @@ class TestHessianCache:
         ("type1", {"n": 4, "m": 2, "N": 4}),
         ("type2", {"n": 4, "m": 1}),
     ], ids=["qkd", "type1", "type2"])
+    def test_one_fresh_hessian_per_newton_step_plus_one(self, kind, dims, monkeypatch):
+        # with every prediction declined the schedule is theta = 1 and each
+        # centering starts at the iterate where the previous one evaluated
+        # its gate, so only the start and each step cost a Hessian of
+        # -ln det X, a term of every case
+        problem = probio.generate_random(kind, dims, seed=0)
+        real = objectives.barrier_eval
+        real_search = pathfollow.line_search
+        hessians, searches = [], []
+
+        def counted(point, want_hessian=True, constraints=None):
+            hessians.append(want_hessian)
+            return real(point, want_hessian, constraints)
+
+        def counted_search(*args):
+            searches.append(None)
+            return real_search(*args)
+
+        monkeypatch.setattr(objectives, "barrier_eval", counted)
+        monkeypatch.setattr(pathfollow, "line_search", counted_search)
+        monkeypatch.setattr(pathfollow, "predict", lambda *args: False)
+        report = solve(problem)
+        assert report.termination == "Converged"
+        assert report.outer_iters > 1
+        assert report.predictions_accepted == report.predictions_rejected == 0
+        assert sum(hessians) == report.total_newton + 1
+        assert len(hessians) > sum(hessians)  # value-only evaluations ran too
+        if kind == "type1":
+            assert searches
+
+    @pytest.mark.parametrize("kind, dims", [
+        ("qkd", {"n": 3, "m": 1}),
+        ("type1", {"n": 4, "m": 2, "N": 4}),
+        ("type2", {"n": 4, "m": 1}),
+    ], ids=["qkd", "type1", "type2"])
     def test_one_fresh_hessian_per_newton_step_and_prediction_plus_one(self, kind, dims,
                                                                        monkeypatch):
         # each centering starts at the iterate where the previous one
