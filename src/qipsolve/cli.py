@@ -12,7 +12,9 @@ Benchmark CSV schemas (also the column order of the text tables):
 ``environment`` header (git SHA, numpy and scipy versions with their
 BLAS builds, the BLAS thread variables) and one row per size with the
 instance dimensions, seed, ``wall_s``, ``total_newton``, ``outer_iters``,
-``termination`` and ``f_min``.
+``termination`` and ``f_min``. A row's seed is ``--seed`` plus its index
+in the suite's full ladder, whatever ``--sizes`` selects, and a size
+outside the ladder exits 2.
 """
 
 from __future__ import annotations
@@ -181,7 +183,6 @@ def bench_environment() -> dict:
 
 
 def cmd_bench(args) -> int:
-    sizes = set(args.sizes) if args.sizes else None
     runs = []  # (dimensions, seed, report, wall seconds)
     try:
         config = SolverConfig(epsilon=args.eps)
@@ -189,17 +190,20 @@ def cmd_bench(args) -> int:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
     if args.suite == "table1":
-        ladder = [n for n in (4, 8, 16, 32, 64) if sizes is None or n in sizes]
-        shapes = [("type1", {"n": n, "m": n // 2, "N": n}) for n in ladder]
+        shapes = [("type1", {"n": n, "m": n // 2, "N": n}) for n in (4, 8, 16, 32, 64)]
     else:
-        ladder = [r for r in TABLE2_ROWS if sizes is None or r[0] in sizes]
-        shapes = [("qkd", dict(zip(("n", "k", "m", "r1", "r2"), row))) for row in ladder]
-    for idx, (kind, dims) in enumerate(shapes):
-        seed = args.seed + idx
-        spec = probio.generate_random(kind, dims, seed=seed)
-        t0 = time.perf_counter()
-        report = solve(spec, config=config)
-        runs.append((dims, seed, report, time.perf_counter() - t0))
+        shapes = [("qkd", dict(zip(("n", "k", "m", "r1", "r2"), row))) for row in TABLE2_ROWS]
+    ladder = [dims["n"] for _, dims in shapes]
+    sizes = set(args.sizes or ladder)
+    if not sizes <= set(ladder):
+        print(f"bench: sizes {sorted(sizes - set(ladder))} not in {ladder}", file=sys.stderr)
+        return 2
+    for seed, (kind, dims) in enumerate(shapes, args.seed):
+        if dims["n"] in sizes:
+            spec = probio.generate_random(kind, dims, seed=seed)
+            t0 = time.perf_counter()
+            report = solve(spec, config=config)
+            runs.append((dims, seed, report, time.perf_counter() - t0))
 
     if args.suite == "table1":
         header = ["n", "m", "N", "f_min", "nNewton", "time_s"]

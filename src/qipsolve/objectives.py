@@ -123,8 +123,10 @@ class EvalPoint:
     are read-only like X, so an array's identity stands for its content:
     the KKT layer keys its rotated constraint rows on the basis array.
 
-    ``parts``, None until set, holds the per-term bundles of a Hessian
-    evaluation of F_beta at this point (``pathfollow.FBetaEvaluator``).
+    ``parts`` and ``system``, None until set, hold the per-term bundles of
+    a Hessian evaluation of F_beta at this point (``pathfollow.FBetaEvaluator``)
+    and the last Newton system solved here, (beta, F_beta gradient,
+    ``kkt.NewtonStep``) (``pathfollow.newton_system``).
     """
 
     def __init__(self, x: np.ndarray):
@@ -132,6 +134,7 @@ class EvalPoint:
         self.x.flags.writeable = False
         self._images = {}
         self.parts = None
+        self.system = None
 
     def image(self, lmap=None, shift: float = 0.0) -> tuple[np.ndarray, SpectralDecomp]:
         key = (lmap, shift)
@@ -396,13 +399,8 @@ def combine_values(beta: float, parts, n_scaled: int) -> float:
     """The value of ``combine_terms(beta, parts, n_scaled)``, alone: the same sum."""
     if beta < 0.0:
         raise DomainViolation("beta must be nonnegative")
-    head = parts[0]
-    value = beta * head.value if n_scaled else head.value
-    for part in parts[1:n_scaled]:
-        value += beta * part.value
-    for part in parts[max(n_scaled, 1):]:
-        value += part.value
-    return value
+    # sum starts from 0, and 0 + v is v: the sum from the first part, in order
+    return sum(beta * p.value if i < n_scaled else p.value for i, p in enumerate(parts))
 
 
 def combine_terms(beta: float, parts, n_scaled: int) -> DerivativeBundle:

@@ -13,7 +13,8 @@ and Nemirovski 1994; Gonzaga, SIAM Review 34, 1992). At x(beta),
 beta grad f + grad B + A^T lambda = 0 with A x = b, so the tangent
 xdot = dx/dbeta solves the Newton system of F_beta at x with the
 gradient grad f, the sum of the unscaled objective parts the point
-holds. The gate check that ended the last centering keeps its factor
+holds. The centered point holds the gate check that ended its centering
+(``EvalPoint.system``), whose step keeps its factor
 (``kkt.NewtonStep.solve``), so xdot costs two triangular solves. Late in
 a run x(beta) ~ x* + c / beta, so the predicted point is
 x_p = x + (beta' - beta)(beta / beta') xdot, at beta' = min(mu beta, beta_K).
@@ -194,10 +195,7 @@ class _Run:
     counts the steps of the centering in progress), one (beta, delta) pair
     per decrement a centering computed, one gap certificate per finished
     centering, the largest Schur condition so far, and the predictions
-    accepted and rejected. ``kept`` is (point, beta, gradient, step) of
-    the last Newton system solved, F_beta's gradient and Newton step at
-    that point; at a centered iterate it is the gate check that ended
-    the centering, whose factor gives the tangent.
+    accepted and rejected.
     """
 
     point: EvalPoint
@@ -207,7 +205,6 @@ class _Run:
     max_cond: float = 1.0
     accepted: int = 0
     rejected: int = 0
-    kept: tuple = ()
 
 
 class FBetaEvaluator:
@@ -241,8 +238,7 @@ class FBetaEvaluator:
         self.terms = (*problem.terms, *barriers)
         self.n_scaled = len(problem.terms)
         # F_beta is self-concordant only when -ln det X is one of its terms
-        self.self_concordant = any(isinstance(t, LogDetBarrier) and t.map is None
-                                   for t in self.terms)
+        self.self_concordant = include_barrier
 
     def x_bundle(self, point: EvalPoint, beta, want_hessian=True) -> DerivativeBundle:
         """Evaluate F_beta at the X of ``point``.
@@ -363,32 +359,33 @@ def certified_full_step(evaluator: FBetaEvaluator, delta: float) -> bool:
 def newton_system(run: _Run, beta: float, evaluator: FBetaEvaluator):
     """(gradient, step): F_beta's gradient and Newton step at the iterate.
 
-    Kept on ``run.kept`` for the point and beta, and reused from there when
-    both match; otherwise solved, with the Schur condition recorded.
+    Reused from the iterate's point (``EvalPoint.system``) when it holds
+    them at beta, as after an accepted prediction; otherwise solved, with
+    the Schur condition recorded, and kept on the point.
     """
-    kept = run.kept
-    if not kept or kept[0] is not run.point or kept[1] != beta:
+    if run.point.system is None or run.point.system[0] != beta:
         bundle = evaluator.hessian_bundle(run.point, beta)
         step = newton_step_type1(bundle, evaluator.problem.constraints)
         run.max_cond = max(run.max_cond, step.schur_condition)
-        kept = run.kept = (run.point, beta, bundle.gradient, step)
-    return kept[2:]
+        run.point.system = (beta, bundle.gradient, step)
+    return run.point.system[1:]
 
 
 def predict(run: _Run, beta: float, beta_pred: float, evaluator: FBetaEvaluator,
             target: float) -> bool:
     """Move the centered iterate along the tangent to ``beta_pred``; whether it is accepted.
 
-    ``run.kept`` must hold the gate check that centered ``run.point``. The
+    ``run.point.system`` must be the gate check that centered it. The
     predicted point is accepted when it is strictly feasible and its
-    decrement at ``beta_pred`` passes ``target``; the run then holds it
-    with that check. Otherwise the run holds whichever of the predicted
-    and the centered point has the lower F_beta (module docstring), or the
-    centered point when the predicted one is outside the domain. Any other
-    QipError of the predicted point's evaluation is raised with the run
-    left at the centered point.
+    decrement at ``beta_pred`` passes ``target``; the run then holds it,
+    with that check as its system. Otherwise the run holds whichever of
+    the predicted and the centered point has the lower F_beta (module
+    docstring), or the centered point when the predicted one is outside
+    the domain. Any other QipError of the predicted point's evaluation is
+    raised with the run left at the centered point.
     """
-    x, beta_c, _, step = run.kept
+    x = run.point
+    beta_c, _, step = x.system
     n = evaluator.n_scaled
     grad_f = sum((part.gradient for part in x.parts[:n]), np.zeros_like(x.parts[0].gradient))
     tangent, _ = step.solve(grad_f)
@@ -406,7 +403,7 @@ def predict(run: _Run, beta: float, beta_pred: float, evaluator: FBetaEvaluator,
         return True
     run.rejected += 1
     if not combine_values(beta, run.point.parts, n) < combine_values(beta, x.parts, n):
-        run.point, run.kept = x, ()
+        run.point = x
     return False
 
 
@@ -415,7 +412,7 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
     """Newton-iterate ``run.point`` at fixed beta until the decrement gate passes.
 
     With ``predict_to``, the iterate is centered at a beta below ``beta``
-    and ``run.kept`` holds its gate check: ``predict`` first tries the
+    and its point holds its gate check: ``predict`` first tries the
     tangent predictor to ``predict_to``. If that is accepted, the run is
     centered there with no step and True is returned; otherwise the
     centering at ``beta`` starts from the point ``predict`` chose.

@@ -12,6 +12,7 @@ at seeds 1 and 2, as ``perfbench/workloads.py`` builds them, with one
 BLAS thread and the default ``SolverConfig``. For each it writes
 ``f_min`` (as ``float.hex``), the termination (or the name of the
 QipError raised), ``total_newton``, ``outer_iters``,
+``predictions_accepted``, ``predictions_rejected``,
 ``schur_condition_max`` and the
 SHA-256 of the instance's problem document,
 ``json.dumps(probio.to_dict(spec), sort_keys=True)``. It
@@ -22,8 +23,9 @@ It takes about a minute.
 ``--compare`` exits 1 when an instance's termination or problem-document
 hash changed, or when |f_A - f_B| / (1 + |f_A|) exceeds 1e-10. It prints the worst drift per
 workload, every change in the Newton count, and per workload the totals
-of ``total_newton`` and ``outer_iters`` (centerings) of both records; a
-changed count alone is reported, not failed. Plain relative error would mean nothing here,
+of ``total_newton``, ``outer_iters`` (centerings) and the accepted and
+rejected predictions of both records; a changed count alone is
+reported, not failed. Plain relative error would mean nothing here,
 since the type2 optima are about 1e-16. It also lists every instance
 whose ``schur_condition_max`` moved by more than a factor of 10, and
 the largest move per workload: the Cholesky pivot ratio depends on the
@@ -64,6 +66,13 @@ from qipsolve.pathfollow import SolverConfig, solve  # noqa: E402
 SEEDS = (1, 2)
 MAX_DRIFT = 1e-10
 CONDITION_MOVE = 10.0
+# the per-instance counts totalled per workload, with their printed titles
+COUNTS = {
+    "total_newton": "Newton steps",
+    "outer_iters": "centerings",
+    "predictions_accepted": "predictions accepted",
+    "predictions_rejected": "predictions rejected",
+}
 
 
 def record(workload: str, seed: int, label: str, spec, config) -> dict:
@@ -83,6 +92,8 @@ def record(workload: str, seed: int, label: str, spec, config) -> dict:
         "termination": termination,
         "total_newton": None if report is None else report.total_newton,
         "outer_iters": None if report is None else report.outer_iters,
+        "predictions_accepted": None if report is None else report.predictions_accepted,
+        "predictions_rejected": None if report is None else report.predictions_rejected,
         "schur_condition_max": None if report is None else report.schur_condition_max,
         "problem_sha256": hashlib.sha256(doc.encode()).hexdigest(),
     }
@@ -145,16 +156,15 @@ def compare(path_a: Path, path_b: Path) -> int:
             print(f"{label}: schur_condition_max {a['schur_condition_max']:.3g} -> "
                   f"{b['schur_condition_max']:.3g} ({move:.3g}x)")
         for side, row in (("a", a), ("b", b)):
-            for count in ("total_newton", "outer_iters"):
+            for count in COUNTS:
                 key = name, side, count
-                # a record written before outer_iters was recorded lacks it
+                # a record written before a count was recorded lacks it
                 totals[key] = totals.get(key, 0) + (row.get(count) or 0)
     for name, (d, label) in worst.items():
         factor, where = moves.get(name, (1.0, ""))
-        print(f"{name}: worst drift {d:.2e} ({label}); Newton steps "
-              f"{totals[name, 'a', 'total_newton']} -> {totals[name, 'b', 'total_newton']}; "
-              f"centerings {totals[name, 'a', 'outer_iters']} -> "
-              f"{totals[name, 'b', 'outer_iters']}; largest Schur condition "
+        counts = "; ".join(f"{title} {totals[name, 'a', count]} -> {totals[name, 'b', count]}"
+                           for count, title in COUNTS.items())
+        print(f"{name}: worst drift {d:.2e} ({label}); {counts}; largest Schur condition "
               f"move {factor:.3g}x ({where or 'none'})")
     for line in failures:
         print("FAIL", line)

@@ -266,6 +266,26 @@ class TestBench:
             assert row["total_newton"] == int(cells[4])  # the table's nNewton
             assert row["f_min"] == pytest.approx(float(cells[3]), rel=1e-5)
 
+    def test_row_seed_is_its_index_in_the_full_ladder(self, tmp_path, capsys):
+        # table2's n=6 row is the second of the ladder: seed 1 whether it is
+        # run alone or after the n=4 row
+        alone, pair = tmp_path / "alone.json", tmp_path / "pair.json"
+        assert run(capsys, "bench", "--suite", "table2", "--sizes", "6",
+                   "--json", str(alone))[0] == 0
+        assert run(capsys, "bench", "--suite", "table2", "--sizes", "4", "6",
+                   "--json", str(pair))[0] == 0
+        (row,) = json.loads(alone.read_text())["rows"]
+        rows = json.loads(pair.read_text())["rows"]
+        assert (row["n"], row["seed"]) == (6, 1)
+        assert [(r["n"], r["seed"]) for r in rows] == [(4, 0), (6, 1)]
+        assert row["f_min"] == rows[1]["f_min"]
+
+    def test_size_outside_the_ladder_exits_2(self, capsys):
+        code, out, err = run(capsys, "bench", "--suite", "table1", "--sizes", "4", "5")
+        assert code == 2
+        assert err.startswith("bench: ") and "[5]" in err
+        assert out == ""
+
     @pytest.mark.parametrize("eps", ["nan", "0"])
     def test_invalid_eps_exits_2(self, capsys, eps):
         # as for solve: the configuration's message, no traceback

@@ -649,6 +649,28 @@ class TestPredictor:
                 chosen.append(lower is predicted)
         assert any(chosen) and not all(chosen)
 
+    @pytest.mark.parametrize("kind, dims, seed", PREDICTOR_CASES,
+                             ids=[c[0] for c in PREDICTOR_CASES])
+    def test_no_newton_system_is_solved_twice(self, kind, dims, seed, monkeypatch):
+        # each point holds the system solved there, so a gate check after an
+        # accepted prediction, or at a rejected one's point, reads it again;
+        # the kept bases stay alive, so their ids are not reused
+        problem = probio.generate_random(kind, dims, seed=seed)
+        real = pathfollow.newton_step_type1
+        calls = []
+
+        def counted(bundle, constraints):
+            calls.append((bundle.basis, np.array(bundle.gradient)))
+            return real(bundle, constraints)
+
+        monkeypatch.setattr(pathfollow, "newton_step_type1", counted)
+        report = solve(problem)
+        assert report.termination == "Converged"
+        assert report.predictions_accepted and report.predictions_rejected
+        for i, (basis, gradient) in enumerate(calls):
+            assert not any(b is basis and np.array_equal(g, gradient)
+                           for b, g in calls[:i])
+
     def test_prediction_outside_the_domain_is_rejected_in_place(self, monkeypatch):
         # a tangent pushed far past the boundary: the prediction is
         # rejected, and the corrector starts from the centered point

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_density, rand_spd, rand_sym, rel_err
-from qipsolve import objectives
+from qipsolve import objectives, probio
 from qipsolve.errors import DomainViolation, ShapeError, ValidationError
 from qipsolve.linmap import KrausMap, compose, identity_map, pinching_map
 from qipsolve.matfun import SpectralDecomp, vec
@@ -114,6 +114,19 @@ class TestHessianStructure:
         v12 = qre_eval(QreObjective(l1, l2, eps_pert=1e-12), EvalPoint(x), False).value
         v10 = qre_eval(QreObjective(l1, l2, eps_pert=1e-10), EvalPoint(x), False).value
         assert abs(v12 - v10) <= 1e-6
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_value_falls_as_the_perturbation_grows(self, n):
+        # D(L1(X) + eI || L2(X) + eI) does not increase with e (data
+        # processing); at QKD starts and feasible points it falls strictly
+        for seed in range(6):
+            problem = probio.generate_random("qkd", {"n": n}, seed=seed)
+            (obj,) = problem.terms
+            rng = np.random.default_rng(seed)
+            for x in (problem.start, probio.random_feasible_point(problem, rng)):
+                values = [qre_eval(QreObjective(obj.l1, obj.l2, eps_pert=e), EvalPoint(x),
+                                   False).value for e in (1e-12, 1e-9, 1e-6, 1e-3, 1e-1)]
+                assert all(b < a for a, b in zip(values, values[1:])), (seed, values)
 
 
 class TestNonnegativity:
