@@ -51,13 +51,14 @@ SingularKKT before any factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import ConstraintError, SingularKKT
-from .matfun import svec, svec_layout, symmetrize, unsvec
+from .matfun import svec, svec_layout, symmetrize
 
 
 @dataclass(eq=False)
@@ -153,8 +154,7 @@ def equality_qr(eq_rows: np.ndarray):
     if info != 0:
         raise ConstraintError(f"QR of the equality rows failed (info {info})")
     lay = svec_layout(k)
-    qr[lay.rows, lay.cols] = 0.0  # R's triangle, then V's unit diagonal
-    np.fill_diagonal(qr, 1.0)
+    qr[lay.rows, lay.cols] = lay.rows == lay.cols  # R's triangle out, V's unit diagonal in
     return qr, qr @ t
 
 
@@ -182,16 +182,19 @@ class ReducedSystem:
         """
         v, vt, u = self.v, self.y, self.basis
         k = v.shape[1]
-        g_q = gradient - v @ (vt.T @ gradient)
+        # with no equality rows Q = I, and x - 0 is x: the products are skipped
+        g_q = gradient - v @ (vt.T @ gradient) if k else gradient
+        p_s = np.zeros(gradient.size)  # [0; y], then Q [0; y]
+        quad = 0.0
         if self.factor is not None:
             c = blas.dtrsv(self.factor, g_q[k:], lower=1)
             quad = float(c @ c)
-            y = -blas.dtrsv(self.factor, c, lower=1, trans=1)
-        else:
-            y, quad = np.zeros(0), 0.0
-        p_q = np.concatenate([np.zeros(k), y])
-        p_s = p_q - vt @ (v.T @ p_q)
-        return p_s, symmetrize(u @ unsvec(p_s) @ u.T), quad
+            np.negative(blas.dtrsv(self.factor, c, lower=1, trans=1), out=p_s[k:])
+        if k:
+            p_s -= vt @ (v.T @ p_s)
+        lay = svec_layout(u.shape[0])
+        p_x = u @ (p_s / lay.weight)[lay.coord] @ u.T  # U unsvec(p~) U^T
+        return p_s, symmetrize(p_x), quad
 
 
 @dataclass(eq=False)
@@ -234,7 +237,7 @@ def _decrements(quad: float, innerprod: float, scale: float):
             f"decrement radicand is negative: {innerprod:.3e} "
             f"(quadratic form {quad:.3e})"
         )
-    return float(np.sqrt(quad)), float(np.sqrt(max(innerprod, 0.0)))
+    return math.sqrt(quad), math.sqrt(max(innerprod, 0.0))
 
 
 def newton_step_type1(bundle, cons: AffineConstraints) -> NewtonStep:
@@ -270,7 +273,7 @@ def newton_step_type1(bundle, cons: AffineConstraints) -> NewtonStep:
         chol, info = lapack.dpotrf(red, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise SingularKKT("reduced Hessian is not positive definite on the tangent space")
-        diag = np.abs(np.diag(chol))
+        diag = np.abs(chol.diagonal())
         cond = float((diag.max() / diag.min()) ** 2)
         if cond * (d - k) * np.finfo(float).eps >= 1.0:
             # a factor that only exists by roundoff: the pivot ratio is at

@@ -29,6 +29,8 @@ tracer; nothing in the solver reads it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeError, ValidationError
@@ -44,7 +46,7 @@ def _svec_congruence(ktil: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     pair go into one batched product of inner size 2r, [A B] [B A].T,
     shaped (len(rows), k, k).
     """
-    a, b = ktil[rows], ktil[cols]
+    a, b = ktil.take(rows, axis=0), ktil.take(cols, axis=0)
     g = np.concatenate([a, b], axis=2) @ np.concatenate([b, a], axis=2).transpose(0, 2, 1)
     g *= (0.5 * weight)[:, None, None]
     return g
@@ -146,6 +148,17 @@ def compose(outer: KrausMap, inner: KrausMap) -> KrausMap:
     return KrausMap([zo @ ki for zo in outer.factors for ki in inner.factors])
 
 
+@functools.lru_cache(maxsize=None)
+def _partial_transpose_source(n1: int, n2: int) -> np.ndarray:
+    """Flat index of the entry the partial transpose moves to each flat (row-major) position.
+
+    Built once per split and shared by every map of that split.
+    """
+    source = np.arange((n1 * n2) ** 2).reshape(n1, n2, n1, n2).transpose(0, 3, 2, 1).ravel()
+    source.flags.writeable = False
+    return source
+
+
 class PartialTranspose:
     """Transpose on the second tensor factor of an (n1*n2)-dim space.
 
@@ -161,14 +174,14 @@ class PartialTranspose:
         self.n1 = int(n1)
         self.n2 = int(n2)
         self.in_order = self.out_order = self.n1 * self.n2
+        self._source = _partial_transpose_source(self.n1, self.n2)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         n = self.in_order
         if x.shape != (n, n):
             raise ShapeError(f"partial transpose expects {n}x{n}, got {x.shape}")
-        blocks = x.reshape(self.n1, self.n2, self.n1, self.n2)
-        return blocks.transpose(0, 3, 2, 1).reshape(n, n).copy()
+        return x.take(self._source).reshape(n, n)
 
     # The partial transpose is self-adjoint under the trace inner product.
     adjoint_apply = apply
@@ -180,10 +193,10 @@ class PartialTranspose:
         column a is row a of U.T; the partial transpose swaps the second
         factor's indices of each matrix.
         """
-        n, n1, n2 = self.in_order, self.n1, self.n2
+        n = self.in_order
         lay = svec_layout(n)
         w = _svec_congruence(u.T[:, :, None], lay.rows, lay.cols, lay.weight)
-        w = w.reshape(-1, n1, n2, n1, n2).transpose(0, 1, 4, 3, 2).reshape(-1, n, n)
+        w = w.reshape(-1, n * n).take(self._source, axis=1).reshape(-1, n, n)
         return o.T @ w @ o
 
     def vectorized_matrix(self) -> np.ndarray:

@@ -16,7 +16,10 @@ Conventions used throughout the package:
   <A, B> = svec(A) . svec(B). Gradients and constraint rows are svec
   vectors, Hessians d x d matrices on svec coordinates:
   g @ svec(xi) == Df[xi] and H @ svec(xi) == svec(D^2 f[xi]).
-* Eigenvalues are returned in descending order.
+* Eigenvalues are returned in descending order. ``spectral_decompose``
+  calls LAPACK's divide-and-conquer ``dsyevd`` on the lower triangle
+  through ``scipy.linalg.lapack``, the routine and triangle that
+  ``np.linalg.eigh`` calls, with less per-call overhead.
 * Eigenvalue pairs closer than ``CONFLUENCE_RTOL`` (relative) take the
   derivative/limit branch of the divided differences.
 """
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import DecompositionFailure, DomainViolation, InvalidMatrix, ShapeError
 
@@ -63,12 +67,16 @@ class SpectralDecomp:
 def spectral_decompose(x: np.ndarray) -> SpectralDecomp:
     """Eigendecompose a symmetric matrix, eigenvalues descending."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ShapeError(f"spectral_decompose needs a square matrix, got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    try:
-        lam, u = np.linalg.eigh(symmetrize(x))
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionFailure(str(exc)) from exc
+    # exactly symmetric, so its transpose is the same matrix in Fortran
+    # order, which dsyevd overwrites with the eigenvectors without a copy
+    s = symmetrize(x)
+    lam, u, info = lapack.dsyevd(s.T, compute_v=1, lower=1, overwrite_a=1)
+    if info != 0:
+        raise DecompositionFailure(f"eigendecomposition failed (dsyevd info {info})")
     return SpectralDecomp(U=u[:, ::-1].copy(), lam=lam[::-1].copy())
 
 
@@ -151,13 +159,25 @@ def generator_from_name(name: str, alpha: float | None = None) -> ScalarGenerato
 
 def _check_positive(lam: np.ndarray) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
-    if lam.size == 0 or np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
+    # min() is NaN when an entry is, and NaN > 0 is false; max() catches +inf
+    if lam.size == 0 or not lam.min() > 0.0 or not lam.max() < math.inf:
         raise DomainViolation("generator arguments must be strictly positive")
     return lam
 
 
-def _conf_scale(a, b):
-    return np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+def _confluent(a: np.ndarray, b: np.ndarray):
+    """(diff, i, j): diff = [a_i - b_j] and the index pairs (i, j) that are confluent.
+
+    A pair is confluent when |a_i - b_j| <= CONFLUENCE_RTOL * max(a_i, b_j, 1);
+    a and b are positive. The divided differences take their limit
+    branches on these pairs alone.
+    """
+    a = a[:, None]
+    diff = a - b
+    tol = np.maximum(a, b)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= CONFLUENCE_RTOL
+    return (diff, *(np.abs(diff) <= tol).nonzero())
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +192,13 @@ def divided_diff_1(gen: ScalarGenerator, lam) -> np.ndarray:
     exactly symmetric.
     """
     lam = _check_positive(lam)
-    a = lam[:, None]
-    b = lam[None, :]
-    diff = a - b
-    conf = np.abs(diff) <= CONFLUENCE_RTOL * _conf_scale(a, b)
-    safe = np.where(conf, 1.0, diff)
+    diff, j, k = _confluent(lam, lam)
+    diff[j, k] = 1.0
     ga = gen.g(lam)
-    quotient = (ga[:, None] - ga[None, :]) / safe
-    return np.where(conf, gen.dg(0.5 * (a + b)), quotient)
+    out = ga[:, None] - ga
+    out /= diff
+    out[j, k] = gen.dg(0.5 * (lam[j] + lam[k]))
+    return out
 
 
 def _dd1_scalar(gen: ScalarGenerator, a: float, b: float) -> float:
@@ -222,25 +241,22 @@ def second_divided_diff_tensor(gen: ScalarGenerator, lam, *, f1: np.ndarray) -> 
     the confluent pairs only, entry by entry as the dense formulas would.
     """
     lam = _check_positive(lam)
-
-    lj = lam[:, None]
-    lk = lam[None, :]
-    djk = lj - lk
-    sep_jk = np.abs(djk) > CONFLUENCE_RTOL * _conf_scale(lj, lk)
-    safe_jk = np.where(sep_jk, djk, 1.0)
-    out = (f1[:, :, None] - f1[:, None, :]) / safe_jk
+    djk, j, k = _confluent(lam, lam)
+    djk[j, k] = 1.0
+    out = f1[:, :, None] - f1[:, None, :]
+    out /= djk
 
     # confluent (j, k) pair: d/dmu g^[1](lam_i, mu) at mu = (lam_j+lam_k)/2
-    j, k = np.nonzero(~sep_jk)
-    li = lam[:, None]
-    mu = 0.5 * (lam[j] + lam[k])[None, :]
-    dimu = li - mu
-    sep_imu = np.abs(dimu) > CONFLUENCE_RTOL * _conf_scale(li, mu)
-    safe_imu = np.where(sep_imu, dimu, 1.0)
-    h1_imu = (gen.g(lam)[:, None] - gen.g(mu)) / safe_imu
-    pairwise = (h1_imu - gen.dg(mu)) / safe_imu
-    triple = 0.5 * gen.d2g((li + lam[j] + lam[k]) / 3.0)
-    out[:, j, k] = np.where(sep_imu, pairwise, triple)
+    mu = 0.5 * (lam[j] + lam[k])
+    dimu, i, t = _confluent(lam, mu)
+    dimu[i, t] = 1.0
+    block = gen.g(lam)[:, None] - gen.g(mu)
+    block /= dimu
+    block -= gen.dg(mu)
+    block /= dimu
+    # confluent triple: g''/2 at the mean of lam_i, lam_j, lam_k
+    block[i, t] = 0.5 * gen.d2g((lam[i] + lam[j[t]] + lam[k[t]]) / 3.0)
+    out[:, j, k] = block
     return out
 
 
@@ -260,9 +276,11 @@ class SvecLayout:
     svec coordinate a is entry (rows[a], cols[a]) with rows <= cols, in
     row-major upper-triangle order; ``upper``/``lower`` are the vec
     (column-major) indices of that entry and of its mirror,
-    ``weight`` is 1 on the diagonal and sqrt(2) off it, and ``diag``
-    holds the n coordinates of the diagonal entries. Column a of the
-    isometry P : svec -> vec is (e_upper + e_lower) * weight / 2.
+    ``weight`` is 1 on the diagonal and sqrt(2) off it, ``diag``
+    holds the n coordinates of the diagonal entries, and the n x n
+    ``coord`` the coordinate of each entry (i, j), of either triangle.
+    Column a of the isometry P : svec -> vec is
+    (e_upper + e_lower) * weight / 2.
     """
 
     rows: np.ndarray
@@ -271,14 +289,17 @@ class SvecLayout:
     lower: np.ndarray
     weight: np.ndarray
     diag: np.ndarray
+    coord: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
 def svec_layout(n: int) -> SvecLayout:
     """The svec index tables of order n, built once per order."""
     rows, cols = np.triu_indices(n)
+    coord = np.empty((n, n), dtype=np.intp)
+    coord[rows, cols] = coord[cols, rows] = np.arange(rows.size)
     tables = (rows, cols, rows + cols * n, cols + rows * n,
-              np.where(rows == cols, 1.0, math.sqrt(2.0)), np.flatnonzero(rows == cols))
+              np.where(rows == cols, 1.0, math.sqrt(2.0)), np.flatnonzero(rows == cols), coord)
     for t in tables:
         t.flags.writeable = False
     return SvecLayout(*tables)
@@ -288,7 +309,7 @@ def svec(a: np.ndarray) -> np.ndarray:
     """svec coordinates of a symmetric matrix."""
     a = np.asarray(a, dtype=float)
     lay = svec_layout(a.shape[0])
-    return a[lay.rows, lay.cols] * lay.weight
+    return a.take(lay.lower) * lay.weight  # lower: the row-major index of (rows, cols)
 
 
 def unsvec(p: np.ndarray) -> np.ndarray:
@@ -298,6 +319,4 @@ def unsvec(p: np.ndarray) -> np.ndarray:
     if n * (n + 1) // 2 != p.size:
         raise ShapeError(f"length {p.size} is not n(n+1)/2 for any order n")
     lay = svec_layout(n)
-    out = np.empty((n, n))
-    out[lay.rows, lay.cols] = out[lay.cols, lay.rows] = p / lay.weight
-    return out
+    return (p / lay.weight)[lay.coord]

@@ -194,7 +194,7 @@ def batch_inner(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     rotation: <L.T(G), U E_c U.T> = <G, L(U E_c U.T)>.
     """
     lay = svec_layout(m.shape[0])
-    return s @ (m[lay.rows, lay.cols] * lay.weight**2)
+    return s @ (m.take(lay.lower) * lay.weight**2)
 
 
 def sandwich_diag(s1: np.ndarray, s2: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -205,7 +205,7 @@ def sandwich_diag(s1: np.ndarray, s2: np.ndarray, phi: np.ndarray) -> np.ndarray
     triangle with the off-diagonal terms counted twice.
     """
     lay = svec_layout(phi.shape[0])
-    return (s1 * (phi[lay.rows, lay.cols] * lay.weight**2)) @ s2.T
+    return (s1 * (phi.take(lay.lower) * lay.weight**2)) @ s2.T
 
 
 def sandwich_core(v: np.ndarray, s: np.ndarray, ctil: np.ndarray,
@@ -233,10 +233,8 @@ def _shared_index_scatter(n: int) -> tuple[np.ndarray, np.ndarray]:
     diagonal and 1/sqrt(2) off it (column s of the isometry P has
     entries c at (i, j) and (j, i)). Both tables have n^3 entries.
     """
-    lay = svec_layout(n)
-    d = lay.rows.size
-    s = np.empty((n, n), dtype=np.intp)
-    s[lay.rows, lay.cols] = s[lay.cols, lay.rows] = np.arange(d)
+    s = svec_layout(n).coord
+    d = n * (n + 1) // 2
     c = np.full((n, n), 1.0 / math.sqrt(2.0))
     np.fill_diagonal(c, 1.0)
     index = (s[:, :, None] * d + s[:, None, :]).ravel()
@@ -282,7 +280,7 @@ def phi_eval(obj: TraceObjective, point: EvalPoint, want_hessian: bool = True) -
     _, dec = point.pd_image("argument" if obj.map is None else "map output", obj.map)
     o, lam = dec.U, dec.lam
     ctil = symmetrize(o.T @ obj.C @ o)
-    value = float(np.diag(ctil) @ obj.gen.g(lam))
+    value = float(ctil.diagonal() @ obj.gen.g(lam))
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     f1 = divided_diff_1(obj.gen, lam)
@@ -317,13 +315,14 @@ def barrier_eval(point: EvalPoint, want_hessian: bool = True,
     """
     _, dec = point.pd_image("barrier argument")
     lam = dec.lam
-    value = -float(np.sum(np.log(lam)))
+    value = -float(np.log(lam).sum())
     m = 0 if constraints is None else constraints.n_ineq
     if m:
         s = constraints.slacks(point.x)
-        if s.min() <= 0.0:
-            raise DomainViolation(f"inequality slacks must be positive (min {s.min():.3e})")
-        value -= float(np.sum(np.log(s)))
+        s_min = s.min()
+        if s_min <= 0.0:
+            raise DomainViolation(f"inequality slacks must be positive (min {s_min:.3e})")
+        value -= float(np.log(s).sum())
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     lay = svec_layout(lam.size)
@@ -335,7 +334,7 @@ def barrier_eval(point: EvalPoint, want_hessian: bool = True,
         gw = constraints.in_basis(dec.U)[0][:m].T / s
         grad += gw.sum(axis=1)
         hess = gw @ gw.T  # numpy's rank-k path: exactly symmetric
-        hess[np.diag_indices_from(hess)] += curv
+        hess.reshape(-1)[::hess.shape[0] + 1] += curv  # the diagonal, in place
     else:
         hess = np.diag(curv)
     return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=dec.U)
@@ -349,14 +348,14 @@ def map_barrier_eval(lmap, point: EvalPoint, want_hessian: bool = True) -> Deriv
     """
     _, dec = point.pd_image("mapped barrier argument", lmap)
     o, lam = dec.U, dec.lam
-    value = -float(np.sum(np.log(lam)))
+    value = -float(np.log(lam).sum())
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     u = point.basis
     d = 1.0 / lam
     s = triu_rows(congruence_batch(lmap, o, u))
     grad = batch_inner(s, np.diag(-d))
-    hess = symmetrize(sandwich_diag(s, s, np.outer(d, d)))
+    hess = symmetrize(sandwich_diag(s, s, d[:, None] * d))
     return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=u)
 
 

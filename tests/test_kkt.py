@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import blas
 
 from conftest import rand_spd, rand_sym
 from qipsolve import probio
@@ -406,7 +407,38 @@ class TestLapackPath:
                                   problem.constraints)
 
 
+def reference_solve(system, gradient):
+    """``ReducedSystem.solve`` written with concatenate, unsvec and symmetrize."""
+    v, vt, u = system.v, system.y, system.basis
+    k = v.shape[1]
+    g_q = gradient - v @ (vt.T @ gradient)
+    if system.factor is not None:
+        c = blas.dtrsv(system.factor, g_q[k:], lower=1)
+        quad = float(c @ c)
+        y = -blas.dtrsv(system.factor, c, lower=1, trans=1)
+    else:
+        y, quad = np.zeros(0), 0.0
+    p_q = np.concatenate([np.zeros(k), y])
+    p_s = p_q - vt @ (v.T @ p_q)
+    return p_s, symmetrize(u @ unsvec(p_s) @ u.T), quad
+
+
 class TestKeptFactor:
+    @pytest.mark.parametrize("setup", [inequality_only_setup, mixed_setup, equality_only_setup],
+                             ids=["no-equality-rows", "mixed", "equality-rows-only"])
+    def test_solve_equals_the_plain_form_bitwise(self, rng, setup):
+        # in place and from the cached layout, with the products skipped
+        # when there are no equality rows: the same bits as the plain form
+        *_, cons, bundle = setup(rng)
+        system = newton_step_type1(bundle, cons).system
+        for g in (bundle.gradient, rng.standard_normal(bundle.gradient.size)):
+            p_s, p_x, quad = system.solve(g)
+            ref_s, ref_x, ref_quad = reference_solve(system, g)
+            assert np.array_equal(p_s, ref_s)
+            assert np.array_equal(p_x, ref_x)
+            assert quad == ref_quad
+
+
     # the relative entropy; type1 with inequality rows; type2 (map barrier)
     @pytest.mark.parametrize("kind, dims", [
         ("qkd", {"n": 3, "m": 1}),

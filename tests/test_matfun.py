@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import rand_spd, rand_sym
 from qipsolve import matfun
-from qipsolve.errors import DomainViolation, InvalidMatrix
+from qipsolve.errors import DomainViolation, InvalidMatrix, ShapeError
 from qipsolve.matfun import (
     CONFLUENCE_RTOL,
     INVERSE,
@@ -52,6 +54,21 @@ class TestSpectralDecompose:
         x[0, 1] = x[1, 0] = np.nan
         with pytest.raises(InvalidMatrix):
             spectral_decompose(x)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            spectral_decompose(np.ones(shape))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16, 32])
+    def test_equals_reversed_numpy_eigh_bitwise(self, rng, n):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        clustered = rng.choice([0.5, 1.0, 2.0], size=n) * (1.0 + 1e-12 * rng.standard_normal(n))
+        for x in (np.eye(n), rand_sym(rng, n), rand_spd(rng, n), (q * clustered) @ q.T):
+            lam, u = np.linalg.eigh(symmetrize(x))
+            dec = spectral_decompose(x)
+            assert np.array_equal(dec.lam, lam[::-1])
+            assert np.array_equal(dec.U, u[:, ::-1])
 
 
 class TestDividedDiff1:
@@ -152,20 +169,92 @@ class TestDividedDiff2:
                         assert t[i, j, k] == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
 
+def _conf_scale(a, b):
+    return np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+
+
 def dense_second_divided_diff_tensor(gen, lam):
     """Every branch of the tensor's recurrence on all n^3 entries, then selected."""
     f1 = divided_diff_1(gen, lam)
     li, lj, lk = lam[:, None, None], lam[None, :, None], lam[None, None, :]
     djk = lj - lk
-    sep_jk = np.abs(djk) > CONFLUENCE_RTOL * matfun._conf_scale(lj, lk)
+    sep_jk = np.abs(djk) > CONFLUENCE_RTOL * _conf_scale(lj, lk)
     main = (f1[:, :, None] - f1[:, None, :]) / np.where(sep_jk, djk, 1.0)
     mu = 0.5 * (lam[:, None] + lam[None, :])[None, :, :]
     dimu = li - mu
-    sep_imu = np.abs(dimu) > CONFLUENCE_RTOL * matfun._conf_scale(li, mu)
+    sep_imu = np.abs(dimu) > CONFLUENCE_RTOL * _conf_scale(li, mu)
     safe_imu = np.where(sep_imu, dimu, 1.0)
     pairwise = ((gen.g(lam)[:, None, None] - gen.g(mu)) / safe_imu - gen.dg(mu)) / safe_imu
     triple = 0.5 * gen.d2g((li + lj + lk) / 3.0)
     return np.where(sep_jk, main, np.where(sep_imu, pairwise, triple))
+
+
+def reference_divided_diff_1(gen, lam):
+    """The first divided differences as full-matrix masks and selects."""
+    a, b = lam[:, None], lam[None, :]
+    diff = a - b
+    conf = np.abs(diff) <= CONFLUENCE_RTOL * _conf_scale(a, b)
+    ga = gen.g(lam)
+    quotient = (ga[:, None] - ga[None, :]) / np.where(conf, 1.0, diff)
+    return np.where(conf, gen.dg(0.5 * (a + b)), quotient)
+
+
+def reference_second_divided_diff_tensor(gen, lam, f1):
+    """The tensor with every limit branch evaluated on all (i, confluent pair) entries."""
+    lj, lk = lam[:, None], lam[None, :]
+    djk = lj - lk
+    sep_jk = np.abs(djk) > CONFLUENCE_RTOL * _conf_scale(lj, lk)
+    out = (f1[:, :, None] - f1[:, None, :]) / np.where(sep_jk, djk, 1.0)
+    j, k = np.nonzero(~sep_jk)
+    li = lam[:, None]
+    mu = 0.5 * (lam[j] + lam[k])[None, :]
+    dimu = li - mu
+    sep_imu = np.abs(dimu) > CONFLUENCE_RTOL * _conf_scale(li, mu)
+    safe_imu = np.where(sep_imu, dimu, 1.0)
+    pairwise = ((gen.g(lam)[:, None] - gen.g(mu)) / safe_imu - gen.dg(mu)) / safe_imu
+    triple = 0.5 * gen.d2g((li + lam[j] + lam[k]) / 3.0)
+    out[:, j, k] = np.where(sep_imu, pairwise, triple)
+    return out
+
+
+def planted_spectra(rng):
+    """Descending spectra with distinct values, confluent pairs and triples."""
+    for n in (1, 2, 3, 4, 9, 16):
+        lam = np.sort(rng.uniform(0.05, 6.0, size=n))[::-1]
+        yield lam
+        if n >= 2:
+            pair = lam.copy()
+            pair[1] = pair[0] * (1.0 - 0.5 * CONFLUENCE_RTOL)  # near pair
+            pair[-1] = pair[-2]  # exact pair
+            yield pair
+        if n >= 3:
+            triple = lam.copy()
+            triple[:3] = triple[1] * np.array([1.0 + 0.3 * CONFLUENCE_RTOL, 1.0,
+                                               1.0 - 0.3 * CONFLUENCE_RTOL])
+            yield triple
+    yield np.ones(5)  # one cluster
+    yield np.array([0.5, 1.0, 0.5, 2.0, 1.0, 1.0 + 1e-10])  # unsorted repeats
+
+
+class TestDividedDiffPins:
+    """The divided differences equal the full-matrix formulas bit for bit."""
+
+    @pytest.mark.parametrize("gen", [*ALL_GENERATORS, LOG], ids=lambda g: g.kind)
+    def test_equal_the_reference_formulas(self, rng, gen):
+        for lam in planted_spectra(rng):
+            f1 = divided_diff_1(gen, lam)
+            assert np.array_equal(f1, reference_divided_diff_1(gen, lam)), lam
+            t = second_divided_diff_tensor(gen, lam, f1=f1)
+            assert np.array_equal(t, reference_second_divided_diff_tensor(gen, lam, f1)), lam
+
+    @pytest.mark.parametrize("bad", [[], [1.0, 0.0], [1.0, -2.0], [np.nan, 1.0],
+                                     [1.0, np.inf]], ids=str)
+    def test_domain_checked(self, bad):
+        lam = np.array(bad, dtype=float)
+        with pytest.raises(DomainViolation):
+            divided_diff_1(NEG_LOG, lam)
+        with pytest.raises(DomainViolation):
+            second_divided_diff_tensor(NEG_LOG, lam, f1=np.ones((lam.size, lam.size)))
 
 
 class TestMatrixFunction:
