@@ -60,6 +60,9 @@ from scipy.linalg import blas, lapack
 from .errors import ConstraintError, SingularKKT
 from .matfun import svec, svec_layout, symmetrize
 
+# machine epsilon of the float64 Newton system
+EPS = np.finfo(float).eps
+
 
 @dataclass(eq=False)
 class AffineConstraints:
@@ -273,9 +276,9 @@ def newton_step_type1(bundle, cons: AffineConstraints) -> NewtonStep:
         chol, info = lapack.dpotrf(red, lower=1, clean=0, overwrite_a=1)
         if info > 0:
             raise SingularKKT("reduced Hessian is not positive definite on the tangent space")
-        diag = np.abs(chol.diagonal())
+        diag = chol.diagonal()  # positive once dpotrf succeeds
         cond = float((diag.max() / diag.min()) ** 2)
-        if cond * (d - k) * np.finfo(float).eps >= 1.0:
+        if cond * (d - k) * EPS >= 1.0:
             # a factor that only exists by roundoff: the pivot ratio is at
             # the level of a matrix that is singular on the tangent space
             raise SingularKKT("reduced Hessian is numerically singular on the tangent space",

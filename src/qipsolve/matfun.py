@@ -21,7 +21,11 @@ Conventions used throughout the package:
   through ``scipy.linalg.lapack``, the routine and triangle that
   ``np.linalg.eigh`` calls, with less per-call overhead.
 * Eigenvalue pairs closer than ``CONFLUENCE_RTOL`` (relative) take the
-  derivative/limit branch of the divided differences.
+  derivative/limit branch of the divided differences. Both divided
+  differences read the checked eigenvalues and their (lam, lam)
+  confluence table from one pair table per spectrum, kept for the last
+  read-only eigenvalue array (``_pair_table``), so a Hessian evaluation
+  checks and tables each spectrum once.
 """
 
 from __future__ import annotations
@@ -72,8 +76,10 @@ def spectral_decompose(x: np.ndarray) -> SpectralDecomp:
     if not np.isfinite(x).all():
         raise InvalidMatrix("matrix has non-finite entries")
     # exactly symmetric, so its transpose is the same matrix in Fortran
-    # order, which dsyevd overwrites with the eigenvectors without a copy
-    s = symmetrize(x)
+    # order, which dsyevd overwrites with the eigenvectors without a copy;
+    # 0.5 (X + X.T) formed in place, the bits of ``symmetrize``
+    s = x + x.T
+    s *= 0.5
     lam, u, info = lapack.dsyevd(s.T, compute_v=1, lower=1, overwrite_a=1)
     if info != 0:
         raise DecompositionFailure(f"eigendecomposition failed (dsyevd info {info})")
@@ -184,6 +190,36 @@ def _confluent(a: np.ndarray, b: np.ndarray):
 # divided differences
 # ---------------------------------------------------------------------------
 
+# (eigenvalue array, its pair table) of the last array kept by _pair_table
+_pair_cache: tuple = ()
+
+
+def _pair_table(lam):
+    """(lam, diff, j, k): the checked eigenvalues and their (lam, lam) confluence table.
+
+    diff = [lam_i - lam_j] with 1 at the confluent pairs (j, k), the
+    divisor of both divided differences. The table of the last read-only
+    array that owns its data is kept, keyed on the array's identity, the
+    rule of ``kkt.AffineConstraints.in_basis``: the decompositions an
+    ``objectives.EvalPoint`` holds are such arrays, so the same array
+    holds the same spectrum, and a Hessian evaluation computes the table
+    once for both divided differences. Any other array (a caller's
+    writeable one, or a view) is checked and tabled on every call.
+    """
+    global _pair_cache
+    if _pair_cache and _pair_cache[0] is lam:
+        return _pair_cache[1]
+    checked = _check_positive(lam)
+    diff, j, k = _confluent(checked, checked)
+    diff[j, k] = 1.0
+    table = (checked, diff, j, k)
+    if isinstance(lam, np.ndarray) and not lam.flags.writeable and lam.flags.owndata:
+        for a in table[1:]:
+            a.flags.writeable = False
+        _pair_cache = (lam, table)
+    return table
+
+
 def divided_diff_1(gen: ScalarGenerator, lam) -> np.ndarray:
     """First divided difference matrix [g^[1](lam_i, lam_j)]_{ij}.
 
@@ -191,9 +227,7 @@ def divided_diff_1(gen: ScalarGenerator, lam) -> np.ndarray:
     within CONFLUENCE_RTOL use g'((a + b) / 2), which keeps the matrix
     exactly symmetric.
     """
-    lam = _check_positive(lam)
-    diff, j, k = _confluent(lam, lam)
-    diff[j, k] = 1.0
+    lam, diff, j, k = _pair_table(lam)
     ga = gen.g(lam)
     out = ga[:, None] - ga
     out /= diff
@@ -240,9 +274,7 @@ def second_divided_diff_tensor(gen: ScalarGenerator, lam, *, f1: np.ndarray) -> 
     for a confluent (j, k) pair or a confluent triple, are evaluated on
     the confluent pairs only, entry by entry as the dense formulas would.
     """
-    lam = _check_positive(lam)
-    djk, j, k = _confluent(lam, lam)
-    djk[j, k] = 1.0
+    lam, djk, j, k = _pair_table(lam)
     out = f1[:, :, None] - f1[:, None, :]
     out /= djk
 

@@ -29,7 +29,10 @@ its own structure (see ``linmap``): the gradient entry c is
 <M, V[c]> for the gradient matrix M in O's basis, which is
 svec(U.T L.T(O M O.T) U) with no adjoint or rotation (``batch_inner``).
 Each V[c] is symmetric, so the contractions run over the k(k+1)/2
-upper-triangle entries of each batch, gathered once.
+upper-triangle entries of each batch, gathered once. The barrier
+-ln det L(X) takes its batch in the basis O Lam^-1/2 instead, which
+makes its Hessian a Gram matrix of the batch's svec rows
+(``map_barrier_eval``).
 
 Every evaluation takes an ``EvalPoint``, held by whatever holds X (the
 solver's iterate, or an entry point such as ``composite_eval``): an
@@ -343,8 +346,13 @@ def barrier_eval(point: EvalPoint, want_hessian: bool = True,
 def map_barrier_eval(lmap, point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:
     """-ln det L(X), Y = L(X): gradient -L.T(Y^-1) and Hessian L.T P(Y^-1) L, in X's eigenbasis.
 
-    Both come from the batch V[c] = O.T L(U E_c U.T) O: the gradient entry
-    is -<Lam^-1, V[c]>, the Hessian entry sum_ij V[c]_ij V[c']_ij / (lam_i lam_j).
+    Both come from the batch W[c] = Lam^-1/2 O.T L(U E_c U.T) O Lam^-1/2,
+    the congruence batch in the basis O Lam^-1/2 (Y = O Lam O.T): the
+    gradient entry is -<Lam^-1, V[c]> = -Tr W[c], and the Hessian entry
+    sum_ij V[c]_ij V[c']_ij / (lam_i lam_j) = <W[c], W[c']>, a Gram
+    matrix. On the svec coordinates of the batches, <A, B> = svec(A) .
+    svec(B), so the Hessian is w w.T with w the batches' svec rows, which
+    numpy's rank-k path makes exactly symmetric.
     """
     _, dec = point.pd_image("mapped barrier argument", lmap)
     o, lam = dec.U, dec.lam
@@ -352,11 +360,11 @@ def map_barrier_eval(lmap, point: EvalPoint, want_hessian: bool = True) -> Deriv
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
     u = point.basis
-    d = 1.0 / lam
-    s = triu_rows(congruence_batch(lmap, o, u))
-    grad = batch_inner(s, np.diag(-d))
-    hess = symmetrize(sandwich_diag(s, s, d[:, None] * d))
-    return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=u)
+    s = triu_rows(congruence_batch(lmap, o / np.sqrt(lam), u))
+    lay = svec_layout(lam.size)
+    grad = -s[:, lay.diag].sum(axis=1)
+    w = s * lay.weight
+    return DerivativeBundle(value=value, gradient=grad, hessian=w @ w.T, basis=u)
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,9 @@ is evaluated in two modes: the value alone at a line-search trial, and
 value, gradient and Hessian at a Newton iterate. Each evaluation reads
 the evaluation point (``objectives.EvalPoint``) of its X, which
 decomposes X and each map image once; the iterate is its point. The
-line search's value at alpha = 0 reads the decompositions of the Hessian
-evaluation there, and the line search hands back the point of the trial
+line search's value at alpha = 0 is the sum of the term values that the
+Hessian evaluation there left on the point, with no term evaluated
+again, and the line search hands back the point of the trial
 it accepts, which becomes the next iterate with the decompositions its
 value test made. A Hessian evaluation keeps its unscaled per-term
 derivatives on its point, and since H_beta = beta H_f + H_B, a centering
@@ -226,8 +227,10 @@ class FBetaEvaluator:
     (``EvalPoint.parts``). Since H_beta = beta H_f + H_B, ``hessian_bundle``
     at a point that holds them recombines them at another beta instead of
     evaluating anew: every centering starts where the previous one
-    stopped, so its first Newton system needs no new derivatives.
-    Evaluations at other points leave them in place.
+    stopped, so its first Newton system needs no new derivatives. A
+    value-only evaluation at such a point sums their values, so the line
+    search's value at alpha = 0 evaluates no term. Evaluations at other
+    points leave them in place.
     """
 
     def __init__(self, problem: ProblemSpec, include_barrier: bool = True):
@@ -244,8 +247,14 @@ class FBetaEvaluator:
         """Evaluate F_beta at the X of ``point``.
 
         Without ``want_hessian`` only the value is computed (gradient
-        None). A Hessian evaluation keeps its per-term bundles on the point.
+        None), and at a point that holds its per-term bundles it is their
+        ``combine_values``, the same bits as evaluating the terms anew (a
+        term's value is one expression in both modes). A Hessian
+        evaluation keeps its per-term bundles on the point.
         """
+        if not want_hessian and point.parts is not None:
+            return DerivativeBundle(value=combine_values(beta, point.parts, self.n_scaled),
+                                    gradient=None)
         parts = evaluate_terms(self.terms, self.n_scaled, point, want_hessian)
         if want_hessian:
             point.parts = parts
@@ -287,7 +296,7 @@ def cone_step_bound(p_tilde: np.ndarray, lam: np.ndarray) -> float:
     those of the pencil (P, Y).
     """
     s = 1.0 / np.sqrt(lam)
-    w, _, info = lapack.dsyevd(p_tilde * np.outer(s, s), compute_v=0)
+    w, _, info = lapack.dsyevd(p_tilde * (s[:, None] * s), compute_v=0)
     if info != 0:
         raise DecompositionFailure(f"eigenvalues of the scaled step failed (info {info})")
     wmin = float(w[0])
@@ -342,7 +351,8 @@ def line_search(point: EvalPoint, step: NewtonStep, beta: float,
     amax = max_feasible_step(point, step, evaluator)
     alpha = min(1.0, LS_BOUNDARY_FRACTION * amax)
     for _ in range(LS_MAX_BACKTRACKS):
-        trial = EvalPoint(symmetrize(point.x + alpha * step.direction_X))
+        # X and P are exactly symmetric, so X + alpha P is
+        trial = EvalPoint(point.x + alpha * step.direction_X)
         if evaluator.value(trial, beta) < f0:
             return alpha, trial
         alpha *= LS_SHRINK
@@ -389,7 +399,7 @@ def predict(run: _Run, beta: float, beta_pred: float, evaluator: FBetaEvaluator,
     n = evaluator.n_scaled
     grad_f = sum((part.gradient for part in x.parts[:n]), np.zeros_like(x.parts[0].gradient))
     tangent, _ = step.solve(grad_f)
-    run.point = EvalPoint(symmetrize(x.x + (beta_pred - beta_c) * (beta_c / beta_pred) * tangent))
+    run.point = EvalPoint(x.x + (beta_pred - beta_c) * (beta_c / beta_pred) * tangent)
     try:
         _, trial = newton_system(run, beta_pred, evaluator)
     except QipError as exc:
@@ -447,7 +457,7 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
             raise SingularKKT(f"Newton direction is not a descent direction: "
                               f"<grad F, p> = {slope:.3e} at beta={beta:.3e}")
         if certified_full_step(evaluator, step.decrement):
-            alpha, new = 1.0, EvalPoint(symmetrize(point.x + step.direction_X))
+            alpha, new = 1.0, EvalPoint(point.x + step.direction_X)
         else:
             alpha, new = line_search(point, step, beta, evaluator)
         if callback is not None:
@@ -591,8 +601,8 @@ def _build_report(problem, run, config, caps, beta, r, f_start, wall, terminatio
         "total_newton": total,
         "within_caps": total <= total_cap and max(run.steps) <= per_outer_cap,
     }
-    cfg = {**asdict(config), "kappa": KAPPA, "barrier_param_r": r,
-           "include_barrier": include_barrier}
+    cfg = {"beta0": config.beta0, "theta": config.theta, "epsilon": config.epsilon,
+           "kappa": KAPPA, "barrier_param_r": r, "include_barrier": include_barrier}
     return SolveReport(
         f_min=problem.objective_at(run.point),
         X_star=run.point.x,

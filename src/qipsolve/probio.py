@@ -183,6 +183,9 @@ def validate_problem(problem: ProblemSpec) -> None:
         if lmap is not None and lmap.in_order != problem.n:
             raise ValidationError("constraint map order does not match the constraints")
     if problem.start is not None:
+        if np.shape(problem.start) != (problem.n, problem.n):
+            raise ValidationError(f"start has shape {np.shape(problem.start)}, not the "
+                                  f"constraints' order {problem.n} x {problem.n}")
         bad = feasibility_violations(problem, problem.start)
         if bad:
             raise ValidationError("declared start is not strictly feasible: " + bad[0][0])
@@ -474,7 +477,7 @@ def _map_from_dict(d, where):
         return None
     kind = _require(d, "kind", where)
     if kind == "partial_transpose":
-        return PartialTranspose(*(_parsed(int, _require(d, key, where), f"{where}.{key}")
+        return PartialTranspose(*(_count(_require(d, key, where), f"{where}.{key}")
                                   for key in ("n1", "n2")))
     if kind == "kraus":
         return _kraus(_require(d, "factors", where), f"{where}.factors")
@@ -550,6 +553,22 @@ def _parsed(cast, value, what):
         raise ParseError(f"{what} is malformed: {exc}") from exc
 
 
+def _finite(cast, value, what):
+    """``_parsed(cast, value, what)``, which must be finite: JSON readers take NaN and Infinity."""
+    out = _parsed(cast, value, what)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"{what} has non-finite entries")
+    return out
+
+
+def _count(value, what):
+    """A JSON integer, or a float with an integer value; a ParseError naming ``what`` otherwise."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ParseError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _kraus(factors, what):
     return KrausMap([_parsed(_floats, f, f"{what}[{i}]")
                      for i, f in enumerate(_typed(factors, list, what))])
@@ -573,18 +592,18 @@ def from_dict(doc: dict) -> ProblemSpec:
     mats = [_load_sym(a, f"constraints.A[{i}]")
             for i, a in enumerate(_typed(_require(cd, "A", "constraints"), list,
                                          "constraints.A"))]
-    cons = AffineConstraints(mats, _parsed(_floats, _require(cd, "b", "constraints"),
+    cons = AffineConstraints(mats, _finite(_floats, _require(cd, "b", "constraints"),
                                            "constraints.b"),
-                             n_ineq=_parsed(int, cd.get("n_ineq", 0), "constraints.n_ineq"))
+                             n_ineq=_count(cd.get("n_ineq", 0), "constraints.n_ineq"))
     obj = _section(doc, "objective")
-    offset = _parsed(float, obj.get("offset", 0.0), "objective.offset")
+    offset = _finite(float, obj.get("offset", 0.0), "objective.offset")
     start = doc.get("start")
     start_mat = None if start is None else _load_sym(start, "start")
 
     if kind == "qkd":
         kraus = _section(doc, "kraus")
         l1, l2 = (_kraus(_require(kraus, key, "kraus"), f"kraus.{key}") for key in ("L1", "L2"))
-        eps = _parsed(float, obj.get("epsilon_perturb", 1e-12), "objective.epsilon_perturb")
+        eps = _finite(float, obj.get("epsilon_perturb", 1e-12), "objective.epsilon_perturb")
         spec = ProblemSpec(
             constraints=cons,
             terms=[QreObjective(l1, l2, eps_pert=eps)],
@@ -595,8 +614,10 @@ def from_dict(doc: dict) -> ProblemSpec:
         )
     elif kind in ("type1", "type2"):
         c = _load_sym(_require(doc, "C", "top level"), "weight C")
+        alpha = obj.get("alpha")
         gen = generator_from_name(_typed(_require(obj, "generator", "objective"), str,
-                                         "objective.generator"), obj.get("alpha"))
+                                         "objective.generator"),
+                                  None if alpha is None else _finite(float, alpha, "objective.alpha"))
         term_map = _map_from_dict(obj.get("term_map"), "objective.term_map")
         spec = ProblemSpec(
             constraints=cons,

@@ -139,6 +139,8 @@ def _eval(obj, point, want_hessian):
     v22 = congruence_batch(obj.l2, o2, u)
     s22 = triu_rows(v22)
     phi2 = divided_diff_1(LOG, lam2)
+    # right after phi2, so both read one pair table of lam2 (``matfun``)
+    gamma = -second_divided_diff_tensor(LOG, lam2, f1=phi2)
     ctil = o2.T @ y1 @ o2
     # <I + ln Y1, L1(W_c)> - <ln Y2, L1(W_c)> - <O2 (Ctil o phi2) O2.T, L2(W_c)>
     # for W_c = U E_c U.T, each in the eigenbasis of its map output
@@ -149,7 +151,6 @@ def _eval(obj, point, want_hessian):
     hess = sandwich_diag(s11, s11, phi1)
     cross = sandwich_diag(s12, s22, phi2)
     hess -= cross + cross.T
-    gamma = -second_divided_diff_tensor(LOG, lam2, f1=phi2)
     hess += sandwich_core(v22, s22, ctil, gamma)
     return DerivativeBundle(value=value, gradient=gradient, hessian=hess, basis=u)
 

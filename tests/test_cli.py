@@ -125,6 +125,19 @@ class TestSolve:
         assert code == 3
         assert "constraints.n_ineq" in err and "Traceback" not in err
 
+    def test_non_finite_rhs_exits_3(self, tmp_path, capsys):
+        # Python's json reads NaN, which must stop at the file boundary
+        code, _, _ = run(capsys, "gen", "--named", "trace-inverse-n3",
+                         "--out", str(tmp_path / "p.json"))
+        assert code == 0
+        doc = json.loads((tmp_path / "p.json").read_text())
+        doc["constraints"]["b"] = [float("nan")]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 3
+        assert "constraints.b" in err and "Traceback" not in err and "Converged" not in out
+
     @pytest.mark.parametrize("field, edit", [
         ("constraints.A", lambda doc: doc["constraints"].update(A=5)),
         ("objective", lambda doc: doc.update(objective="x")),

@@ -257,6 +257,51 @@ class TestDividedDiffPins:
             second_divided_diff_tensor(NEG_LOG, lam, f1=np.ones((lam.size, lam.size)))
 
 
+def read_only(lam):
+    """A read-only copy of ``lam`` that owns its data, like an EvalPoint's eigenvalues."""
+    kept = np.array(lam, dtype=float)
+    kept.flags.writeable = False
+    return kept
+
+
+class TestPairTable:
+    """One pair table per read-only spectrum, and the same bits as without it."""
+
+    @pytest.mark.parametrize("gen", [*ALL_GENERATORS, LOG], ids=lambda g: g.kind)
+    def test_kept_table_gives_the_bits_of_a_writeable_copy(self, rng, gen):
+        spectra = [read_only(lam) for lam in planted_spectra(rng)]
+        # alternating between two arrays replaces the kept table and hits it
+        for a, b in zip(spectra, spectra[1:] + spectra[:1]):
+            for lam in (a, b, a, a, b):
+                fresh = lam.copy()  # writeable, so never kept
+                f1 = divided_diff_1(gen, lam)
+                assert np.array_equal(f1, divided_diff_1(gen, fresh)), lam
+                t = second_divided_diff_tensor(gen, lam, f1=f1)
+                assert np.array_equal(t, second_divided_diff_tensor(gen, fresh, f1=f1)), lam
+
+    def test_only_read_only_owned_arrays_are_kept(self):
+        lam = read_only([3.0, 2.0, 1.0])
+        assert matfun._pair_table(lam) is matfun._pair_table(lam)
+        writeable = np.array([3.0, 2.0, 1.0])
+        assert matfun._pair_table(writeable) is not matfun._pair_table(writeable)
+        view = writeable[:]
+        view.flags.writeable = False
+        assert matfun._pair_table(view) is not matfun._pair_table(view)
+
+    @pytest.mark.parametrize("gen", [*ALL_GENERATORS, LOG], ids=lambda g: g.kind)
+    def test_read_only_view_of_a_changed_base_is_fresh(self, gen):
+        base = np.array([3.0, 2.0, 1.0, 0.5])
+        view = base[:]
+        view.flags.writeable = False
+        for values in ([3.0, 2.0, 1.0, 0.5], [4.0, 1.5, 1.5, 0.25],
+                       [2.0, 2.0 * (1.0 - 0.5 * CONFLUENCE_RTOL), 0.7, 0.7]):
+            base[:] = values
+            f1 = divided_diff_1(gen, view)
+            assert np.array_equal(f1, reference_divided_diff_1(gen, base.copy())), values
+            t = second_divided_diff_tensor(gen, view, f1=f1)
+            assert np.array_equal(t, reference_second_divided_diff_tensor(gen, base.copy(), f1))
+
+
 class TestMatrixFunction:
     def test_neglog_identity(self):
         assert np.allclose(matrix_function(NEG_LOG, np.eye(3)), 0.0)

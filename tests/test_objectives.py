@@ -167,16 +167,19 @@ class TestBarrier:
             barrier_eval(EvalPoint(-np.eye(3)))
 
     def test_map_barrier_vs_fd(self, rng):
-        pt = PartialTranspose(2, 2)
-        x = separable_ppt_state(rng, 2, 2)
-        b = fixed_coordinates(map_barrier_eval(pt, EvalPoint(x)))
-        p = sym_isometry(4)
-        g_fd = fd_gradient(lambda y: map_barrier_eval(pt, EvalPoint(y), False).value, x)
-        assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6
-        xi = rand_sym(rng, 4) * 0.01
-        act_fd = fd_hessian_action(
-            lambda y: fixed_coordinates(map_barrier_eval(pt, EvalPoint(y))).gradient, x, xi)
-        assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5
+        # the partial transpose, and the Kraus map of fidelity-n4
+        for lmap, x in ((PartialTranspose(2, 2), separable_ppt_state(rng, 2, 2)),
+                        (probio.build_named("fidelity-n4").constraint_map, rand_spd(rng, 4))):
+            bundle = map_barrier_eval(lmap, EvalPoint(x))
+            assert np.array_equal(bundle.hessian, bundle.hessian.T)  # a Gram matrix
+            b = fixed_coordinates(bundle)
+            p = sym_isometry(4)
+            g_fd = fd_gradient(lambda y: map_barrier_eval(lmap, EvalPoint(y), False).value, x)
+            assert rel_err(b.gradient, p.T @ g_fd) <= 1e-6
+            xi = rand_sym(rng, 4) * 0.01
+            act_fd = fd_hessian_action(
+                lambda y: fixed_coordinates(map_barrier_eval(lmap, EvalPoint(y))).gradient, x, xi)
+            assert rel_err(b.hessian @ (p.T @ vec(xi)), act_fd) <= 1e-5
 
 
 class TestComposite:

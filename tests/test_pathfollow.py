@@ -572,6 +572,35 @@ class TestSharedPoint:
         reference = reference_bundle(problem, include_barrier, new_x, beta)
         assert_bitwise_equal(bundle, reference)
 
+    @pytest.mark.parametrize("case", ["qkd", "type1", "type2"])
+    def test_value_at_a_point_holding_parts_is_a_fresh_evaluation(self, case, rng):
+        problem, include_barrier, x = cache_case(case, rng)
+        ev = FBetaEvaluator(problem, include_barrier=include_barrier)
+        point = EvalPoint(x)
+        ev.hessian_bundle(point, 1.0)
+        assert point.parts is not None
+        for beta in (0.5, 3.0, 2.5e7):
+            fresh = FBetaEvaluator(problem, include_barrier=include_barrier)
+            assert ev.value(point, beta) == fresh.value(EvalPoint(x), beta), beta
+
+    @pytest.mark.parametrize("case", ["qkd", "type1", "type2"])
+    def test_line_search_value_at_zero_evaluates_no_term(self, case, rng, monkeypatch):
+        problem, include_barrier, x = cache_case(case, rng)
+        ev = FBetaEvaluator(problem, include_barrier=include_barrier)
+        point = EvalPoint(x)
+        beta = 2.0
+        step = newton_step_type1(ev.hessian_bundle(point, beta), problem.constraints)
+        evaluated = []
+        for cls in {type(term) for term in ev.terms}:
+            def recorded(term, p, want_hessian=True, real=cls.evaluate):
+                evaluated.append(p)
+                return real(term, p, want_hessian)
+
+            monkeypatch.setattr(cls, "evaluate", recorded)
+        line_search(point, step, beta, ev)
+        # the trials are evaluated, the iterate's point is not
+        assert evaluated and not any(p is point for p in evaluated)
+
 
 # small instances of every structure whose runs accept and reject predictions
 PREDICTOR_CASES = [

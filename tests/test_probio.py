@@ -170,6 +170,51 @@ class TestRoundTrip:
         with pytest.raises(ParseError, match=re.escape(field)):
             load(path)
 
+    @pytest.mark.parametrize("source, field, error, edit", [
+        ("trace-inverse-n3", "constraints.b has non-finite", ValidationError,
+         lambda doc: doc["constraints"].update(b=[float("nan")])),
+        ("trace-inverse-n3", "constraints.b has non-finite", ValidationError,
+         lambda doc: doc["constraints"].update(b=[float("inf")])),
+        ("type1", "constraints.b has non-finite", ValidationError,
+         lambda doc: doc["constraints"]["b"].__setitem__(0, float("nan"))),
+        ("trace-inverse-n3", "objective.offset has non-finite", ValidationError,
+         lambda doc: doc["objective"].update(offset=float("nan"))),
+        ("qkd", "objective.epsilon_perturb has non-finite", ValidationError,
+         lambda doc: doc["objective"].update(epsilon_perturb=float("inf"))),
+        ("trace-inverse-n3", "start has shape (2, 2)", ValidationError,
+         lambda doc: doc.update(start=(np.eye(2) / 2).tolist())),
+        ("type1", "constraints.n_ineq must be an integer", ParseError,
+         lambda doc: doc["constraints"].update(n_ineq=1.5)),
+        ("type1", "constraints.n_ineq must be an integer", ParseError,
+         lambda doc: doc["constraints"].update(n_ineq=True)),
+        ("type2", "objective.barrier_map.n2 must be an integer", ParseError,
+         lambda doc: doc["objective"]["barrier_map"].update(n2=float("inf"))),
+        ("type1", "objective.alpha is malformed", ParseError,
+         lambda doc: doc["objective"].update(generator="neg_power", alpha="x")),
+    ], ids=["b_nan", "b_inf", "inequality_b_nan", "offset_nan", "perturbation_inf",
+            "start_of_another_order", "n_ineq_fractional", "n_ineq_boolean", "n2_inf",
+            "alpha_not_a_number"])
+    def test_non_finite_or_misshapen_field_named(self, tmp_path, source, field, error, edit):
+        # Python's json reads NaN and Infinity, so the loader must reject them
+        if source in ("type1", "type2", "qkd"):
+            spec = generate_random(source, {"n": 4, "m": 1, "N": 2}, seed=2)
+        else:
+            spec = build_named(source)
+        doc = probio.to_dict(spec)
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=re.escape(field)):
+            load(path)
+
+    def test_integral_float_n_ineq_accepted(self, tmp_path):
+        spec = generate_random("type1", {"n": 3, "m": 1, "N": 2}, seed=2)
+        doc = probio.to_dict(spec)
+        doc["constraints"]["n_ineq"] = 1.0
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert load(path).constraints.n_ineq == 1
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
