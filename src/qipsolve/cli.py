@@ -12,7 +12,8 @@ Benchmark CSV schemas (also the column order of the text tables):
 ``environment`` header (git SHA, numpy and scipy versions with their
 BLAS builds, the BLAS thread variables) and one row per size with the
 instance dimensions, seed, ``wall_s``, ``total_newton``, ``outer_iters``,
-``termination`` and ``f_min``. A row's seed is ``--seed`` plus its index
+the work counts ``hessian_evals``, ``value_evals``, ``kkt_solves`` and
+``backtracks``, ``termination`` and ``f_min``. A row's seed is ``--seed`` plus its index
 in the suite's full ladder, whatever ``--sizes`` selects, and a size
 outside the ladder exits 2.
 """
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import oracle, probio
 from .errors import NotFound, QipError
-from .pathfollow import SolverConfig, solve
+from .pathfollow import COUNTS, SolverConfig, solve
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -232,8 +233,9 @@ def cmd_bench(args) -> int:
             "epsilon": args.eps,
             "environment": bench_environment(),
             "rows": [{**dims, "seed": seed, "wall_s": dt, "total_newton": rep.total_newton,
-                      "outer_iters": rep.outer_iters, "termination": rep.termination,
-                      "f_min": rep.f_min}
+                      "outer_iters": rep.outer_iters,
+                      **{count: getattr(rep, count) for count in COUNTS},
+                      "termination": rep.termination, "f_min": rep.f_min}
                      for dims, seed, rep, dt in runs],
         }
         with open(args.json, "w") as fh:

@@ -22,22 +22,30 @@ mu starts at 1 + theta, is squared after each accepted prediction and
 goes back to 1 + theta after a rejection, so every beta' is a beta_i and
 the last beta is beta_K. A prediction is accepted when x_p is strictly
 feasible and passes the gate at beta'; that centering takes no Newton
-step. An x_p outside the domain is rejected at its evaluation, and the
-run centers from x. After any other rejection the run centers at beta'' = (1 + theta) beta from
-whichever of x_p and x has the lower F_beta'', both values read from the
-parts the two points hold, so nothing is evaluated again and the
-Hessian at x_p serves the first corrector step when x_p wins; the other
-point's parts are released at once.
+step. Accepted or not, the next centering is at beta': after a
+rejection it starts from whichever of x_p and x has the lower F_beta',
+both values read from the parts the two points hold, so nothing is
+evaluated again, and when x_p wins its Hessian and Newton system at
+beta' serve the first corrector step; the other point's parts are
+released at once. An x_p outside the domain is rejected at its
+evaluation, and the run centers from x.
 
-The theory's per-outer cap still bounds every corrector. It bounds the
-damped-Newton steps of a centering by F_beta''(start) - min F_beta''
-over the least decrease per step, and for the start x = x(beta) of the
-theory that difference is at most the cap's expression. The run starts
-from x or from a point of lower F_beta'', which only shrinks it. An
-accepted prediction takes no step, and every centering still ends at
-the gate, so the proximity certificates keep their meaning. A
-prediction is not a Newton step: the step counts and the caps count
-Newton steps only, and the report counts predictions apart.
+The corrector after a rejection is a long step. The theory's per-outer
+cap bounds the damped-Newton steps of a centering by
+F_beta'(start) - min F_beta' over the least decrease per step, where the
+start is x(beta) and beta' = (1 + theta) beta; the cap is that
+difference's bound, an expression in theta and r. Nothing in the bound
+asks the ratio beta'/beta to be the schedule's, so read with
+theta' = beta'/beta - 1 in place of theta it bounds the re-centering
+from x(beta) at any beta' > beta. A centering that advances the
+schedule by s exponents thus has the per-outer cap at
+theta' = (1 + theta)^s - 1 as its step limit; at s = 1 that is the
+per-outer cap itself. The run starts the corrector from x or from a
+point of lower F_beta', which only shrinks the difference. An accepted
+prediction takes no step, and every centering still ends at the gate,
+so the proximity certificates keep their meaning. A prediction is not
+a Newton step: the step counts and the caps count Newton steps only,
+and the report counts predictions apart.
 
 Step lengths come from self-concordance where it applies. Every objective
 term f is 1-compatible with the barrier B: |D^3 f[h,h,h]| <= 3 D^2 f[h,h]
@@ -81,7 +89,10 @@ that starts where the previous one stopped recombines them at the new
 beta instead of evaluating anew; an evaluation at another point takes
 nothing from the iterate's. A solve thus makes one Hessian evaluation
 at the start, one per Newton step and one per prediction, at x_p,
-accepted or rejected. Every bundle is on the
+accepted or rejected. It solves one Newton system per Hessian
+evaluation, plus one where a rejected prediction's corrector starts
+from x, whose bundles are recombined at beta'; the report counts both.
+Every bundle is on the
 svec coordinates of X's eigenbasis U, which the point holds
 (``objectives``); the Newton system is solved in them (``kkt``), and the
 slope along a direction P is g~ . svec(U.T P U).
@@ -89,16 +100,17 @@ slope along a direction P is g~ . svec(U.T P U).
 The run is fixed by beta0, theta and epsilon alone. The theory caps
 each centering at 22/3 + 22 theta (5/2 kappa sqrt(r) + theta kappa^2 r / (theta+1))
 Newton steps, and the run at that times ln(4r/(eps beta0)) / ln(1+theta).
-The per-outer cap is the step limit of every centering, so IterCap means
-that one centering reached it; both caps are attached to the report and
-checked against the observed counts.
+The per-outer cap at the ratio a centering takes (above) is its step
+limit, so IterCap means that one centering reached it. The report holds
+the per-outer and total caps and each centering's cap, and checks every
+centering against its own cap and the run against the total.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -144,6 +156,9 @@ FULL_STEP_RADIUS = 0.68
 KAPPA = SELF_CONCORDANCE_M / 2.0
 DELTA_STAR = 1.0 / (3.0 * KAPPA)
 
+# the work a solve counts (FBetaEvaluator.counts), reported by these names
+COUNTS = ("hessian_evals", "value_evals", "kkt_solves", "backtracks")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -155,9 +170,12 @@ class SolverConfig:
         # beta must grow in floating point, or the schedule never ends
         if self.beta0 <= 0 or not 1.0 + self.theta > 1.0 or self.epsilon <= 0:
             raise ValueError("beta0 and epsilon must be positive, and 1 + theta > 1")
-        for name, v in asdict(self).items():
+        # by field, not ``asdict``: solve builds one config per prediction
+        # span for its caps, and ``asdict`` deep-copies every value
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
+                raise ValueError(f"{f.name} must be finite, got {v}")
 
 
 @dataclass(eq=False)
@@ -180,6 +198,10 @@ class SolveReport:
     feas_residual: float
     schur_condition_max: float
     heuristic_no_barrier: bool
+    hessian_evals: int
+    value_evals: int
+    kkt_solves: int
+    backtracks: int
     name: str = ""
     config: dict = field(default_factory=dict)
 
@@ -193,14 +215,15 @@ class _Run:
     """A solve's progress, which ``center`` updates step by step.
 
     The iterate's point, the Newton steps of each centering (the last one
-    counts the steps of the centering in progress), one (beta, delta) pair
-    per decrement a centering computed, one gap certificate per finished
-    centering, the largest Schur condition so far, and the predictions
-    accepted and rejected.
+    counts the steps of the centering in progress) and its cap, one
+    (beta, delta) pair per decrement a centering computed, one gap
+    certificate per finished centering, the largest Schur condition so
+    far, and the predictions accepted and rejected.
     """
 
     point: EvalPoint
     steps: list = field(default_factory=list)
+    caps: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
     max_cond: float = 1.0
@@ -220,8 +243,14 @@ class FBetaEvaluator:
 
     Every evaluation takes the ``EvalPoint`` of its X, which the caller
     holds and all terms share, so X and each map image are decomposed once
-    per point. The evaluator keeps nothing between calls. A value-only
-    evaluation computes the terms' values alone, with no gradient.
+    per point. The evaluator keeps nothing between calls that an
+    evaluation reads. A value-only evaluation computes the terms' values
+    alone, with no gradient.
+
+    ``counts`` is the work of the solve that owns the evaluator: the
+    Hessian and value-only evaluations of the terms, counted here, and
+    the KKT solves and line-search backtracks, counted by
+    ``newton_system`` and ``line_search``, which receive the evaluator.
 
     A Hessian evaluation leaves its per-term bundles on its point
     (``EvalPoint.parts``). Since H_beta = beta H_f + H_B, ``hessian_bundle``
@@ -242,6 +271,7 @@ class FBetaEvaluator:
         self.n_scaled = len(problem.terms)
         # F_beta is self-concordant only when -ln det X is one of its terms
         self.self_concordant = include_barrier
+        self.counts = dict.fromkeys(COUNTS, 0)
 
     def x_bundle(self, point: EvalPoint, beta, want_hessian=True) -> DerivativeBundle:
         """Evaluate F_beta at the X of ``point``.
@@ -255,6 +285,7 @@ class FBetaEvaluator:
         if not want_hessian and point.parts is not None:
             return DerivativeBundle(value=combine_values(beta, point.parts, self.n_scaled),
                                     gradient=None)
+        self.counts["hessian_evals" if want_hessian else "value_evals"] += 1
         parts = evaluate_terms(self.terms, self.n_scaled, point, want_hessian)
         if want_hessian:
             point.parts = parts
@@ -341,7 +372,8 @@ def line_search(point: EvalPoint, step: NewtonStep, beta: float,
     decrease: the first trial step at which F_beta is below its value at
     alpha = 0 is returned, as alpha and the trial's point, which keeps the
     decompositions of its value test; if none of LS_MAX_BACKTRACKS trials
-    is, LineSearchFailure is raised. ``center`` calls this only outside
+    is, LineSearchFailure is raised. Every rejected trial counts as a
+    backtrack on ``evaluator.counts``. ``center`` calls this only outside
     the band in which self-concordance certifies the full step (module
     docstring).
     """
@@ -355,6 +387,7 @@ def line_search(point: EvalPoint, step: NewtonStep, beta: float,
         trial = EvalPoint(point.x + alpha * step.direction_X)
         if evaluator.value(trial, beta) < f0:
             return alpha, trial
+        evaluator.counts["backtracks"] += 1
         alpha *= LS_SHRINK
     raise LineSearchFailure(
         f"no decrease after {LS_MAX_BACKTRACKS} backtracks (delta={step.decrement:.3e})"
@@ -370,29 +403,29 @@ def newton_system(run: _Run, beta: float, evaluator: FBetaEvaluator):
     """(gradient, step): F_beta's gradient and Newton step at the iterate.
 
     Reused from the iterate's point (``EvalPoint.system``) when it holds
-    them at beta, as after an accepted prediction; otherwise solved, with
-    the Schur condition recorded, and kept on the point.
+    them at beta, as after a prediction; otherwise solved, with the Schur
+    condition recorded and the solve counted, and kept on the point.
     """
     if run.point.system is None or run.point.system[0] != beta:
         bundle = evaluator.hessian_bundle(run.point, beta)
+        evaluator.counts["kkt_solves"] += 1
         step = newton_step_type1(bundle, evaluator.problem.constraints)
         run.max_cond = max(run.max_cond, step.schur_condition)
         run.point.system = (beta, bundle.gradient, step)
     return run.point.system[1:]
 
 
-def predict(run: _Run, beta: float, beta_pred: float, evaluator: FBetaEvaluator,
-            target: float) -> bool:
+def predict(run: _Run, beta_pred: float, evaluator: FBetaEvaluator, target: float) -> bool:
     """Move the centered iterate along the tangent to ``beta_pred``; whether it is accepted.
 
     ``run.point.system`` must be the gate check that centered it. The
     predicted point is accepted when it is strictly feasible and its
     decrement at ``beta_pred`` passes ``target``; the run then holds it,
     with that check as its system. Otherwise the run holds whichever of
-    the predicted and the centered point has the lower F_beta (module
-    docstring), or the centered point when the predicted one is outside
-    the domain. Any other QipError of the predicted point's evaluation is
-    raised with the run left at the centered point.
+    the predicted and the centered point has the lower F at ``beta_pred``
+    (module docstring), or the centered point when the predicted one is
+    outside the domain. Any other QipError of the predicted point's
+    evaluation is raised with the run left at the centered point.
     """
     x = run.point
     beta_c, _, step = x.system
@@ -412,18 +445,18 @@ def predict(run: _Run, beta: float, beta_pred: float, evaluator: FBetaEvaluator,
         run.accepted += 1
         return True
     run.rejected += 1
-    if not combine_values(beta, run.point.parts, n) < combine_values(beta, x.parts, n):
+    if not combine_values(beta_pred, run.point.parts, n) < combine_values(beta_pred, x.parts, n):
         run.point = x
     return False
 
 
 def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
-           target: float | None = None, callback=None, predict_to: float | None = None) -> bool:
+           target: float | None = None, callback=None, predict_first: bool = False) -> bool:
     """Newton-iterate ``run.point`` at fixed beta until the decrement gate passes.
 
-    With ``predict_to``, the iterate is centered at a beta below ``beta``
-    and its point holds its gate check: ``predict`` first tries the
-    tangent predictor to ``predict_to``. If that is accepted, the run is
+    With ``predict_first``, the iterate is centered at a beta below
+    ``beta`` and its point holds its gate check: ``predict`` first tries
+    the tangent predictor to ``beta``. If that is accepted, the run is
     centered there with no step and True is returned; otherwise the
     centering at ``beta`` starts from the point ``predict`` chose.
 
@@ -443,9 +476,7 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
     target = DELTA_STAR if target is None else target
     problem = evaluator.problem
     run.steps.append(0)
-    accepted = predict_to is not None and predict(run, beta, predict_to, evaluator, target)
-    if accepted:
-        beta = predict_to
+    accepted = predict_first and predict(run, beta, evaluator, target)
     for _ in range(max_steps):
         point = run.point
         gradient, step = newton_system(run, beta, evaluator)
@@ -520,8 +551,9 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
 
     The problem's start must be strictly feasible; a damped-Newton phase
     at beta0 performs the initial centering. Each centering may take at
-    most the theory's per-outer cap of Newton steps (``iteration_bound``);
-    one that reaches it ends the run with an IterCap report. Any other QipError raised while
+    most the theory's per-outer cap of Newton steps (``iteration_bound``)
+    at the ratio of the betas it moves between (module docstring); one
+    that reaches it ends the run with an IterCap report. Any other QipError raised while
     centering re-raises with the phase and a NumericalFailure report
     attached; like an IterCap report, it is built at the iterate where
     centering stopped, not at the last centered point, and counts the
@@ -552,36 +584,41 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
     t_start = time.perf_counter()
     f_start = problem.objective_at(run.point)
     last = schedule_end(config, r)
-    max_steps = math.floor(caps[0])
     termination = "Converged"
     failure = None
     # beta = beta_at(i); a prediction reaches ahead by ``span`` exponents,
-    # mu = (1+theta)^span (module docstring)
+    # mu = (1+theta)^span, and the centering there is capped at the
+    # per-outer cap for theta' = mu - 1 (module docstring), kept per span
     i, span = 0, 1
     beta = config.beta0
+    span_caps = {1: caps[0]}
 
     def beta_at(j):
         return config.beta0 * (1.0 + config.theta) ** j
 
     try:
-        center(run, beta, evaluator, max_steps, callback=callback)
+        run.caps.append(caps[0])
+        center(run, beta, evaluator, math.floor(caps[0]), callback=callback)
         run.gaps.append(proximity_gap_bound(run.trace[-1][1], beta, r, KAPPA))
         while i < last:
             ahead = min(i + span, last)
-            beta = beta_at(i + 1)
-            if center(run, beta, evaluator, max_steps, callback=callback,
-                      predict_to=beta_at(ahead)):
-                i, span, beta = ahead, 2 * span, beta_at(ahead)
-            else:
-                i, span = i + 1, 1
+            cap = span_caps.get(ahead - i)
+            if cap is None:
+                wide = replace(config, theta=(1.0 + config.theta) ** (ahead - i) - 1.0)
+                cap = span_caps[ahead - i] = iteration_bound(wide, r)[0]
+            run.caps.append(cap)
+            beta = beta_at(ahead)
+            accepted = center(run, beta, evaluator, math.floor(cap), callback=callback,
+                              predict_first=True)
+            i, span = ahead, 2 * span if accepted else 1
             run.gaps.append(proximity_gap_bound(run.trace[-1][1], beta, r, KAPPA))
     except IterCap:
         termination = "IterCap"
     except QipError as exc:  # ``run`` holds the iterate it was raised at
         termination, failure = "NumericalFailure", exc
 
-    report = _build_report(problem, run, config, caps, beta, r, f_start,
-                           time.perf_counter() - t_start, termination, include_barrier)
+    report = _build_report(evaluator, run, config, caps, beta, r, f_start,
+                           time.perf_counter() - t_start, termination)
     if failure is not None:
         failure.phase = f"outer {len(run.steps) - 1}, beta={beta:.6e}"
         failure.report = report
@@ -590,16 +627,18 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
     return report
 
 
-def _build_report(problem, run, config, caps, beta, r, f_start, wall, termination,
-                  include_barrier):
+def _build_report(evaluator, run, config, caps, beta, r, f_start, wall, termination):
+    problem, include_barrier = evaluator.problem, evaluator.self_concordant
     per_outer_cap, total_cap = caps
     total = sum(run.steps)
     bound_check = {
         "per_outer_cap": per_outer_cap,
         "total_cap": total_cap,
+        "centering_caps": list(run.caps),
         "per_outer_max": max(run.steps),
         "total_newton": total,
-        "within_caps": total <= total_cap and max(run.steps) <= per_outer_cap,
+        "within_caps": total <= total_cap and all(
+            steps <= cap for steps, cap in zip(run.steps, run.caps)),
     }
     cfg = {"beta0": config.beta0, "theta": config.theta, "epsilon": config.epsilon,
            "kappa": KAPPA, "barrier_param_r": r, "include_barrier": include_barrier}
@@ -622,6 +661,7 @@ def _build_report(problem, run, config, caps, beta, r, f_start, wall, terminatio
         feas_residual=_feas_residual(problem, run.point.x),
         schur_condition_max=run.max_cond,
         heuristic_no_barrier=not include_barrier,
+        **evaluator.counts,
         name=problem.name,
         config=cfg,
     )

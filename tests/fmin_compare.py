@@ -12,7 +12,8 @@ at seeds 1 and 2, as ``perfbench/workloads.py`` builds them, with one
 BLAS thread and the default ``SolverConfig``. For each it writes
 ``f_min`` (as ``float.hex``), the termination (or the name of the
 QipError raised), ``total_newton``, ``outer_iters``,
-``predictions_accepted``, ``predictions_rejected``,
+``predictions_accepted``, ``predictions_rejected``, the work counts
+``hessian_evals``, ``value_evals``, ``kkt_solves`` and ``backtracks``,
 ``schur_condition_max`` and the
 SHA-256 of the instance's problem document,
 ``json.dumps(probio.to_dict(spec), sort_keys=True)``. It
@@ -22,10 +23,13 @@ It takes about a minute.
 
 ``--compare`` exits 1 when an instance's termination or problem-document
 hash changed, or when |f_A - f_B| / (1 + |f_A|) exceeds 1e-10. It prints the worst drift per
-workload, every change in the Newton count, and per workload the totals
-of ``total_newton``, ``outer_iters`` (centerings) and the accepted and
-rejected predictions of both records; a changed count alone is
-reported, not failed. Plain relative error would mean nothing here,
+workload, the drift of every QKD instance (the relative entropy carries
+value noise of a few 1e-11 near its optima, so these sit closest to the
+budget), every change in the Newton count, and per workload the totals
+of ``total_newton``, ``outer_iters`` (centerings), the accepted and
+rejected predictions and the work counts of both records; a changed
+count alone is reported, not failed, and a record that lacks a count
+(one written before it was recorded) totals it as 0. Plain relative error would mean nothing here,
 since the type2 optima are about 1e-16. It also lists every instance
 whose ``schur_condition_max`` moved by more than a factor of 10, and
 the largest move per workload: the Cholesky pivot ratio depends on the
@@ -72,6 +76,10 @@ COUNTS = {
     "outer_iters": "centerings",
     "predictions_accepted": "predictions accepted",
     "predictions_rejected": "predictions rejected",
+    "hessian_evals": "Hessians",
+    "value_evals": "value evaluations",
+    "kkt_solves": "KKT solves",
+    "backtracks": "backtracks",
 }
 
 
@@ -90,10 +98,8 @@ def record(workload: str, seed: int, label: str, spec, config) -> dict:
         "label": label,
         "f_min": None if report is None else report.f_min.hex(),
         "termination": termination,
-        "total_newton": None if report is None else report.total_newton,
-        "outer_iters": None if report is None else report.outer_iters,
-        "predictions_accepted": None if report is None else report.predictions_accepted,
-        "predictions_rejected": None if report is None else report.predictions_rejected,
+        # a checkout whose report lacks a count (an older base) records None
+        **{count: getattr(report, count, None) for count in COUNTS},
         "schur_condition_max": None if report is None else report.schur_condition_max,
         "problem_sha256": hashlib.sha256(doc.encode()).hexdigest(),
     }
@@ -140,6 +146,8 @@ def compare(path_a: Path, path_b: Path) -> int:
         d = drift(a["f_min"], b["f_min"])
         if d >= worst.get(name, (-1.0, ""))[0]:
             worst[name] = (d, label)
+        if label.startswith("qkd"):
+            print(f"{label}: f_min drift {d:.2e}")
         if a["termination"] != b["termination"]:
             failures.append(f"{label}: termination {a['termination']} -> {b['termination']}")
         if a.get("problem_sha256") != b.get("problem_sha256"):

@@ -279,6 +279,16 @@ class TestBench:
             assert row["total_newton"] == int(cells[4])  # the table's nNewton
             assert row["f_min"] == pytest.approx(float(cells[3]), rel=1e-5)
 
+    def test_json_rows_carry_the_work_counts(self, tmp_path, capsys):
+        json_path = tmp_path / "b.json"
+        assert run(capsys, "bench", "--suite", "table2", "--sizes", "4",
+                   "--json", str(json_path))[0] == 0
+        (row,) = json.loads(json_path.read_text())["rows"]
+        # one Hessian at the start and one per Newton step, at least
+        assert row["hessian_evals"] >= 1 + row["total_newton"]
+        assert row["kkt_solves"] >= 1
+        assert row["value_evals"] >= row["backtracks"] >= 0
+
     def test_row_seed_is_its_index_in_the_full_ladder(self, tmp_path, capsys):
         # table2's n=6 row is the second of the ladder: seed 1 whether it is
         # run alone or after the n=4 row

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from conftest import rand_spd, rand_sym
 from qipsolve import matfun
@@ -60,15 +61,37 @@ class TestSpectralDecompose:
         with pytest.raises(ShapeError, match=re.escape(str(shape))):
             spectral_decompose(np.ones(shape))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16, 32])
-    def test_equals_reversed_numpy_eigh_bitwise(self, rng, n):
+    @staticmethod
+    def spectra(rng, n):
+        """The identity, a random symmetric, a random SPD and a clustered matrix."""
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         clustered = rng.choice([0.5, 1.0, 2.0], size=n) * (1.0 + 1e-12 * rng.standard_normal(n))
-        for x in (np.eye(n), rand_sym(rng, n), rand_spd(rng, n), (q * clustered) @ q.T):
-            lam, u = np.linalg.eigh(symmetrize(x))
+        return np.eye(n), rand_sym(rng, n), rand_spd(rng, n), (q * clustered) @ q.T
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16, 32])
+    def test_equals_reversed_dsyevd_bitwise(self, rng, n):
+        # pinned within one library: a plain call of scipy's dsyevd on the
+        # symmetrized matrix gives the same bits as its in-place use here
+        for x in self.spectra(rng, n):
+            lam, u, info = lapack.dsyevd(symmetrize(x), compute_v=1, lower=1)
+            assert info == 0
             dec = spectral_decompose(x)
             assert np.array_equal(dec.lam, lam[::-1])
             assert np.array_equal(dec.U, u[:, ::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 16, 32])
+    def test_agrees_with_numpy_eigh(self, rng, n):
+        # numpy's eigh may run another LAPACK build, so it agrees to rounding:
+        # the eigenvalues, and each eigenvector up to sign where the spectrum
+        # is separated (clusters 1e-12 wide leave their vectors undetermined)
+        for i, x in enumerate(self.spectra(rng, n)):
+            lam, u = np.linalg.eigh(symmetrize(x))
+            dec = spectral_decompose(x)
+            scale = max(1.0, float(np.abs(lam).max()))
+            assert np.abs(dec.lam - lam[::-1]).max() <= 1e-13 * n * scale
+            if i in (1, 2):
+                overlap = np.abs(np.sum(dec.U * u[:, ::-1], axis=0))
+                assert np.abs(overlap - 1.0).max() <= 1e-8
 
 
 class TestDividedDiff1:

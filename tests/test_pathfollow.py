@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -611,11 +612,11 @@ PREDICTOR_CASES = [
 
 
 def traced_predictions(monkeypatch):
-    """Record (centered X, predicted X or None, beta, accepted, X after) of every prediction."""
+    """Record (centered X, predicted X or None, beta', accepted, X after) of every prediction."""
     events = []
     real_predict, real_system = pathfollow.predict, pathfollow.newton_system
 
-    def predict(run, beta, beta_pred, evaluator, target):
+    def predict(run, beta_pred, evaluator, target):
         centered, seen = run.point, []
 
         def system(run_, beta_, evaluator_):
@@ -624,11 +625,11 @@ def traced_predictions(monkeypatch):
 
         monkeypatch.setattr(pathfollow, "newton_system", system)
         try:
-            accepted = real_predict(run, beta, beta_pred, evaluator, target)
+            accepted = real_predict(run, beta_pred, evaluator, target)
         finally:
             monkeypatch.setattr(pathfollow, "newton_system", real_system)
         predicted = next((p for p in seen if p is not centered), None)
-        events.append((centered, predicted, beta, accepted, run.point))
+        events.append((centered, predicted, beta_pred, accepted, run.point))
         return accepted
 
     monkeypatch.setattr(pathfollow, "predict", predict)
@@ -657,11 +658,13 @@ class TestPredictor:
         assert report.outer_iters == 1 + report.predictions_accepted + report.predictions_rejected
 
     def test_rejected_prediction_starts_at_the_lower_value(self, monkeypatch):
-        # after a rejection the corrector at beta'' starts from whichever of
-        # the predicted and the centered point has the lower F_beta''; both
-        # choices occur over these runs
+        # after a rejection the corrector at the predicted beta' starts from
+        # whichever of the predicted and the centered point has the lower
+        # F_beta'; both choices occur over these runs. At beta' the predicted
+        # point is nearly always the lower: of the predictor cases' rejections
+        # none keeps the centered point, and one of type1 seed 3's does
         chosen = []
-        for kind, dims, seed in PREDICTOR_CASES:
+        for kind, dims, seed in PREDICTOR_CASES + [("type1", {"n": 4, "m": 2, "N": 4}, 3)]:
             problem = probio.generate_random(kind, dims, seed=seed)
             events = traced_predictions(monkeypatch)
             solve(problem)
@@ -713,6 +716,135 @@ class TestPredictor:
         assert report.predictions_accepted == 0
         assert report.predictions_rejected == len(events) == report.outer_iters - 1
         assert all(after is centered for centered, _, _, _, after in events)
+
+
+def schedule_exponent(config, beta):
+    """The i of beta = beta0 (1 + theta)^i."""
+    return round(math.log(beta / config.beta0) / math.log1p(config.theta))
+
+
+class TestLongStepCorrector:
+    @pytest.mark.parametrize("kind, dims, seed", PREDICTOR_CASES,
+                             ids=[c[0] for c in PREDICTOR_CASES])
+    def test_every_corrector_runs_at_the_predicted_beta(self, kind, dims, seed, monkeypatch):
+        # accepted or not, the centering after a prediction is at its beta'
+        events = traced_predictions(monkeypatch)
+        report = solve(probio.generate_random(kind, dims, seed=seed))
+        assert report.termination == "Converged"
+        assert report.predictions_rejected
+        betas = list(dict.fromkeys(b for b, _ in report.decrement_trace))
+        assert betas[1:] == [beta_pred for _, _, beta_pred, _, _ in events]
+        # a rejected prediction's corrector starts from a point off the gate
+        # at beta' and takes steps there
+        for k, (_, _, beta_pred, accepted, _) in enumerate(events):
+            if not accepted:
+                assert report.inner_iters_per_outer[k + 1] > 0
+                first = next(d for b, d in report.decrement_trace if b == beta_pred)
+                assert first > pathfollow.DELTA_STAR
+
+    @pytest.mark.parametrize("kind, dims, seed", PREDICTOR_CASES,
+                             ids=[c[0] for c in PREDICTOR_CASES])
+    def test_one_cap_per_centering_at_its_ratio(self, kind, dims, seed):
+        config = SolverConfig()
+        report = solve(probio.generate_random(kind, dims, seed=seed), config=config)
+        bc, r = report.bound_check, report.barrier_param_r
+        assert report.termination == "Converged" and bc["within_caps"]
+        assert len(bc["centering_caps"]) == report.outer_iters
+        assert all(steps <= cap for steps, cap in zip(report.inner_iters_per_outer,
+                                                      bc["centering_caps"]))
+        betas = list(dict.fromkeys(b for b, _ in report.decrement_trace))
+        exponents = [schedule_exponent(config, b) for b in betas]
+        advances = [1] + [b - a for a, b in zip(exponents, exponents[1:])]
+        for advance, cap in zip(advances, bc["centering_caps"]):
+            if advance == 1:
+                assert cap == bc["per_outer_cap"]
+            else:
+                wide = dataclasses.replace(config, theta=2.0**advance - 1.0)
+                assert cap == iteration_bound(wide, r)[0] > bc["per_outer_cap"]
+
+    @pytest.mark.parametrize("kind, dims, seed", PREDICTOR_CASES,
+                             ids=[c[0] for c in PREDICTOR_CASES])
+    def test_span_resets_after_a_rejection_and_doubles_after_an_acceptance(
+            self, kind, dims, seed, monkeypatch):
+        config = SolverConfig()
+        events = traced_predictions(monkeypatch)
+        report = solve(probio.generate_random(kind, dims, seed=seed), config=config)
+        last = pathfollow.schedule_end(config, report.barrier_param_r)
+        exponents = [0] + [schedule_exponent(config, e[2]) for e in events]
+        spans = [b - a for a, b in zip(exponents, exponents[1:])]
+        assert spans[0] == 1
+        for (_, _, _, accepted, _), span, nxt, ahead in zip(events, spans, spans[1:],
+                                                             exponents[2:]):
+            expected = 2 * span if accepted else 1
+            assert nxt == expected or (nxt < expected and ahead == last)
+        assert any(not e[3] for e in events[:-1])
+
+    def test_wide_centering_gets_the_larger_step_limit(self, monkeypatch):
+        # the step limit handed to each centering is the floor of its cap,
+        # the per-outer cap at theta' = (1 + theta)^span - 1
+        config = SolverConfig(theta=0.5)
+        problem = probio.generate_random("type1", {"n": 4, "m": 2, "N": 4}, seed=6)
+        r = probio.barrier_parameter(problem)
+        real = pathfollow.center
+        limits = []
+
+        def recorded(run, beta, evaluator, max_steps, **kwargs):
+            limits.append((beta, max_steps))
+            return real(run, beta, evaluator, max_steps, **kwargs)
+
+        monkeypatch.setattr(pathfollow, "center", recorded)
+        report = solve(problem, config=config)
+        assert report.termination == "Converged"
+        per_outer = iteration_bound(config, r)[0]
+        exponents = [schedule_exponent(config, b) for b, _ in limits]
+        advances = [1] + [b - a for a, b in zip(exponents, exponents[1:])]
+        assert max(advances) > 1
+        for advance, (_, limit), cap in zip(advances, limits,
+                                            report.bound_check["centering_caps"]):
+            wide = dataclasses.replace(config, theta=1.5**advance - 1.0)
+            expected = per_outer if advance == 1 else iteration_bound(wide, r)[0]
+            assert cap == expected and limit == math.floor(expected)
+            assert advance == 1 or limit > math.floor(per_outer)
+
+    @pytest.mark.parametrize("kind, dims, seed", [
+        ("qkd", {"n": 3, "m": 1}, 0),
+        ("type1", {"n": 4, "m": 2, "N": 4}, 0),
+        ("type2", {"n": 4, "m": 1}, 4),
+    ], ids=["qkd", "type1", "type2"])
+    def test_report_counts_the_work_where_it_happens(self, kind, dims, seed, monkeypatch):
+        # -ln det X is a term of every case, so its evaluations count F_beta's
+        problem = probio.generate_random(kind, dims, seed=seed)
+        real_barrier, real_kkt = objectives.barrier_eval, pathfollow.newton_step_type1
+        real_search = pathfollow.line_search
+        barrier, kkt, searches = [], [], []
+
+        def counted_barrier(point, want_hessian=True, constraints=None):
+            barrier.append(want_hessian)
+            return real_barrier(point, want_hessian, constraints)
+
+        def counted_kkt(bundle, constraints):
+            kkt.append(None)
+            return real_kkt(bundle, constraints)
+
+        def counted_search(*args):
+            out = real_search(*args)
+            searches.append(None)
+            return out
+
+        monkeypatch.setattr(objectives, "barrier_eval", counted_barrier)
+        monkeypatch.setattr(pathfollow, "newton_step_type1", counted_kkt)
+        monkeypatch.setattr(pathfollow, "line_search", counted_search)
+        report = solve(problem)
+        assert report.termination == "Converged"
+        assert report.hessian_evals == sum(barrier) > 0
+        assert report.value_evals == len(barrier) - sum(barrier)
+        assert report.kkt_solves == len(kkt) >= report.hessian_evals
+        # every trial but the accepted one of each search is a backtrack
+        assert report.backtracks == report.value_evals - len(searches)
+        if kind == "type1":
+            assert searches
+        if kind == "type2":
+            assert report.backtracks  # one line search of this run backtracks
 
 
 class TestIterationBound:
