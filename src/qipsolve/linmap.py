@@ -37,19 +37,12 @@ from .errors import ShapeError, ValidationError
 from .matfun import svec_layout, symmetrize, vec
 
 
-def _svec_congruence(ktil: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     weight: np.ndarray) -> np.ndarray:
-    """V[c] = (w_c/2) sum_t (ktil[a, :, t] ktil[b, :, t].T + transpose), (a, b) = (rows[c], cols[c]).
+def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[c] b[c].T + b[c] a[c].T for every c, shaped (len(a), k, k), from (len(a), k, r) stacks.
 
-    ``ktil`` holds the columns of the k x n factors Ktil_t as an
-    (n, k, r) array, ktil[a, :, t] = Ktil_t[:, a]. Both orders of each
-    pair go into one batched product of inner size 2r, [A B] [B A].T,
-    shaped (len(rows), k, k).
+    Both orders go into one batched product of inner size 2r, [A B] [B A].T.
     """
-    a, b = ktil.take(rows, axis=0), ktil.take(cols, axis=0)
-    g = np.concatenate([a, b], axis=2) @ np.concatenate([b, a], axis=2).transpose(0, 2, 1)
-    g *= (0.5 * weight)[:, None, None]
-    return g
+    return np.concatenate([a, b], axis=2) @ np.concatenate([b, a], axis=2).transpose(0, 2, 1)
 
 
 class KrausMap:
@@ -98,7 +91,11 @@ class KrausMap:
         # O.T [K_1 ... K_r], one k x rn product, then each factor times U
         ktil = ((o.T @ np.hstack(self.factors)).reshape(k * r, n) @ u).reshape(k, r, n)
         lay = svec_layout(n)
-        return _svec_congruence(ktil.transpose(2, 0, 1), lay.rows, lay.cols, lay.weight)
+        ktil = ktil.transpose(2, 0, 1)  # (n, k, r): ktil[a, :, t] = Ktil_t[:, a]
+        # the factor w_c/2 on the (d, k, r) stack, not on the (d, k, k) product
+        a = ktil.take(lay.rows, axis=0)
+        a *= (0.5 * lay.weight)[:, None, None]
+        return _pair_products(a, ktil.take(lay.cols, axis=0))
 
     def vectorized_matrix(self) -> np.ndarray:
         """Dense k^2 x n^2 matrix sum_j K_j (x) K_j (column-stacking vec)."""
@@ -195,7 +192,9 @@ class PartialTranspose:
         """
         n = self.in_order
         lay = svec_layout(n)
-        w = _svec_congruence(u.T[:, :, None], lay.rows, lay.cols, lay.weight)
+        ut = u.T[:, :, None]
+        w = _pair_products(ut.take(lay.rows, axis=0), ut.take(lay.cols, axis=0))
+        w *= (0.5 * lay.weight)[:, None, None]
         w = w.reshape(-1, n * n).take(self._source, axis=1).reshape(-1, n, n)
         return o.T @ w @ o
 

@@ -306,18 +306,17 @@ class SvecLayout:
     """Index tables of svec for one matrix order n.
 
     svec coordinate a is entry (rows[a], cols[a]) with rows <= cols, in
-    row-major upper-triangle order; ``upper``/``lower`` are the vec
-    (column-major) indices of that entry and of its mirror,
+    row-major upper-triangle order; ``lower`` is the vec (column-major)
+    index of its mirror, which is the row-major index of the entry itself,
     ``weight`` is 1 on the diagonal and sqrt(2) off it, ``diag``
     holds the n coordinates of the diagonal entries, and the n x n
     ``coord`` the coordinate of each entry (i, j), of either triangle.
-    Column a of the isometry P : svec -> vec is
-    (e_upper + e_lower) * weight / 2.
+    Column a of the isometry P : svec -> vec has weight / 2 at the vec
+    indices of the entry and of its mirror.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    upper: np.ndarray
     lower: np.ndarray
     weight: np.ndarray
     diag: np.ndarray
@@ -330,7 +329,7 @@ def svec_layout(n: int) -> SvecLayout:
     rows, cols = np.triu_indices(n)
     coord = np.empty((n, n), dtype=np.intp)
     coord[rows, cols] = coord[cols, rows] = np.arange(rows.size)
-    tables = (rows, cols, rows + cols * n, cols + rows * n,
+    tables = (rows, cols, cols + rows * n,
               np.where(rows == cols, 1.0, math.sqrt(2.0)), np.flatnonzero(rows == cols), coord)
     for t in tables:
         t.flags.writeable = False

@@ -28,8 +28,11 @@ E_c, with O the eigenbasis of the map output, which the map builds from
 its own structure (see ``linmap``): the gradient entry c is
 <M, V[c]> for the gradient matrix M in O's basis, which is
 svec(U.T L.T(O M O.T) U) with no adjoint or rotation (``batch_inner``).
-Each V[c] is symmetric, so the contractions run over the k(k+1)/2
-upper-triangle entries of each batch, gathered once. The barrier
+Each V[c] is symmetric, so the gradient and the diagonal-core
+contractions run over the k(k+1)/2 upper-triangle entries of each
+batch, gathered once (``triu_rows``); the core of a trace objective is
+one batched product and one GEMM on the whole batch
+(``sandwich_core``), exactly symmetric as built. The barrier
 -ln det L(X) takes its batch in the basis O Lam^-1/2 instead, which
 makes its Hessian a Gram matrix of the batch's svec rows
 (``map_barrier_eval``).
@@ -53,6 +56,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import DomainViolation, ShapeError, ValidationError
 from .matfun import (
@@ -200,32 +204,64 @@ def batch_inner(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     return s @ (m.take(lay.lower) * lay.weight**2)
 
 
-def sandwich_diag(s1: np.ndarray, s2: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """V1.T Diag(phi) V2 for congruence batches V1, V2 and symmetric k x k phi.
+def sandwich_diag(out: np.ndarray, s1: np.ndarray, phi: np.ndarray,
+                  s2: np.ndarray | None = None, alpha: float = 1.0) -> None:
+    """Add alpha V1.T Diag(phi) V1, or alpha (V1.T Diag(phi) V2 + its transpose), to ``out``.
 
-    ``s1``, ``s2`` are the batches' ``triu_rows``. The batches are
-    symmetric, so the sum over all k^2 entries is one over the upper
-    triangle with the off-diagonal terms counted twice.
+    V1, V2 are congruence batches, ``s1``, ``s2`` their ``triu_rows``,
+    and phi is symmetric k x k. The batches are symmetric, so the sum over
+    all k^2 entries is one over the upper triangle with the off-diagonal
+    terms counted twice: weight phi_ij w_ij^2. Without ``s2`` the block is
+    (s1 sqrt(weight))(s1 sqrt(weight)).T, one ``dsyrk``; this needs
+    phi > 0 entrywise, which holds for the callers' phi = ln^[1](Lam):
+    (ln a - ln b)/(a - b) > 0 for a != b > 0, and 1/a on the diagonal.
+    With ``s2`` it is one ``dsyr2k`` of s1 weight and s2. Both are exactly
+    symmetric as computed and update only the lower triangle of the
+    C-ordered ``out`` in place (the upper one of its Fortran view
+    ``out.T``, which BLAS takes with no copy); the caller mirrors it once.
     """
     lay = svec_layout(phi.shape[0])
-    return (s1 * (phi.take(lay.lower) * lay.weight**2)) @ s2.T
+    weight = phi.take(lay.lower) * lay.weight**2
+    if s2 is None:
+        blas.dsyrk(alpha, (s1 * np.sqrt(weight)).T, beta=1.0, c=out.T, trans=1, overwrite_c=1)
+    else:
+        blas.dsyr2k(alpha, (s1 * weight).T, s2.T, beta=1.0, c=out.T, trans=1, overwrite_c=1)
 
 
-def sandwich_core(v: np.ndarray, s: np.ndarray, ctil: np.ndarray,
-                  gamma: np.ndarray) -> np.ndarray:
-    """V.T S V without materializing the k^2 x k^2 core; ``s`` is ``triu_rows(v)``.
+def mirror_lower(h: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of the square C-ordered ``h`` onto its upper one, in place."""
+    np.copyto(h, h.T, where=_strict_upper(h.shape[0]))
+    return h
 
-    [S v]_ij = sum_l Ctil_jl Gamma_ijl v_il + sum_k Ctil_ik Gamma_ijk v_kj.
-    V's batches are symmetric, so only the symmetric part of each S v
-    enters, and the contraction runs over the upper triangle.
+
+@functools.lru_cache(maxsize=None)
+def _strict_upper(d: int) -> np.ndarray:
+    mask = np.triu(np.ones((d, d), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def sandwich_core(v: np.ndarray, ctil: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """V.T S V without materializing the k^2 x k^2 core; exactly symmetric.
+
+    S = S1 + S2 with [S1 v]_ij = sum_l Ctil_jl Gamma_ijl v_il and
+    [S2 v]_ij = sum_k Ctil_ik Gamma_ijk v_kj. Ctil is symmetric and Gamma
+    symmetric in its three indices, so S2 v = (S1 v).T for symmetric v,
+    and V's batches are symmetric, so <V[c], S2 V[c']> = <V[c], S1 V[c']>:
+    the core is 2 r with r = V_flat (S1 V)_flat.T. Row i of S1 V[c] is
+    row i of V[c] times W_i, W_i[l, j] = Ctil_jl Gamma_ijl, so S1 V is one
+    batched product over i, written in (c, i, j) order. W_i is symmetric,
+    which makes r symmetric, so r + r.T is 2 r up to rounding and exactly
+    symmetric as computed: one GEMM and one add.
     """
-    lay = svec_layout(v.shape[1])
-    sv = np.einsum("cil,jl,ijl->cij", v, ctil, gamma, optimize=True)
-    sv += np.einsum("ip,ijp,cpj->cij", ctil, gamma, v, optimize=True)
-    flat = sv.reshape(sv.shape[0], -1)
-    sym = flat.take(lay.lower, axis=1)  # row-major index of (i, j)
-    sym += flat.take(lay.upper, axis=1)  # and of (j, i)
-    return (s * (0.5 * lay.weight**2)) @ sym.T
+    d = v.shape[0]
+    # (i, l, j): Ctil_jl Gamma_ilj = W_i[l, j] bit for bit, Gamma being exactly
+    # symmetric in its last two indices (``matfun``); C-ordered, the faster layout
+    w = ctil.T * gamma
+    sv = np.empty_like(v)
+    np.matmul(v.transpose(1, 0, 2), w, out=sv.transpose(1, 0, 2))
+    r = v.reshape(d, -1) @ sv.reshape(d, -1).T
+    return r + r.T
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,9 +330,8 @@ def phi_eval(obj: TraceObjective, point: EvalPoint, want_hessian: bool = True) -
         hess = phi_hessian_in_basis(ctil, gamma)
     else:
         v = congruence_batch(obj.map, o, u)
-        s = triu_rows(v)
-        grad = batch_inner(s, ctil * f1)
-        hess = symmetrize(sandwich_core(v, s, ctil, gamma))
+        grad = batch_inner(triu_rows(v), ctil * f1)
+        hess = sandwich_core(v, ctil, gamma)
     return DerivativeBundle(value=value, gradient=grad, hessian=hess, basis=u)
 
 

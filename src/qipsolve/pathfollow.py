@@ -102,8 +102,16 @@ each centering at 22/3 + 22 theta (5/2 kappa sqrt(r) + theta kappa^2 r / (theta+
 Newton steps, and the run at that times ln(4r/(eps beta0)) / ln(1+theta).
 The per-outer cap at the ratio a centering takes (above) is its step
 limit, so IterCap means that one centering reached it. The report holds
-the per-outer and total caps and each centering's cap, and checks every
-centering against its own cap and the run against the total.
+the per-outer cap, each centering's cap and two totals, and checks
+every centering against its own cap and the run against both totals:
+- ``total_cap``, the per-outer cap at theta times the number of schedule
+  steps, is the theory's total for the plain schedule, which centers at
+  every (1 + theta)^i beta0. It stays as the paper states it.
+- ``centering_caps_total``, the sum of the run's centering caps, is the
+  total the theory backs for this run: a corrector that advances s
+  exponents has the per-outer cap at theta' = (1 + theta)^s - 1, which
+  can exceed ``total_cap`` alone, so only this sum bounds a run whose
+  correctors take long steps.
 """
 
 from __future__ import annotations
@@ -635,9 +643,10 @@ def _build_report(evaluator, run, config, caps, beta, r, f_start, wall, terminat
         "per_outer_cap": per_outer_cap,
         "total_cap": total_cap,
         "centering_caps": list(run.caps),
+        "centering_caps_total": sum(run.caps),
         "per_outer_max": max(run.steps),
         "total_newton": total,
-        "within_caps": total <= total_cap and all(
+        "within_caps": total <= total_cap and total <= sum(run.caps) and all(
             steps <= cap for steps, cap in zip(run.steps, run.caps)),
     }
     cfg = {"beta0": config.beta0, "theta": config.theta, "epsilon": config.epsilon,

@@ -23,12 +23,23 @@ formed: each product is built from the congruence batches
 V[c] = O.T L_i(U E_c U.T) O of the svec basis matrices E_c, which the
 Kraus maps supply from their factors Ktil_t = O.T K_t U (see ``linmap``):
     V[c] = (w_c/2) sum_t (ktil_{t,a} ktil_{t,b}.T + ktil_{t,b} ktil_{t,a}.T)
-for c = (a, b), ktil_{t,a} the column a of Ktil_t. The sandwiches
-contract over the k(k+1)/2 upper-triangle entries of each batch,
-gathered once per batch. The cross block is assembled symmetrically
-(the two mixed terms are transposes of each other), and the total is
-symmetrized; ``qre_hessian_asymmetry`` measures the asymmetry before
-that.
+for c = (a, b), ktil_{t,a} the column a of Ktil_t. Each product is one
+BLAS call on contiguous data, and each is exactly symmetric as built,
+so the Hessian is exactly symmetric with no symmetrization pass:
+* the core term is 2 r, r = V_flat (S1 V)_flat.T, with S1 the first of
+  the core's two terms: Ctil and Gamma are symmetric, so the second term
+  acts as the transpose of the first on symmetric batches. One batched
+  product forms S1 V, one GEMM forms r, and r + r.T is exactly
+  symmetric (``objectives.sandwich_core``);
+* the diagonal-core products run over the k(k+1)/2 upper-triangle
+  entries of each batch (gathered once per batch). ln^[1] > 0, so H_f1
+  is one rank-k update (``dsyrk``) of the batch rows scaled by
+  sqrt(ln^[1]), and the two mixed terms of H_f2, transposes of each
+  other, are one rank-2k update (``dsyr2k``). Both accumulate into one
+  triangle of the core, which is mirrored once
+  (``objectives.sandwich_diag``, ``mirror_lower``).
+``oracle.dense_qre_hessian_reference`` builds the same Hessian from
+dense matrices, sharing none of this assembly.
 
 Like every term (``objectives``), ``qre_eval`` reads X, Y1 and Y2 and
 their decompositions from the ``EvalPoint`` it is given, which checks
@@ -57,6 +68,7 @@ from .objectives import (
     EvalPoint,
     batch_inner,
     congruence_batch,
+    mirror_lower,
     sandwich_core,
     sandwich_diag,
     triu_rows,
@@ -97,27 +109,6 @@ def qre_eval(obj: QreObjective, point: EvalPoint, want_hessian: bool = True) -> 
     """Value, gradient and Hessian of the relative entropy at ``point``, or its value alone.
 
     ``point`` and ``want_hessian`` act as in ``objectives.phi_eval``.
-    """
-    bundle = _eval(obj, point, want_hessian)
-    if bundle.hessian is not None:
-        bundle.hessian = symmetrize(bundle.hessian)
-    return bundle
-
-
-def qre_hessian_asymmetry(obj: QreObjective, x: np.ndarray) -> float:
-    """Relative Frobenius asymmetry of the assembled Hessian before symmetrization.
-
-    A large value flags a sign or transpose mistake in the mixed block.
-    """
-    h = _eval(obj, EvalPoint(x), want_hessian=True).hessian
-    # unit floor: identical maps cancel the Hessian to rounding noise
-    norm = max(np.linalg.norm(h), 1.0)
-    return float(np.linalg.norm(h - h.T) / norm)
-
-
-def _eval(obj, point, want_hessian):
-    """The bundle with the Hessian as assembled, before symmetrization.
-
     X's own decomposition serves as the domain check and gives the basis
     U; with -ln det X among F_beta's terms, the barrier reads the same one.
     """
@@ -148,9 +139,9 @@ def _eval(obj, point, want_hessian):
                 - batch_inner(s12, np.diag(np.log(lam2))) - batch_inner(s22, ctil * phi2))
 
     phi1 = divided_diff_1(LOG, lam1)
-    hess = sandwich_diag(s11, s11, phi1)
-    cross = sandwich_diag(s12, s22, phi2)
-    hess -= cross + cross.T
-    hess += sandwich_core(v22, s22, ctil, gamma)
+    hess = sandwich_core(v22, ctil, gamma)
+    sandwich_diag(hess, s11, phi1)
+    sandwich_diag(hess, s12, phi2, s22, alpha=-1.0)
+    mirror_lower(hess)
     return DerivativeBundle(value=value, gradient=gradient, hessian=hess, basis=u)
 

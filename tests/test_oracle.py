@@ -9,6 +9,7 @@ from qipsolve.matfun import INVERSE, NEG_LOG, NEG_SQRT, divided_diff_2, neg_powe
 from qipsolve.objectives import EvalPoint, TraceObjective, phi_eval
 from qipsolve.oracle import (
     dense_hessian_reference,
+    dense_qre_hessian_reference,
     dense_sparse_core,
     derivative_audit,
     fd_gradient,
@@ -137,12 +138,36 @@ class TestReferenceMinimize:
             reference_minimize(problem)
 
 
+class TestDenseQreHessianReference:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_production_hessian_matches(self, n):
+        # qkd n = 3, 4 have map outputs of order k = 6, 8
+        for seed in range(3):
+            problem = probio.generate_random("qkd", {"n": n}, seed=seed)
+            (obj,) = problem.terms
+            assert obj.out_order == 2 * n
+            rng = np.random.default_rng(seed)
+            points = [problem.start] + [probio.random_feasible_point(problem, rng)
+                                        for _ in range(2)]
+            for x in points:
+                h = fixed_coordinates(qre_eval(obj, EvalPoint(x))).hessian
+                ref = dense_qre_hessian_reference(obj, x)
+                assert np.linalg.norm(h - ref) <= 1e-10 * np.linalg.norm(ref), (seed, x)
+
+    def test_size_guard(self):
+        problem = probio.generate_random("qkd", {"n": 5}, seed=0)
+        with pytest.raises(SizeGuard):
+            dense_qre_hessian_reference(problem.terms[0], problem.start)
+
+
 class TestDerivativeAudit:
     def test_canonical_instances_pass(self, rng):
         for name in ("trace-inverse-n4", "ree-2x2", "fidelity-n4", "qkd-n4"):
             results = derivative_audit(probio.build_named(name), rng, points=2)
             for res in results:
                 assert res.passed, f"{name}: {res.name} {res.detail}"
+            if name == "qkd-n4":
+                assert "qre-vs-dense-reference" in {res.name for res in results}
 
     def test_corrupted_hessian_fails_named_check(self, rng):
         problem = probio.build_named("trace-inverse-n4")

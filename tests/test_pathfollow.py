@@ -762,6 +762,16 @@ class TestLongStepCorrector:
                 wide = dataclasses.replace(config, theta=2.0**advance - 1.0)
                 assert cap == iteration_bound(wide, r)[0] > bc["per_outer_cap"]
 
+    def test_run_total_is_the_sum_of_its_centering_caps(self):
+        # qkd n=4 seed 3: one long corrector's own cap exceeds the plain
+        # schedule's total, so only the sum of the caps bounds this run
+        report = solve(probio.generate_random("qkd", {"n": 4}, seed=3))
+        bc = report.bound_check
+        assert report.termination == "Converged" and bc["within_caps"]
+        assert bc["centering_caps_total"] == sum(bc["centering_caps"])
+        assert max(bc["centering_caps"]) > bc["total_cap"]
+        assert report.total_newton <= min(bc["total_cap"], bc["centering_caps_total"])
+
     @pytest.mark.parametrize("kind, dims, seed", PREDICTOR_CASES,
                              ids=[c[0] for c in PREDICTOR_CASES])
     def test_span_resets_after_a_rejection_and_doubles_after_an_acceptance(
