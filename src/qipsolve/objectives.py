@@ -228,10 +228,9 @@ def sandwich_diag(out: np.ndarray, s1: np.ndarray, phi: np.ndarray,
         blas.dsyr2k(alpha, (s1 * weight).T, s2.T, beta=1.0, c=out.T, trans=1, overwrite_c=1)
 
 
-def mirror_lower(h: np.ndarray) -> np.ndarray:
+def mirror_lower(h: np.ndarray) -> None:
     """Copy the lower triangle of the square C-ordered ``h`` onto its upper one, in place."""
     np.copyto(h, h.T, where=_strict_upper(h.shape[0]))
-    return h
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,9 +6,9 @@ n(n+1)/2 independent symmetric coordinates, the dense Hessian reference
 materializes the sparse core entry by entry from scalar second divided
 differences and conjugates it with explicit Kronecker factors and a
 dense map matrix built from the map's ``apply``, the dense relative
-entropy Hessian builds the same way from both maps' dense matrices,
-their outputs' Kronecker eigenbases and first divided differences of
-ln taken entry by entry, and the
+entropy Hessian takes both maps' dense matrices into their outputs'
+Kronecker eigenbases and weights them with divided differences of ln
+taken entry by entry, and the
 reference optimizer is a first-order projected-gradient method with
 boundary backoff on its own vec constraint stack. Production gradients
 and Hessians are on svec coordinates; the oracles reach those
@@ -205,13 +205,19 @@ def _log_first_divided_difference(lam: np.ndarray) -> np.ndarray:
 def dense_qre_hessian_reference(obj: QreObjective, x: np.ndarray) -> np.ndarray:
     """Brute-force svec Hessian of the relative entropy, on the fixed coordinates svec(xi).
 
-    H_f1 + H_f2 of the ``qre`` docstring from dense matrices alone:
-    M_i P from ``sym_map_matrix``, the Kronecker eigenbases O_i (x) O_i of
-    Y_i = L_i(X) + e I from numpy's ``eigh``, D_i = (O_i (x) O_i)
-    Diag(ln^[1](Lam_i)) (O_i (x) O_i).T with ln^[1] entry by entry, and
-    the core ``dense_sparse_core(NEG_LOG, lam2, O2.T Y1 O2)``, the Hessian
-    of -Tr(Y1 ln Y2) in Y2:
-        H = M1.T D1 M1 - M1.T D2 M2 - M2.T D2 M1 + M2.T (O2 (x) O2) S (O2 (x) O2).T M2.
+    H_f1 + H_f2 of the ``qre`` docstring from dense matrices alone: the
+    map matrices M_i P (``sym_map_matrix``) taken into the Kronecker
+    eigenbases of Y_i = L_i(X) + e I (numpy's ``eigh``),
+    N_ij = (O_j (x) O_j).T M_i P, the first divided differences of ln
+    entry by entry, and the core S = ``dense_sparse_core(NEG_LOG, lam2,
+    O2.T Y1 O2)``, the Hessian of -Tr(Y1 ln Y2) in Y2:
+        H = N11.T Diag(ln^[1](Lam1)) N11 - N12.T Diag(ln^[1](Lam2)) N22
+            - (its transpose) + N22.T S N22.
+    That is the Kronecker form M1.T Dln(Y1) M1 - ... with each product
+    taken in the eigenbasis: forming Dln(Y) = (O (x) O) Diag (O (x) O).T
+    first mixes its large 1/lam entries into every entry and costs about
+    two digits (7e-11 against 1e-12 relative, checked in 40-digit
+    arithmetic at QKD n=4 points).
     """
     x = np.asarray(x, dtype=float)
     if max(obj.in_order, obj.out_order) > 8:
@@ -222,13 +228,14 @@ def dense_qre_hessian_reference(obj: QreObjective, x: np.ndarray) -> np.ndarray:
     lam2, o2 = np.linalg.eigh(obj.l2.apply(x) + shift)
     if min(lam1[0], lam2[0]) <= 0.0:
         raise DomainViolation("reference QRE Hessian needs positive definite map outputs")
-    oo1, oo2 = np.kron(o1, o1), np.kron(o2, o2)
-    d1 = oo1 @ np.diag(vec(_log_first_divided_difference(lam1))) @ oo1.T
-    d2 = oo2 @ np.diag(vec(_log_first_divided_difference(lam2))) @ oo2.T
-    core = oo2 @ dense_sparse_core(NEG_LOG, lam2, o2.T @ y1 @ o2) @ oo2.T
     m1, m2 = sym_map_matrix(obj.l1), sym_map_matrix(obj.l2)
-    mixed = m1.T @ d2 @ m2
-    return symmetrize(m1.T @ d1 @ m1 - mixed - mixed.T + m2.T @ core @ m2)
+    n11 = np.kron(o1, o1).T @ m1
+    n12, n22 = np.kron(o2, o2).T @ m1, np.kron(o2, o2).T @ m2
+    phi1 = vec(_log_first_divided_difference(lam1))[:, None]
+    phi2 = vec(_log_first_divided_difference(lam2))[:, None]
+    core = dense_sparse_core(NEG_LOG, lam2, o2.T @ y1 @ o2)
+    mixed = n12.T @ (phi2 * n22)
+    return symmetrize(n11.T @ (phi1 * n11) - mixed - mixed.T + n22.T @ core @ n22)
 
 
 # ---------------------------------------------------------------------------

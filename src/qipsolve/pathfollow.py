@@ -638,15 +638,15 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
 def _build_report(evaluator, run, config, caps, beta, r, f_start, wall, termination):
     problem, include_barrier = evaluator.problem, evaluator.self_concordant
     per_outer_cap, total_cap = caps
-    total = sum(run.steps)
+    total, caps_total = sum(run.steps), sum(run.caps)
     bound_check = {
         "per_outer_cap": per_outer_cap,
         "total_cap": total_cap,
         "centering_caps": list(run.caps),
-        "centering_caps_total": sum(run.caps),
+        "centering_caps_total": caps_total,
         "per_outer_max": max(run.steps),
         "total_newton": total,
-        "within_caps": total <= total_cap and total <= sum(run.caps) and all(
+        "within_caps": total <= total_cap and total <= caps_total and all(
             steps <= cap for steps, cap in zip(run.steps, run.caps)),
     }
     cfg = {"beta0": config.beta0, "theta": config.theta, "epsilon": config.epsilon,
