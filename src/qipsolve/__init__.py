@@ -13,6 +13,7 @@ from .matfun import (
     divided_diff_1,
     divided_diff_2,
     neg_power,
+    pair_table,
     spectral_decompose,
     vec,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "newton_step_type2",
     "objectives",
     "oracle",
+    "pair_table",
     "pathfollow",
     "phi_eval",
     "pinching_map",

@@ -15,7 +15,9 @@ instance dimensions, seed, ``wall_s``, ``total_newton``, ``outer_iters``,
 the work counts ``hessian_evals``, ``value_evals``, ``kkt_solves`` and
 ``backtracks``, ``termination`` and ``f_min``. A row's seed is ``--seed`` plus its index
 in the suite's full ladder, whatever ``--sizes`` selects, and a size
-outside the ladder exits 2.
+outside the ladder exits 2. A row that does not converge (``IterCap``, or a
+solver error, recorded as ``NumericalFailure`` at the iterate it failed
+at) is still printed and written; ``bench`` then exits 4 once every row has run.
 """
 
 from __future__ import annotations
@@ -203,7 +205,13 @@ def cmd_bench(args) -> int:
         if dims["n"] in sizes:
             spec = probio.generate_random(kind, dims, seed=seed)
             t0 = time.perf_counter()
-            report = solve(spec, config=config)
+            try:
+                report = solve(spec, config=config)
+            except QipError as exc:
+                print(f"bench: solver failure at n={dims['n']}: {exc}", file=sys.stderr)
+                report = getattr(exc, "report", None)
+                if report is None:
+                    continue
             runs.append((dims, seed, report, time.perf_counter() - t0))
 
     if args.suite == "table1":
@@ -242,7 +250,11 @@ def cmd_bench(args) -> int:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
         print(f"json -> {args.json}")
-    return 0
+    failed = [f"n={d['n']} {rep.termination}" for d, _, rep, _ in runs
+              if rep.termination != "Converged"]
+    if failed:
+        print(f"bench: solver did not converge: {', '.join(failed)}", file=sys.stderr)
+    return 4 if failed or len(runs) < len(sizes) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,13 @@ The rotated rows and their QR are kept for the last basis array
 (``AffineConstraints.in_basis``): the Hessian evaluation of the X
 barrier reads the rotated inequality rows there and the step the
 equality QR, a gate check at the point of the step before reuses both,
-and a new iterate brings a new basis. The direction is rotated back
-once, P = U P~ U.T.
+and a new iterate brings a new basis. This cache, keyed on the identity
+of the point's read-only U, lives on the constraints instance, not in a
+module namespace. Moving it onto the point would change
+``newton_step_type1``'s signature at its 31 call sites in the tests, and
+dropping it would rotate and QR-factor the rows twice per point (the
+barrier's Hessian evaluation, then the step). The direction is rotated
+back once, P = U P~ U.T.
 
 Expanding Q^T H Q = (I - V Y^T) H (I - Y V^T) with W = H Y and
 S = Y^T W gives H - W V^T - V W^T + V S V^T, and Z = W - V S / 2 folds

@@ -22,10 +22,10 @@ Conventions used throughout the package:
   ``np.linalg.eigh`` calls, with less per-call overhead.
 * Eigenvalue pairs closer than ``CONFLUENCE_RTOL`` (relative) take the
   derivative/limit branch of the divided differences. Both divided
-  differences read the checked eigenvalues and their (lam, lam)
-  confluence table from one pair table per spectrum, kept for the last
-  read-only eigenvalue array (``_pair_table``), so a Hessian evaluation
-  checks and tables each spectrum once.
+  differences take a spectrum's ``PairTable`` (``pair_table``): the
+  checked eigenvalues, their differences and the confluent pairs. A
+  Hessian evaluation builds one per spectrum and hands it to both, so
+  the module keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -190,47 +190,40 @@ def _confluent(a: np.ndarray, b: np.ndarray):
 # divided differences
 # ---------------------------------------------------------------------------
 
-# (eigenvalue array, its pair table) of the last array kept by _pair_table
-_pair_cache: tuple = ()
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """The (lam, lam) confluence table of one spectrum.
 
-
-def _pair_table(lam):
-    """(lam, diff, j, k): the checked eigenvalues and their (lam, lam) confluence table.
-
-    diff = [lam_i - lam_j] with 1 at the confluent pairs (j, k), the
-    divisor of both divided differences. The table of the last read-only
-    array that owns its data is kept, keyed on the array's identity, the
-    rule of ``kkt.AffineConstraints.in_basis``: the decompositions an
-    ``objectives.EvalPoint`` holds are such arrays, so the same array
-    holds the same spectrum, and a Hessian evaluation computes the table
-    once for both divided differences. Any other array (a caller's
-    writeable one, or a view) is checked and tabled on every call.
+    ``lam`` holds the checked eigenvalues and ``diff`` = [lam_i - lam_j]
+    with 1 at the confluent pairs (j[t], k[t]): the divisor of both
+    divided differences, which take their limit branches on those pairs.
     """
-    global _pair_cache
-    if _pair_cache and _pair_cache[0] is lam:
-        return _pair_cache[1]
-    checked = _check_positive(lam)
-    diff, j, k = _confluent(checked, checked)
+
+    lam: np.ndarray
+    diff: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+
+
+def pair_table(lam) -> PairTable:
+    """Check that the eigenvalues are positive and finite, and table their pairs."""
+    lam = _check_positive(lam)
+    diff, j, k = _confluent(lam, lam)
     diff[j, k] = 1.0
-    table = (checked, diff, j, k)
-    if isinstance(lam, np.ndarray) and not lam.flags.writeable and lam.flags.owndata:
-        for a in table[1:]:
-            a.flags.writeable = False
-        _pair_cache = (lam, table)
-    return table
+    return PairTable(lam, diff, j, k)
 
 
-def divided_diff_1(gen: ScalarGenerator, lam) -> np.ndarray:
-    """First divided difference matrix [g^[1](lam_i, lam_j)]_{ij}.
+def divided_diff_1(gen: ScalarGenerator, table: PairTable) -> np.ndarray:
+    """First divided difference matrix [g^[1](lam_i, lam_j)]_{ij} of ``table``'s spectrum.
 
     Off the confluence region the entry is (g(a) - g(b)) / (a - b); pairs
     within CONFLUENCE_RTOL use g'((a + b) / 2), which keeps the matrix
     exactly symmetric.
     """
-    lam, diff, j, k = _pair_table(lam)
+    lam, j, k = table.lam, table.j, table.k
     ga = gen.g(lam)
     out = ga[:, None] - ga
-    out /= diff
+    out /= table.diff
     out[j, k] = gen.dg(0.5 * (lam[j] + lam[k]))
     return out
 
@@ -264,19 +257,20 @@ def divided_diff_2(gen: ScalarGenerator, li: float, lj: float, lk: float) -> flo
     return float((_dd1_scalar(gen, a, b) - _dd1_scalar(gen, b, c)) / (a - c))
 
 
-def second_divided_diff_tensor(gen: ScalarGenerator, lam, *, f1: np.ndarray) -> np.ndarray:
-    """Dense tensor G[i, j, k] = g^[2](lam_i, lam_j, lam_k), vectorized.
+def second_divided_diff_tensor(gen: ScalarGenerator, table: PairTable, *,
+                               f1: np.ndarray) -> np.ndarray:
+    """Dense tensor G[i, j, k] = g^[2](lam_i, lam_j, lam_k) of ``table``'s spectrum.
 
     Used by the Hessian assembly; exactly symmetric in the last two
     indices by construction. The recurrence differences the first
-    divided-difference matrix ``f1 = divided_diff_1(gen, lam)``, which
+    divided-difference matrix ``f1 = divided_diff_1(gen, table)``, which
     every caller already holds, over the (j, k) pair. The limit branches,
     for a confluent (j, k) pair or a confluent triple, are evaluated on
     the confluent pairs only, entry by entry as the dense formulas would.
     """
-    lam, djk, j, k = _pair_table(lam)
+    lam, j, k = table.lam, table.j, table.k
     out = f1[:, :, None] - f1[:, None, :]
-    out /= djk
+    out /= table.diff
 
     # confluent (j, k) pair: d/dmu g^[1](lam_i, mu) at mu = (lam_j+lam_k)/2
     mu = 0.5 * (lam[j] + lam[k])

@@ -63,6 +63,7 @@ from .matfun import (
     ScalarGenerator,
     SpectralDecomp,
     divided_diff_1,
+    pair_table,
     second_divided_diff_tensor,
     spectral_decompose,
     svec,
@@ -321,8 +322,9 @@ def phi_eval(obj: TraceObjective, point: EvalPoint, want_hessian: bool = True) -
     value = float(ctil.diagonal() @ obj.gen.g(lam))
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
-    f1 = divided_diff_1(obj.gen, lam)
-    gamma = second_divided_diff_tensor(obj.gen, lam, f1=f1)
+    table = pair_table(lam)
+    f1 = divided_diff_1(obj.gen, table)
+    gamma = second_divided_diff_tensor(obj.gen, table, f1=f1)
     u = point.basis
     if obj.map is None:
         grad = svec(ctil * f1)

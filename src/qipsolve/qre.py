@@ -60,6 +60,7 @@ from .matfun import (
     LOG,
     divided_diff_1,
     inner,
+    pair_table,
     second_divided_diff_tensor,
     symmetrize,
 )
@@ -129,16 +130,17 @@ def qre_eval(obj: QreObjective, point: EvalPoint, want_hessian: bool = True) -> 
     s12 = triu_rows(congruence_batch(obj.l1, o2, u))
     v22 = congruence_batch(obj.l2, o2, u)
     s22 = triu_rows(v22)
-    phi2 = divided_diff_1(LOG, lam2)
-    # right after phi2, so both read one pair table of lam2 (``matfun``)
-    gamma = -second_divided_diff_tensor(LOG, lam2, f1=phi2)
+    # one pair table of lam2 serves both of its divided differences
+    table2 = pair_table(lam2)
+    phi2 = divided_diff_1(LOG, table2)
+    gamma = -second_divided_diff_tensor(LOG, table2, f1=phi2)
     ctil = o2.T @ y1 @ o2
     # <I + ln Y1, L1(W_c)> - <ln Y2, L1(W_c)> - <O2 (Ctil o phi2) O2.T, L2(W_c)>
     # for W_c = U E_c U.T, each in the eigenbasis of its map output
     gradient = (batch_inner(s11, np.diag(1.0 + np.log(lam1)))
                 - batch_inner(s12, np.diag(np.log(lam2))) - batch_inner(s22, ctil * phi2))
 
-    phi1 = divided_diff_1(LOG, lam1)
+    phi1 = divided_diff_1(LOG, pair_table(lam1))
     hess = sandwich_core(v22, ctil, gamma)
     sandwich_diag(hess, s11, phi1)
     sandwich_diag(hess, s12, phi2, s22, alpha=-1.0)

@@ -317,3 +317,39 @@ class TestBench:
         assert code == 2
         assert err.startswith("bench: ") and "epsilon" in err
         assert out == ""
+
+    def test_iteration_cap_exits_4(self, tmp_path, capsys, monkeypatch):
+        # as for solve: a per-outer cap below one Newton step stops the
+        # first centering, and the row is still printed and recorded
+        monkeypatch.setattr(pathfollow, "iteration_bound", lambda config, r: (0.5, 1.0))
+        json_path = tmp_path / "b.json"
+        code, out, err = run(capsys, "bench", "--suite", "table1", "--sizes", "4",
+                             "--json", str(json_path))
+        assert code == 4
+        assert "n=4 IterCap" in err
+        assert out.splitlines()[1].split()[0] == "4"
+        (row,) = json.loads(json_path.read_text())["rows"]
+        assert row["termination"] == "IterCap"
+
+    def test_solver_failure_exits_4_and_records_the_row(self, tmp_path, capsys, monkeypatch):
+        # a line search that fails on its second call: a solver failure, not
+        # a validation failure (exit 3), and the row holds the failed iterate
+        calls = []
+        real_search = pathfollow.line_search
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise LineSearchFailure("forced failure")
+            return real_search(*args)
+
+        monkeypatch.setattr(pathfollow, "line_search", failing)
+        json_path = tmp_path / "b.json"
+        code, out, err = run(capsys, "bench", "--suite", "table2", "--sizes", "4", "6",
+                             "--json", str(json_path))
+        assert code == 4
+        assert "solver failure at n=4" in err and "forced failure" in err
+        rows = json.loads(json_path.read_text())["rows"]
+        assert [(r["n"], r["termination"]) for r in rows] == [(4, "NumericalFailure"),
+                                                              (6, "Converged")]
+        assert len(out.splitlines()) >= 3  # header and both rows

@@ -16,6 +16,7 @@ from qipsolve.matfun import (
     divided_diff_1,
     divided_diff_2,
     neg_power,
+    pair_table,
     second_divided_diff_tensor,
     spectral_decompose,
     symmetrize,
@@ -96,26 +97,26 @@ class TestSpectralDecompose:
 
 class TestDividedDiff1:
     def test_neglog_confluent(self):
-        d = divided_diff_1(NEG_LOG, np.array([1.0, 1.0]))
+        d = divided_diff_1(NEG_LOG, pair_table(np.array([1.0, 1.0])))
         assert d[0, 1] == pytest.approx(-1.0)
 
     def test_neglog_distinct(self):
-        d = divided_diff_1(NEG_LOG, np.array([np.e, 1.0]))
+        d = divided_diff_1(NEG_LOG, pair_table(np.array([np.e, 1.0])))
         assert d[0, 1] == pytest.approx(-1.0 / (np.e - 1.0), rel=1e-12)
 
     def test_inverse(self):
-        d = divided_diff_1(INVERSE, np.array([2.0, 1.0]))
+        d = divided_diff_1(INVERSE, pair_table(np.array([2.0, 1.0])))
         assert d[0, 1] == pytest.approx(-0.5, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainViolation):
-            divided_diff_1(NEG_LOG, np.array([1.0, -1.0]))
+            pair_table(np.array([1.0, -1.0]))
 
     def test_exact_symmetry(self, rng):
         lam = np.sort(rng.uniform(0.1, 5.0, size=7))[::-1]
         lam[3] = lam[2]  # planted confluent pair
         for gen in ALL_GENERATORS:
-            d = divided_diff_1(gen, lam)
+            d = divided_diff_1(gen, pair_table(lam))
             assert np.array_equal(d, d.T)
 
     def test_continuity_across_confluence_boundary(self):
@@ -124,8 +125,8 @@ class TestDividedDiff1:
             base = 1.3
             gap_lo = 0.99 * CONFLUENCE_RTOL * base
             gap_hi = 1.01 * CONFLUENCE_RTOL * base
-            d_lo = divided_diff_1(gen, np.array([base + gap_lo, base]))[0, 1]
-            d_hi = divided_diff_1(gen, np.array([base + gap_hi, base]))[0, 1]
+            d_lo = divided_diff_1(gen, pair_table(np.array([base + gap_lo, base])))[0, 1]
+            d_hi = divided_diff_1(gen, pair_table(np.array([base + gap_hi, base])))[0, 1]
             assert abs(d_lo - d_hi) <= 1e-6
 
 
@@ -172,7 +173,8 @@ class TestDividedDiff2:
         lam = np.array(lam)
         n = lam.size
         for gen in [*ALL_GENERATORS, LOG]:
-            t = second_divided_diff_tensor(gen, lam, f1=divided_diff_1(gen, lam))
+            table = pair_table(lam)
+            t = second_divided_diff_tensor(gen, table, f1=divided_diff_1(gen, table))
             assert np.array_equal(t, dense_second_divided_diff_tensor(gen, lam)), gen.kind
             for i in range(n):
                 for j in range(n):
@@ -184,7 +186,8 @@ class TestDividedDiff2:
     def test_tensor_matches_scalar(self, rng):
         lam = np.sort(rng.uniform(0.2, 4.0, size=5))[::-1]
         for gen in ALL_GENERATORS:
-            t = second_divided_diff_tensor(gen, lam, f1=divided_diff_1(gen, lam))
+            table = pair_table(lam)
+            t = second_divided_diff_tensor(gen, table, f1=divided_diff_1(gen, table))
             for i in range(5):
                 for j in range(5):
                     for k in range(5):
@@ -198,7 +201,7 @@ def _conf_scale(a, b):
 
 def dense_second_divided_diff_tensor(gen, lam):
     """Every branch of the tensor's recurrence on all n^3 entries, then selected."""
-    f1 = divided_diff_1(gen, lam)
+    f1 = divided_diff_1(gen, pair_table(lam))
     li, lj, lk = lam[:, None, None], lam[None, :, None], lam[None, None, :]
     djk = lj - lk
     sep_jk = np.abs(djk) > CONFLUENCE_RTOL * _conf_scale(lj, lk)
@@ -265,19 +268,17 @@ class TestDividedDiffPins:
     @pytest.mark.parametrize("gen", [*ALL_GENERATORS, LOG], ids=lambda g: g.kind)
     def test_equal_the_reference_formulas(self, rng, gen):
         for lam in planted_spectra(rng):
-            f1 = divided_diff_1(gen, lam)
+            table = pair_table(lam)
+            f1 = divided_diff_1(gen, table)
             assert np.array_equal(f1, reference_divided_diff_1(gen, lam)), lam
-            t = second_divided_diff_tensor(gen, lam, f1=f1)
+            t = second_divided_diff_tensor(gen, table, f1=f1)
             assert np.array_equal(t, reference_second_divided_diff_tensor(gen, lam, f1)), lam
 
     @pytest.mark.parametrize("bad", [[], [1.0, 0.0], [1.0, -2.0], [np.nan, 1.0],
                                      [1.0, np.inf]], ids=str)
     def test_domain_checked(self, bad):
-        lam = np.array(bad, dtype=float)
         with pytest.raises(DomainViolation):
-            divided_diff_1(NEG_LOG, lam)
-        with pytest.raises(DomainViolation):
-            second_divided_diff_tensor(NEG_LOG, lam, f1=np.ones((lam.size, lam.size)))
+            pair_table(np.array(bad, dtype=float))
 
 
 def read_only(lam):
@@ -288,28 +289,21 @@ def read_only(lam):
 
 
 class TestPairTable:
-    """One pair table per read-only spectrum, and the same bits as without it."""
+    """A table its caller keeps for both divided differences gives the bits of a fresh one."""
 
     @pytest.mark.parametrize("gen", [*ALL_GENERATORS, LOG], ids=lambda g: g.kind)
     def test_kept_table_gives_the_bits_of_a_writeable_copy(self, rng, gen):
-        spectra = [read_only(lam) for lam in planted_spectra(rng)]
-        # alternating between two arrays replaces the kept table and hits it
-        for a, b in zip(spectra, spectra[1:] + spectra[:1]):
-            for lam in (a, b, a, a, b):
-                fresh = lam.copy()  # writeable, so never kept
-                f1 = divided_diff_1(gen, lam)
+        for lam in planted_spectra(rng):
+            table = pair_table(read_only(lam))
+            before = [a.copy() for a in (table.lam, table.diff, table.j, table.k)]
+            for _ in range(2):  # the divided differences read the table, never write it
+                fresh = pair_table(lam.copy())
+                f1 = divided_diff_1(gen, table)
                 assert np.array_equal(f1, divided_diff_1(gen, fresh)), lam
-                t = second_divided_diff_tensor(gen, lam, f1=f1)
+                t = second_divided_diff_tensor(gen, table, f1=f1)
                 assert np.array_equal(t, second_divided_diff_tensor(gen, fresh, f1=f1)), lam
-
-    def test_only_read_only_owned_arrays_are_kept(self):
-        lam = read_only([3.0, 2.0, 1.0])
-        assert matfun._pair_table(lam) is matfun._pair_table(lam)
-        writeable = np.array([3.0, 2.0, 1.0])
-        assert matfun._pair_table(writeable) is not matfun._pair_table(writeable)
-        view = writeable[:]
-        view.flags.writeable = False
-        assert matfun._pair_table(view) is not matfun._pair_table(view)
+            after = (table.lam, table.diff, table.j, table.k)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after)), lam
 
     @pytest.mark.parametrize("gen", [*ALL_GENERATORS, LOG], ids=lambda g: g.kind)
     def test_read_only_view_of_a_changed_base_is_fresh(self, gen):
@@ -319,9 +313,10 @@ class TestPairTable:
         for values in ([3.0, 2.0, 1.0, 0.5], [4.0, 1.5, 1.5, 0.25],
                        [2.0, 2.0 * (1.0 - 0.5 * CONFLUENCE_RTOL), 0.7, 0.7]):
             base[:] = values
-            f1 = divided_diff_1(gen, view)
+            table = pair_table(view)
+            f1 = divided_diff_1(gen, table)
             assert np.array_equal(f1, reference_divided_diff_1(gen, base.copy())), values
-            t = second_divided_diff_tensor(gen, view, f1=f1)
+            t = second_divided_diff_tensor(gen, table, f1=f1)
             assert np.array_equal(t, reference_second_divided_diff_tensor(gen, base.copy(), f1))
 
 

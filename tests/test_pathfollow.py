@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qipsolve.errors import (
     SingularKKT,
 )
 from qipsolve.kkt import AffineConstraints, NewtonStep, newton_step_type1
-from qipsolve.matfun import spectral_decompose, symmetrize, vec
+from qipsolve.matfun import pair_table, spectral_decompose, symmetrize, vec
 from qipsolve.objectives import (
     DerivativeBundle,
     EvalPoint,
@@ -1236,10 +1237,42 @@ def test_structure_comes_from_the_data(case, rng):
         assert abs(f_ref - report.f_min) <= 1e-4 * (1 + abs(f_ref))
 
 
+def package_namespaces():
+    """Every module namespace of the package and every class namespace in one, copied."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "qipsolve" or name.startswith("qipsolve.")):
+            continue
+        out[name] = dict(vars(module))
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__.startswith("qipsolve"):
+                out[f"{value.__module__}.{value.__qualname__}"] = dict(vars(value))
+    return out
+
+
+def test_a_solve_changes_no_package_namespace():
+    # the iterate is its EvalPoint: no module or class of the package keeps
+    # state from a solve. Values compare by identity, so that no array is
+    # compared with ==
+    problems = [probio.generate_random(kind, dims, seed=1)
+                for kind, dims, _, _ in MODEL_CASES.values()]
+    before = package_namespaces()
+    for problem in problems:
+        assert solve(problem).termination == "Converged"
+    after = package_namespaces()
+    assert after.keys() == before.keys()
+    missing = object()
+    for name, names in before.items():
+        changed = sorted(key for key in names.keys() | after[name].keys()
+                         if names.get(key, missing) is not after[name].get(key, missing))
+        assert not changed, (name, changed)
+
+
 # one instance of each dataclass that holds numpy arrays
 EQ_CASES = {
     "AffineConstraints": lambda: AffineConstraints([np.eye(2)], [1.0]),
     "NewtonStep": lambda: fake_step(np.zeros((2, 2))),
+    "PairTable": lambda: pair_table(np.ones(2)),
     "DerivativeBundle": lambda: DerivativeBundle(1.0, np.ones(3), np.eye(3), np.eye(2)),
     "SolveReport": lambda: solve(probio.build_named("trace-inverse-n2")),
     "SpectralDecomp": lambda: spectral_decompose(np.eye(2)),
