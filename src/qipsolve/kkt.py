@@ -6,22 +6,15 @@ upper-triangle entries of a symmetric matrix, off-diagonal ones scaled
 by sqrt(2), so that <A, X> = svec(A) . svec(X). The bundle's gradient
 and Hessian are on the svec coordinates of xi~ = U.T xi U, U the
 eigenbasis of X that the bundle carries (``objectives``), and so is the
-whole solve: the constraint rows are rotated into that basis,
-svec(U.T A_i U) (2 N n^3 work), and the rotated equality rows factored
-by LAPACK's dgeqrt, svec(U.T A_eq U)^T = Q R with Q = I - V T V^T in
-compact WY form (Q is never formed). The trailing columns of Q span the
-tangent space {svec(P~) : <A_i, U P~ U.T> = 0 on equality rows}.
-The rotated rows and their QR are kept for the last basis array
-(``AffineConstraints.in_basis``): the Hessian evaluation of the X
-barrier reads the rotated inequality rows there and the step the
-equality QR, a gate check at the point of the step before reuses both,
-and a new iterate brings a new basis. This cache, keyed on the identity
-of the point's read-only U, lives on the constraints instance, not in a
-module namespace. Moving it onto the point would change
-``newton_step_type1``'s signature at its 31 call sites in the tests, and
-dropping it would rotate and QR-factor the rows twice per point (the
-barrier's Hessian evaluation, then the step). The direction is rotated
-back once, P = U P~ U.T.
+whole solve: the step rotates the equality rows into that basis,
+svec(U.T A_i U) (2 k n^3 work, ``AffineConstraints.rotated_rows``), and
+factors them by LAPACK's dgeqrt, svec(U.T A_eq U)^T = Q R with
+Q = I - V T V^T in compact WY form (Q is never formed). The trailing
+columns of Q span the tangent space
+{svec(P~) : <A_i, U P~ U.T> = 0 on equality rows}. The Hessian
+evaluation of the X barrier rotates the inequality rows
+(``objectives.barrier_eval``), so the two read disjoint row ranges. The
+direction is rotated back once, P = U P~ U.T.
 
 Expanding Q^T H Q = (I - V Y^T) H (I - Y V^T) with W = H Y and
 S = Y^T W gives H - W V^T - V W^T + V S V^T, and Z = W - V S / 2 folds
@@ -77,7 +70,6 @@ class AffineConstraints:
     rhs: np.ndarray
     n_ineq: int = 0
     svec_rows: np.ndarray = field(init=False, repr=False)  # svec(A_i), N x n(n+1)/2
-    _basis_cache: tuple = field(init=False, default=(), repr=False)
 
     def __post_init__(self):
         mats = [np.asarray(a, dtype=float) for a in self.mats]
@@ -124,27 +116,16 @@ class AffineConstraints:
         m = self.n_ineq
         return self.rhs[:m] - self.svec_rows[:m] @ svec(x)
 
-    def rotated_rows(self, u: np.ndarray) -> np.ndarray:
-        """svec(U.T A_i U) of every row, N x n(n+1)/2: the rows in the coordinates of U."""
-        lay = svec_layout(self.order)
-        rot = u.T @ self.mats @ u
-        return rot.reshape(self.n_total, -1).take(lay.lower, axis=1) * lay.weight
+    def rotated_rows(self, u: np.ndarray, rows: slice) -> np.ndarray:
+        """svec(U.T A_i U) of the rows in the slice ``rows``: those rows in the coordinates of U.
 
-    def in_basis(self, u: np.ndarray):
-        """(rows, V, Y): ``rotated_rows(u)`` and the ``equality_qr`` of its equality rows.
-
-        The result for the last read-only U is kept, keyed on the array's
-        identity: the evaluation point's decompositions are read-only, so
-        the same array holds the same basis. A writeable U is never kept.
+        Each row's rotation is its own product, so a range gives the bits
+        of those rows of the whole stack's rotation. An empty range gives
+        a 0 x n(n+1)/2 array.
         """
-        hit = self._basis_cache
-        if hit and hit[0] is u:
-            return hit[1:]
-        rows = self.rotated_rows(u)
-        factors = (rows, *equality_qr(rows[self.n_ineq:]))
-        if not u.flags.writeable:
-            self._basis_cache = (u, *factors)
-        return factors
+        lay = svec_layout(self.order)
+        rot = u.T @ self.mats[rows] @ u
+        return rot.reshape(len(rot), u.size).take(lay.lower, axis=1) * lay.weight
 
 
 def equality_qr(eq_rows: np.ndarray):
@@ -253,7 +234,7 @@ def newton_step_type1(bundle, cons: AffineConstraints) -> NewtonStep:
 
     ``bundle`` holds the gradient and Hessian of F_beta, the inequality
     rows' logs included (they are part of the X barrier), on the svec
-    coordinates svec(U.T xi U), with the rows rotated to match.
+    coordinates svec(U.T xi U); the step rotates the equality rows to match.
     Coordinates after Q^T are [normal (k); tangent]: with M = Q^T H Q, the
     tangent step y solves M_tt y = -(Q^T g)_t. The factor of M_tt is kept
     on the step, and the direction is its ``system.solve(gradient)``.
@@ -266,7 +247,8 @@ def newton_step_type1(bundle, cons: AffineConstraints) -> NewtonStep:
         raise SingularKKT("Newton system has a non-finite Hessian or gradient entry")
 
     u = bundle.basis
-    rows, v, vt = cons.in_basis(u)
+    eq_rows = cons.rotated_rows(u, slice(m, None))
+    v, vt = equality_qr(eq_rows)
     chol, cond = None, 1.0
     if d > k:
         h = bundle.hessian
@@ -300,7 +282,7 @@ def newton_step_type1(bundle, cons: AffineConstraints) -> NewtonStep:
         decrement=delta,
         decrement_innerprod=delta_ip,
         schur_condition=cond,
-        tangency_residual=float(np.abs(rows[m:] @ p_s).max(initial=0.0)),
+        tangency_residual=float(np.abs(eq_rows @ p_s).max(initial=0.0)),
         system=system,
     )
 

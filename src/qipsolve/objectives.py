@@ -128,8 +128,8 @@ class EvalPoint:
     identity. So terms that read the same image share one decomposition:
     a trace objective on X and -ln det X, or a trace objective through the
     constraint map and the barrier on that map. Images and decompositions
-    are read-only like X, so an array's identity stands for its content:
-    the KKT layer keys its rotated constraint rows on the basis array.
+    are read-only like X, since the terms share them: a term that wrote
+    into one would change what the others read.
 
     ``parts`` and ``system``, None until set, hold the per-term bundles of
     a Hessian evaluation of F_beta at this point (``pathfollow.FBetaEvaluator``)
@@ -348,9 +348,10 @@ def barrier_eval(point: EvalPoint, want_hessian: bool = True,
     (``kkt.AffineConstraints.slacks``); a slack <= 0 raises DomainViolation.
     In X's eigenbasis, D^2(-ln det X)[xi, xi] = sum_ab xi~_ab^2 / (lam_a lam_b),
     a diagonal svec Hessian. The logs add R.T (1/s) to the gradient and
-    G G.T to the Hessian, G = R.T diag(1/s), for the rotated rows
-    R = svec(U.T A_i U) that the constraints keep for the basis
-    (``in_basis``), where the Newton step reads its QR.
+    G G.T to the Hessian, G = R.T diag(1/s), for the inequality rows
+    rotated into the basis, R = svec(U.T A_i U)
+    (``AffineConstraints.rotated_rows``); the Newton step rotates the
+    equality rows itself.
     """
     _, dec = point.pd_image("barrier argument")
     lam = dec.lam
@@ -370,7 +371,7 @@ def barrier_eval(point: EvalPoint, want_hessian: bool = True,
     grad[lay.diag] = -inv
     curv = inv[lay.rows] * inv[lay.cols]
     if m:
-        gw = constraints.in_basis(dec.U)[0][:m].T / s
+        gw = constraints.rotated_rows(dec.U, slice(m)).T / s
         grad += gw.sum(axis=1)
         hess = gw @ gw.T  # numpy's rank-k path: exactly symmetric
         hess.reshape(-1)[::hess.shape[0] + 1] += curv  # the diagonal, in place

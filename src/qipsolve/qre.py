@@ -120,8 +120,9 @@ def qre_eval(obj: QreObjective, point: EvalPoint, want_hessian: bool = True) -> 
     o1, lam1 = dec1.U, dec1.lam
     o2, lam2 = dec2.U, dec2.lam
 
-    ln_y2 = symmetrize((o2 * np.log(lam2)) @ o2.T)
-    value = float(lam1 @ np.log(lam1) - inner(y1, ln_y2))
+    ln1, ln2 = np.log(lam1), np.log(lam2)
+    ln_y2 = symmetrize((o2 * ln2) @ o2.T)
+    value = float(lam1 @ ln1 - inner(y1, ln_y2))
     if not want_hessian:
         return DerivativeBundle(value=value, gradient=None)
 
@@ -137,8 +138,8 @@ def qre_eval(obj: QreObjective, point: EvalPoint, want_hessian: bool = True) -> 
     ctil = o2.T @ y1 @ o2
     # <I + ln Y1, L1(W_c)> - <ln Y2, L1(W_c)> - <O2 (Ctil o phi2) O2.T, L2(W_c)>
     # for W_c = U E_c U.T, each in the eigenbasis of its map output
-    gradient = (batch_inner(s11, np.diag(1.0 + np.log(lam1)))
-                - batch_inner(s12, np.diag(np.log(lam2))) - batch_inner(s22, ctil * phi2))
+    gradient = (batch_inner(s11, np.diag(1.0 + ln1))
+                - batch_inner(s12, np.diag(ln2)) - batch_inner(s22, ctil * phi2))
 
     phi1 = divided_diff_1(LOG, pair_table(lam1))
     hess = sandwich_core(v22, ctil, gamma)

@@ -255,7 +255,7 @@ def reference_newton_step(bundle, slacks, cons):
     """
     m, k = cons.n_ineq, cons.n_eq
     u = bundle.basis
-    rows = cons.rotated_rows(u)
+    rows = cons.rotated_rows(u, slice(None))
     a_in = rows[:m]
     v, vt = equality_qr(rows[m:])
     grad = bundle.gradient
@@ -323,7 +323,22 @@ class TestRotatedRows:
         cons = probio.generate_random(kind, dims, seed=2).constraints
         u, _ = np.linalg.qr(rng.standard_normal((cons.order, cons.order)))
         expected = cons.svec_rows @ eigen_rotation(u).T
-        assert np.abs(cons.rotated_rows(u) - expected).max() <= 1e-14 * np.abs(expected).max()
+        rows = cons.rotated_rows(u, slice(None))
+        assert np.abs(rows - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [4, 9, 32])
+    def test_a_row_range_gives_the_bits_of_the_whole_rotation(self, rng, n):
+        # the X barrier rotates the inequality rows and the Newton step the
+        # equality rows, each on its own; together they must read the bits
+        # of one rotation of every row. The last range is empty, as the
+        # equality rows of an inequality-only problem are
+        m = n // 2
+        cons = AffineConstraints([rand_sym(rng, n) for _ in range(n)],
+                                 rng.standard_normal(n), n_ineq=m)
+        u = EvalPoint(rand_spd(rng, n)).basis
+        whole = cons.rotated_rows(u, slice(None))
+        for rows in (slice(m), slice(m, None), slice(m, m)):
+            assert np.array_equal(cons.rotated_rows(u, rows), whole[rows]), rows
 
     def test_equality_qr_factors_the_rows(self, rng):
         # Q is orthogonal and its trailing columns span the tangent space
@@ -334,34 +349,6 @@ class TestRotatedRows:
         q = np.eye(eq.shape[1]) - vt @ v.T  # Q = I - V T V^T
         assert np.allclose(q.T @ q, np.eye(q.shape[0]), rtol=0, atol=1e-14)
         assert np.allclose(eq @ q[:, eq.shape[0]:], 0.0, rtol=0, atol=1e-13)
-
-
-class TestBasisCache:
-    def test_a_hit_gives_the_fresh_step_bitwise(self, rng):
-        *_, cons, bundle = mixed_setup(rng)
-        assert not bundle.basis.flags.writeable  # the evaluation point's U
-        first = newton_step_type1(bundle, cons)
-        factors = cons.in_basis(bundle.basis)
-        hit = newton_step_type1(bundle, cons)
-        assert all(a is b for a, b in zip(cons.in_basis(bundle.basis), factors))
-        fresh = newton_step_type1(
-            bundle, AffineConstraints(cons.mats, cons.rhs, n_ineq=cons.n_ineq))
-        for step in (hit, fresh):
-            for name in ("direction_X", "decrement", "decrement_innerprod",
-                         "schur_condition", "tangency_residual"):
-                assert np.array_equal(getattr(step, name), getattr(first, name)), name
-
-    def test_a_new_basis_array_recomputes(self, rng):
-        bundle, _, cons, _ = mixed_setup(rng)
-        u = bundle.basis
-        rows = cons.in_basis(u)[0]
-        other = u.copy()
-        assert cons.in_basis(other)[0] is not rows  # same content, another array
-        other.flags.writeable = False
-        again = cons.in_basis(other)[0]
-        assert cons.in_basis(other)[0] is again
-        assert cons.in_basis(u)[0] is not rows  # one entry: u was evicted
-        assert np.array_equal(cons.in_basis(u)[0], rows)
 
 
 class TestLapackPath:

@@ -1250,16 +1250,32 @@ def package_namespaces():
     return out
 
 
+def solve_namespaces(problems):
+    """``package_namespaces()`` with vars() of each problem, its constraints,
+    each term and each map, copied and keyed by (case, name)."""
+    out = package_namespaces()
+    for case, problem in problems.items():
+        objects = {"ProblemSpec": problem, "AffineConstraints": problem.constraints,
+                   "constraint_map": problem.constraint_map}
+        for i, term in enumerate(problem.terms):
+            objects[f"terms[{i}]"] = term
+            for attr in ("map", "l1", "l2"):
+                objects[f"terms[{i}].{attr}"] = getattr(term, attr, None)
+        out.update({(case, name): dict(vars(obj))
+                    for name, obj in objects.items() if obj is not None})
+    return out
+
+
 def test_a_solve_changes_no_package_namespace():
-    # the iterate is its EvalPoint: no module or class of the package keeps
-    # state from a solve. Values compare by identity, so that no array is
-    # compared with ==
-    problems = [probio.generate_random(kind, dims, seed=1)
-                for kind, dims, _, _ in MODEL_CASES.values()]
-    before = package_namespaces()
-    for problem in problems:
+    # the iterate is its EvalPoint: no module or class of the package, and
+    # nothing of the problem solved, keeps state from a solve. Values
+    # compare by identity, so that no array is compared with ==
+    problems = {case: probio.generate_random(kind, dims, seed=1)
+                for case, (kind, dims, _, _) in MODEL_CASES.items()}
+    before = solve_namespaces(problems)
+    for problem in problems.values():
         assert solve(problem).termination == "Converged"
-    after = package_namespaces()
+    after = solve_namespaces(problems)
     assert after.keys() == before.keys()
     missing = object()
     for name, names in before.items():
