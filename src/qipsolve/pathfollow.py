@@ -104,9 +104,11 @@ The per-outer cap at the ratio a centering takes (above) is its step
 limit, so IterCap means that one centering reached it. The report holds
 the per-outer cap, each centering's cap and two totals, and checks
 every centering against its own cap and the run against both totals:
-- ``total_cap``, the per-outer cap at theta times the number of schedule
-  steps, is the theory's total for the plain schedule, which centers at
-  every (1 + theta)^i beta0. It stays as the paper states it.
+- ``total_cap``, the per-outer cap at theta times the real
+  ln(4r/(eps beta0)) / ln(1+theta), which the schedule's step count
+  rounds up (30.16 against 31 steps at r = 3 with the defaults), is the
+  theory's total for the plain schedule, which centers at every
+  (1 + theta)^i beta0. It stays as the paper states it.
 - ``centering_caps_total``, the sum of the run's centering caps, is the
   total the theory backs for this run: a corrector that advances s
   exponents has the per-outer cap at theta' = (1 + theta)^s - 1, which
@@ -142,7 +144,7 @@ from .objectives import (
     combine_values,
     evaluate_terms,
 )
-from .probio import ProblemSpec, barrier_parameter, feasibility_violations
+from .probio import ProblemSpec, barrier_parameter, start_violation
 from .qre import QreObjective
 
 
@@ -557,7 +559,8 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
           include_barrier: bool = True) -> SolveReport:
     """Run the full path-following scheme and return a SolveReport.
 
-    The problem's start must be strictly feasible; a damped-Newton phase
+    The problem's start must be n x n and strictly feasible
+    (``probio.start_violation``; InfeasibleStart otherwise); a damped-Newton phase
     at beta0 performs the initial centering. Each centering may take at
     most the theory's per-outer cap of Newton steps (``iteration_bound``)
     at the ratio of the betas it moves between (module docstring); one
@@ -576,13 +579,13 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
                          "(relative-entropy objectives) with equality rows only: it "
                          "drops -ln det X and the inequality slacks' logs")
     config = config or SolverConfig()
-    x0 = problem.start
-    if x0 is None:
+    if problem.start is None:
         raise InfeasibleStart("no starting point supplied")
-    x0 = symmetrize(x0)
-    bad = feasibility_violations(problem, x0)
-    if bad:
-        raise InfeasibleStart("start is not strictly feasible: " + bad[0][0])
+    # checked raw: symmetrize of a non-square start raises numpy's broadcast error
+    why = start_violation(problem, problem.start)
+    if why:
+        raise InfeasibleStart(why)
+    x0 = symmetrize(problem.start)
 
     r = barrier_parameter(problem)
     caps = iteration_bound(config, r)

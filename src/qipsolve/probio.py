@@ -18,10 +18,11 @@ A problem file names its kind, which picks the parser, and must name the
 kind of the data it holds.
 
 Problems round-trip through a single JSON document (row-major matrices,
-decimal floats); generation is a pure function of (kind, dims, seed) and
-every generated or loaded instance passes the strict-feasibility
-validator before any solve. Externally produced data can be used by
-exporting matrices into the same JSON schema.
+decimal floats); generation is a pure function of (kind, dims, seed).
+Every generated, canonical or loaded instance passes ``validate_problem``,
+whose start check (``start_violation``: the shape, then strict
+feasibility) ``solve`` also runs. Externally produced data can be used
+by exporting matrices into the same JSON schema.
 """
 
 from __future__ import annotations
@@ -153,6 +154,19 @@ def feasibility_violations(problem: ProblemSpec, x: np.ndarray, margin: float = 
     return bad
 
 
+def start_violation(problem: ProblemSpec, x) -> str | None:
+    """Why ``x`` cannot start a solve of ``problem``, or None if it can.
+
+    The shape comes first, since it must be n x n before any eigenvalue or
+    residual can be read; then the first strict-feasibility violation.
+    """
+    if np.shape(x) != (problem.n, problem.n):
+        return (f"start has shape {np.shape(x)}, not the constraints' order "
+                f"{problem.n} x {problem.n}")
+    bad = feasibility_violations(problem, x)
+    return "start is not strictly feasible: " + bad[0][0] if bad else None
+
+
 def validate_problem(problem: ProblemSpec) -> None:
     """Raise ValidationError on any invariant violation."""
     if problem.kind == "qkd":
@@ -182,13 +196,9 @@ def validate_problem(problem: ProblemSpec) -> None:
         lmap = problem.constraint_map
         if lmap is not None and lmap.in_order != problem.n:
             raise ValidationError("constraint map order does not match the constraints")
-    if problem.start is not None:
-        if np.shape(problem.start) != (problem.n, problem.n):
-            raise ValidationError(f"start has shape {np.shape(problem.start)}, not the "
-                                  f"constraints' order {problem.n} x {problem.n}")
-        bad = feasibility_violations(problem, problem.start)
-        if bad:
-            raise ValidationError("declared start is not strictly feasible: " + bad[0][0])
+    why = None if problem.start is None else start_violation(problem, problem.start)
+    if why:
+        raise ValidationError(why)
 
 
 def random_feasible_point(problem: ProblemSpec, rng, scale: float = 0.3,
@@ -271,11 +281,19 @@ def _build_constraints(rng, n, x0, m_ineq, n_eq_random):
     return AffineConstraints(mats, np.array(rhs), n_ineq=m_ineq)
 
 
-def _most_square_split(n: int):
-    for a in range(int(math.isqrt(n)), 0, -1):
-        if n % a == 0:
-            return a, n // a
-    return 1, n
+def _partial_transpose_split(n: int, n1, n2) -> tuple[int, int]:
+    """(n1, n2) with n1 n2 = n: the sizes given, a lone size and n over it,
+    or the most square split when neither is given."""
+    if n1 is None and n2 is None:
+        n1 = next(a for a in range(math.isqrt(n), 0, -1) if n % a == 0)
+    if n2 is None:
+        n2 = n // int(n1) if int(n1) > 0 else 0
+    elif n1 is None:
+        n1 = n // int(n2) if int(n2) > 0 else 0
+    n1, n2 = int(n1), int(n2)
+    if min(n1, n2) < 1 or n1 * n2 != n:
+        raise ShapeError(f"partial transpose split {n1}x{n2} does not factor {n}")
+    return n1, n2
 
 
 def generate_random(kind: str, dims: dict, seed: int) -> ProblemSpec:
@@ -285,6 +303,7 @@ def generate_random(kind: str, dims: dict, seed: int) -> ProblemSpec:
     if n < 2:
         raise ShapeError("dims must include n >= 2")
     rng = np.random.default_rng(seed)
+    offset, lmap = 0.0, None
 
     if kind == "type1":
         m = int(dims.get("m", n // 2))
@@ -294,63 +313,37 @@ def generate_random(kind: str, dims: dict, seed: int) -> ProblemSpec:
         gen = generator_from_name(dims.get("generator", "inverse"), dims.get("alpha"))
         x0 = _random_interior_density(rng, n)
         cons = _build_constraints(rng, n, x0, m, n_total - m - 1)
-        c = _random_psd_weight(rng, n)
-        spec = ProblemSpec(
-            constraints=cons,
-            terms=[TraceObjective(c, gen)],
-            start=x0,
-            seed=seed,
-            name=f"random-type1-n{n}-seed{seed}",
-        )
+        terms = [TraceObjective(_random_psd_weight(rng, n), gen)]
     elif kind == "type2":
         m = int(dims.get("m", 1))
-        n1 = dims.get("n1")
-        n2 = dims.get("n2")
-        if n1 is None or n2 is None:
-            n1, n2 = _most_square_split(n)
-        if n1 * n2 != n:
-            raise ShapeError(f"partial transpose split {n1}x{n2} does not factor {n}")
-        pt = PartialTranspose(n1, n2)
+        lmap = PartialTranspose(*_partial_transpose_split(n, dims.get("n1"), dims.get("n2")))
         # shrink a random density toward I/n until its partial transpose
         # is safely positive definite
         rho = _random_interior_density(rng, n)
         s = 1.0
         while s > 1e-3:
             x0 = symmetrize((1 - s) * np.eye(n) / n + s * rho)
-            if np.linalg.eigvalsh(pt.apply(x0)).min() > 10 * FEAS_MARGIN:
+            if np.linalg.eigvalsh(lmap.apply(x0)).min() > 10 * FEAS_MARGIN:
                 break
             s *= 0.5
         cons = _build_constraints(rng, n, x0, 0, max(0, m - 1))
         c = _random_psd_weight(rng, n)
-        spec = ProblemSpec(
-            constraints=cons,
-            terms=[TraceObjective(c, generator_from_name("neg_log"))],
-            offset=float(np.sum(_entropy_weights(c))),
-            constraint_map=pt,
-            start=x0,
-            seed=seed,
-            name=f"random-type2-n{n}-seed{seed}",
-        )
+        terms = [TraceObjective(c, generator_from_name("neg_log"))]
+        offset = float(np.sum(_entropy_weights(c)))
     elif kind == "qkd":
         k = int(dims.get("k") or 2 * n)
         m = int(dims.get("m", max(1, n // 2)))
-        r1 = int(dims.get("r1", 2))
-        r2 = int(dims.get("r2", 2))
-        l1 = _random_kraus(rng, k, n, r1)
-        l2 = _random_kraus(rng, k, n, r2)
+        l1 = _random_kraus(rng, k, n, int(dims.get("r1", 2)))
+        l2 = _random_kraus(rng, k, n, int(dims.get("r2", 2)))
         x0 = _random_interior_density(rng, n)
         cons = _build_constraints(rng, n, x0, 0, max(0, m - 1))
-        spec = ProblemSpec(
-            constraints=cons,
-            terms=[QreObjective(l1, l2)],
-            start=x0,
-            seed=seed,
-            name=f"random-qkd-n{n}-seed{seed}",
-        )
+        terms = [QreObjective(l1, l2)]
     else:
         raise ShapeError(f"unknown problem kind {kind!r}")
     if kind != "type1" and m < 1:  # m counts the equality rows, the trace row among them
         raise ShapeError(f"{kind} needs m >= 1 (the trace row is an equality)")
+    spec = ProblemSpec(constraints=cons, terms=terms, offset=offset, constraint_map=lmap,
+                       start=x0, name=f"random-{kind}-n{n}-seed{seed}", seed=seed)
     validate_problem(spec)
     return spec
 
@@ -369,22 +362,19 @@ def _entropy_weights(c: np.ndarray) -> np.ndarray:
 # canonical named instances
 # ---------------------------------------------------------------------------
 
+def _unit_trace(n: int):
+    """The row Tr X = 1 and the start I/n shared by the unit-trace instances."""
+    return AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0), np.eye(n) / n
+
+
 def build_named(name: str) -> ProblemSpec:
     """Canonical instances used by the acceptance suite and the CLI."""
-    m = re.fullmatch(r"trace-inverse-n(\d+)", name)
-    if m:
+    offset, lmap = 0.0, None
+    if m := re.fullmatch(r"trace-inverse-n(\d+)", name):
         n = int(m.group(1))
-        cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
-        return ProblemSpec(
-            constraints=cons,
-            terms=[TraceObjective(np.eye(n), generator_from_name("inverse"))],
-            start=np.eye(n) / n,
-            name=name,
-            seed=0,
-        )
-
-    m = re.fullmatch(r"ree-(\d+)x(\d+)", name)
-    if m:
+        cons, x0 = _unit_trace(n)
+        terms = [TraceObjective(np.eye(n), generator_from_name("inverse"))]
+    elif m := re.fullmatch(r"ree-(\d+)x(\d+)", name):
         n1, n2 = int(m.group(1)), int(m.group(2))
         n = n1 * n2
         rng = np.random.default_rng(1000 + 97 * n1 + n2)
@@ -396,68 +386,37 @@ def build_named(name: str) -> ProblemSpec:
             c += np.kron(symmetrize(ga @ ga.T), symmetrize(gb @ gb.T))
         c = c / np.trace(c) + 0.1 * np.eye(n)
         c = symmetrize(c / np.trace(c))
-        cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
-        return ProblemSpec(
-            constraints=cons,
-            terms=[TraceObjective(c, generator_from_name("neg_log"))],
-            offset=float(np.sum(_entropy_weights(c))),
-            constraint_map=PartialTranspose(n1, n2),
-            start=np.eye(n) / n,
-            name=name,
-            seed=0,
-        )
-
-    m = re.fullmatch(r"fidelity-n(\d+)", name)
-    if m:
+        cons, x0 = _unit_trace(n)
+        terms = [TraceObjective(c, generator_from_name("neg_log"))]
+        offset = float(np.sum(_entropy_weights(c)))
+        lmap = PartialTranspose(n1, n2)
+    elif m := re.fullmatch(r"fidelity-n(\d+)", name):
         n = int(m.group(1))
         rng = np.random.default_rng(2000 + n)
         g = rng.standard_normal((n, n))
         y = g @ g.T + (np.trace(g @ g.T) / (2 * n)) * np.eye(n)
         y = symmetrize(y * n / np.trace(y))
         dec = spectral_decompose(y)
-        y_half = symmetrize((dec.U * np.sqrt(dec.lam)) @ dec.U.T)
-        lmap = KrausMap([y_half])
-        cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
-        return ProblemSpec(
-            constraints=cons,
-            terms=[TraceObjective(np.eye(n), generator_from_name("neg_sqrt"), map=lmap)],
-            constraint_map=lmap,
-            start=np.eye(n) / n,
-            name=name,
-            seed=0,
-        )
-
-    if name == "qkd-toy":
-        n = 2
-        cons = AffineConstraints([np.eye(n)], np.array([1.0]), n_ineq=0)
-        return ProblemSpec(
-            constraints=cons,
-            terms=[QreObjective(identity_map(n), pinching_map([np.eye(n)]))],
-            start=np.eye(n) / n,
-            name=name,
-            seed=0,
-        )
-
-    m = re.fullmatch(r"qkd-n(\d+)", name)
-    if m:
+        lmap = KrausMap([symmetrize((dec.U * np.sqrt(dec.lam)) @ dec.U.T)])
+        cons, x0 = _unit_trace(n)
+        terms = [TraceObjective(np.eye(n), generator_from_name("neg_sqrt"), map=lmap)]
+    elif name == "qkd-toy":
+        cons, x0 = _unit_trace(2)
+        terms = [QreObjective(identity_map(2), pinching_map([np.eye(2)]))]
+    elif m := re.fullmatch(r"qkd-n(\d+)", name):
         n = int(m.group(1))
-        k = 2 * n
         rng = np.random.default_rng(3000 + n)
-        l1 = _random_kraus(rng, k, n, 2)
-        l2 = compose(_random_pinching(rng, k, 2), l1)
+        l1 = _random_kraus(rng, 2 * n, n, 2)
+        l2 = compose(_random_pinching(rng, 2 * n, 2), l1)
         x0 = _random_interior_density(rng, n)
         cons = _build_constraints(rng, n, x0, 0, max(0, n // 2 - 1))
-        spec = ProblemSpec(
-            constraints=cons,
-            terms=[QreObjective(l1, l2)],
-            start=x0,
-            name=name,
-            seed=0,
-        )
-        validate_problem(spec)
-        return spec
-
-    raise NotFound(f"unknown canonical problem name {name!r}")
+        terms = [QreObjective(l1, l2)]
+    else:
+        raise NotFound(f"unknown canonical problem name {name!r}")
+    spec = ProblemSpec(constraints=cons, terms=terms, offset=offset, constraint_map=lmap,
+                       start=x0, name=name, seed=0)
+    validate_problem(spec)
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -604,32 +563,20 @@ def from_dict(doc: dict) -> ProblemSpec:
         kraus = _section(doc, "kraus")
         l1, l2 = (_kraus(_require(kraus, key, "kraus"), f"kraus.{key}") for key in ("L1", "L2"))
         eps = _finite(float, obj.get("epsilon_perturb", 1e-12), "objective.epsilon_perturb")
-        spec = ProblemSpec(
-            constraints=cons,
-            terms=[QreObjective(l1, l2, eps_pert=eps)],
-            offset=offset,
-            start=start_mat,
-            name=doc.get("name", ""),
-            seed=doc.get("seed"),
-        )
+        terms, lmap = [QreObjective(l1, l2, eps_pert=eps)], None
     elif kind in ("type1", "type2"):
         c = _load_sym(_require(doc, "C", "top level"), "weight C")
         alpha = obj.get("alpha")
         gen = generator_from_name(_typed(_require(obj, "generator", "objective"), str,
                                          "objective.generator"),
                                   None if alpha is None else _finite(float, alpha, "objective.alpha"))
-        term_map = _map_from_dict(obj.get("term_map"), "objective.term_map")
-        spec = ProblemSpec(
-            constraints=cons,
-            terms=[TraceObjective(c, gen, map=term_map)],
-            offset=offset,
-            constraint_map=_map_from_dict(obj.get("barrier_map"), "objective.barrier_map"),
-            start=start_mat,
-            name=doc.get("name", ""),
-            seed=doc.get("seed"),
-        )
+        terms = [TraceObjective(c, gen, map=_map_from_dict(obj.get("term_map"),
+                                                           "objective.term_map"))]
+        lmap = _map_from_dict(obj.get("barrier_map"), "objective.barrier_map")
     else:
         raise ParseError(f"unknown problem kind {kind!r}", "top level")
+    spec = ProblemSpec(constraints=cons, terms=terms, offset=offset, constraint_map=lmap,
+                       start=start_mat, name=doc.get("name", ""), seed=doc.get("seed"))
     if spec.kind != kind:
         raise ValidationError(f"file kind {kind!r} does not match its data, a {spec.kind} problem")
     validate_problem(spec)

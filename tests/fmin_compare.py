@@ -8,8 +8,10 @@ compares two such records:
     python tests/fmin_compare.py --compare BEFORE.json AFTER.json
 
 ``--dump`` solves the 140 instances of the benchmark's three workloads
-at seeds 1 and 2, as ``perfbench/workloads.py`` builds them, with one
-BLAS thread and the default ``SolverConfig``. For each it writes
+at seeds 1 and 2, as ``perfbench/workloads.py`` builds them, and a
+``named`` group of seven canonical instances (``NAMED``, as
+``probio.build_named`` builds them), with one BLAS thread and the
+default ``SolverConfig``. For each it writes
 ``f_min`` (as ``float.hex``), the termination (or the name of the
 QipError raised), ``total_newton``, ``outer_iters``,
 ``predictions_accepted``, ``predictions_rejected``, the work counts
@@ -41,7 +43,7 @@ CI runs it on every pull request, on the one-BLAS-thread leg only: it
 dumps the base branch (with this copy of the file) and the change on the
 same runner, and ``--compare`` fails the job on a changed termination,
 a changed problem document or an ``f_min`` drift above 1e-10, so the job
-also guards the problem-file format. Both dumps come from one machine and
+also guards the problem-file format and the canonical instances. Both dumps come from one machine and
 one BLAS build; across builds, or thread counts, ``f_min`` moves by tens
 of 1e-12 on its own. The file name keeps it out of pytest's collection.
 """
@@ -68,6 +70,7 @@ from qipsolve.errors import QipError  # noqa: E402
 from qipsolve.pathfollow import SolverConfig, solve  # noqa: E402
 
 SEEDS = (1, 2)
+NAMED = ("trace-inverse-n4", "ree-2x2", "ree-2x3", "fidelity-n4", "qkd-toy", "qkd-n4", "qkd-n6")
 MAX_DRIFT = 1e-10
 CONDITION_MOVE = 10.0
 # the per-instance counts totalled per workload, with their printed titles
@@ -113,6 +116,9 @@ def dump(out: Path) -> int:
             for label, spec in workloads.build(name, seed):
                 rows.append(record(name, seed, label, spec, config))
             print(f"{name} seed {seed} solved ({len(rows)} instances)", file=sys.stderr)
+    for name in NAMED:
+        rows.append(record("named", None, name, probio.build_named(name), config))
+    print(f"named solved ({len(rows)} instances)", file=sys.stderr)
     doc = {"environment": bench_env.environment(), "instances": rows}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"{len(rows)} instances written to {out}")

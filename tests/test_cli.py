@@ -31,6 +31,14 @@ class TestGen:
         assert code == 0
         assert "n=4" in out and "m=2" in out and "N=4" in out
 
+    def test_type2_lone_n1_kept(self, tmp_path, capsys):
+        out_path = tmp_path / "t.json"
+        code, _, _ = run(capsys, "gen", "--kind", "type2", "--n", "8", "--n1", "4",
+                         "--out", str(out_path))
+        assert code == 0
+        barrier_map = json.loads(out_path.read_text())["objective"]["barrier_map"]
+        assert (barrier_map["n1"], barrier_map["n2"]) == (4, 2)
+
     def test_missing_n_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, "gen", "--kind", "type1",
                            "--out", str(tmp_path / "x.json"))

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -949,6 +950,13 @@ class TestSolve:
         problem = probio.build_named("trace-inverse-n2")
         problem.start = np.diag([2.0, 2.0])  # violates Tr X = 1
         with pytest.raises(InfeasibleStart):
+            solve(problem)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (4, 5), (4, 4, 1)])
+    def test_misshapen_start_named(self, shape):
+        problem = probio.generate_random("type1", {"n": 4}, seed=0)
+        problem.start = np.full(shape, 0.05)
+        with pytest.raises(InfeasibleStart, match=re.escape(f"start has shape {shape}")):
             solve(problem)
 
     def test_deterministic_report(self):

@@ -58,6 +58,21 @@ class TestGeneration:
         with pytest.raises(ShapeError, match="m >= 1"):
             generate_random(kind, {"n": 4, "m": 0}, seed=0)
 
+    @pytest.mark.parametrize("sizes, split", [
+        ({"n1": 4}, (4, 2)),
+        ({"n2": 4}, (2, 4)),
+        ({}, (2, 4)),
+        ({"n1": 8, "n2": 1}, (8, 1)),
+    ])
+    def test_type2_keeps_the_sizes_given(self, sizes, split):
+        lmap = generate_random("type2", {"n": 8, **sizes}, seed=0).constraint_map
+        assert (lmap.n1, lmap.n2) == split
+
+    @pytest.mark.parametrize("sizes", [{"n1": 4}, {"n2": 4}, {"n1": 0}, {"n1": 2, "n2": 2}])
+    def test_type2_split_must_factor_n(self, sizes):
+        with pytest.raises(ShapeError, match="does not factor 6"):
+            generate_random("type2", {"n": 6, **sizes}, seed=0)
+
     def test_barrier_parameters(self):
         assert barrier_parameter(generate_random("type1", {"n": 4, "m": 2, "N": 4}, 0)) == 6.0
         assert barrier_parameter(generate_random("type2", {"n": 4, "m": 1}, 0)) == 8.0
@@ -282,6 +297,15 @@ class TestNamedInstances:
     def test_unknown_name(self):
         with pytest.raises(NotFound):
             build_named("whatever-n3")
+
+    @pytest.mark.parametrize("name", ["trace-inverse-n4", "ree-2x3", "fidelity-n4",
+                                      "qkd-toy", "qkd-n4"])
+    def test_valid_and_round_trips(self, tmp_path, name):
+        spec = build_named(name)
+        validate_problem(spec)
+        path = tmp_path / "p.json"
+        save(spec, path)
+        assert probio.to_dict(load(path)) == probio.to_dict(spec)
 
 
 class TestFeasiblePoints:
