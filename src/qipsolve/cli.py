@@ -5,19 +5,18 @@ validation/parse failures, 4 solver failures. To cap the BLAS threads,
 set OPENBLAS_NUM_THREADS (or OMP_NUM_THREADS / MKL_NUM_THREADS, by BLAS)
 before launch: numpy reads it when it loads.
 
-Benchmark CSV schemas (also the column order of the text tables):
-  table1: n,m,N,f_min,nNewton,time_s
-  table2: n,k,m,r1,r2,time_s,f_min,nNewton
-``bench --json PATH`` writes the same runs as one JSON record: an
-``environment`` header (git SHA, numpy and scipy versions with their
-BLAS builds, the BLAS thread variables) and one row per size with the
-instance dimensions, seed, ``wall_s``, ``total_newton``, ``outer_iters``,
-the work counts ``hessian_evals``, ``value_evals``, ``kkt_solves`` and
-``backtracks``, ``termination`` and ``f_min``. A row's seed is ``--seed`` plus its index
-in the suite's full ladder, whatever ``--sizes`` selects, and a size
-outside the ladder exits 2. A row that does not converge (``IterCap``, or a
-solver error, recorded as ``NumericalFailure`` at the iterate it failed
-at) is still printed and written; ``bench`` then exits 4 once every row has run.
+A ``bench`` suite's CSV schema, also the column order of its text table,
+is its columns in ``SUITES``. ``bench --json PATH`` writes the same runs
+as one JSON record: an ``environment`` header (git SHA, numpy and scipy
+versions with their BLAS builds, the BLAS thread variables) and one row
+per size with the instance dimensions, seed, ``wall_s``, ``total_newton``,
+``outer_iters``, the work counts ``hessian_evals``, ``value_evals``,
+``kkt_solves`` and ``backtracks``, ``termination`` and ``f_min``. A row's
+seed is ``--seed`` plus its index in the suite's full ladder, whatever
+``--sizes`` selects, and a size outside the ladder exits 2. A row that
+does not converge (``IterCap``, or a solver error, recorded as
+``NumericalFailure`` at the iterate it failed at) is still printed and
+written; ``bench`` then exits 4 once every row has run.
 """
 
 from __future__ import annotations
@@ -38,13 +37,22 @@ from .pathfollow import COUNTS, SolverConfig, solve
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-TABLE2_ROWS = [
-    (4, 8, 2, 2, 2),
-    (6, 12, 4, 1, 2),
-    (12, 24, 6, 2, 4),
-    (16, 32, 10, 2, 2),
-    (32, 64, 20, 2, 2),
-]
+# gen's dimension flags, in --help order: each is a key of the dims that
+# generate_random takes, with its add_argument options
+DIMS = (*((name, {"type": int}) for name in ("n", "k", "m", "N", "r1", "r2", "n1", "n2")),
+        ("generator", {"choices": ("inverse", "neg_log", "neg_sqrt", "neg_power")}),
+        ("alpha", {"type": float}))
+
+# bench suites: (kind, the ladder's dims, the table's columns). A column
+# is a dims key, f_min, nNewton (the Newton steps) or time_s (wall seconds)
+SUITES = {
+    "table1": ("type1", [{"n": n, "m": n // 2, "N": n} for n in (4, 8, 16, 32, 64)],
+               ("n", "m", "N", "f_min", "nNewton", "time_s")),
+    "table2": ("qkd", [dict(zip(("n", "k", "m", "r1", "r2"), row)) for row in (
+        (4, 8, 2, 2, 2), (6, 12, 4, 1, 2), (12, 24, 6, 2, 4), (16, 32, 10, 2, 2),
+        (32, 64, 20, 2, 2))],
+               ("n", "k", "m", "r1", "r2", "time_s", "f_min", "nNewton")),
+}
 
 
 def _resolve_problem(token: str):
@@ -58,10 +66,6 @@ def _resolve_problem(token: str):
         )
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(beta0=args.beta0, theta=args.theta, epsilon=args.eps)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -73,17 +77,10 @@ def cmd_gen(args) -> int:
         if args.n is None:
             print("gen: --n is required (or use --named)", file=sys.stderr)
             return 2
-        dims = {
-            "n": args.n, "k": args.k, "m": args.m, "N": args.N,
-            "r1": args.r1, "r2": args.r2, "n1": args.n1, "n2": args.n2,
-            "generator": args.generator, "alpha": args.alpha,
-        }
-        dims = {k: v for k, v in dims.items() if v is not None}
+        dims = {name: v for name, _ in DIMS if (v := getattr(args, name)) is not None}
         spec = probio.generate_random(args.kind, dims, seed=args.seed)
     probio.save(spec, args.out)
-    d = spec.dims
-    echo = " ".join(f"{key}={d[key]}" for key in ("n", "k", "m", "N", "r1", "r2")
-                    if d.get(key) is not None)
+    echo = " ".join(f"{key}={v}" for key, v in spec.dims.items() if v is not None)
     print(f"kind={spec.kind} {echo} -> {args.out}")
     return 0
 
@@ -91,12 +88,9 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     spec = _resolve_problem(args.problem)
     records = []
-
-    def hook(rec):
-        records.append(rec)
-
     try:
-        report = solve(spec, config=_solver_config(args), callback=hook,
+        config = SolverConfig(beta0=args.beta0, theta=args.theta, epsilon=args.eps)
+        report = solve(spec, config=config, callback=records.append,
                        include_barrier=not args.no_barrier)
     except ValueError as exc:
         print(f"solve: {exc}", file=sys.stderr)
@@ -192,16 +186,13 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
-    if args.suite == "table1":
-        shapes = [("type1", {"n": n, "m": n // 2, "N": n}) for n in (4, 8, 16, 32, 64)]
-    else:
-        shapes = [("qkd", dict(zip(("n", "k", "m", "r1", "r2"), row))) for row in TABLE2_ROWS]
-    ladder = [dims["n"] for _, dims in shapes]
+    kind, shapes, header = SUITES[args.suite]
+    ladder = [dims["n"] for dims in shapes]
     sizes = set(args.sizes or ladder)
     if not sizes <= set(ladder):
         print(f"bench: sizes {sorted(sizes - set(ladder))} not in {ladder}", file=sys.stderr)
         return 2
-    for seed, (kind, dims) in enumerate(shapes, args.seed):
+    for seed, dims in enumerate(shapes, args.seed):
         if dims["n"] in sizes:
             spec = probio.generate_random(kind, dims, seed=seed)
             t0 = time.perf_counter()
@@ -214,14 +205,10 @@ def cmd_bench(args) -> int:
                     continue
             runs.append((dims, seed, report, time.perf_counter() - t0))
 
-    if args.suite == "table1":
-        header = ["n", "m", "N", "f_min", "nNewton", "time_s"]
-        rows = [[d["n"], d["m"], d["N"], rep.f_min, rep.total_newton, dt]
-                for d, _, rep, dt in runs]
-    else:
-        header = ["n", "k", "m", "r1", "r2", "time_s", "f_min", "nNewton"]
-        rows = [[d["n"], d["k"], d["m"], d["r1"], d["r2"], dt, rep.f_min, rep.total_newton]
-                for d, _, rep, dt in runs]
+    rows = []
+    for d, _, rep, dt in runs:
+        cells = {**d, "f_min": rep.f_min, "nNewton": rep.total_newton, "time_s": dt}
+        rows.append([cells[c] for c in header])
 
     widths = [max(len(h), 12) for h in header]
     print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
@@ -272,16 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a random or canonical problem file")
     g.add_argument("--kind", choices=("type1", "type2", "qkd"), default="qkd")
     g.add_argument("--named", help="canonical instance name (overrides --kind)")
-    g.add_argument("--n", type=int)
-    g.add_argument("--k", type=int)
-    g.add_argument("--m", type=int)
-    g.add_argument("--N", type=int, dest="N")
-    g.add_argument("--r1", type=int)
-    g.add_argument("--r2", type=int)
-    g.add_argument("--n1", type=int)
-    g.add_argument("--n2", type=int)
-    g.add_argument("--generator", choices=("inverse", "neg_log", "neg_sqrt", "neg_power"))
-    g.add_argument("--alpha", type=float)
+    for name, options in DIMS:
+        g.add_argument(f"--{name}", **options)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
@@ -307,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_check)
 
     b = sub.add_parser("bench", help="run a benchmark ladder")
-    b.add_argument("--suite", choices=("table1", "table2"), required=True)
+    b.add_argument("--suite", choices=tuple(SUITES), required=True)
     b.add_argument("--sizes", type=int, nargs="*")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--eps", type=float, default=1e-8)

@@ -93,7 +93,8 @@ class TraceObjective:
                 f"{c.shape[0]} vs {self.map.out_order}"
             )
 
-    def input_order(self) -> int:
+    @property
+    def in_order(self) -> int:
         return self.C.shape[0] if self.map is None else self.map.in_order
 
     def evaluate(self, point: EvalPoint, want_hessian: bool = True) -> DerivativeBundle:

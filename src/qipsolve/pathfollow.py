@@ -4,9 +4,9 @@ Every beta of a run is on the schedule beta_i = (1+theta)^i * beta0,
 i = 0..K, whose last beta_K is the first at or above 4 r / epsilon. Each
 outer iteration (a centering) re-centers F_beta = beta f + B by damped
 Newton steps until the Newton decrement passes the gate
-delta <= 1/(3 kappa) (kappa = M/2 = 2, below), and the run stops after
-its centering at beta_K. An initial damped-Newton phase at beta0
-supplies the centered starting point the outer loop presumes.
+delta <= 1/(3 kappa) (kappa = M/2 = 2, below; ``DELTA_STAR``), and the
+run stops after its centering at beta_K. One loop runs every centering:
+the first, at beta0, supplies the centered point the predictions presume.
 
 Between centerings the run predicts along the central path (Nesterov
 and Nemirovski 1994; Gonzaga, SIAM Review 34, 1992). At x(beta),
@@ -99,7 +99,8 @@ slope along a direction P is g~ . svec(U.T P U).
 
 The run is fixed by beta0, theta and epsilon alone. The theory caps
 each centering at 22/3 + 22 theta (5/2 kappa sqrt(r) + theta kappa^2 r / (theta+1))
-Newton steps, and the run at that times ln(4r/(eps beta0)) / ln(1+theta).
+Newton steps (``per_outer_cap``), and the run at that times
+ln(4r/(eps beta0)) / ln(1+theta) (``iteration_bound``).
 The per-outer cap at the ratio a centering takes (above) is its step
 limit, so IterCap means that one centering reached it. The report holds
 the per-outer cap, each centering's cap and two totals, and checks
@@ -120,7 +121,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import lapack
@@ -180,8 +181,6 @@ class SolverConfig:
         # beta must grow in floating point, or the schedule never ends
         if self.beta0 <= 0 or not 1.0 + self.theta > 1.0 or self.epsilon <= 0:
             raise ValueError("beta0 and epsilon must be positive, and 1 + theta > 1")
-        # by field, not ``asdict``: solve builds one config per prediction
-        # span for its caps, and ``asdict`` deep-copies every value
         for f in fields(self):
             v = getattr(self, f.name)
             if not math.isfinite(v):
@@ -425,13 +424,13 @@ def newton_system(run: _Run, beta: float, evaluator: FBetaEvaluator):
     return run.point.system[1:]
 
 
-def predict(run: _Run, beta_pred: float, evaluator: FBetaEvaluator, target: float) -> bool:
+def predict(run: _Run, beta_pred: float, evaluator: FBetaEvaluator) -> bool:
     """Move the centered iterate along the tangent to ``beta_pred``; whether it is accepted.
 
     ``run.point.system`` must be the gate check that centered it. The
     predicted point is accepted when it is strictly feasible and its
-    decrement at ``beta_pred`` passes ``target``; the run then holds it,
-    with that check as its system. Otherwise the run holds whichever of
+    decrement at ``beta_pred`` passes the gate ``DELTA_STAR``; the run
+    then holds it, with that check as its system. Otherwise the run holds whichever of
     the predicted and the centered point has the lower F at ``beta_pred``
     (module docstring), or the centered point when the predicted one is
     outside the domain. Any other QipError of the predicted point's
@@ -451,7 +450,7 @@ def predict(run: _Run, beta_pred: float, evaluator: FBetaEvaluator, target: floa
             raise
         run.rejected += 1
         return False
-    if trial.decrement <= target:
+    if trial.decrement <= DELTA_STAR:
         run.accepted += 1
         return True
     run.rejected += 1
@@ -461,8 +460,8 @@ def predict(run: _Run, beta_pred: float, evaluator: FBetaEvaluator, target: floa
 
 
 def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
-           target: float | None = None, callback=None, predict_first: bool = False) -> bool:
-    """Newton-iterate ``run.point`` at fixed beta until the decrement gate passes.
+           callback=None, predict_first: bool = False) -> bool:
+    """Newton-iterate ``run.point`` at fixed beta until the decrement passes ``DELTA_STAR``.
 
     With ``predict_first``, the iterate is centered at a beta below
     ``beta`` and its point holds its gate check: ``predict`` first tries
@@ -483,15 +482,14 @@ def center(run: _Run, beta: float, evaluator: FBetaEvaluator, max_steps: int,
     the last iterate reached and counts the steps taken (with a callback,
     exactly those it was given).
     """
-    target = DELTA_STAR if target is None else target
     problem = evaluator.problem
     run.steps.append(0)
-    accepted = predict_first and predict(run, beta, evaluator, target)
+    accepted = predict_first and predict(run, beta, evaluator)
     for _ in range(max_steps):
         point = run.point
         gradient, step = newton_system(run, beta, evaluator)
         run.trace.append((beta, step.decrement))
-        if step.decrement <= target:
+        if step.decrement <= DELTA_STAR:
             return accepted
         slope = directional_derivative(gradient, step)
         if slope >= 0.0:
@@ -534,11 +532,17 @@ def proximity_gap_bound(delta: float, beta: float, r: float, kappa: float) -> fl
     return (delta / d1) * ((1.0 + kappa * delta**2) / d2) * math.sqrt(r) / beta
 
 
+def per_outer_cap(theta: float, r: float) -> float:
+    """The theory's cap on the Newton steps of one centering, from beta to (1+theta) beta."""
+    kp = KAPPA
+    return 22.0 / 3.0 + 22.0 * theta * (2.5 * kp * math.sqrt(r)
+                                        + theta * kp**2 * r / (theta + 1.0))
+
+
 def iteration_bound(config: SolverConfig, r: float):
     """(per-outer cap, total cap) on Newton steps for barrier parameter r."""
-    th, kp = config.theta, KAPPA
-    per_outer = 22.0 / 3.0 + 22.0 * th * (2.5 * kp * math.sqrt(r) + th * kp**2 * r / (th + 1.0))
-    n_outer = math.log(4.0 * r / (config.epsilon * config.beta0)) / math.log1p(th)
+    per_outer = per_outer_cap(config.theta, r)
+    n_outer = math.log(4.0 * r / (config.epsilon * config.beta0)) / math.log1p(config.theta)
     total = max(n_outer, 0.0) * per_outer
     return per_outer, total
 
@@ -559,12 +563,12 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
           include_barrier: bool = True) -> SolveReport:
     """Run the full path-following scheme and return a SolveReport.
 
-    The problem's start must be n x n and strictly feasible
-    (``probio.start_violation``; InfeasibleStart otherwise); a damped-Newton phase
-    at beta0 performs the initial centering. Each centering may take at
-    most the theory's per-outer cap of Newton steps (``iteration_bound``)
-    at the ratio of the betas it moves between (module docstring); one
-    that reaches it ends the run with an IterCap report. Any other QipError raised while
+    The problem's start must be n x n, finite and strictly feasible
+    (``probio.start_violation``; InfeasibleStart otherwise). One loop
+    centers at beta0, then at each beta the predictions reach. Each
+    centering may take at most ``per_outer_cap`` Newton steps at the ratio
+    of the betas it moves between (module docstring), the first at theta;
+    one that reaches it ends the run with an IterCap report. Any other QipError raised while
     centering re-raises with the phase and a NumericalFailure report
     attached; like an IterCap report, it is built at the iterate where
     centering stopped, not at the last centered point, and counts the
@@ -597,32 +601,23 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
     last = schedule_end(config, r)
     termination = "Converged"
     failure = None
-    # beta = beta_at(i); a prediction reaches ahead by ``span`` exponents,
-    # mu = (1+theta)^span, and the centering there is capped at the
-    # per-outer cap for theta' = mu - 1 (module docstring), kept per span
-    i, span = 0, 1
-    beta = config.beta0
-    span_caps = {1: caps[0]}
-
-    def beta_at(j):
-        return config.beta0 * (1.0 + config.theta) ** j
-
+    # the centering at beta0 (1+theta)^i, i = 0..last; after the first, a
+    # prediction reaches it ``span`` exponents ahead, and its cap is the
+    # per-outer cap at theta' = (1+theta)^span - 1 (module docstring): at
+    # span 1 the per-outer cap itself, like the first centering's
+    i, span, cap = 0, 1, caps[0]
     try:
-        run.caps.append(caps[0])
-        center(run, beta, evaluator, math.floor(caps[0]), callback=callback)
-        run.gaps.append(proximity_gap_bound(run.trace[-1][1], beta, r, KAPPA))
-        while i < last:
-            ahead = min(i + span, last)
-            cap = span_caps.get(ahead - i)
-            if cap is None:
-                wide = replace(config, theta=(1.0 + config.theta) ** (ahead - i) - 1.0)
-                cap = span_caps[ahead - i] = iteration_bound(wide, r)[0]
+        while True:
             run.caps.append(cap)
-            beta = beta_at(ahead)
+            beta = config.beta0 * (1.0 + config.theta) ** i
             accepted = center(run, beta, evaluator, math.floor(cap), callback=callback,
-                              predict_first=True)
-            i, span = ahead, 2 * span if accepted else 1
+                              predict_first=i > 0)
             run.gaps.append(proximity_gap_bound(run.trace[-1][1], beta, r, KAPPA))
+            if i == last:
+                break
+            span = min(2 * span if accepted else 1, last - i)
+            cap = caps[0] if span == 1 else per_outer_cap((1.0 + config.theta) ** span - 1.0, r)
+            i += span
     except IterCap:
         termination = "IterCap"
     except QipError as exc:  # ``run`` holds the iterate it was raised at
@@ -640,10 +635,10 @@ def solve(problem: ProblemSpec, config: SolverConfig | None = None, callback=Non
 
 def _build_report(evaluator, run, config, caps, beta, r, f_start, wall, termination):
     problem, include_barrier = evaluator.problem, evaluator.self_concordant
-    per_outer_cap, total_cap = caps
+    per_outer, total_cap = caps
     total, caps_total = sum(run.steps), sum(run.caps)
     bound_check = {
-        "per_outer_cap": per_outer_cap,
+        "per_outer_cap": per_outer,
         "total_cap": total_cap,
         "centering_caps": list(run.caps),
         "centering_caps_total": caps_total,

@@ -158,23 +158,36 @@ def start_violation(problem: ProblemSpec, x) -> str | None:
     """Why ``x`` cannot start a solve of ``problem``, or None if it can.
 
     The shape comes first, since it must be n x n before any eigenvalue or
-    residual can be read; then the first strict-feasibility violation.
+    residual can be read, then finiteness, since every comparison with NaN
+    is false; then the first strict-feasibility violation.
     """
     if np.shape(x) != (problem.n, problem.n):
         return (f"start has shape {np.shape(x)}, not the constraints' order "
                 f"{problem.n} x {problem.n}")
+    if not np.all(np.isfinite(x)):
+        return "start has non-finite entries"
     bad = feasibility_violations(problem, x)
     return "start is not strictly feasible: " + bad[0][0] if bad else None
 
 
 def validate_problem(problem: ProblemSpec) -> None:
     """Raise ValidationError on any invariant violation."""
+    for t in problem.terms:
+        if not isinstance(t, (TraceObjective, QreObjective)):
+            raise ValidationError(f"objective terms are trace objectives or relative "
+                                  f"entropies, not {type(t).__name__}")
+        if t.in_order != problem.n:
+            raise ValidationError("objective term order does not match the constraints")
+    lmap = problem.constraint_map
+    if lmap is not None and lmap.in_order != problem.n:
+        raise ValidationError("constraint map order does not match the constraints")
     if problem.kind == "qkd":
-        if len(problem.terms) != 1 or not isinstance(problem.terms[0], QreObjective):
+        # a qkd problem has a relative-entropy term, so a lone term is one
+        if len(problem.terms) != 1:
             raise ValidationError("qkd problem takes exactly one relative-entropy term")
         if problem.constraints.n_ineq != 0:
             raise ValidationError("qkd problems take equality constraints only")
-        if problem.constraint_map is not None:
+        if lmap is not None:
             raise ValidationError("qkd problems take no constraint map")
         qre = problem.terms[0]
         for label, lm in (("L1", qre.l1), ("L2", qre.l2)):
@@ -183,19 +196,8 @@ def validate_problem(problem: ProblemSpec) -> None:
                 raise ValidationError(
                     f"{label} violates sum K.T K <= I by {defect:.3e}"
                 )
-            if lm.in_order != problem.n:
-                raise ValidationError(f"{label} input order does not match the constraints")
-    else:
-        if not problem.terms:
-            raise ValidationError("trace-objective problem has no terms")
-        for t in problem.terms:
-            if not isinstance(t, TraceObjective):
-                raise ValidationError(f"{problem.kind} problems take trace objectives only")
-            if t.input_order() != problem.n:
-                raise ValidationError("objective term order does not match the constraints")
-        lmap = problem.constraint_map
-        if lmap is not None and lmap.in_order != problem.n:
-            raise ValidationError("constraint map order does not match the constraints")
+    elif not problem.terms:
+        raise ValidationError("trace-objective problem has no terms")
     why = None if problem.start is None else start_violation(problem, problem.start)
     if why:
         raise ValidationError(why)

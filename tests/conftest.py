@@ -27,3 +27,13 @@ def rel_err(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
+
+
+def non_finite_start(start, bad):
+    """A copy of ``start`` with one off-diagonal entry "inf" or "nan", or "all-nan"."""
+    x = np.array(start, dtype=float)
+    if bad == "all-nan":
+        x[:] = np.nan
+    else:
+        x[0, 1] = float(bad)
+    return x

@@ -16,7 +16,8 @@ default ``SolverConfig``. For each it writes
 QipError raised), ``total_newton``, ``outer_iters``,
 ``predictions_accepted``, ``predictions_rejected``, the work counts
 ``hessian_evals``, ``value_evals``, ``kkt_solves`` and ``backtracks``,
-``schur_condition_max`` and the
+``schur_condition_max``, the report's ``centering_caps`` and
+``total_cap`` (each as ``float.hex``) and the
 SHA-256 of the instance's problem document,
 ``json.dumps(probio.to_dict(spec), sort_keys=True)``. It
 solves with the checkout it lives in: to record another revision, run
@@ -31,7 +32,12 @@ budget), every change in the Newton count, and per workload the totals
 of ``total_newton``, ``outer_iters`` (centerings), the accepted and
 rejected predictions and the work counts of both records; a changed
 count alone is reported, not failed, and a record that lacks a count
-(one written before it was recorded) totals it as 0. Plain relative error would mean nothing here,
+(one written before it was recorded) totals it as 0. Per workload it
+also prints how many instances changed their centering caps or their
+total cap, the theory's step limits, which a refactor of ``pathfollow``
+should keep bit for bit; like a changed count, a changed cap is reported,
+not failed, and a record that lacks the caps differs from one that holds
+them. Plain relative error would mean nothing here,
 since the type2 optima are about 1e-16. It also lists every instance
 whose ``schur_condition_max`` moved by more than a factor of 10, and
 the largest move per workload: the Cholesky pivot ratio depends on the
@@ -104,6 +110,9 @@ def record(workload: str, seed: int, label: str, spec, config) -> dict:
         # a checkout whose report lacks a count (an older base) records None
         **{count: getattr(report, count, None) for count in COUNTS},
         "schur_condition_max": None if report is None else report.schur_condition_max,
+        "centering_caps": None if report is None else [
+            cap.hex() for cap in report.bound_check["centering_caps"]],
+        "total_cap": None if report is None else report.bound_check["total_cap"].hex(),
         "problem_sha256": hashlib.sha256(doc.encode()).hexdigest(),
     }
 
@@ -146,6 +155,7 @@ def compare(path_a: Path, path_b: Path) -> int:
     worst: dict[str, tuple[float, str]] = {}
     totals = {}  # (workload, side, count) -> sum
     moves: dict[str, tuple[float, str]] = {}
+    caps_changed: dict[str, int] = {}
     for key in sorted(rows_a.keys() & rows_b.keys()):
         a, b = rows_a[key], rows_b[key]
         name, label = key
@@ -162,6 +172,8 @@ def compare(path_a: Path, path_b: Path) -> int:
             failures.append(f"{label}: f_min drift {d:.3e} > {MAX_DRIFT:g}")
         if a["total_newton"] != b["total_newton"]:
             print(f"{label}: Newton steps {a['total_newton']} -> {b['total_newton']}")
+        caps = [(row.get("centering_caps"), row.get("total_cap")) for row in (a, b)]
+        caps_changed[name] = caps_changed.get(name, 0) + (caps[0] != caps[1])
         move = condition_move(a.get("schur_condition_max"), b.get("schur_condition_max"))
         factor = max(move, 1.0 / move)
         if factor > moves.get(name, (1.0, ""))[0]:
@@ -178,7 +190,8 @@ def compare(path_a: Path, path_b: Path) -> int:
         factor, where = moves.get(name, (1.0, ""))
         counts = "; ".join(f"{title} {totals[name, 'a', count]} -> {totals[name, 'b', count]}"
                            for count, title in COUNTS.items())
-        print(f"{name}: worst drift {d:.2e} ({label}); {counts}; largest Schur condition "
+        print(f"{name}: worst drift {d:.2e} ({label}); {counts}; caps changed in "
+              f"{caps_changed[name]} instances; largest Schur condition "
               f"move {factor:.3g}x ({where or 'none'})")
     for line in failures:
         print("FAIL", line)

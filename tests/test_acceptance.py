@@ -144,9 +144,12 @@ def test_criterion_06_compatibility_inequality():
           f"{violations}/{total} violations across 50 draws per generator")
 
 
-def test_criterion_07_quadratic_centering():
+def test_criterion_07_quadratic_centering(monkeypatch):
+    from qipsolve import pathfollow
     from qipsolve.pathfollow import FBetaEvaluator, _Run, center
 
+    # center well past the gate (but above the float floor)
+    monkeypatch.setattr(pathfollow, "DELTA_STAR", 1e-7)
     pairs = []
     for seed in (9, 21):
         problem = probio.generate_random("type1", {"n": 4, "m": 0, "N": 2}, seed=seed)
@@ -155,7 +158,7 @@ def test_criterion_07_quadratic_centering():
             prng = np.random.default_rng(point_seed)
             x = probio.random_feasible_point(problem, prng, scale=0.5)
             run = _Run(EvalPoint(x))
-            center(run, 4.0, ev, 500, target=1e-7)
+            center(run, 4.0, ev, 500)
             deltas = [d for _, d in run.trace]
             pairs.extend(zip(deltas, deltas[1:]))
     in_regime = [(a, b) for a, b in pairs if a <= 1.0 / 6.0]

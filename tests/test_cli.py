@@ -228,7 +228,7 @@ class TestSolve:
 
     def test_iteration_cap_exits_4(self, capsys, monkeypatch):
         # a per-outer cap below one Newton step stops the first centering
-        monkeypatch.setattr(pathfollow, "iteration_bound", lambda config, r: (0.5, 1.0))
+        monkeypatch.setattr(pathfollow, "per_outer_cap", lambda theta, r: 0.5)
         code, _, err = run(capsys, "solve", "trace-inverse-n2")
         assert code == 4
         assert "IterCap" in err
@@ -329,7 +329,7 @@ class TestBench:
     def test_iteration_cap_exits_4(self, tmp_path, capsys, monkeypatch):
         # as for solve: a per-outer cap below one Newton step stops the
         # first centering, and the row is still printed and recorded
-        monkeypatch.setattr(pathfollow, "iteration_bound", lambda config, r: (0.5, 1.0))
+        monkeypatch.setattr(pathfollow, "per_outer_cap", lambda theta, r: 0.5)
         json_path = tmp_path / "b.json"
         code, out, err = run(capsys, "bench", "--suite", "table1", "--sizes", "4",
                              "--json", str(json_path))

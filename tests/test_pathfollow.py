@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import non_finite_start
 from qipsolve import objectives, pathfollow, probio
 from qipsolve.errors import (
     DecompositionFailure,
@@ -40,6 +41,7 @@ from qipsolve.pathfollow import (
     iteration_bound,
     line_search,
     max_feasible_step,
+    per_outer_cap,
     proximity_gap_bound,
     solve,
 )
@@ -47,9 +49,7 @@ from qipsolve.pathfollow import (
 
 def cap_centerings(monkeypatch, per_outer):
     """Make ``per_outer`` the theory's per-outer cap, the step limit of every centering."""
-    real = pathfollow.iteration_bound
-    monkeypatch.setattr(pathfollow, "iteration_bound",
-                        lambda config, r: (per_outer, real(config, r)[1]))
+    monkeypatch.setattr(pathfollow, "per_outer_cap", lambda theta, r: per_outer)
 
 
 def count_decompositions(monkeypatch, problem) -> int:
@@ -334,9 +334,10 @@ class TestCenter:
         assert run.steps == [0]
         assert len(run.trace) == 1
 
-    def test_quadratic_contraction_on_logged_trace(self, rng):
+    def test_quadratic_contraction_on_logged_trace(self, rng, monkeypatch):
         # center well past the gate (but above the float floor) and look
         # at consecutive decrements
+        monkeypatch.setattr(pathfollow, "DELTA_STAR", 1e-7)
         problem = probio.generate_random("type1", {"n": 4, "m": 0, "N": 2}, seed=9)
         ev = FBetaEvaluator(problem)
         pairs = []
@@ -344,7 +345,7 @@ class TestCenter:
             prng = np.random.default_rng(point_seed)
             x = probio.random_feasible_point(problem, prng, scale=0.5)
             run = _Run(EvalPoint(x))
-            center(run, 4.0, ev, 500, target=1e-7)
+            center(run, 4.0, ev, 500)
             deltas = [d for _, d in run.trace]
             pairs.extend(zip(deltas, deltas[1:]))
         in_regime = [(a, b) for a, b in pairs if a <= 1.0 / 6.0]
@@ -618,7 +619,7 @@ def traced_predictions(monkeypatch):
     events = []
     real_predict, real_system = pathfollow.predict, pathfollow.newton_system
 
-    def predict(run, beta_pred, evaluator, target):
+    def predict(run, beta_pred, evaluator):
         centered, seen = run.point, []
 
         def system(run_, beta_, evaluator_):
@@ -627,7 +628,7 @@ def traced_predictions(monkeypatch):
 
         monkeypatch.setattr(pathfollow, "newton_system", system)
         try:
-            accepted = real_predict(run, beta_pred, evaluator, target)
+            accepted = real_predict(run, beta_pred, evaluator)
         finally:
             monkeypatch.setattr(pathfollow, "newton_system", real_system)
         predicted = next((p for p in seen if p is not centered), None)
@@ -959,6 +960,13 @@ class TestSolve:
         with pytest.raises(InfeasibleStart, match=re.escape(f"start has shape {shape}")):
             solve(problem)
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "all-nan"])
+    def test_non_finite_start_named(self, bad):
+        problem = probio.build_named("trace-inverse-n3")
+        problem.start = non_finite_start(problem.start, bad)
+        with pytest.raises(InfeasibleStart, match="start has non-finite entries"):
+            solve(problem)
+
     def test_deterministic_report(self):
         problem = probio.generate_random("qkd", {"n": 3, "m": 1}, seed=8)
         r1 = solve(problem)
@@ -1171,6 +1179,23 @@ class TestSolve:
         assert report.beta_final == config.beta0 * (1.0 + config.theta) ** last
         assert report.outer_iters == 1 + report.predictions_accepted + report.predictions_rejected
         assert report.outer_iters < 224 // 10
+
+    def test_one_beta_schedule_centers_once_at_beta0(self, monkeypatch):
+        # beta0 at or above 4r/epsilon makes beta0 the schedule's only beta:
+        # the run centers there once, with no prediction, at theta's cap
+        config = SolverConfig(beta0=1e12)
+        problem = probio.build_named("qkd-n4")
+        r = probio.barrier_parameter(problem)
+        assert config.beta0 >= 4.0 * r / config.epsilon
+        events = traced_predictions(monkeypatch)
+        report = solve(problem, config=config)
+        assert report.termination == "Converged"
+        assert events == []
+        assert report.outer_iters == 1 and report.total_newton > 0
+        assert report.predictions_accepted == report.predictions_rejected == 0
+        assert {b for b, _ in report.decrement_trace} == {config.beta0}
+        assert report.beta_final == config.beta0
+        assert report.bound_check["centering_caps"] == [per_outer_cap(config.theta, r)]
 
     @pytest.mark.parametrize("theta", [0.0, 1e-17, math.nan])
     def test_theta_must_grow_beta(self, theta):

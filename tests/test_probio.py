@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import non_finite_start
 from qipsolve import probio
 from qipsolve.errors import NotFound, ParseError, ShapeError, ValidationError
 from qipsolve.linmap import KrausMap, PartialTranspose
@@ -118,6 +119,26 @@ class TestRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="equality constraint"):
             load(path)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "all-nan"])
+    def test_non_finite_start_named(self, bad):
+        spec = build_named("trace-inverse-n3")
+        spec.start = non_finite_start(spec.start, bad)
+        with pytest.raises(ValidationError, match="start has non-finite entries"):
+            validate_problem(spec)
+
+    @pytest.mark.parametrize("kind", ["type1", "type2", "qkd"])
+    def test_term_of_another_order_rejected(self, kind):
+        spec = generate_random(kind, {"n": 4}, seed=2)
+        spec.terms = generate_random(kind, {"n": 3}, seed=2).terms
+        with pytest.raises(ValidationError, match="objective term order does not match"):
+            validate_problem(spec)
+
+    def test_map_of_another_order_rejected(self):
+        spec = generate_random("type2", {"n": 4}, seed=2)
+        spec.constraint_map = KrausMap([np.eye(3)])
+        with pytest.raises(ValidationError, match="constraint map order does not match"):
+            validate_problem(spec)
 
     def test_qkd_constraint_map_rejected(self):
         # the file format keeps no map for qkd, so saving would drop its barrier
